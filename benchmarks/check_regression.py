@@ -10,7 +10,9 @@ the bounded-memory assertion of the streaming executor).  Benches
 emitted outside ``run_all.py`` join the gate via ``--merge``; a
 ``repro-cover/1`` artifact supplied via ``--cover`` is held to the
 baseline's ``covered_bins`` floor (hard, no tolerance — the fuzz
-campaign is byte-deterministic).
+campaign is byte-deterministic), and the merged document's ``loc``
+(source line count) to the baseline's ``loc`` ceiling (hard too —
+shrinkage a change achieved stays).
 
 The baseline records *conservative* throughput floors (well below a
 typical developer machine) so the gate only trips on genuine
@@ -155,6 +157,18 @@ def check(
                 f"{name}: {measured} covered bin(s) < baseline "
                 f"{floor} (fuzz campaign lost coverage)"
             )
+    # The source line ceiling is a hard bound as well: code removed by
+    # one change must not silently grow back in the next.
+    ceiling = baseline.get("loc")
+    if ceiling is not None:
+        measured = merged.get("loc")
+        if measured is None:
+            failures.append("loc: missing from BENCH_all.json")
+        elif measured > ceiling:
+            failures.append(
+                f"loc: {measured} source line(s) > ceiling {ceiling} "
+                "(raise it in baseline.json only on purpose)"
+            )
     return failures
 
 
@@ -163,14 +177,14 @@ def update_baseline(merged: dict, cover: dict | None = None) -> dict:
 
     Throughput floors are measured-with-margin; speedup floors are
     the fixed per-bench requirements of :data:`SPEEDUP_FLOORS`, not
-    machine-derived.  Covered-bin floors are recorded exactly — the
-    campaign is deterministic, so no margin applies.
+    machine-derived.  Covered-bin floors and the ``loc`` ceiling are
+    recorded exactly — both are deterministic, so no margin applies.
     """
     benches = merged.get("benches", {})
     covered_bins = (
         {"cover": int(cover["covered"])} if cover is not None else {}
     )
-    return {
+    baseline = {
         "schema": "repro-bench-baseline/1",
         "note": (
             "conservative sim-s/s floors; refresh with "
@@ -197,6 +211,9 @@ def update_baseline(merged: dict, cover: dict | None = None) -> dict:
         },
         "covered_bins": covered_bins,
     }
+    if "loc" in merged:
+        baseline["loc"] = int(merged["loc"])
+    return baseline
 
 
 def main(argv=None) -> int:
@@ -300,6 +317,8 @@ def main(argv=None) -> int:
             "covered_bins",
         )
     )
+    if "loc" in baseline:
+        gates += 1
     print(
         f"benchmark regression gate passed ({gates} gate(s), "
         f"tolerance {args.tolerance:.0%})"

@@ -7,7 +7,9 @@ not sweep campaigns but emit the same schema keys and ride in the
 merged document alongside the others: ``oracle``
 (``bench_oracle.py``, analytic vs exact candidate scoring) and
 ``fleet-fast`` (``bench_fleet.py --fast``, the batched analytic
-compute tier vs the exact fleet resolver).
+compute tier vs the exact fleet resolver).  The merged document also
+records ``loc``, the line count of ``src/repro/**/*.py``, which the
+regression gate holds to a ceiling.
 
 Run with::
 
@@ -15,15 +17,22 @@ Run with::
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+import repro
+from repro.store import write_json
 from repro.sweep import BENCH_SPECS, ResultCache, run_all_benches
 from repro.sweep.artifacts import merge_bench
 
 import bench_fleet
 import bench_oracle
+
+
+def source_loc() -> int:
+    """Lines in ``src/repro/**/*.py`` (newline count, as ``wc -l``)."""
+    root = Path(repro.__file__).resolve().parent
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
 
 
 def main(argv=None) -> int:
@@ -93,18 +102,11 @@ def main(argv=None) -> int:
     if extra_payloads:
         benches = dict(merged["benches"])
         for name, payload in extra_payloads.items():
-            extra_path = Path(args.out_dir) / f"BENCH_{name}.json"
-            extra_path.parent.mkdir(parents=True, exist_ok=True)
-            extra_path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            write_json(Path(args.out_dir) / f"BENCH_{name}.json", payload)
             benches[name] = payload
         merged = merge_bench(benches)
-        path.write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    merged["loc"] = source_loc()
+    write_json(path, merged)
     for name, payload in merged["benches"].items():
         print(
             f"  {name:<10} {payload['points']:3d} point(s)  "
@@ -116,7 +118,8 @@ def main(argv=None) -> int:
     print(
         f"total: {merged['points']} point(s), "
         f"{merged['wall_s']:.2f} s wall, "
-        f"{merged['sim_s_per_s']:.1f} simulated-s/s"
+        f"{merged['sim_s_per_s']:.1f} simulated-s/s, "
+        f"{merged['loc']} source line(s)"
     )
     print(f"wrote {path}")
     return 0

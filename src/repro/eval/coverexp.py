@@ -12,7 +12,6 @@ across processes, worker counts and ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from ..cover.fuzz import (
     random_campaign,
 )
 from ..cover.model import ADVERSARIAL_POINTS, COVER_SCHEMA, DIMENSIONS
+from ..store import write_json
 
 
 def run_cover(seed: int = COVER_SEED, budget: int = COVER_BUDGET,
@@ -92,14 +92,7 @@ def cover_payload(report: FuzzReport) -> dict:
 
 def write_cover_json(report: FuzzReport, path: str | Path) -> Path:
     """Write the coverage artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(cover_payload(report), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, cover_payload(report))
 
 
 __all__ = [

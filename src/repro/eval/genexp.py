@@ -15,7 +15,6 @@ artifacts diffable across machines).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from ..gen.generator import (
 )
 from ..gen.policies import POLICIES
 from ..gen.topology import FAMILY_ORDER
+from ..store import write_json
 
 #: Default policies of the experiment (>= 2, per the acceptance bar:
 #: the paper's placement plus both new heuristics).
@@ -131,13 +131,7 @@ def gen_payload(report: GenReport) -> dict:
 
 def write_gen_json(report: GenReport, path: str | Path) -> Path:
     """Write the exploration artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(gen_payload(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, gen_payload(report))
 
 
 __all__ = [

@@ -23,7 +23,6 @@ so two runs of the same configuration produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from ..net.node import NodeResult
 from ..net.scenarios import generated_scenario
 from ..net.stats import SyncError, TierSummary, improvement_ratio
 from ..net.streaming import HierarchyResult
+from ..store import write_json
 
 #: Default simulated seconds of the network experiment (the fleet
 #: runner's own default; re-exported under the experiment's name).
@@ -277,25 +277,12 @@ def hierarchy_payload(result: HierarchyResult) -> dict:
 def write_hierarchy_json(result: HierarchyResult,
                          path: str | Path) -> Path:
     """Write the hierarchical-fleet artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(hierarchy_payload(result), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, hierarchy_payload(result))
 
 
 def write_net_json(report: NetReport, path: str | Path) -> Path:
     """Write the network-experiment artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(net_payload(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, net_payload(report))
 
 
 __all__ = [

@@ -23,7 +23,6 @@ byte-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from ..search import (
     outcome_to_mapping,
     search_token,
 )
+from ..store import write_json
 from .aggregates import summary_stats
 
 #: Schema tag of search artifacts (bump on incompatible changes).
@@ -243,14 +243,7 @@ def search_payload(report: SearchReport) -> dict:
 
 def write_search_json(report: SearchReport, path: str | Path) -> Path:
     """Write the search artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(search_payload(report), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, search_payload(report))
 
 
 __all__ = [

@@ -44,6 +44,7 @@ from .. import obs
 from ..apps import rp_class, three_lead_mf, three_lead_mmd
 from ..apps.mapping import MappingError, MappingPlan, plan_required_mhz
 from ..apps.phases import AppSpec
+from ..sysc.engine import Mode
 
 #: Application registry: benchmark names -> AppSpec builders (every
 #: builder takes the pathological-beat ratio; the fixed filtering
@@ -67,6 +68,10 @@ class AppBinding:
     Attributes:
         name: application name (benchmark or generated).
         app: the (possibly replica-repaired) application spec.
+        app_key: content hash of ``(app, plan, num_cores)`` from
+            :func:`repro.net.compute.app_plan_key`, computed once per
+            distinct binding so the compute resolver addresses shared
+            work without re-fingerprinting per node.
         token: regeneration token of a generated app ("" for
             benchmarks, which are code, not data).
         family: topology family of a generated app ("" for
@@ -84,14 +89,11 @@ class AppBinding:
         num_cores: provisioned platform width the node simulates
             (the paper's 8 for benchmarks; generated sources carry
             their own so narrow/wide platforms pay correct power).
-        app_key: precomputed content hash of ``(app, plan,
-            num_cores)`` from :func:`repro.net.compute.app_plan_key`
-            ("" = derive on demand); lets the compute resolver
-            address shared work without re-fingerprinting per node.
     """
 
     name: str
     app: AppSpec
+    app_key: str
     token: str = ""
     family: str = ""
     policy: str = ""
@@ -100,16 +102,13 @@ class AppBinding:
     repairs: int = 0
     skipped: int = 0
     num_cores: int = 8
-    app_key: str = ""
 
-
-def binding_app_key(binding: AppBinding) -> str:
-    """The binding's content hash (precomputed or derived)."""
-    if binding.app_key:
-        return binding.app_key
-    from .compute import app_plan_key
-
-    return app_plan_key(binding.app, binding.plan, binding.num_cores)
+    @property
+    def mode(self) -> Mode:
+        """Simulator mode the binding's placement calls for."""
+        if self.plan is None or self.plan.multicore:
+            return Mode.MULTI_CORE
+        return Mode.SINGLE_CORE
 
 
 @lru_cache(maxsize=64)
@@ -477,6 +476,5 @@ __all__ = [
     "GeneratedSuiteSource",
     "MIXED_KIND",
     "MixedSource",
-    "binding_app_key",
     "source_from_mapping",
 ]

@@ -50,6 +50,7 @@ from ..apps.mapping import MappingPlan, map_multicore
 from ..apps.phases import AppSpec
 from ..power.energy import PowerReport
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
+from ..store import code_fingerprint, read_json, write_json
 from ..sysc.engine import BeatEvent, Mode, simulate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -336,13 +337,9 @@ def build_request(
     schedule: Sequence[BeatEvent],
 ) -> ComputeRequest:
     """Content-address one node's compute work."""
-    from .appsource import binding_app_key
-
     ticks = int(round(duration_s * binding.app.fs))
     signature = schedule_signature(schedule, ticks)
-    key = compute_key(
-        binding_app_key(binding), mode, duration_s, signature
-    )
+    key = compute_key(binding.app_key, mode, duration_s, signature)
     return ComputeRequest(
         key=key,
         binding=binding,
@@ -391,26 +388,32 @@ def report_from_payload(payload: dict) -> PowerReport:
     )
 
 
-#: Process-wide memo layers (cache-root independent: payloads are
+def _entry_body(payload: dict) -> str:
+    """The mapping a cached entry of this tier must carry."""
+    if payload.get("tier") == _CALIBRATION_TIER:
+        return "errors"
+    return "categories"
+
+
+#: Process-wide memo layer (cache-root independent: payloads are
 #: pure functions of their content-addressed keys).
 _MEMO: dict[str, dict] = {}
-_CALIBRATION_MEMO: dict[str, dict] = {}
 
 
 def clear_process_caches() -> None:
-    """Drop the process-local memo layers (test isolation hook)."""
+    """Drop the process-local memo layer (test isolation hook)."""
     _MEMO.clear()
-    _CALIBRATION_MEMO.clear()
 
 
 class ComputeCache:
     """Process memo + optional content-addressed disk layer.
 
     The disk layout mirrors :class:`repro.sweep.cache.ResultCache`:
-    ``<root>/<code fingerprint>/<key[:2]>/<key>.json``, atomic
-    writes, and corrupt or foreign files read as misses.  The cache
-    is deliberately silent in metrics — physical hit patterns depend
-    on prior runs, so only the resolver's logical counters surface.
+    ``<root>/<code fingerprint>/<key[:2]>/<key>.json`` through
+    :mod:`repro.store`, and corrupt or foreign files read as misses.
+    The cache is deliberately silent in metrics — physical hit
+    patterns depend on prior runs, so only the resolver's logical
+    counters surface.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -423,8 +426,6 @@ class ComputeCache:
     def fingerprint(self) -> str:
         """Code fingerprint namespacing the disk layer (lazy)."""
         if self._fingerprint is None:
-            from ..sweep.cache import code_fingerprint
-
             self._fingerprint = code_fingerprint()
         return self._fingerprint
 
@@ -435,20 +436,13 @@ class ComputeCache:
     def get(self, key: str) -> dict | None:
         """Look up one entry (memo first, then disk)."""
         payload = _MEMO.get(key)
-        if payload is not None:
+        if payload is not None or self.root is None:
             return payload
-        if self.root is None:
-            return None
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
+        payload = read_json(self._path(key))
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != COMPUTE_ENTRY_SCHEMA
-            or not isinstance(payload.get("categories"), dict)
+            or not isinstance(payload.get(_entry_body(payload)), dict)
         ):
             return None
         _MEMO[key] = payload
@@ -459,14 +453,8 @@ class ComputeCache:
         _MEMO[key] = payload
         if self.root is None:
             return
-        path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".{os.getpid()}.tmp")
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-            os.replace(tmp, path)
+            write_json(self._path(key), payload)
         except OSError:
             return
 
@@ -694,20 +682,7 @@ class ComputeResolver:
                 separators=(",", ":"),
             ).encode("utf-8")
         ).hexdigest()[:40]
-        payload = _CALIBRATION_MEMO.get(key)
-        if payload is None and self.cache.root is not None:
-            path = self.cache._path(key)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    loaded = json.load(handle)
-            except (OSError, ValueError):
-                loaded = None
-            if (
-                isinstance(loaded, dict)
-                and loaded.get("schema") == COMPUTE_ENTRY_SCHEMA
-                and isinstance(loaded.get("errors"), dict)
-            ):
-                payload = loaded
+        payload = self.cache.get(key)
         if payload is None:
             from ..oracle.calibrate import calibrate, calibration_payload
 
@@ -723,19 +698,7 @@ class ComputeResolver:
             payload = calibration_payload(report)
             payload["schema"] = COMPUTE_ENTRY_SCHEMA
             payload["tier"] = _CALIBRATION_TIER
-            if self.cache.root is not None:
-                path = self.cache._path(key)
-                try:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-                    tmp.write_text(
-                        json.dumps(payload, sort_keys=True),
-                        encoding="utf-8",
-                    )
-                    os.replace(tmp, path)
-                except OSError:
-                    pass
-        _CALIBRATION_MEMO[key] = payload
+            self.cache.put(key, payload)
         block = {
             k: v
             for k, v in payload.items()

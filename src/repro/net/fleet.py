@@ -30,12 +30,7 @@ from .compute import (
     compute_settings,
     record_compute_counters,
 )
-from .node import (
-    ERROR_SAMPLE_HZ,
-    REFERENCE_NODE_ID,
-    NodeResult,
-    build_node,
-)
+from .node import REFERENCE_NODE_ID, NodeResult, build_node, error_grid
 from .radio import Beacon, beacon_schedule
 from .scenarios import SCENARIOS, Scenario, parse_scenario, with_protocol
 from .stats import FleetSummary, GroupStats, SyncError
@@ -143,8 +138,7 @@ class FleetRunner:
         beacons = beacon_schedule(
             config.scenario.beacon_period_s, config.duration_s, reference.clock
         )
-        samples = int(config.duration_s * ERROR_SAMPLE_HZ)
-        sample_times = [(i + 1) / ERROR_SAMPLE_HZ for i in range(samples)]
+        sample_times, _ = error_grid(config.duration_s)
         ref_readings = [reference.clock.read(t) for t in sample_times]
         return beacons, sample_times, ref_readings
 

@@ -28,23 +28,21 @@ themselves.
 
 **Scale.**  Hierarchical fleets are sized in the tens of thousands of
 nodes, so per-node exact application simulation is off the table.
-Instead, node compute power comes from a memoised per-app profile
-(:func:`binding_power_uw`): one exact
-:func:`repro.sysc.engine.simulate` run per *distinct* application at
-the scenario's canonical heart rate, shared by every node bound to
-that app.  Radio energy, clocks, receptions and sync errors remain
-exact per node.
+Instead, node compute power is looked up (:func:`binding_power_uw`)
+in a per-app profile table (:func:`profile_table`) that resolves every
+app the source can bind once, at the scenario's canonical heart rate,
+through :class:`repro.net.compute.ComputeResolver`.  Radio energy,
+clocks, receptions and sync errors remain exact per node.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .. import obs
-from .appsource import APPS, AppBinding, _resolve_generated
-from .clock import ClockSpec, LocalClock
+from .appsource import AppBinding
+from .clock import LocalClock
 from .radio import Reception
 from .scenarios import (
     DENSE_WARD,
@@ -61,10 +59,10 @@ TIERS_TOKEN_PREFIX = "tiers"
 #: Stream path of the backbone reference node.
 ROOT_PATH = "root"
 
-#: Simulated seconds of the memoised per-app power profile.  Profiles
-#: are amortised over every node bound to the same app, so a short
-#: exact simulation suffices; runs shorter than this profile at their
-#: own duration.
+#: Simulated seconds of the per-app power profile.  Profiles are
+#: amortised over every node bound to the same app, so a short exact
+#: simulation suffices; runs shorter than this profile at their own
+#: duration.
 PROFILE_DURATION_S = 4.0
 
 #: Grammar hint quoted by every token error.
@@ -373,30 +371,22 @@ def build_member(
     """Bind one hierarchy member's app and build its clock.
 
     Mirrors :func:`repro.net.node.build_node`'s draw discipline (app
-    binding, drift magnitude, sign, offset — all from the member's
-    own ``app`` stream) with two hierarchy twists: the tier's drift
-    scale multiplies the drawn magnitude, and only leaf-tier members
-    suffer power-loss resets.  ``tier_index`` -1 builds the backbone
-    root (unscaled drift, continuously powered).
+    binding, then the shared clock draw — all from the member's own
+    ``app`` stream) with two hierarchy twists: the tier's drift scale
+    multiplies the drawn magnitude, and only leaf-tier members suffer
+    power-loss resets.  ``tier_index`` -1 builds the backbone root
+    (unscaled drift, continuously powered).
     """
     base = spec.base
     tier = spec.tiers[tier_index] if tier_index >= 0 else None
     rng = _stream(seed, path, "app")
     binding = base.apps.bind(rng, base.abnormal_ratio)
-    scale = tier.drift_scale if tier is not None else 1.0
-    magnitude = rng.uniform(*base.drift_ppm_range) * scale
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    offset = rng.uniform(-base.initial_offset_s, base.initial_offset_s)
-    leaf = tier_index == len(spec.tiers) - 1
-    loss = base.power_loss_rate_hz if tier is not None and leaf else 0.0
-    clock_spec = ClockSpec(
-        drift_ppm=sign * magnitude,
-        jitter_s=base.jitter_s,
-        initial_offset_s=offset,
-        power_loss_rate_hz=loss,
-    )
-    clock = LocalClock(
-        clock_spec, _stream(seed, path, "clock"), horizon_s=duration_s
+    clock = base.draw_clock(
+        rng,
+        _stream(seed, path, "clock"),
+        duration_s,
+        resets=tier is not None and tier_index == len(spec.tiers) - 1,
+        drift_scale=tier.drift_scale if tier is not None else 1.0,
     )
     return binding, clock
 
@@ -411,10 +401,10 @@ def hop_error_samples(
     """One member's signed per-sample error against its parent.
 
     Replays receptions and error samples in global-time order with
-    power-loss reboot handling — the hierarchical analogue of
-    :meth:`repro.net.node.NetworkNode._sync_errors`, returning the
-    *signed* per-sample series (composition across hops needs signs,
-    not magnitudes).
+    power-loss reboot handling — flat nodes run the same replay against
+    the reference (:meth:`repro.net.node.NetworkNode._sync_errors`).
+    The series are *signed* (composition across hops needs signs, not
+    magnitudes).
 
     Returns:
         ``(hop_errors, baselines)`` — the protocol's estimate of the
@@ -466,54 +456,6 @@ def compose_errors(
     return [h + p for h, p in zip(hop, parent)]
 
 
-@lru_cache(maxsize=512)
-def _profile_power_uw(
-    token: str,
-    name: str,
-    policy: str,
-    num_cores: int,
-    ratio: float,
-    bpm: float,
-    duration_s: float,
-) -> float:
-    """Average compute power of one app configuration (memoised).
-
-    Pure function of its arguments: generated apps regenerate from
-    their token through the same memoised resolution fleets use,
-    benchmarks rebuild from the registry.  Radio power is *not*
-    included — callers add their own exact per-node radio figure.
-
-    Metrics collection is suspended for the body: how often the
-    memoised profile actually *executes* depends on per-process cache
-    state (worker counts, resume points), so only the deterministic
-    request counter in :func:`binding_power_uw` is recorded.
-    """
-    from ..sysc.engine import Mode, simulate, uniform_schedule
-
-    with obs.suspended():
-        if token:
-            app, plan, _ = _resolve_generated(token, policy, num_cores)
-        else:
-            app, plan = APPS[name](ratio), None
-        schedule = uniform_schedule(
-            duration_s, app.fs, bpm=bpm, abnormal_ratio=ratio
-        )
-        mode = (
-            Mode.MULTI_CORE
-            if plan is None or plan.multicore
-            else Mode.SINGLE_CORE
-        )
-        result = simulate(
-            app,
-            mode,
-            schedule,
-            duration_s=duration_s,
-            num_cores=num_cores,
-            mapping=plan,
-        )
-        return result.power.total_uw
-
-
 def profile_key(
     binding: AppBinding, base: Scenario, duration_s: float
 ) -> tuple:
@@ -534,27 +476,20 @@ def binding_power_uw(
     binding: AppBinding,
     base: Scenario,
     duration_s: float,
-    profiles: dict[tuple, float] | None = None,
+    profiles: dict[tuple, float],
 ) -> float:
-    """One bound app's compute power from the shared profile, in µW.
+    """One bound app's compute power from the profile table, in µW.
 
     The profile runs at the scenario's canonical heart rate (the
     midpoint of ``bpm_range``) and a bounded duration
-    (:data:`PROFILE_DURATION_S`), so a mega-fleet pays one exact
-    simulation per *distinct* application instead of one per node —
-    the deliberate accuracy/scale trade of the hierarchy layer.
-
-    When ``profiles`` is given (a table pre-resolved in the main
-    process from the source's binding universe, see
-    :func:`profile_table`), the power is a plain lookup — workers
-    never simulate.  A missing key is a hard error rather than a
-    silent re-simulation.
+    (:data:`PROFILE_DURATION_S`), so a mega-fleet pays one simulation
+    per *distinct* application instead of one per node — the
+    deliberate accuracy/scale trade of the hierarchy layer.
+    ``profiles`` comes from :func:`profile_table`; a missing key is a
+    hard error rather than a silent re-simulation.
     """
     obs.add("net.profile.requests")
-    key = profile_key(binding, base, duration_s)
-    if profiles is not None:
-        return profiles[key]
-    return _profile_power_uw(*key)
+    return profiles[profile_key(binding, base, duration_s)]
 
 
 def profile_table(
@@ -566,11 +501,11 @@ def profile_table(
     distinct compute work in one batched
     :meth:`repro.net.compute.ComputeResolver.resolve` call, and
     returns ``(profile-key -> power µW table, ComputeSummary)``.
-    The table values are byte-identical to what
-    :func:`_profile_power_uw` would produce, because cached payloads
-    rebuild their reports in the exact category order.
+    In exact mode every value equals the ``simulate()`` total of its
+    binding bit for bit, because cached payloads rebuild their
+    reports in the exact category order.
     """
-    from ..sysc.engine import Mode, cached_uniform_schedule
+    from ..sysc.engine import cached_uniform_schedule
     from .compute import build_request
 
     bindings = base.apps.universe(base.abnormal_ratio)
@@ -584,12 +519,9 @@ def profile_table(
             bpm=bpm,
             abnormal_ratio=base.abnormal_ratio,
         )
-        mode = (
-            Mode.MULTI_CORE
-            if binding.plan is None or binding.plan.multicore
-            else Mode.SINGLE_CORE
+        requests.append(
+            build_request(binding, binding.mode, bounded, schedule)
         )
-        requests.append(build_request(binding, mode, bounded, schedule))
     resolution = resolver.resolve(requests)
     table = {
         profile_key(binding, base, duration_s): resolution.table[

@@ -24,19 +24,20 @@ a worker process is bit-identical to the same node simulated inline
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .. import obs
 from ..apps.phases import AppSpec
 from ..power.energy import PowerReport
-from ..sysc.engine import BeatEvent, Mode, cached_uniform_schedule, simulate
+from ..sysc.engine import BeatEvent, cached_uniform_schedule, simulate
 from .appsource import APPS, AppBinding
 from .compute import ComputeRequest, ResolvedCompute, build_request
-from .clock import ClockSpec, LocalClock
+from .clock import LocalClock
+from .hierarchy import hop_error_samples
 from .radio import Beacon, RadioEnergy, receive_beacons
 from .scenarios import Scenario
 from .stats import SyncError
-from .timesync import make_protocol
 
 __all__ = [
     "APPS",
@@ -45,6 +46,7 @@ __all__ = [
     "NetworkNode",
     "NodeResult",
     "build_node",
+    "error_grid",
 ]
 
 #: Node id of the sync reference (the continuously powered hub).
@@ -52,6 +54,18 @@ REFERENCE_NODE_ID = 0
 
 #: Error-sampling rate of the residual sync error (Hz of global time).
 ERROR_SAMPLE_HZ = 5.0
+
+
+def error_grid(duration_s: float) -> tuple[list[float], int]:
+    """The error-sample grid of a run: ``(sample_times, steady_index)``.
+
+    Sample times are the global instants at :data:`ERROR_SAMPLE_HZ`;
+    the steady index is the first sample of the steady half (at or
+    after ``duration_s / 2``).
+    """
+    count = int(duration_s * ERROR_SAMPLE_HZ)
+    times = [(i + 1) / ERROR_SAMPLE_HZ for i in range(count)]
+    return times, bisect_left(times, duration_s / 2.0)
 
 
 @dataclass(frozen=True)
@@ -169,19 +183,10 @@ class NetworkNode:
             abnormal_ratio=self.scenario.abnormal_ratio,
         )
 
-    def mode(self) -> Mode:
-        """Simulator mode the node's placement calls for."""
-        plan = self.binding.plan
-        return (
-            Mode.MULTI_CORE
-            if plan is None or plan.multicore
-            else Mode.SINGLE_CORE
-        )
-
     def compute_request(self) -> ComputeRequest:
         """Content-address the node's app-compute work."""
         return build_request(
-            self.binding, self.mode(), self.duration_s, self.schedule()
+            self.binding, self.binding.mode, self.duration_s, self.schedule()
         )
 
     def simulate(
@@ -196,7 +201,8 @@ class NetworkNode:
         Args:
             beacons: the reference node's broadcast schedule.
             sample_times: global times at which the residual sync
-                error is sampled.
+                error is sampled — the :func:`error_grid` of the
+                node's duration, whose steady index splits them.
             ref_readings: the reference clock's exact reading at each
                 sample time (``len(sample_times)`` values).
             compute: pre-resolved app-compute entry from
@@ -207,7 +213,7 @@ class NetworkNode:
         if compute is None:
             result = simulate(
                 self.app,
-                self.mode(),
+                self.binding.mode,
                 self.schedule(),
                 duration_s=self.duration_s,
                 num_cores=self.binding.num_cores,
@@ -274,39 +280,18 @@ class NetworkNode:
 
         Returns the active protocol's error samples and, from the same
         replay, the free-running baseline (raw local clock vs.
-        reference) — the counterfactual every report compares against.
+        reference) — the counterfactual every report compares against
+        — each followed by its steady half.
         """
-        protocol = make_protocol(self.scenario.protocol)
-        events = [(r.rx_global, 0, r) for r in receptions]
-        events += [(t, 1, i) for i, t in enumerate(sample_times)]
-        events.sort(key=lambda event: (event[0], event[1]))
-        errors: list[float] = []
-        steady: list[float] = []
-        base_errors: list[float] = []
-        base_steady: list[float] = []
-        steady_from = self.duration_s / 2.0
-        seen_resets = 0
-        for when, kind, payload in events:
-            resets = self.clock.resets_before(when)
-            if resets != seen_resets:
-                protocol.on_reboot()
-                seen_resets = resets
-            if kind == 0:
-                protocol.on_beacon(
-                    payload.beacon.ref_timestamp, payload.rx_local
-                )
-            else:
-                local = self.clock.read(when)
-                error = (
-                    protocol.estimate_reference(local) - ref_readings[payload]
-                )
-                baseline = local - ref_readings[payload]
-                errors.append(error)
-                base_errors.append(baseline)
-                if when >= steady_from:
-                    steady.append(error)
-                    base_steady.append(baseline)
-        return errors, steady, base_errors, base_steady
+        errors, base_errors = hop_error_samples(
+            self.scenario.protocol,
+            receptions,
+            self.clock,
+            sample_times,
+            ref_readings,
+        )
+        _, steady = error_grid(self.duration_s)
+        return errors, errors[steady:], base_errors, base_errors[steady:]
 
 
 def build_node(
@@ -327,23 +312,11 @@ def build_node(
     rng_app = _stream(fleet_seed, node_id, "app")
     binding = scenario.apps.bind(rng_app, scenario.abnormal_ratio)
     bpm = rng_app.uniform(*scenario.bpm_range)
-
-    magnitude = rng_app.uniform(*scenario.drift_ppm_range)
-    sign = 1.0 if rng_app.random() < 0.5 else -1.0
-    offset = rng_app.uniform(
-        -scenario.initial_offset_s, scenario.initial_offset_s
-    )
-    loss_rate = (
-        0.0 if node_id == REFERENCE_NODE_ID else scenario.power_loss_rate_hz
-    )
-    spec = ClockSpec(
-        drift_ppm=sign * magnitude,
-        jitter_s=scenario.jitter_s,
-        initial_offset_s=offset,
-        power_loss_rate_hz=loss_rate,
-    )
-    clock = LocalClock(
-        spec, _stream(fleet_seed, node_id, "clock"), horizon_s=duration_s
+    clock = scenario.draw_clock(
+        rng_app,
+        _stream(fleet_seed, node_id, "clock"),
+        duration_s,
+        resets=node_id != REFERENCE_NODE_ID,
     )
     return NetworkNode(
         node_id=node_id,

@@ -31,6 +31,7 @@ same way generated apps do.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
 from .appsource import (
@@ -39,6 +40,7 @@ from .appsource import (
     GeneratedSuiteSource,
     MixedSource,
 )
+from .clock import ClockSpec, LocalClock
 from .radio import RadioSpec
 
 #: Prefix of suite-backed scenario tokens.
@@ -97,6 +99,31 @@ class Scenario:
         if isinstance(self.apps, BenchmarkSource):
             return self.apps.mix
         return ()
+
+    def draw_clock(
+        self,
+        rng: random.Random,
+        clock_rng: random.Random,
+        duration_s: float,
+        resets: bool,
+        drift_scale: float = 1.0,
+    ) -> LocalClock:
+        """Draw one node's oscillator and build its clock.
+
+        Takes drift magnitude (times ``drift_scale``), sign and boot
+        offset from ``rng``, in that order; the reset schedule comes
+        from ``clock_rng``, at the scenario's rate only if ``resets``.
+        """
+        magnitude = rng.uniform(*self.drift_ppm_range) * drift_scale
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        offset = rng.uniform(-self.initial_offset_s, self.initial_offset_s)
+        spec = ClockSpec(
+            drift_ppm=sign * magnitude,
+            jitter_s=self.jitter_s,
+            initial_offset_s=offset,
+            power_loss_rate_hz=self.power_loss_rate_hz if resets else 0.0,
+        )
+        return LocalClock(spec, clock_rng, horizon_s=duration_s)
 
 
 DENSE_WARD = Scenario(

@@ -18,11 +18,12 @@ across worker counts, wave sizes and interruptions.
 **Checkpointing.**  With a checkpoint directory configured, the
 runner persists its partial merge after every completed wave to a
 content-addressed state file (the file name hashes the run identity:
-schema, spec token, seed, duration).  A later run with the same
-identity resumes from the recorded subtree index and — because the
-fold sequence is the same one a cold run performs — produces a
-byte-identical artifact.  Stale or corrupt state files are ignored,
-never trusted.
+schema, spec token, seed, duration and the
+:func:`~repro.store.code_fingerprint` of the simulating code).  A
+later run with the same identity resumes from the recorded subtree
+index and — because the fold sequence is the same one a cold run
+performs — produces a byte-identical artifact.  Stale, corrupt or
+other-code state files are ignored, never trusted.
 
 When metrics collection is active (:mod:`repro.obs`), the checkpoint
 additionally persists the *counter delta* this run accumulated past
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .. import obs
 from ..parallel import pool_map
+from ..store import code_fingerprint, read_json, write_json
 from .compute import (
     ComputeResolver,
     ComputeSettings,
@@ -64,7 +65,7 @@ from .hierarchy import (
     parse_hierarchy,
     profile_table,
 )
-from .node import ERROR_SAMPLE_HZ
+from .node import error_grid
 from .radio import RadioEnergy, beacon_schedule, receive_beacons
 from .stats import FleetSummary, SyncError, TierSummary
 
@@ -190,10 +191,9 @@ class StreamingConfig:
             checkpointed only at the end).
         checkpoint_dir: directory of the content-addressed state
             file; ``None`` disables checkpointing.
-        compute: app-compute resolution settings; when set, the
-            source's profile universe is resolved once in the main
-            process and waves ship the resulting lookup table (None
-            = per-worker memoised simulation, the legacy path).
+        compute: app-compute resolution settings: the source's
+            profile universe is resolved once in the main process
+            through them, and waves ship the resulting lookup table.
     """
 
     spec: HierarchySpec
@@ -201,13 +201,17 @@ class StreamingConfig:
     seed: int = DEFAULT_SEED
     wave_size: int | None = None
     checkpoint_dir: str | Path | None = None
-    compute: ComputeSettings | None = None
+    compute: ComputeSettings = ComputeSettings()
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
         if self.wave_size is not None and self.wave_size < 1:
             raise ValueError("wave size must be >= 1")
+        if not isinstance(self.compute, ComputeSettings):
+            raise ValueError(
+                "compute must be 'exact', 'analytic' or a ComputeSettings"
+            )
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,8 @@ class HierarchyResult:
         checkpoint: path of the state file ("" when disabled).
         summary: fleet-wide aggregate (partial if not completed).
         tiers: per-tier aggregates, backbone-adjacent first.
-        elapsed_s: wall-clock seconds of this run.
+        elapsed_s: wall-clock seconds of this run, the profile
+            resolve included.
         nodes_per_second: simulated nodes per wall-clock second of
             this run (resumed subtrees excluded).
         workers: worker processes used.
@@ -244,7 +249,7 @@ class HierarchyResult:
         peak_rss_mb: peak resident set of this process, MiB (0 where
             :mod:`resource` is unavailable).
         compute: compute-resolution account over the profile
-            universe (None = legacy per-worker memoisation).
+            universe (``None`` only on results built by hand).
     """
 
     spec: HierarchySpec
@@ -294,7 +299,7 @@ def _walk(
     sample_times: list[float],
     steady_index: int,
     parts: list[_TierState],
-    profiles: dict[tuple, float] | None = None,
+    profiles: dict[tuple, float],
 ) -> None:
     """Simulate one member and, depth-first, everything under it."""
     tier = spec.tiers[tier_index]
@@ -401,16 +406,17 @@ class StreamingRunner:
             "spec": token,
             "seed": self.config.seed,
             "duration_s": self.config.duration_s,
+            "code": code_fingerprint(),
         }
 
-    def _checkpoint_path(self, token: str) -> Path:
+    def _checkpoint_path(self, identity: dict) -> Path:
         """Content-addressed state-file path under the directory."""
-        blob = json.dumps(self._identity(token), sort_keys=True)
+        blob = json.dumps(identity, sort_keys=True)
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         return Path(self.config.checkpoint_dir) / f"stream-{digest}.json"
 
     def _load(
-        self, path: Path, token: str
+        self, path: Path, identity: dict
     ) -> tuple[list[_TierState], int, dict | None] | None:
         """Restore a partial merge; ``None`` when absent or stale.
 
@@ -419,8 +425,8 @@ class StreamingRunner:
         the optional ``obs`` key keeps old state files loadable).
         """
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            if doc["identity"] != self._identity(token):
+            doc = read_json(path)
+            if doc["identity"] != identity:
                 return None
             tiers = doc["tiers"]
             if len(tiers) != len(self.config.spec.tiers):
@@ -430,7 +436,7 @@ class StreamingRunner:
             saved_obs = doc.get("obs")
             if saved_obs is not None and not isinstance(saved_obs, dict):
                 return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             return None
         if not 0 <= done <= self.config.spec.subtrees:
             return None
@@ -439,24 +445,20 @@ class StreamingRunner:
     def _write(
         self,
         path: Path,
-        token: str,
+        identity: dict,
         done: int,
         state: list[_TierState],
         obs_delta: dict | None = None,
     ) -> None:
-        """Atomically persist the partial merge (tmp + rename)."""
+        """Atomically persist the partial merge."""
         doc = {
-            "identity": self._identity(token),
+            "identity": identity,
             "subtrees_done": done,
             "tiers": [asdict(part) for part in state],
         }
         if obs_delta is not None:
             doc["obs"] = obs_delta
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        write_json(path, doc)
 
     def run(
         self, workers: int = 1, max_waves: int | None = None
@@ -492,28 +494,22 @@ class StreamingRunner:
             beacons = beacon_schedule(
                 spec.tiers[0].beacon_period_s, duration_s, root_clock
             )
-        n_samples = int(duration_s * ERROR_SAMPLE_HZ)
-        sample_times = [(i + 1) / ERROR_SAMPLE_HZ for i in range(n_samples)]
+        sample_times, steady_index = error_grid(duration_s)
         root_readings = [root_clock.read(t) for t in sample_times]
-        steady_from = duration_s / 2.0
-        steady_index = next(
-            (i for i, t in enumerate(sample_times) if t >= steady_from),
-            n_samples,
-        )
-
-        profiles = None
-        profile_summary = None
-        if config.compute is not None:
-            # Resolved once, in the main process, from the source's
-            # closed binding universe — workers only ever look up.
-            with obs.span("net.compute.resolve"):
-                profiles, profile_summary = profile_table(
-                    spec.base, duration_s, ComputeResolver(config.compute)
-                )
 
         subtrees = spec.subtrees
         wave_size = config.wave_size or max(subtrees, 1)
         waves = -(-subtrees // wave_size) if subtrees else 0
+
+        # Profiles are resolved once, in the main process, from the
+        # source's closed binding universe — workers only ever look
+        # up.  As in FleetRunner.run, the resolve runs inside the timed
+        # window, so reported throughput includes compute.
+        run_span = obs.span("net.stream.run").start()
+        with obs.span("net.compute.resolve"):
+            profiles, profile_summary = profile_table(
+                spec.base, duration_s, ComputeResolver(config.compute)
+            )
 
         state = [_TierState() for _ in spec.tiers]
         done = 0
@@ -521,21 +517,22 @@ class StreamingRunner:
         checkpoint = None
         registry = obs.active()
         # Counter baseline for the checkpointed delta: the preamble
-        # above (root build, schedule precompute) re-runs identically
-        # in every run — cold or resumed — so only counters recorded
-        # past this point belong to the persisted delta.
+        # above (root build, schedule precompute, profile resolve)
+        # re-runs identically in every run — cold or resumed — so only
+        # counters recorded past this point belong to the persisted
+        # delta.
         base = registry.deterministic() if registry is not None else None
         if config.checkpoint_dir is not None:
-            checkpoint = self._checkpoint_path(token)
+            identity = self._identity(token)
+            checkpoint = self._checkpoint_path(identity)
             with obs.span("net.stream.checkpoint.load"):
-                loaded = self._load(checkpoint, token)
+                loaded = self._load(checkpoint, identity)
             if loaded is not None:
                 state, done, saved_obs = loaded
                 resumed = done
                 if registry is not None and saved_obs is not None:
                     registry.merge(saved_obs)
 
-        run_span = obs.span("net.stream.run").start()
         executed = 0
         waves_run = 0
         while done < subtrees:
@@ -574,13 +571,12 @@ class StreamingRunner:
                 if registry is not None:
                     delta = obs.counter_delta(base, registry.deterministic())
                 with obs.span("net.stream.checkpoint.write"):
-                    self._write(checkpoint, token, done, state, delta)
+                    self._write(checkpoint, identity, done, state, delta)
         elapsed = run_span.stop()
-        if profile_summary is not None:
-            # Emitted once, after the final checkpoint write, so the
-            # persisted delta never contains it: cold, killed and
-            # resumed runs all end up with exactly one emission.
-            record_compute_counters(profile_summary)
+        # Emitted once, after the final checkpoint write, so the
+        # persisted delta never contains it: cold, killed and resumed
+        # runs all end up with exactly one emission.
+        record_compute_counters(profile_summary)
 
         root_energy = RadioEnergy()
         root_energy.tx_messages = len(beacons)
@@ -690,17 +686,20 @@ def run_streaming(
     wave_size: int | None = None,
     checkpoint_dir: str | Path | None = None,
     max_waves: int | None = None,
-    compute: str | ComputeSettings | None = None,
+    compute: str | ComputeSettings = "exact",
     compute_cache: str | None = None,
 ) -> HierarchyResult:
     """One-call streaming run of a hierarchy token, preset or spec.
 
     ``compute`` / ``compute_cache`` mirror
-    :func:`repro.net.fleet.run_fleet`: None keeps the legacy
-    per-worker profile memo, ``"exact"`` resolves the same profiles
-    through the shared compute cache (byte-identical results), and
-    ``"analytic"`` additionally screens them through the calibrated
-    closed-form model.
+    :func:`repro.net.fleet.run_fleet`, minus its inline path:
+    ``"exact"`` resolves the app profiles through the shared compute
+    cache, and ``"analytic"`` additionally screens them through the
+    calibrated closed-form model.
+
+    Raises:
+        ValueError: ``compute`` is neither ``"exact"``,
+            ``"analytic"`` nor a :class:`ComputeSettings`.
     """
     if isinstance(tiers, HierarchySpec):
         spec = tiers

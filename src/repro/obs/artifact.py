@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..store import write_json
 from .registry import MetricsRegistry
 
 #: Schema tag of the metrics artifact (bump on incompatible changes).
@@ -63,10 +64,4 @@ def write_metrics_json(
     experiment: str = "",
 ) -> Path:
     """Write the metrics artifact; returns its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        dumps_metrics(metrics_payload(registry, experiment)),
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, metrics_payload(registry, experiment))

@@ -40,10 +40,10 @@ campaigns stay comparable without re-reading hundreds of points.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 from ..eval.aggregates import summary_stats
+from ..store import write_json
 from .engine import SweepResult
 from .runners import HEADLINE_METRICS
 from .spec import Value
@@ -129,14 +129,7 @@ def write_bench_json(
     name: str | None = None,
 ) -> Path:
     """Write one ``BENCH_<name>.json`` document; return its path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(bench_payload(result, name), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_json(path, bench_payload(result, name))
 
 
 def sweep_rows(

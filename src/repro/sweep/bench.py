@@ -12,9 +12,9 @@ reads.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
+from ..store import write_json
 from .artifacts import bench_payload, merge_bench, write_bench_json
 from .cache import ResultCache
 from .engine import run_sweep
@@ -75,13 +75,7 @@ def run_all_benches(
         )
         payloads[name] = payload
     merged = merge_bench(payloads)
-    path = Path(out_dir) / "BENCH_all.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return merged, path
+    return merged, write_json(Path(out_dir) / "BENCH_all.json", merged)
 
 
 def _describe(payload: dict) -> str:

@@ -11,9 +11,9 @@ A cached entry is addressed by two coordinates:
 Entries live at ``<root>/<fingerprint>/<key[:2]>/<key>.json``; a new
 fingerprint simply opens a fresh namespace (old entries stay behind
 for rollbacks and can be garbage-collected with :meth:`ResultCache.prune`).
-Writes are atomic (temp file + ``os.replace``), so a sweep killed
-mid-write never leaves a corrupt entry, and concurrent workers racing
-on the same point both land a complete file.
+Writes go through :func:`repro.store.write_json` (atomic), so a sweep
+killed mid-write never leaves a corrupt entry, and concurrent workers
+racing on the same point both land a complete file.
 
 The default cache root honours ``REPRO_SWEEP_CACHE`` and falls back
 to ``~/.cache/repro-sweep``.
@@ -21,16 +21,13 @@ to ``~/.cache/repro-sweep``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import shutil
 import time
 from pathlib import Path
 
-import repro
-
 from .. import obs
+from ..store import code_fingerprint, read_json, write_json
 from .spec import Value, point_key
 
 #: Environment variable overriding the default cache root.
@@ -46,25 +43,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-sweep"
-
-
-def code_fingerprint(package_root: str | Path | None = None) -> str:
-    """Hash the code-relevant configuration: every repro source file.
-
-    The fingerprint is a SHA-256 over the sorted ``(relative path,
-    content hash)`` pairs of all ``*.py`` files under the ``repro``
-    package, so it is independent of checkout location and file-system
-    walk order.
-    """
-    if package_root is None:
-        package_root = Path(repro.__file__).resolve().parent
-    root = Path(package_root)
-    outer = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        relative = path.relative_to(root).as_posix()
-        outer.update(f"{relative}\x00{digest}\x00".encode("utf-8"))
-    return outer.hexdigest()[:16]
 
 
 class ResultCache:
@@ -106,10 +84,7 @@ class ResultCache:
 
     @staticmethod
     def _read(path: Path) -> dict | None:
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
+        entry = read_json(path)
         if not isinstance(entry, dict):
             return None
         if entry.get("schema") != ENTRY_SCHEMA:
@@ -138,11 +113,7 @@ class ResultCache:
             "wall_s": wall_s,
             "created_unix": time.time(),
         }
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        write_json(self._path(key), entry)
         return entry
 
     def __len__(self) -> int:

@@ -30,14 +30,16 @@ from repro.net.compute import (
     schedule_signature,
 )
 from repro.net.fleet import run_fleet
+from repro.net.hierarchy import profile_key, profile_table
 from repro.net.node import build_node
 from repro.net.scenarios import SCENARIOS, get_scenario, parse_scenario
-from repro.net.streaming import run_streaming
 from repro.power.energy import PowerReport
 from repro.power.vfs import OperatingPoint
 from repro.sysc.engine import (
     BeatEvent,
+    Mode,
     cached_uniform_schedule,
+    simulate,
     uniform_schedule,
 )
 
@@ -139,16 +141,33 @@ def test_exact_resolver_matches_legacy_inline():
                for node in legacy.nodes)
 
 
-def test_streaming_exact_resolver_matches_legacy():
-    token = "tiers:ftsp@4x10/rbs@2x10:dense-ward"
-    clear_process_caches()
-    legacy = run_streaming(token, duration_s=2.0, seed=1)
-    exact = run_streaming(token, duration_s=2.0, seed=1,
-                          compute="exact")
-    assert legacy.compute is None
-    assert exact.compute is not None
-    assert exact.summary == legacy.summary
-    assert exact.tiers == legacy.tiers
+def test_profile_table_matches_simulate():
+    """Every exact streaming profile is its binding's simulate() total.
+
+    The generated single-core base runs the single-core branch of
+    ``AppBinding.mode``; dense-ward runs the paper-default branch.
+    """
+    modes = set()
+    for token in ("dense-ward", "gen:dense-ward:3:4:single-core"):
+        base = parse_scenario(token)
+        clear_process_caches()
+        table, summary = profile_table(
+            base, 2.0, ComputeResolver(ComputeSettings(mode="exact")))
+        bindings = base.apps.universe(base.abnormal_ratio)
+        assert summary.requests == len(bindings)
+        bpm = (base.bpm_range[0] + base.bpm_range[1]) / 2.0
+        for binding in bindings:
+            schedule = uniform_schedule(
+                2.0, binding.app.fs, bpm=bpm,
+                abnormal_ratio=base.abnormal_ratio)
+            result = simulate(binding.app, binding.mode, schedule,
+                              duration_s=2.0,
+                              num_cores=binding.num_cores,
+                              mapping=binding.plan)
+            assert table[profile_key(binding, base, 2.0)] == \
+                result.power.total_uw
+            modes.add(binding.mode)
+    assert modes == {Mode.MULTI_CORE, Mode.SINGLE_CORE}
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +357,9 @@ def test_generated_universe_covers_every_fleet_binding():
      "net_v2_suite7_n10_d4.json"),
     (["--tiers", "ward-campus", "--duration", "4"],
      "net_v3_ward-campus_d4.json"),
+    (["--scenario", "intermittent-harvesting", "--nodes", "8",
+      "--duration", "20"],
+     "net_v1_intermittent-harvesting_n8_d20.json"),
 ])
 def test_exact_mode_artifact_matches_pre_resolver_golden(
         args, golden, tmp_path):

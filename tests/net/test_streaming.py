@@ -1,10 +1,12 @@
 """Streaming executor tests: invariance, checkpoints, degeneracy."""
 
 import json
+import time
 
 import pytest
 
 from repro.eval.netexp import hierarchy_payload
+from repro.net import streaming
 from repro.net.hierarchy import HierarchySpec, parse_hierarchy
 from repro.net.scenarios import get_scenario
 from repro.net.streaming import (
@@ -90,13 +92,22 @@ def test_corrupt_checkpoint_is_ignored(tmp_path):
     assert resumed.summary == _run().summary
 
 
-def test_checkpoint_identity_keys_on_seed_and_duration(tmp_path):
+def test_checkpoint_identity_keys_on_seed_and_duration(tmp_path,
+                                                      monkeypatch):
     _run(wave_size=1, checkpoint_dir=tmp_path, max_waves=2)
     other_seed = _run(seed=8, wave_size=1, checkpoint_dir=tmp_path)
     assert other_seed.resumed_subtrees == 0
     other_duration = _run(duration_s=1.0, wave_size=1,
                           checkpoint_dir=tmp_path)
     assert other_duration.resumed_subtrees == 0
+    # A run killed under one version of the code never resumes under
+    # another.
+    code = tmp_path / "code"
+    monkeypatch.setattr(streaming, "code_fingerprint", lambda: "old")
+    _run(wave_size=1, checkpoint_dir=code, max_waves=2)
+    monkeypatch.setattr(streaming, "code_fingerprint", lambda: "new")
+    other_code = _run(wave_size=1, checkpoint_dir=code)
+    assert other_code.resumed_subtrees == 0
 
 
 def test_completed_checkpoint_short_circuits_the_rerun(tmp_path):
@@ -131,6 +142,22 @@ def test_config_validation():
         StreamingConfig(spec=spec, duration_s=0.0)
     with pytest.raises(ValueError):
         StreamingConfig(spec=spec, wave_size=0)
+    with pytest.raises(ValueError, match="ComputeSettings"):
+        run_streaming(TOKEN, compute=None)
+
+
+def test_elapsed_includes_the_profile_resolve(monkeypatch):
+    resolve = streaming.profile_table
+
+    def slow_resolve(*args):
+        time.sleep(0.3)
+        return resolve(*args)
+
+    monkeypatch.setattr(streaming, "profile_table", slow_resolve)
+    result = run_streaming("tiers:rbs@1x3:dense-ward", duration_s=2.0,
+                           compute="exact")
+    assert result.summary.n_nodes == 4
+    assert result.elapsed_s >= 0.3
 
 
 def test_checkpointing_unserialisable_specs_is_rejected(tmp_path):

@@ -152,3 +152,17 @@ def test_regression_gate_passes_and_fails():
     warm["cache"]["hits"] = 2
     failures = check(merge_bench({"tiny": warm}), baseline)
     assert failures and "cache hit" in failures[0]
+
+
+def test_regression_gate_holds_the_loc_ceiling():
+    merged = {"benches": {}, "loc": 1000}
+    baseline = update_baseline(merged)
+    assert baseline["loc"] == 1000
+    assert check(merged, baseline) == []
+    failures = check(dict(merged, loc=1001), baseline)
+    assert failures == [
+        "loc: 1001 source line(s) > ceiling 1000 (raise it in "
+        "baseline.json only on purpose)"
+    ]
+    del merged["loc"]
+    assert check(merged, baseline) == ["loc: missing from BENCH_all.json"]
