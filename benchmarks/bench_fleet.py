@@ -19,27 +19,18 @@ results would grow ~16x between the runs; the bounded one barely
 moves, and the regression gate pins both the nodes/second floor and
 the RSS ceiling from the emitted payload.
 
-The ``--fast`` mode times the compute fast path: the same
-heterogeneous fleet is run once through the exact compute resolver
-(byte-identical to inline simulation) and once through the batched
-analytic tier, with every process-level memo cleared before each leg
-so both pay their true cold cost.  The regression gate holds the
-analytic/exact speedup to a hard >= 5x floor.
-
 Run with::
 
     pytest benchmarks/bench_fleet.py --benchmark-only
     python benchmarks/bench_fleet.py      # emit BENCH_fleet.json
                                           # and BENCH_fleet-gen.json
     python benchmarks/bench_fleet.py --mega   # BENCH_fleet-mega.json
-    python benchmarks/bench_fleet.py --fast   # BENCH_fleet-fast.json
 """
 
 import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -47,15 +38,9 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))  # plain-script runs
 from conftest import BENCH_DURATION_S  # noqa: E402
 
-from repro.net import appsource  # noqa: E402
-from repro.net.compute import (  # noqa: E402
-    COMPUTE_CACHE_ENV,
-    clear_process_caches,
-)
 from repro.net.fleet import run_fleet  # noqa: E402
 from repro.net.streaming import run_streaming  # noqa: E402
 from repro.sweep import BENCH_SCHEMA  # noqa: E402
-from repro.sysc.engine import cached_uniform_schedule  # noqa: E402
 
 #: Fleet size of the throughput benchmark.
 BENCH_NODES = 64
@@ -178,126 +163,6 @@ def measure_mega() -> dict:
     }
 
 
-#: Fleet size of the compute fast-path benchmark.  Large enough that
-#: the exact tier pays one full-duration simulation per distinct
-#: compute unit while the analytic tier's cost (a fixed handful of
-#: short calibration simulations plus vectorised scoring) stays flat.
-FAST_NODES = 64
-
-
-def _clear_compute_memos() -> None:
-    """Reset every process-level memo the bench legs could share.
-
-    Both legs must pay their true cold cost: the compute cache, the
-    binding resolution memos and the schedule memo all persist per
-    process, so a warm second leg would measure dictionary lookups.
-    """
-    clear_process_caches()
-    appsource._resolve_generated.cache_clear()
-    appsource._generated_binding.cache_clear()
-    appsource._benchmark_binding.cache_clear()
-    cached_uniform_schedule.cache_clear()
-
-
-def measure_fast() -> dict:
-    """Hand-timed exact-vs-analytic compute legs; returns the payload.
-
-    Runs the heterogeneous fleet twice — exact resolver first, then
-    the batched analytic tier — clearing all process memos before
-    each leg and ignoring any on-disk compute cache for the
-    duration.  The payload carries the wall-clock speedup (gated
-    hard at >= 5x), the analytic leg's nodes/second (tolerance-scaled
-    floor) and the calibration block proving the analytic tier was
-    admitted against exact simulation.
-    """
-    env_cache = os.environ.pop(COMPUTE_CACHE_ENV, None)
-    try:
-        _clear_compute_memos()
-        start = time.perf_counter()
-        exact = run_fleet(GEN_SCENARIO, n_nodes=FAST_NODES,
-                          duration_s=FLEET_DURATION_S, seed=1,
-                          compute="exact")
-        exact_wall = time.perf_counter() - start
-        _clear_compute_memos()
-        start = time.perf_counter()
-        analytic = run_fleet(GEN_SCENARIO, n_nodes=FAST_NODES,
-                             duration_s=FLEET_DURATION_S, seed=1,
-                             compute="analytic")
-        analytic_wall = time.perf_counter() - start
-    finally:
-        if env_cache is not None:
-            os.environ[COMPUTE_CACHE_ENV] = env_cache
-    # The speedup is only meaningful if both legs agree: the sync
-    # path is shared verbatim and power must match to calibration
-    # accuracy.  A disagreement is a correctness bug, not a slow run.
-    if analytic.summary.steady_sync != exact.summary.steady_sync:
-        raise RuntimeError("analytic leg changed the sync statistics")
-    rel_err = abs(analytic.summary.mean_power_uw
-                  - exact.summary.mean_power_uw)
-    rel_err /= exact.summary.mean_power_uw
-    if rel_err > 1e-6:
-        raise RuntimeError(
-            f"analytic mean power off by {rel_err:.2e} (> 1e-6)")
-    calibration = analytic.compute.calibration
-    if calibration is None or not calibration["within"]:
-        raise RuntimeError("analytic tier ran without passing "
-                           "calibration")
-    wall = exact_wall + analytic_wall
-    simulated = 2 * FAST_NODES * FLEET_DURATION_S
-    return {
-        "aggregates": {},
-        "schema": BENCH_SCHEMA,
-        "name": "fleet-fast",
-        "points": 2,
-        "cache": {"hits": 0, "misses": 2},
-        "wall_s": wall,
-        "executed_wall_s": wall,
-        "simulated_s": simulated,
-        "sim_s_per_s": simulated / wall if wall > 0 else 0.0,
-        "workers": 1,
-        "mode": "compute",
-        "results": [],
-        "scenario": GEN_SCENARIO,
-        "n_nodes": FAST_NODES,
-        "duration_s": FLEET_DURATION_S,
-        "exact_wall_s": exact_wall,
-        "analytic_wall_s": analytic_wall,
-        "exact_nodes_per_s": exact.nodes_per_second,
-        "analytic_nodes_per_s": analytic.nodes_per_second,
-        "nodes_per_s": analytic.nodes_per_second,
-        "speedup": (exact_wall / analytic_wall
-                    if analytic_wall > 0 else 0.0),
-        "mean_power_rel_err": rel_err,
-        "compute": analytic.compute.to_mapping(),
-    }
-
-
-def fast_main(argv=None) -> int:
-    """Emit BENCH_fleet-fast.json (exact vs analytic compute legs)."""
-    parser = argparse.ArgumentParser(
-        description="emit BENCH_fleet-fast.json (wall-clock speedup "
-                    "of the batched analytic compute tier over the "
-                    "exact resolver)")
-    parser.add_argument(
-        "--out-dir", default=".",
-        help="where to write the artifact (default: cwd)")
-    args = parser.parse_args(argv)
-    payload = measure_fast()
-    path = Path(args.out_dir) / "BENCH_fleet-fast.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    print(
-        f"BENCH_fleet-fast: {payload['n_nodes']} nodes, exact "
-        f"{payload['exact_wall_s']:.2f} s vs analytic "
-        f"{payload['analytic_wall_s']:.2f} s — speedup "
-        f"{payload['speedup']:.1f}x at rel err "
-        f"{payload['mean_power_rel_err']:.1e}")
-    print(f"wrote {path}")
-    return 0
-
-
 def mega_main(argv=None) -> int:
     """Emit BENCH_fleet-mega.json (throughput + bounded peak RSS)."""
     parser = argparse.ArgumentParser(
@@ -326,9 +191,6 @@ def mega_main(argv=None) -> int:
 def main(argv=None) -> int:
     """Plain-script mode: emit the fleet BENCH artifacts."""
     args = list(sys.argv[1:] if argv is None else argv)
-    if "--fast" in args:
-        args.remove("--fast")
-        return fast_main(args)
     if "--mega" in args:
         args.remove("--mega")
         return mega_main(args)

@@ -1,14 +1,13 @@
-"""Oracle benchmark: analytic screening throughput vs exact simulate().
+"""Oracle benchmark: analytic population scoring vs exact simulate().
 
-Times the two tiers of :mod:`repro.oracle` against each other: the
-vectorised analytic model scoring whole candidate populations per
-call, and the exact cost oracle paying a full event-driven
-``simulate()`` per mapping.  The headline figure is ``speedup`` —
-candidates scored per wall-second, analytic over exact — which the
-CI regression gate requires to stay >= 100x.  The payload also
-cross-checks the analytic scores against the exact costs on the
-timed candidates (``max_rel_error``), so a throughput win can never
-mask an accuracy regression.
+Times :mod:`repro.oracle`'s vectorised analytic model scoring whole
+candidate populations per call against the exact cost oracle paying
+one ``simulate()`` per mapping.  ``speedup`` is candidates scored per
+wall-second, analytic over exact; the CI regression gate holds the
+bench's ``sim_s_per_s`` to a floor.  The payload also cross-checks
+the analytic scores against the exact costs on the timed candidates
+(``max_rel_error``), so a throughput win can never mask an accuracy
+regression.
 
 The plain-script mode emits ``BENCH_oracle.json`` carrying the
 ``repro-bench/1`` keys the merge/regression tooling reads

@@ -4,9 +4,9 @@ Compares a freshly produced ``BENCH_all.json`` against the checked-in
 baseline (``benchmarks/baseline.json``) and fails when any bench's
 simulated-seconds-per-second throughput regresses by more than the
 tolerance (default 30 %).  The baseline may also carry ``nodes_per_s``
-floors (tolerance-scaled, for the streaming mega-fleet), ``speedup``
-floors and ``max_rss_mb`` ceilings (both hard bounds — the latter is
-the bounded-memory assertion of the streaming executor).  Benches
+floors (tolerance-scaled, for the streaming mega-fleet) and
+``max_rss_mb`` ceilings (a hard bound — the bounded-memory assertion
+of the streaming executor).  Benches
 emitted outside ``run_all.py`` join the gate via ``--merge``; a
 ``repro-cover/1`` artifact supplied via ``--cover`` is held to the
 baseline's ``covered_bins`` floor (hard, no tolerance — the fuzz
@@ -59,13 +59,6 @@ UPDATE_MARGIN = 0.25
 #: holding per-node results would cost hundreds of MB.
 RSS_CEILING_MB = 256.0
 
-#: Fixed speedup floors ``--update`` records (hard requirements, not
-#: machine-derived): the oracle bench must score >= 100x more
-#: candidates per wall-second than exact ``simulate()``, and the
-#: fleet compute fast path must finish >= 5x faster than the exact
-#: resolver on the same fleet.
-SPEEDUP_FLOORS = {"oracle": 100.0, "fleet-fast": 5.0}
-
 
 def check(
     merged: dict,
@@ -111,20 +104,6 @@ def check(
             failures.append(
                 f"{name}: {measured:.0f} nodes/s < {allowed:.0f} "
                 f"(baseline {floor:.0f}, tolerance {tolerance:.0%})"
-            )
-    # Speedup floors are hard requirements (the oracle bench must
-    # score >= 100x more candidates per wall-second than exact
-    # simulate()), so no tolerance is applied.
-    for name, floor in sorted(baseline.get("speedup", {}).items()):
-        payload = benches.get(name)
-        if payload is None:
-            failures.append(f"{name}: missing from BENCH_all.json")
-            continue
-        measured = payload.get("speedup", 0.0)
-        if measured < floor:
-            failures.append(
-                f"{name}: speedup {measured:.0f}x < required "
-                f"{floor:.0f}x"
             )
     # Peak-RSS ceilings are hard bounds too: the streaming executor's
     # whole point is memory that does not scale with fleet size, so a
@@ -175,10 +154,9 @@ def check(
 def update_baseline(merged: dict, cover: dict | None = None) -> dict:
     """A fresh baseline document derived from a measured run.
 
-    Throughput floors are measured-with-margin; speedup floors are
-    the fixed per-bench requirements of :data:`SPEEDUP_FLOORS`, not
-    machine-derived.  Covered-bin floors and the ``loc`` ceiling are
-    recorded exactly — both are deterministic, so no margin applies.
+    Throughput floors are measured-with-margin.  Covered-bin floors
+    and the ``loc`` ceiling are recorded exactly — both are
+    deterministic, so no margin applies.
     """
     benches = merged.get("benches", {})
     covered_bins = (
@@ -198,11 +176,6 @@ def update_baseline(merged: dict, cover: dict | None = None) -> dict:
             name: round(payload["nodes_per_s"] * UPDATE_MARGIN, 1)
             for name, payload in sorted(benches.items())
             if "nodes_per_s" in payload
-        },
-        "speedup": {
-            name: SPEEDUP_FLOORS.get(name, 100.0)
-            for name, payload in sorted(benches.items())
-            if "speedup" in payload
         },
         "max_rss_mb": {
             name: RSS_CEILING_MB
@@ -312,7 +285,6 @@ def main(argv=None) -> int:
         for section in (
             "sim_s_per_s",
             "nodes_per_s",
-            "speedup",
             "max_rss_mb",
             "covered_bins",
         )

@@ -2,14 +2,12 @@
 
 Replays every campaign in :data:`repro.sweep.specs.BENCH_SPECS`,
 writes one ``BENCH_<name>.json`` per bench plus the merged
-``BENCH_all.json`` the CI regression gate consumes.  Two benches are
-not sweep campaigns but emit the same schema keys and ride in the
-merged document alongside the others: ``oracle``
-(``bench_oracle.py``, analytic vs exact candidate scoring) and
-``fleet-fast`` (``bench_fleet.py --fast``, the batched analytic
-compute tier vs the exact fleet resolver).  The merged document also
-records ``loc``, the line count of ``src/repro/**/*.py``, which the
-regression gate holds to a ceiling.
+``BENCH_all.json`` the CI regression gate consumes.  One bench is not
+a sweep campaign but emits the same schema keys and rides in the
+merged document alongside the others: ``oracle`` (``bench_oracle.py``,
+analytic population scoring vs exact candidate evaluation).  The
+merged document also records ``loc``, the line count of
+``src/repro/**/*.py``, which the regression gate holds to a ceiling.
 
 Run with::
 
@@ -25,7 +23,6 @@ from repro.store import write_json
 from repro.sweep import BENCH_SPECS, ResultCache, run_all_benches
 from repro.sweep.artifacts import merge_bench
 
-import bench_fleet
 import bench_oracle
 
 
@@ -67,7 +64,7 @@ def main(argv=None) -> int:
         nargs="*",
         default=None,
         metavar="NAME",
-        choices=sorted([*BENCH_SPECS, "oracle", "fleet-fast"]),
+        choices=sorted([*BENCH_SPECS, "oracle"]),
         help="run only these benches (default: all)",
     )
     args = parser.parse_args(argv)
@@ -76,15 +73,11 @@ def main(argv=None) -> int:
         if args.cache_dir is not None and not args.no_cache
         else None
     )
-    extra_benches = ("oracle", "fleet-fast")
     run_oracle = args.only is None or "oracle" in args.only
-    run_fast = args.only is None or "fleet-fast" in args.only
     sweep_names = (
         None
         if args.only is None
-        else tuple(
-            name for name in args.only if name not in extra_benches
-        )
+        else tuple(name for name in args.only if name != "oracle")
     )
     merged, path = run_all_benches(
         out_dir=args.out_dir,
@@ -94,17 +87,10 @@ def main(argv=None) -> int:
         use_cache=not args.no_cache,
         force=args.force,
     )
-    extra_payloads = {}
     if run_oracle:
-        extra_payloads["oracle"] = bench_oracle.measure()
-    if run_fast:
-        extra_payloads["fleet-fast"] = bench_fleet.measure_fast()
-    if extra_payloads:
-        benches = dict(merged["benches"])
-        for name, payload in extra_payloads.items():
-            write_json(Path(args.out_dir) / f"BENCH_{name}.json", payload)
-            benches[name] = payload
-        merged = merge_bench(benches)
+        payload = bench_oracle.measure()
+        write_json(Path(args.out_dir) / "BENCH_oracle.json", payload)
+        merged = merge_bench({**merged["benches"], "oracle": payload})
     merged["loc"] = source_loc()
     write_json(path, merged)
     for name, payload in merged["benches"].items():

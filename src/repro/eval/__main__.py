@@ -98,10 +98,7 @@ from .searchexp import (
     SEARCH_COST,
     SEARCH_COUNT,
     SEARCH_DURATION_S,
-    SEARCH_ORACLES,
-    SEARCH_SCREEN_BUDGET,
     SEARCH_SEED,
-    SEARCH_TOP_K,
     run_search,
     write_search_json,
 )
@@ -203,13 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policy", choices=sorted(POLICIES), default=None,
         help="mapping policy placing every generated app "
              f"(default: {NET_SUITE_POLICY})")
-    net.add_argument(
-        "--compute", choices=("exact", "analytic"), default="exact",
-        help="app-compute resolution: 'exact' dedupes identical "
-             "per-node work through the content-addressed compute "
-             "cache (byte-identical artifacts), 'analytic' "
-             "additionally screens uncached work with the calibrated "
-             "closed-form model (default: exact)")
     net.add_argument(
         "--compute-cache", default=None, metavar="DIR",
         help="on-disk compute-cache root shared across runs "
@@ -361,23 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="provisioned platform width (default: 8)")
     _add_duration(search, f"{SEARCH_DURATION_S:g} s per oracle call")
     search.add_argument(
-        "--oracle", choices=list(SEARCH_ORACLES), default="exact",
-        help="evaluation mode: exact simulates every proposal, "
-             "two-tier screens analytically and simulates only the "
-             "top-k survivors (default: exact)")
-    search.add_argument(
-        "--top-k", type=int, default=SEARCH_TOP_K, metavar="K",
-        help="exact verifications per two-tier walk "
-             f"(default: {SEARCH_TOP_K})")
-    search.add_argument(
-        "--screen-budget", type=int, default=SEARCH_SCREEN_BUDGET,
-        metavar="N",
-        help="analytic proposals per two-tier walk "
-             f"(default: {SEARCH_SCREEN_BUDGET})")
-    search.add_argument(
         "--json", default=None, metavar="PATH",
-        help="write the deterministic repro-search/1 artifact here "
-             "(repro-search/2 with --oracle two-tier)")
+        help="write the deterministic repro-search/1 artifact here")
     _add_metrics(search)
     return parser
 
@@ -453,10 +428,7 @@ def _dispatch(
             iterations=args.iterations,
             num_cores=args.cores,
             duration_s=args.duration if args.duration is not None
-            else SEARCH_DURATION_S,
-            oracle=args.oracle,
-            top_k=args.top_k,
-            screen_budget=args.screen_budget)
+            else SEARCH_DURATION_S)
         if args.json is not None:
             write_search_json(report, args.json)
         print(render_search(report))
@@ -505,8 +477,7 @@ def _dispatch(
                 workers=args.workers, wave_size=wave,
                 checkpoint_dir=args.checkpoint_dir,
                 max_waves=args.max_waves,
-                compute=getattr(args, "compute", None),
-                compute_cache=getattr(args, "compute_cache", None))
+                compute_cache=args.compute_cache)
             if args.json is not None and result.completed:
                 write_hierarchy_json(result, args.json)
             sections.append(render_hierarchy(result))
@@ -523,7 +494,9 @@ def _dispatch(
             suite_count=getattr(args, "suite_count", None),
             families=tuple(net_families) if net_families else None,
             policy=getattr(args, "policy", None),
-            compute=getattr(args, "compute", None),
+            # ``all`` keeps each node's inline simulation; ``net``
+            # dedupes app compute through the shared cache.
+            compute="exact" if experiment == "net" else None,
             compute_cache=getattr(args, "compute_cache", None))
         if getattr(args, "json", None) is not None:
             write_net_json(report, args.json)

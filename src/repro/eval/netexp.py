@@ -118,9 +118,9 @@ def run_net(scenario: str = "drifting-wearables",
         families: topology-family cycle of the suite (default: all).
         policy: mapping policy placing every generated app
             (default ``balanced``).
-        compute: app-compute resolution mode (``"exact"`` /
-            ``"analytic"``; None = legacy inline simulation — the
-            exact resolver is byte-identical to it).
+        compute: ``"exact"`` resolves app compute through the
+            deduplicating compute cache; None simulates inline per
+            node (the resolver is byte-identical to it).
         compute_cache: on-disk compute-cache root (optional).
     """
     heterogeneous = any(value is not None for value in
@@ -213,11 +213,6 @@ def net_payload(report: NetReport) -> dict:
                                for group in summary.families]
         payload["policies"] = [asdict(group)
                                for group in summary.policies]
-    compute = report.result.compute
-    if compute is not None and compute.mode == "analytic":
-        # Exact-mode artifacts stay byte-identical to the legacy
-        # inline path; only analytic runs disclose their screening.
-        payload["compute_summary"] = compute.to_mapping()
     return payload
 
 
@@ -247,7 +242,7 @@ def hierarchy_payload(result: HierarchyResult) -> dict:
     exact failure mode the streaming executor removes.
     """
     summary = result.summary
-    payload = {
+    return {
         "schema": NET_SCHEMA_V3,
         "scenario": result.token,
         "protocol": summary.protocol,
@@ -269,9 +264,6 @@ def hierarchy_payload(result: HierarchyResult) -> dict:
         "improvement": _json_safe(hierarchy_improvement(result)),
         "tiers": [_tier_entry(tier) for tier in result.tiers],
     }
-    if result.compute is not None and result.compute.mode == "analytic":
-        payload["compute_summary"] = result.compute.to_mapping()
-    return payload
 
 
 def write_hierarchy_json(result: HierarchyResult,

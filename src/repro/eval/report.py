@@ -230,16 +230,8 @@ def render_net(report: NetReport) -> str:
 
 def _compute_line(compute) -> str:
     """One-line account of the fleet's compute resolution."""
-    line = (f"  compute: {compute.mode} - {compute.requests} request(s) "
-            f"over {compute.distinct_keys} distinct unit(s), "
-            f"{compute.screened} screened / {compute.exact} exact")
-    calibration = compute.calibration
-    if calibration is not None:
-        verdict = "ok" if calibration["within"] else "FAILED"
-        line += (f"; calibration {verdict} "
-                 f"(max err {calibration['max_error']:.2e} over "
-                 f"{calibration['samples']} sample(s))")
-    return line
+    return (f"  compute: {compute.requests} request(s) over "
+            f"{compute.distinct_keys} distinct unit(s)")
 
 
 def render_hierarchy(result: HierarchyResult) -> str:
@@ -592,21 +584,6 @@ def render_search(report: SearchReport, max_rows: int = 48) -> str:
             f"p50 {gaps['p50'] * 100:.2f} %, "
             f"p90 {gaps['p90'] * 100:.2f} %, "
             f"max {gaps['max'] * 100:.2f} %")
-    if report.oracle == "two-tier":
-        screen = report.screen_summary()
-        lines.append(
-            f"  oracle: two-tier, {report.screen_budget} analytic "
-            f"proposal(s)/walk, top-{report.top_k} exact-verified")
-        lines.append(
-            f"  screening: {screen['screened']} candidate(s) screened, "
-            f"{screen['simulated']} simulated, agreement "
-            f"{screen['agreed']}/{screen['placed']}")
-        errors = (report.calibration or {}).get("errors", {})
-        if errors.get("count"):
-            lines.append(
-                f"  calibration over {errors['count']} sample(s): "
-                f"rel err p50 {errors['p50']:.1e}, "
-                f"p90 {errors['p90']:.1e}, max {errors['max']:.1e}")
     return "\n".join(lines)
 
 

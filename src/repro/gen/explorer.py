@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .. import obs
 from ..apps.mapping import MappingError
 from ..apps.phases import AppSpec, Trigger
@@ -194,6 +196,12 @@ def evaluate_app(app: AppSpec, policy_name: str, num_cores: int = 8,
     )
 
 
+def keep_top_k(costs: np.ndarray, top_k: int) -> list[int]:
+    """Indices of the ``top_k`` cheapest costs, stable on ties."""
+    order = np.argsort(costs, kind="stable")
+    return [int(index) for index in order[:top_k]]
+
+
 def screen_policies(app: AppSpec,
                     policies: tuple[str, ...] = ("paper", "balanced"),
                     num_cores: int = 8,
@@ -226,7 +234,7 @@ def screen_policies(app: AppSpec,
     Raises:
         ValueError: unknown policy or ``top_k`` < 1.
     """
-    from ..oracle import AnalyticModel, keep_top_k
+    from ..oracle import AnalyticModel
     from ..search.space import candidate_from_plan
 
     if top_k < 1:
@@ -394,6 +402,7 @@ __all__ = [
     "evaluate_app",
     "evaluate_token",
     "explore",
+    "keep_top_k",
     "policy_rates",
     "repair_app",
     "screen_policies",

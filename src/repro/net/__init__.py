@@ -13,8 +13,8 @@ protocols and a sharded multiprocessing runner:
 * :mod:`repro.net.timesync` — NoSync / reference-broadcast /
   FTSP-style offset+skew protocols.
 * :mod:`repro.net.node` — clock + radio + a mapped ECG application.
-* :mod:`repro.net.compute` — content-addressed compute cache and
-  the batched analytic fast path fleets resolve app power through.
+* :mod:`repro.net.compute` — the deduplicating, content-addressed
+  compute cache fleets resolve app power through.
 * :mod:`repro.net.fleet` — deterministic serial/parallel execution.
 * :mod:`repro.net.scenarios` — named deployment presets.
 * :mod:`repro.net.hierarchy` — cluster→gateway→backbone tiers with
@@ -37,7 +37,6 @@ from .clock import ClockSpec, LocalClock
 from .compute import (
     COMPUTE_CACHE_ENV,
     COMPUTE_ENTRY_SCHEMA,
-    COMPUTE_MODES,
     ComputeCache,
     ComputeRequest,
     ComputeResolution,
@@ -125,7 +124,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "COMPUTE_CACHE_ENV",
     "COMPUTE_ENTRY_SCHEMA",
-    "COMPUTE_MODES",
     "ClockSpec",
     "ComputeCache",
     "ComputeRequest",

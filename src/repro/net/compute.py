@@ -1,28 +1,20 @@
-"""Fleet-scale compute fast path: cache + batched analytic scoring.
+"""Fleet-scale compute fast path: dedupe + cache ``simulate()`` runs.
 
 Every fleet node pays two kinds of work.  The radio/clock/sync part —
-beacon reception, drift replay, residual-error sampling — is cheap,
-node-specific and stays exact.  The *app compute* part (the
-:class:`~repro.power.energy.PowerReport` from a full cycle-level
-:func:`repro.sysc.engine.simulate` run) is expensive and massively
-shared: thousands of nodes bind the same ``(app, plan, mode,
-num_cores, duration)`` and differ only in heart rate, which the
-simulator reduces to the beat schedule's *abnormal* events.
+beacon reception, drift replay, residual-error sampling — is cheap
+and node-specific.  The *app compute* part (the
+:class:`~repro.power.energy.PowerReport` of a
+:func:`repro.sysc.engine.simulate` run) is massively shared:
+thousands of nodes bind the same ``(app, plan, mode, num_cores,
+duration)`` and differ only in heart rate, which the simulator
+reduces to the beat schedule's *abnormal* events.
 
-This module resolves that shared part through three tiers:
-
-1. **ComputeCache** — a process-local memo plus an optional
-   content-addressed disk layer (same layout and code-fingerprint
-   namespacing rules as :mod:`repro.sweep.cache`), keyed by
-   ``(app fingerprint, plan hash, mode, num_cores, duration_s,
-   schedule signature)``.
-2. **Batched analytic tier** — all distinct uncached multi-core keys
-   in a fleet/wave are grouped per application and scored in one
-   :meth:`repro.oracle.AnalyticModel.score` call each, gated by
-   :func:`repro.oracle.calibrate` (outside tolerance = nothing is
-   screened).
-3. **Exact fallback** — plain ``simulate()`` for single-core plans,
-   unconvertible placements, or when the analytic tier is off.
+:class:`ComputeResolver` content-addresses that shared part, keyed by
+``(app fingerprint, plan hash, mode, num_cores, duration_s, schedule
+signature)``, and simulates each distinct key once.  Results land in
+a :class:`ComputeCache`: a process-local memo plus an optional disk
+layer (same layout and code-fingerprint namespacing rules as
+:mod:`repro.sweep.cache`).
 
 Results travel as plain JSON payloads (:data:`COMPUTE_ENTRY_SCHEMA`)
 and are rebuilt into fresh ``PowerReport`` objects with the category
@@ -43,10 +35,10 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
-from ..apps.mapping import MappingPlan, map_multicore
+from ..apps.mapping import MappingPlan
 from ..apps.phases import AppSpec
 from ..power.energy import PowerReport
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
@@ -57,12 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .appsource import AppBinding
 
 __all__ = [
-    "ANALYTIC_TIER",
-    "CALIBRATE_DURATION_S",
-    "CALIBRATE_SAMPLES",
     "COMPUTE_CACHE_ENV",
     "COMPUTE_ENTRY_SCHEMA",
-    "COMPUTE_MODES",
     "EXACT_TIER",
     "ComputeCache",
     "ComputeRequest",
@@ -89,20 +77,9 @@ COMPUTE_CACHE_ENV = "REPRO_COMPUTE_CACHE"
 #: Schema tag of one cached compute entry.
 COMPUTE_ENTRY_SCHEMA = "repro-compute-entry/1"
 
-#: Recognised resolver modes (CLI ``--compute`` choices).
-COMPUTE_MODES = ("exact", "analytic")
-
-#: Tier labels recorded on resolved entries.
+#: Tier label recorded on resolved entries (every entry is a
+#: ``simulate()`` result).
 EXACT_TIER = "exact"
-ANALYTIC_TIER = "analytic"
-_CALIBRATION_TIER = "calibration"
-
-#: Reduced calibration budget: the gate runs once per fleet per
-#: platform width, so a couple of short samples per app suffice (the
-#: analytic model is closed-form — its error does not depend on the
-#: simulated duration).
-CALIBRATE_SAMPLES = 2
-CALIBRATE_DURATION_S = 0.5
 
 #: Category insertion order of :func:`repro.power.energy.compute_power`
 #: — ``PowerReport.total_uw`` sums in this order, so cached payloads
@@ -123,9 +100,6 @@ class ComputeSettings:
     """How a fleet resolves its app-compute work.
 
     Attributes:
-        mode: ``"exact"`` (cache + dedupe, every miss simulated) or
-            ``"analytic"`` (misses screened by the calibrated
-            analytic model where possible).
         cache_dir: on-disk cache root; None means the
             :data:`COMPUTE_CACHE_ENV` override or, failing that,
             process-local memoisation only.
@@ -134,15 +108,7 @@ class ComputeSettings:
     :class:`~repro.net.fleet.FleetConfig`.
     """
 
-    mode: str = "exact"
     cache_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in COMPUTE_MODES:
-            raise ValueError(
-                f"unknown compute mode {self.mode!r}; choose from "
-                f"{list(COMPUTE_MODES)}"
-            )
 
 
 def compute_settings(
@@ -151,14 +117,17 @@ def compute_settings(
 ) -> ComputeSettings | None:
     """Normalise a user-facing ``compute=`` argument.
 
-    Accepts None (legacy inline simulation), a mode string or a
+    Accepts None (inline simulation per node), ``"exact"`` or a
     ready-made :class:`ComputeSettings`.
+
+    Raises:
+        ValueError: any other value.
     """
-    if compute is None:
-        return None
-    if isinstance(compute, ComputeSettings):
+    if compute is None or isinstance(compute, ComputeSettings):
         return compute
-    return ComputeSettings(mode=str(compute), cache_dir=cache_dir)
+    if compute != "exact":
+        raise ValueError(f"unknown compute mode {compute!r}; use 'exact'")
+    return ComputeSettings(cache_dir=cache_dir)
 
 
 @dataclass(frozen=True)
@@ -172,8 +141,8 @@ class ComputeRequest:
         binding: the node's app binding.
         mode: simulator mode the node would run.
         duration_s: simulated seconds.
-        schedule: the node's full beat schedule (used only if this
-            request is the first of its key to reach the exact tier).
+        schedule: the node's full beat schedule (simulated only if
+            this request is the first of its key and the cache misses).
     """
 
     key: str
@@ -206,12 +175,8 @@ class ComputeSummary:
     physical cache state, so cold and warm runs report identically.
     """
 
-    mode: str
     requests: int
     distinct_keys: int
-    screened: int
-    exact: int
-    calibration: dict | None = None
 
     @property
     def cache_hits(self) -> int:
@@ -224,24 +189,6 @@ class ComputeSummary:
     @property
     def cache_stores(self) -> int:
         return self.distinct_keys
-
-    def to_mapping(self) -> dict:
-        """JSON-ready form (the artifact ``compute_summary`` block)."""
-        payload = {
-            "mode": self.mode,
-            "requests": self.requests,
-            "distinct_keys": self.distinct_keys,
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "stores": self.cache_stores,
-            },
-            "screened": self.screened,
-            "exact": self.exact,
-        }
-        if self.calibration is not None:
-            payload["calibration"] = self.calibration
-        return payload
 
 
 @dataclass(frozen=True)
@@ -349,11 +296,11 @@ def build_request(
     )
 
 
-def payload_from_report(report: PowerReport, tier: str) -> dict:
+def payload_from_report(report: PowerReport) -> dict:
     """Serialise a ``PowerReport`` into a cache entry payload."""
     return {
         "schema": COMPUTE_ENTRY_SCHEMA,
-        "tier": tier,
+        "tier": EXACT_TIER,
         "frequency_mhz": report.operating_point.frequency_mhz,
         "voltage": report.operating_point.voltage,
         "duration_s": report.duration_s,
@@ -386,13 +333,6 @@ def report_from_payload(payload: dict) -> PowerReport:
         duration_s=float(payload["duration_s"]),
         categories=ordered,
     )
-
-
-def _entry_body(payload: dict) -> str:
-    """The mapping a cached entry of this tier must carry."""
-    if payload.get("tier") == _CALIBRATION_TIER:
-        return "errors"
-    return "categories"
 
 
 #: Process-wide memo layer (cache-root independent: payloads are
@@ -442,7 +382,7 @@ class ComputeCache:
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != COMPUTE_ENTRY_SCHEMA
-            or not isinstance(payload.get(_entry_body(payload)), dict)
+            or not isinstance(payload.get("categories"), dict)
         ):
             return None
         _MEMO[key] = payload
@@ -460,7 +400,7 @@ class ComputeCache:
 
 
 class ComputeResolver:
-    """Resolve a batch of compute requests through the three tiers."""
+    """Resolve a batch of compute requests: dedupe, cache, simulate."""
 
     def __init__(self, settings: ComputeSettings) -> None:
         self.settings = settings
@@ -471,128 +411,29 @@ class ComputeResolver:
     ) -> ComputeResolution:
         """Resolve every request; returns a key-indexed table.
 
-        Deterministic for a given request set: dedupe, grouping and
-        all tier decisions are functions of the content-addressed
-        keys alone (never of the physical cache state).
+        Deterministic for a given request set: every distinct key is
+        looked up in the cache and simulated on a miss, in key order,
+        so the table never depends on the physical cache state.
         """
         unique: dict[str, ComputeRequest] = {}
         for request in requests:
             unique.setdefault(request.key, request)
 
-        calibration: dict | None = None
-        screen = False
-        if self.settings.mode == "analytic":
-            calibration = self._calibration(unique.values())
-            screen = bool(calibration["within"])
-
         table: dict[str, ResolvedCompute] = {}
-        exact_queue: list[ComputeRequest] = []
-        groups: dict[str, list[tuple[ComputeRequest, object]]] = {}
         for key in sorted(unique):
-            request = unique[key]
             payload = self.cache.get(key)
-            if payload is not None:
-                table[key] = ResolvedCompute(
-                    key=key, tier=str(payload["tier"]), payload=payload
-                )
-                continue
-            candidate = None
-            if screen and request.mode is Mode.MULTI_CORE:
-                candidate = self._candidate(request)
-            if candidate is None:
-                exact_queue.append(request)
-            else:
-                groups.setdefault(self._group_key(request), []).append(
-                    (request, candidate)
-                )
-
-        for group in sorted(groups):
-            self._score_group(groups[group], table, exact_queue)
-        for request in sorted(exact_queue, key=lambda r: r.key):
-            self._simulate(request, table)
-
-        screened = sum(
-            1
-            for request in requests
-            if table[request.key].tier == ANALYTIC_TIER
-        )
+            if payload is None:
+                payload = self._simulate(unique[key])
+            table[key] = ResolvedCompute(
+                key=key, tier=str(payload["tier"]), payload=payload
+            )
         summary = ComputeSummary(
-            mode=self.settings.mode,
-            requests=len(requests),
-            distinct_keys=len(unique),
-            screened=screened,
-            exact=len(requests) - screened,
-            calibration=calibration,
+            requests=len(requests), distinct_keys=len(unique)
         )
         return ComputeResolution(table=table, summary=summary)
 
-    def _candidate(self, request: ComputeRequest):
-        """The request's placement as a search candidate, or None."""
-        from ..search.space import candidate_from_plan
-
-        plan = request.binding.plan
-        try:
-            if plan is None:
-                plan = map_multicore(
-                    request.binding.app, request.binding.num_cores
-                )
-            return candidate_from_plan(plan)
-        except ValueError:
-            return None
-
-    def _group_key(self, request: ComputeRequest) -> str:
-        """Batch key: requests an ``AnalyticModel`` can share."""
-        from ..gen.generator import app_fingerprint
-
-        ticks = int(round(request.duration_s * request.binding.app.fs))
-        return json.dumps(
-            [
-                app_fingerprint(request.binding.app),
-                request.binding.num_cores,
-                request.duration_s,
-                schedule_signature(request.schedule, ticks),
-            ],
-            separators=(",", ":"),
-        )
-
-    def _score_group(
-        self,
-        items: list[tuple[ComputeRequest, object]],
-        table: dict[str, ResolvedCompute],
-        exact_queue: list[ComputeRequest],
-    ) -> None:
-        """Score one app group in a single vectorised model call."""
-        from ..oracle.model import AnalyticModel
-
-        first = items[0][0]
-        with obs.suspended():
-            model = AnalyticModel(
-                first.binding.app,
-                num_cores=first.binding.num_cores,
-                kind="power",
-                duration_s=first.duration_s,
-                schedule=first.schedule,
-            )
-            try:
-                scores = model.score([cand for _, cand in items])
-            except ValueError:
-                exact_queue.extend(request for request, _ in items)
-                return
-        for index, (request, _) in enumerate(items):
-            payload = payload_from_report(
-                scores.power_report(index), ANALYTIC_TIER
-            )
-            self.cache.put(request.key, payload)
-            table[request.key] = ResolvedCompute(
-                key=request.key, tier=ANALYTIC_TIER, payload=payload
-            )
-
-    def _simulate(
-        self,
-        request: ComputeRequest,
-        table: dict[str, ResolvedCompute],
-    ) -> None:
-        """Exact tier: one full cycle-level simulation per key.
+    def _simulate(self, request: ComputeRequest) -> dict:
+        """One ``simulate()`` run per key, stored in the cache.
 
         Runs under suspended metrics — how many simulations actually
         execute depends on the cache state, so only the logical
@@ -607,104 +448,9 @@ class ComputeResolver:
                 num_cores=request.binding.num_cores,
                 mapping=request.binding.plan,
             )
-        payload = payload_from_report(result.power, EXACT_TIER)
+        payload = payload_from_report(result.power)
         self.cache.put(request.key, payload)
-        table[request.key] = ResolvedCompute(
-            key=request.key, tier=EXACT_TIER, payload=payload
-        )
-
-    def _calibration(
-        self, requests: Iterable[ComputeRequest]
-    ) -> dict:
-        """Gate the analytic tier per platform width.
-
-        Calibrates over *every* distinct multi-core app in the
-        request set (not only uncached ones) so the block is
-        identical cold and warm; memoised in-process and through the
-        disk cache.
-        """
-        from ..oracle.calibrate import CALIBRATE_TOLERANCE
-
-        groups: dict[int, dict[str, AppSpec]] = {}
-        for request in requests:
-            if request.mode is not Mode.MULTI_CORE:
-                continue
-            from ..gen.generator import app_fingerprint
-
-            fingerprint = app_fingerprint(request.binding.app)
-            groups.setdefault(request.binding.num_cores, {})[
-                fingerprint
-            ] = request.binding.app
-        blocks = []
-        samples = 0
-        apps_total = 0
-        for num_cores in sorted(groups):
-            by_fingerprint = groups[num_cores]
-            block = self._calibrate_group(
-                [by_fingerprint[f] for f in sorted(by_fingerprint)],
-                sorted(by_fingerprint),
-                num_cores,
-            )
-            blocks.append(block)
-            samples += int(block["samples"])
-            apps_total += int(block["apps"])
-        max_error = max(
-            (float(block["errors"]["max"]) for block in blocks),
-            default=0.0,
-        )
-        return {
-            "tolerance": CALIBRATE_TOLERANCE,
-            "within": max_error <= CALIBRATE_TOLERANCE,
-            "max_error": max_error,
-            "apps": apps_total,
-            "samples": samples,
-            "groups": blocks,
-        }
-
-    def _calibrate_group(
-        self,
-        apps: list[AppSpec],
-        fingerprints: list[str],
-        num_cores: int,
-    ) -> dict:
-        """Calibrate one platform-width group (memoised)."""
-        key = hashlib.sha256(
-            json.dumps(
-                {
-                    "apps": fingerprints,
-                    "duration_s": CALIBRATE_DURATION_S,
-                    "kind": _CALIBRATION_TIER,
-                    "num_cores": num_cores,
-                    "samples": CALIBRATE_SAMPLES,
-                    "schema": COMPUTE_ENTRY_SCHEMA,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-        ).hexdigest()[:40]
-        payload = self.cache.get(key)
-        if payload is None:
-            from ..oracle.calibrate import calibrate, calibration_payload
-
-            with obs.suspended():
-                report = calibrate(
-                    apps,
-                    kind="power",
-                    duration_s=CALIBRATE_DURATION_S,
-                    num_cores=num_cores,
-                    samples=CALIBRATE_SAMPLES,
-                    seed=0,
-                )
-            payload = calibration_payload(report)
-            payload["schema"] = COMPUTE_ENTRY_SCHEMA
-            payload["tier"] = _CALIBRATION_TIER
-            self.cache.put(key, payload)
-        block = {
-            k: v
-            for k, v in payload.items()
-            if k not in ("schema", "tier")
-        }
-        return block
+        return payload
 
 
 def record_compute_counters(summary: ComputeSummary) -> None:
@@ -719,7 +465,3 @@ def record_compute_counters(summary: ComputeSummary) -> None:
         obs.add("net.compute.cache.misses", summary.cache_misses)
     if summary.cache_stores:
         obs.add("net.compute.cache.stores", summary.cache_stores)
-    if summary.screened:
-        obs.add("net.compute.screened", summary.screened)
-    if summary.exact:
-        obs.add("net.compute.exact", summary.exact)

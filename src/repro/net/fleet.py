@@ -167,8 +167,7 @@ class FleetRunner:
         obs.add("net.fleet.runs")
         obs.add("net.fleet.nodes", config.n_nodes)
         # The resolve step runs inside the timed window: reported
-        # throughput always includes the compute work, whichever tier
-        # performed it.
+        # throughput always includes the compute work.
         span = obs.span("net.fleet.run").start()
         resolution = None
         if config.compute is not None and node_ids:
@@ -306,16 +305,17 @@ def run_fleet(
             ``"none"`` for the unsynchronized baseline).
         workers: worker processes (1 = serial).
         shard_size: explicit batch size (defaults to an even split).
-        compute: ``"exact"`` / ``"analytic"`` /
+        compute: ``"exact"`` or a
             :class:`~repro.net.compute.ComputeSettings` to resolve
-            app compute through the fleet fast path (None = legacy
-            inline simulation; ``"exact"`` is byte-identical to it).
+            app compute through the fleet fast path (None = inline
+            simulation per node; ``"exact"`` is byte-identical to it).
         compute_cache: on-disk compute-cache root (used when
-            ``compute`` is a mode string).
+            ``compute`` is ``"exact"``).
 
     Raises:
         ValueError: unknown scenario name — rejected here at the
-            entry point, with the valid preset names listed.
+            entry point, with the valid preset names listed — or an
+            unknown ``compute`` mode.
     """
     if isinstance(scenario, str):
         # Fail fast with the full choice list instead of letting an

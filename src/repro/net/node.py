@@ -101,9 +101,9 @@ class NodeResult:
             paper default was derived inside the simulator).
         repairs: replicas trimmed to fit the platform.
         compute_key: content-addressed key of the node's app-compute
-            work ("" when simulated inline, the legacy path).
-        compute_tier: which tier resolved it (``"exact"`` /
-            ``"analytic"``; "" when simulated inline).
+            work ("" when simulated inline).
+        compute_tier: ``"exact"`` when the compute resolver served
+            it; "" when simulated inline.
     """
 
     node_id: int

@@ -209,9 +209,7 @@ class StreamingConfig:
         if self.wave_size is not None and self.wave_size < 1:
             raise ValueError("wave size must be >= 1")
         if not isinstance(self.compute, ComputeSettings):
-            raise ValueError(
-                "compute must be 'exact', 'analytic' or a ComputeSettings"
-            )
+            raise ValueError("compute must be 'exact' or a ComputeSettings")
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,8 @@ class HierarchyResult:
             resolve included.
         nodes_per_second: simulated nodes per wall-clock second of
             this run (resumed subtrees excluded).
-        workers: worker processes used.
+        workers: worker processes used: the requested count, capped
+            by the wave size and the subtree count.
         mode: always ``"streaming"``.
         peak_rss_mb: peak resident set of this process, MiB (0 where
             :mod:`resource` is unavailable).
@@ -500,6 +499,8 @@ class StreamingRunner:
         subtrees = spec.subtrees
         wave_size = config.wave_size or max(subtrees, 1)
         waves = -(-subtrees // wave_size) if subtrees else 0
+        # No wave runs more subtrees in parallel than it holds.
+        workers_used = max(1, min(workers, wave_size, subtrees))
 
         # Profiles are resolved once, in the main process, from the
         # source's closed binding universe — workers only ever look
@@ -559,7 +560,7 @@ class StreamingRunner:
             ]
             with obs.span("net.stream.wave"):
                 for parts in pool_map(
-                    _simulate_subtree, payloads, min(workers, count)
+                    _simulate_subtree, payloads, min(workers_used, count)
                 ):
                     for tier_state, part in zip(state, parts):
                         tier_state.fold(part)
@@ -671,7 +672,7 @@ class StreamingRunner:
             nodes_per_second=(
                 executed_nodes / elapsed if elapsed > 0.0 else 0.0
             ),
-            workers=workers,
+            workers=workers_used,
             mode="streaming",
             peak_rss_mb=_peak_rss_mb(),
             compute=profile_summary,
@@ -692,14 +693,12 @@ def run_streaming(
     """One-call streaming run of a hierarchy token, preset or spec.
 
     ``compute`` / ``compute_cache`` mirror
-    :func:`repro.net.fleet.run_fleet`, minus its inline path:
-    ``"exact"`` resolves the app profiles through the shared compute
-    cache, and ``"analytic"`` additionally screens them through the
-    calibrated closed-form model.
+    :func:`repro.net.fleet.run_fleet`, minus its inline path: the app
+    profiles always resolve through the shared compute cache.
 
     Raises:
-        ValueError: ``compute`` is neither ``"exact"``,
-            ``"analytic"`` nor a :class:`ComputeSettings`.
+        ValueError: ``compute`` is neither ``"exact"`` nor a
+            :class:`ComputeSettings`.
     """
     if isinstance(tiers, HierarchySpec):
         spec = tiers

@@ -1,59 +1,29 @@
-"""repro.oracle — vectorised analytic cost model + two-tier evaluation.
+"""repro.oracle — vectorised analytic cost model.
 
-The exact cost oracle (:class:`repro.search.cost.CostOracle`) pays a
-full event-driven ``simulate()`` per mapping, which caps search and
-exploration budgets at hundreds of candidates per second.  This
-package provides the fast path:
+:func:`repro.sysc.engine.simulate` scores one mapping per call.  The
+policy explorer (:func:`repro.gen.explorer.screen_policies`) ranks a
+whole population of placements first and simulates only the best, so
+it needs a batched scorer:
 
-- :mod:`repro.oracle.model` — a closed-form, numpy-vectorised
-  reduction of the tick loop that scores whole populations of
-  :class:`repro.search.space.Candidate` mappings per call (batched
-  clock floor, duty cycle, power, sync overhead), byte-deterministic
-  and exact up to float associativity.
-- :mod:`repro.oracle.twotier` — :class:`TwoTierOracle`: screen a
-  population analytically, run exact ``simulate()`` only on the top-k
-  survivors, with a pluggable keep policy and per-call screen stats.
-- :mod:`repro.oracle.calibrate` — the accuracy gate: cross-check
-  analytic scores against ``simulate()`` on sampled placements and
-  report relative-error percentiles.
+- :mod:`repro.oracle.model` — :class:`AnalyticModel`, a closed-form,
+  numpy-vectorised reduction of ``simulate()`` that scores whole
+  populations of :class:`repro.search.space.Candidate` mappings per
+  call (batched clock floor, duty cycle, power, sync overhead),
+  byte-deterministic and exact up to float associativity, plus
+  :func:`sample_candidates`, the seeded placement sampler its tests
+  compare against ``simulate()`` on.
 """
 
-from .calibrate import (
-    CALIBRATE_SAMPLES,
-    CALIBRATE_TOLERANCE,
-    CalibrationReport,
-    calibrate,
-    calibration_payload,
+from .model import (
+    AnalyticModel,
+    PopulationScores,
     sample_candidates,
-)
-from .model import AnalyticModel, PopulationScores, score_population
-from .twotier import (
-    KEEP_POLICIES,
-    TWO_TIER_SCREEN_BUDGET,
-    TWO_TIER_TOP_K,
-    PopulationEvaluation,
-    ScreenStats,
-    TwoTierOracle,
-    get_two_tier,
-    keep_top_k,
+    score_population,
 )
 
 __all__ = [
     "AnalyticModel",
     "PopulationScores",
-    "score_population",
-    "TwoTierOracle",
-    "PopulationEvaluation",
-    "ScreenStats",
-    "keep_top_k",
-    "get_two_tier",
-    "KEEP_POLICIES",
-    "TWO_TIER_TOP_K",
-    "TWO_TIER_SCREEN_BUDGET",
-    "CalibrationReport",
-    "calibrate",
-    "calibration_payload",
     "sample_candidates",
-    "CALIBRATE_SAMPLES",
-    "CALIBRATE_TOLERANCE",
+    "score_population",
 ]

@@ -1,11 +1,7 @@
 """Vectorised analytic cost model over populations of candidates.
 
-The behavioural simulator's tick loop is closed-form reducible for
-multi-core placements: streaming phases always drain within their tick
-(the VFS clock is sized for the busiest core, so per-replica capacity
-covers per-replica load by construction) and triggered phases drain a
-known work batch per abnormal beat.  Every activity counter the power
-model consumes therefore splits into
+:func:`repro.sysc.engine.simulate` evaluates one mapping per call.
+For multi-core placements its activity counters split into
 
 * a **base** that depends only on ``(application, duration)`` — the
   per-replica executed/sync/data-access totals of the phases — and
@@ -19,38 +15,37 @@ call with batched numpy arithmetic: an ``N x num_cores`` scatter-add
 for the clock floor, a ``searchsorted`` over the process fmax grid for
 the voltage, and the :func:`repro.power.energy.compute_power` formulas
 replicated element-wise.  The reduction is *exact up to float
-associativity* — :mod:`repro.oracle.calibrate` keeps that claim
-honest against ``simulate()`` — and everything is a pure function of
-its inputs, so populations score byte-deterministically across
-processes and ``PYTHONHASHSEED`` values.
+associativity* — ``tests/oracle/test_model.py`` holds it to
+``simulate()`` on sampled placements (:func:`sample_candidates`) —
+and everything is a pure function of its inputs, so populations score
+byte-deterministically across processes and ``PYTHONHASHSEED``
+values.  The policy explorer's screen
+(:func:`repro.gen.explorer.screen_policies`) is its one consumer.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..apps.mapping import distinct_sections
+from ..apps.mapping import MappingError, distinct_sections
 from ..apps.phases import AppSpec, Trigger
 from ..isa.layout import DmGeometry, ImGeometry
 from ..power.components import DEFAULT_ENERGY, EnergyParams
-from ..power.energy import PowerReport
 from ..power.process import DEFAULT_PROCESS, ProcessModel
-from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
+from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ
 from ..search.cost import (
     COMPOSITE_CLOCK_WEIGHT_UW_PER_MHZ,
     ORACLE_ABNORMAL_RATIO,
     ORACLE_DURATION_S,
     ORACLE_KINDS,
 )
-from ..search.space import Candidate
-from ..sysc.engine import (
-    SYNC_WRITE_FRACTION,
-    BeatEvent,
-    uniform_schedule,
-)
+from ..gen.policies import get_policy
+from ..search.anneal import START_POLICIES
+from ..search.space import Candidate, candidate_from_plan, propose
+from ..sysc.engine import SYNC_WRITE_FRACTION, uniform_schedule
 
 
 @dataclass(frozen=True)
@@ -70,12 +65,6 @@ class PopulationScores:
             (placement-independent, one scalar for the population).
         active_cores: distinct cores per candidate.
         im_banks: distinct IM banks per candidate.
-        run_s: exact simulated span (``ticks / fs``) the power figures
-            average over — the duration a matching ``simulate()`` run
-            reports on its :class:`~repro.power.energy.PowerReport`.
-        categories_uw: per-category power arrays in
-            ``compute_power``'s category order (one array per
-            category, one entry per candidate).
     """
 
     kind: str
@@ -89,28 +78,9 @@ class PopulationScores:
     code_overhead: float
     active_cores: np.ndarray
     im_banks: np.ndarray
-    run_s: float = 0.0
-    categories_uw: dict[str, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.cost)
-
-    def power_report(self, index: int) -> PowerReport:
-        """The exact-oracle-shaped power report of one candidate.
-
-        Categories come out in ``compute_power``'s insertion order, so
-        ``total_uw`` sums in the same float order as the exact path.
-        """
-        if self.categories_uw is None:
-            raise ValueError("population was scored without categories")
-        return PowerReport(
-            operating_point=OperatingPoint(
-                frequency_mhz=float(self.clock_mhz[index]),
-                voltage=float(self.voltage[index])),
-            duration_s=self.run_s,
-            categories={name: float(values[index])
-                        for name, values in self.categories_uw.items()},
-        )
 
     def metrics(self, index: int) -> dict:
         """The metric mapping of one candidate (exact-oracle shape)."""
@@ -160,9 +130,9 @@ class AnalyticModel:
     """Closed-form reduction of ``simulate()`` for one application.
 
     Precomputes the per-``(app, duration)`` activity base in the
-    constructor (one pass over the phases plus one beat schedule — no
-    tick loop), then scores arbitrarily many candidates per
-    :meth:`score` call with vectorised numpy arithmetic.
+    constructor (one pass over the phases plus one beat schedule),
+    then scores arbitrarily many candidates per :meth:`score` call
+    with vectorised numpy arithmetic.
 
     Args:
         app: the (already repaired) application being placed.
@@ -176,10 +146,6 @@ class AnalyticModel:
         process: VFS process model.
         abnormal_ratio: pathological-beat ratio applied when the app
             has triggered phases (the exact oracle's convention).
-        schedule: explicit beat schedule to reduce instead of the
-            synthesised uniform one — fleet nodes carry their own
-            bpm-specific schedules; only the abnormal beats matter to
-            the reduction, exactly as in ``simulate()``.
 
     Raises:
         ValueError: unknown cost kind or non-positive duration.
@@ -192,8 +158,7 @@ class AnalyticModel:
                  floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
                  energy: EnergyParams = DEFAULT_ENERGY,
                  process: ProcessModel = DEFAULT_PROCESS,
-                 abnormal_ratio: float = ORACLE_ABNORMAL_RATIO,
-                 schedule: "Sequence[BeatEvent] | None" = None) -> None:
+                 abnormal_ratio: float = ORACLE_ABNORMAL_RATIO) -> None:
         if kind not in ORACLE_KINDS:
             raise ValueError(
                 f"unknown cost oracle {kind!r}; choose from "
@@ -223,12 +188,10 @@ class AnalyticModel:
         self._section_names = tuple(sorted(
             section.name for section in distinct_sections(app)))
 
-        if schedule is None:
-            has_triggered = any(phase.trigger is Trigger.ON_ABNORMAL
-                                for phase in app.phases)
-            ratio = abnormal_ratio if has_triggered else 0.0
-            schedule = uniform_schedule(duration_s, fs,
-                                        abnormal_ratio=ratio)
+        has_triggered = any(phase.trigger is Trigger.ON_ABNORMAL
+                            for phase in app.phases)
+        ratio = abnormal_ratio if has_triggered else 0.0
+        schedule = uniform_schedule(duration_s, fs, abnormal_ratio=ratio)
         beats_by_tick: dict[int, int] = {}
         for event in schedule:
             if event.abnormal and 0 <= event.sample < self.ticks:
@@ -329,8 +292,8 @@ class AnalyticModel:
 
         Replays the arrival queue of every triggered phase at *beat*
         granularity: between arrivals a queue drains ``min(queue,
-        gap_ticks * capacity)`` cycles, exactly as the tick loop
-        would, so the per-member executed total is exact even when the
+        gap_ticks * capacity)`` cycles, exactly as ``simulate()``
+        does, so the per-member executed total is exact even when the
         drain is cut short by the end of the run.
         """
         n = len(capacity)
@@ -451,18 +414,6 @@ class AnalyticModel:
             + self._dm_banks_on * params.leak_dm_bank_uw
             + active_cores * params.leak_core_uw
             + params.leak_xbar_uw)
-        # Per-category arrays in compute_power's insertion order, so a
-        # report rebuilt from them sums total_uw in the same float
-        # order as the exact path.
-        categories_uw = {
-            "cores_logic": to_uw(cores_pj),
-            "clock_tree": to_uw(clock_pj),
-            "instr_mem": to_uw(im_pj),
-            "data_mem": to_uw(dm_pj),
-            "interconnect": to_uw(xbar_pj),
-            "synchronizer": to_uw(sync_pj),
-            "leakage": np.asarray(leakage_uw),
-        }
         power_uw = (to_uw(cores_pj) + to_uw(clock_pj) + to_uw(im_pj)
                     + to_uw(dm_pj) + to_uw(xbar_pj) + to_uw(sync_pj)
                     + leakage_uw)
@@ -493,8 +444,6 @@ class AnalyticModel:
             code_overhead=self._code_overhead,
             active_cores=active_cores,
             im_banks=im_banks,
-            run_s=self._run_s,
-            categories_uw=categories_uw,
         )
 
     def score_one(self, candidate: Candidate) -> float:
@@ -539,3 +488,46 @@ def score_population(app: AppSpec, candidates,
                           duration_s=duration_s, geometry=geometry,
                           floor_mhz=floor_mhz)
     return model.score(candidates)
+
+
+def sample_candidates(app: AppSpec, num_cores: int = 8,
+                      samples: int = 6, seed: int = 0,
+                      geometry: ImGeometry | None = None
+                      ) -> list[Candidate]:
+    """Sampled placements of one (already repaired) application.
+
+    The policy start points come first (deduplicated, policy order),
+    then seeded mutation walks extend the set until ``samples``
+    distinct candidates exist (or the walk stalls).  Deterministic in
+    ``(app identity, parameters, seed)``.
+    """
+    geom = geometry or ImGeometry()
+    found: list[Candidate] = []
+    seen: set[Candidate] = set()
+    for name in START_POLICIES:
+        try:
+            plan = get_policy(name).map(app, num_cores, geom)
+        except MappingError:
+            continue
+        candidate = candidate_from_plan(plan)
+        if candidate not in seen:
+            seen.add(candidate)
+            found.append(candidate)
+    if not found:
+        return []
+    rng = random.Random(seed)
+    current = found[0]
+    stalls = 0
+    while len(found) < samples and stalls < 64:
+        neighbour = propose(app, current, rng, num_cores, geom)
+        if neighbour is None:
+            stalls += 1
+            continue
+        current = neighbour
+        if neighbour in seen:
+            stalls += 1
+            continue
+        stalls = 0
+        seen.add(neighbour)
+        found.append(neighbour)
+    return found[:samples]

@@ -18,14 +18,6 @@ discarded by the analytic pre-filter before any simulation — so a
 search is a pure function of ``(app identity, parameters, seed)`` and
 its outcome serialises byte-identically across processes and
 ``PYTHONHASHSEED`` values.
-
-Both drivers also accept an ``oracle=`` override.  A plain
-:class:`repro.search.cost.CostOracle` swaps the exact tier; an oracle
-exposing a truthy ``screens`` attribute (the
-:class:`repro.oracle.TwoTierOracle`) switches the walk to two-tier
-mode: every proposal is scored by the vectorised analytic model, the
-visited candidates are ranked by ``(analytic cost, visit order)``, and
-only the top-k survivors (plus the start) pay an exact ``simulate()``.
 """
 
 from __future__ import annotations
@@ -33,8 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .. import obs
 from ..apps.mapping import MappingError, MappingPlan
@@ -48,7 +38,7 @@ from ..gen.explorer import (
 from ..gen.generator import app_from_token, parse_app_token
 from ..gen.policies import get_policy
 from ..isa.layout import ImGeometry
-from .cost import ORACLE_DURATION_S, CostOracle, get_oracle
+from .cost import ORACLE_DURATION_S, get_oracle
 from .space import (
     Candidate,
     candidate_from_plan,
@@ -111,12 +101,6 @@ class SearchOutcome:
         best_plan: the best placement as a simulator-ready plan
             (``None`` for rejected searches; excluded from
             artifacts).
-        oracle: evaluation mode (``exact`` or ``two-tier``).
-        screened: distinct candidates the analytic tier scored
-            (two-tier searches only).
-        top_k: analytic survivors exact-verified (two-tier only).
-        screen_agreement: whether the analytic front-runner was also
-            the exact-verified best (trivially True for exact).
     """
 
     app: str
@@ -143,21 +127,11 @@ class SearchOutcome:
     best_metrics: dict = field(default_factory=dict)
     best_candidate: dict = field(default_factory=dict)
     best_plan: MappingPlan | None = None
-    oracle: str = "exact"
-    screened: int = 0
-    top_k: int = 0
-    screen_agreement: bool = True
 
 
-def outcome_to_mapping(outcome: SearchOutcome,
-                       screen: bool = False) -> dict:
-    """JSON-ready form of an outcome (``best_plan`` excluded).
-
-    ``screen=True`` adds the two-tier fields (oracle, screened,
-    top_k, screen_agreement) for ``repro-search/2`` artifacts; the
-    default keeps the ``repro-search/1`` shape byte-identical.
-    """
-    data = {
+def outcome_to_mapping(outcome: SearchOutcome) -> dict:
+    """JSON-ready form of an outcome (``best_plan`` excluded)."""
+    return {
         "app": outcome.app,
         "token": outcome.token,
         "family": outcome.family,
@@ -182,12 +156,6 @@ def outcome_to_mapping(outcome: SearchOutcome,
         "best_metrics": dict(outcome.best_metrics),
         "best_candidate": dict(outcome.best_candidate),
     }
-    if screen:
-        data["oracle"] = outcome.oracle
-        data["screened"] = outcome.screened
-        data["top_k"] = outcome.top_k
-        data["screen_agreement"] = outcome.screen_agreement
-    return data
 
 
 def search_mapping(app: AppSpec, num_cores: int = 8,
@@ -195,8 +163,7 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
                    algorithm: str = "anneal", cost: str = "power",
                    iterations: int = SEARCH_ITERATIONS, seed: int = 0,
                    duration_s: float = ORACLE_DURATION_S,
-                   token: str = "", family: str = "",
-                   oracle: CostOracle | None = None) -> SearchOutcome:
+                   token: str = "", family: str = "") -> SearchOutcome:
     """Search for a better placement of one application.
 
     Args:
@@ -213,12 +180,6 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
         duration_s: simulated seconds per oracle call.
         token: regeneration token recorded in the outcome.
         family: topology family recorded in the outcome.
-        oracle: evaluation backend override.  ``None`` builds the
-            exact oracle from ``cost`` / ``duration_s``; an oracle
-            with a truthy ``screens`` attribute (e.g.
-            :class:`repro.oracle.TwoTierOracle`) runs the walk in
-            two-tier mode.  When given, ``cost`` and ``duration_s``
-            are taken from the oracle itself.
 
     Returns:
         The search outcome; ``status == "rejected"`` when no policy
@@ -233,19 +194,13 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
             f"{list(ALGORITHMS)}")
     if iterations < 0:
         raise ValueError("iteration budget cannot be negative")
-    if oracle is None:
-        oracle = get_oracle(cost, duration_s)
-    else:
-        cost = oracle.kind
-        duration_s = oracle.duration_s
-    screens = bool(getattr(oracle, "screens", False))
+    oracle = get_oracle(cost, duration_s)
     geom = geometry or ImGeometry()
     candidate_app, repairs = repair_app(app, num_cores)
     base = dict(app=app.name, token=token, family=family,
                 algorithm=algorithm, cost_kind=cost, seed=seed,
                 iterations=iterations, num_cores=num_cores,
-                duration_s=duration_s,
-                oracle="two-tier" if screens else "exact")
+                duration_s=duration_s)
 
     memo: dict[Candidate, tuple[float, dict]] = {}
     evaluations = 0
@@ -262,24 +217,6 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
         else:
             memo_hits += 1
         return hit
-
-    if screens:
-        model = oracle.model_for(candidate_app, num_cores, geom)
-        screen_memo: dict[Candidate, float] = {}
-        visited: list[Candidate] = []
-
-        def walk_cost(candidate: Candidate) -> float:
-            # Analytic tier: no simulation, first-visit order kept
-            # so the keep policy can break ties deterministically.
-            hit = screen_memo.get(candidate)
-            if hit is None:
-                hit = float(model.score([candidate]).cost[0])
-                screen_memo[candidate] = hit
-                visited.append(candidate)
-            return hit
-    else:
-        def walk_cost(candidate: Candidate) -> float:
-            return cost_of(candidate)[0]
 
     start: Candidate | None = None
     start_policy = ""
@@ -308,9 +245,8 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
                              repairs=repairs, error=error)
 
     start_cost, _ = cost_of(start)
-    current_cost = walk_cost(start)
-    best, best_cost = start, current_cost
-    current = start
+    current, current_cost = start, start_cost
+    best, best_cost = start, start_cost
     rng = random.Random(seed)
     accepted = 0
     infeasible = 0
@@ -320,7 +256,7 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
         if neighbour is None:
             infeasible += 1
             continue
-        neighbour_cost = walk_cost(neighbour)
+        neighbour_cost, _ = cost_of(neighbour)
         delta = neighbour_cost - current_cost
         take = delta <= 0.0
         if not take and algorithm == "anneal":
@@ -335,29 +271,6 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
             if neighbour_cost < best_cost:
                 best, best_cost = neighbour, neighbour_cost
 
-    screened = 0
-    top_k = 0
-    screen_agreement = True
-    if screens:
-        # Rank the visited candidates by (analytic cost, first-visit
-        # order) through the oracle's keep policy, then exact-verify
-        # the survivors plus the start candidate: the final best is
-        # always simulator-backed and never worse than the start.
-        costs = np.asarray([screen_memo[c] for c in visited])
-        kept = oracle.keep(costs, oracle.top_k)
-        verify = list(kept)
-        if 0 not in verify:
-            verify.append(0)
-        best, best_cost = None, math.inf
-        for index in verify:
-            exact_cost, _ = cost_of(visited[index])
-            if exact_cost < best_cost:
-                best, best_cost = visited[index], exact_cost
-        screened = len(visited)
-        top_k = oracle.top_k
-        screen_agreement = best == visited[kept[0]]
-        oracle.record(screened, len(verify), screen_agreement)
-
     best_cost, best_metrics = cost_of(best)
     obs.add("search.walks")
     obs.add("search.proposals", iterations)
@@ -367,8 +280,6 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
     obs.add("search.memo_hits", memo_hits)
     if repairs:
         obs.add("search.repairs", repairs)
-    if screens:
-        obs.add("search.screened", screened)
     reference = paper_cost if paper_feasible else start_cost
     gap = (reference - best_cost) / reference if reference > 0 else 0.0
     return SearchOutcome(
@@ -387,17 +298,13 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
         best_metrics=dict(best_metrics),
         best_candidate=candidate_to_mapping(best),
         best_plan=plan_from_candidate(candidate_app, best),
-        screened=screened,
-        top_k=top_k,
-        screen_agreement=screen_agreement,
     )
 
 
 def search_token(token: str, num_cores: int = 8,
                  algorithm: str = "anneal", cost: str = "power",
                  iterations: int = SEARCH_ITERATIONS, seed: int = 0,
-                 duration_s: float = ORACLE_DURATION_S,
-                 oracle: CostOracle | None = None) -> SearchOutcome:
+                 duration_s: float = ORACLE_DURATION_S) -> SearchOutcome:
     """Regenerate an app from its token and search its placements.
 
     Raises:
@@ -408,4 +315,4 @@ def search_token(token: str, num_cores: int = 8,
     return search_mapping(app, num_cores=num_cores, algorithm=algorithm,
                           cost=cost, iterations=iterations, seed=seed,
                           duration_s=duration_s, token=token,
-                          family=family, oracle=oracle)
+                          family=family)

@@ -50,11 +50,6 @@ Families:
   algorithm (``anneal``/``greedy``), the cost oracle, the proposal
   budget and the walk seed.  ``simulated_s`` counts the oracle calls
   actually paid (memoised duplicates are free).
-* ``search-fast`` — the same walk on the two-tier oracle
-  (:mod:`repro.oracle`): ``screen_budget`` proposals are scored by
-  the vectorised analytic model, only the ``top_k`` survivors pay a
-  full simulation.  Reports ``screened`` and ``screen_agreement``
-  on top of the ``search`` metrics.
 
 Every metric mapping carries ``simulated_s``: the simulated seconds
 the point covered, the numerator of the benchmark schema's
@@ -83,7 +78,6 @@ from ..net.node import APPS
 from ..net.scenarios import generated_scenario
 from ..net.stats import improvement_ratio
 from ..net.streaming import run_streaming
-from ..oracle import TWO_TIER_SCREEN_BUDGET, TWO_TIER_TOP_K, get_two_tier
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ
 from ..search import ORACLE_DURATION_S, SEARCH_ITERATIONS, search_token
 from ..sysc.engine import Mode, simulate, uniform_schedule
@@ -155,13 +149,6 @@ HEADLINE_METRICS: dict[str, tuple[str, ...]] = {
         "paper_cost",
         "best_cost",
         "gap",
-        "evaluations",
-    ),
-    "search-fast": (
-        "status",
-        "best_cost",
-        "gap",
-        "screened",
         "evaluations",
     ),
 }
@@ -485,12 +472,6 @@ def run_search_point(point: dict[str, Value]) -> dict[str, Value]:
         )
     except ValueError as exc:
         raise RunnerError(str(exc)) from None
-    return _search_metrics(outcome, duration_s, int(seed))
-
-
-def _search_metrics(outcome, duration_s: float,
-                    seed: int) -> dict[str, Value]:
-    """Flatten one search outcome into the shared metric mapping."""
     metrics: dict[str, Value] = {
         "simulated_s": outcome.evaluations * duration_s,
         "app": outcome.app,
@@ -507,51 +488,10 @@ def _search_metrics(outcome, duration_s: float,
         "evaluations": outcome.evaluations,
         "accepted": outcome.accepted,
         "infeasible": outcome.infeasible,
-        "seed": seed,
+        "seed": int(seed),
     }
     for key, value in sorted(outcome.best_metrics.items()):
         metrics[f"best_{key}"] = value
-    return metrics
-
-
-def run_search_fast_point(point: dict[str, Value]) -> dict[str, Value]:
-    """Search one app's placements on the two-tier oracle.
-
-    The walk screens ``screen_budget`` proposals through the
-    vectorised analytic model and simulates only the ``top_k``
-    survivors (plus the start), so ``simulated_s`` — exact oracle
-    calls actually paid — is a small fraction of the ``search``
-    family's at the same budget.  Adds ``screened``, ``top_k`` and
-    ``screen_agreement`` to the ``search`` metrics.
-    """
-    token = str(_param(point, "gen_app", "pipeline:2014:0"))
-    algorithm = str(_param(point, "algorithm", "anneal"))
-    cost = str(_param(point, "cost", "power"))
-    screen_budget = int(
-        _param(point, "screen_budget", TWO_TIER_SCREEN_BUDGET))
-    top_k = int(_param(point, "top_k", TWO_TIER_TOP_K))
-    num_cores = int(_param(point, "num_cores", 8))
-    duration_s = float(_param(point, "duration_s", ORACLE_DURATION_S))
-    seed = point.get("seed")
-    if seed is None:
-        seed = stable_seed("search-fast", dict(point))
-    try:
-        oracle = get_two_tier(cost, duration_s, top_k=top_k,
-                              screen_budget=screen_budget)
-        outcome = search_token(
-            token,
-            num_cores=num_cores,
-            algorithm=algorithm,
-            iterations=screen_budget,
-            seed=int(seed),
-            oracle=oracle,
-        )
-    except ValueError as exc:
-        raise RunnerError(str(exc)) from None
-    metrics = _search_metrics(outcome, duration_s, int(seed))
-    metrics["screened"] = outcome.screened
-    metrics["top_k"] = outcome.top_k
-    metrics["screen_agreement"] = outcome.screen_agreement
     return metrics
 
 
@@ -609,7 +549,6 @@ RUNNERS: dict[str, Callable[[dict], dict]] = {
     "gen": run_gen_point,
     "cover": run_cover_point,
     "search": run_search_point,
-    "search-fast": run_search_fast_point,
 }
 
 

@@ -223,25 +223,6 @@ SEARCH = SweepSpec(
     ),
 )
 
-SEARCH_FAST = SweepSpec(
-    name="search-fast",
-    runner="search-fast",
-    description="two-tier placement search: analytic screen, "
-                "exact top-k verify",
-    axes=(
-        generated_app_axis(seed=2014, count=4),
-        ("algorithm", ("greedy", "anneal")),
-    ),
-    base=(
-        ("cost", "power"),
-        ("screen_budget", 48),
-        ("top_k", 3),
-        ("duration_s", 1.0),
-        ("num_cores", 8),
-        ("seed", 2014),
-    ),
-)
-
 #: All built-in campaigns, keyed by name.
 SPECS: dict[str, SweepSpec] = {
     spec.name: spec
@@ -260,7 +241,6 @@ SPECS: dict[str, SweepSpec] = {
         GEN,
         COVER,
         SEARCH,
-        SEARCH_FAST,
     )
 }
 
@@ -279,7 +259,6 @@ BENCH_SPECS: dict[str, SweepSpec] = {
         GEN,
         COVER,
         SEARCH,
-        SEARCH_FAST,
     )
 }
 

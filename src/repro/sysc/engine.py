@@ -10,6 +10,14 @@ synchronization activity — everything
 :func:`repro.power.energy.compute_power` needs, plus the behavioural
 rows of Table I.
 
+Between two abnormal beats every core's queue gains and drains the
+same amount each sample, so :func:`simulate` replays each queue in
+closed form from one arrival to the next (:func:`_replay`) instead of
+stepping every sample: 60 s of ECG costs one step per abnormal beat
+and core, not 15,000 ticks.  ``tests/sysc/reference_engine.py`` keeps
+the per-sample tick loop as the differential oracle it is tested
+against.
+
 Three execution modes mirror the paper's comparisons:
 
 * ``SINGLE_CORE`` — the baseline: all phases time-share one core that
@@ -166,23 +174,69 @@ class SimulationResult:
         return self.mapping.code_overhead
 
 
-@dataclass
-class _CoreState:
-    """Work-queue state of one simulated core."""
+@dataclass(frozen=True)
+class _Core:
+    """Work sources of one simulated core.
 
-    phase_name: str
-    streaming_cycles: float  # enqueued every sample
-    streaming_sync: float
+    Attributes:
+        load: cycles enqueued every tick (streaming work plus its
+            sync instructions).
+        sync: sync instructions among ``load``.
+        dm_rate: data accesses per executed cycle.
+        beat_work: cycles enqueued per abnormal beat, one entry per
+            triggered phase the core serves (app phase order).
+        beat_sync: sync instructions among one beat's work.
+        group: lock-step group (phase name); None outside a group.
+        alignment: lock-step alignment of the group (0 without sync).
+        shared_read_fraction: fraction of the group's data reads
+            that merge.
+    """
+
+    load: float
+    sync: float
     dm_rate: float
-    queue: float = 0.0
-    executed: float = 0.0
-    spin: float = 0.0
-    dm_accesses: float = 0.0
-    sync_ops: float = 0.0
-    executed_this_tick: float = 0.0
-    group: str | None = None  # lock-step group (phase name)
-    shared_read_fraction: float = 0.0
+    beat_work: tuple[float, ...] = ()
+    beat_sync: float = 0.0
+    group: str | None = None
     alignment: float = 0.0
+    shared_read_fraction: float = 0.0
+
+
+def _replay(core: _Core, capacity: float,
+            beats: Sequence[tuple[int, int]],
+            ticks: int) -> tuple[float, float]:
+    """Executed cycles and peak backlog of one core's work queue.
+
+    Every tick enqueues ``core.load`` and executes up to ``capacity``
+    cycles; an abnormal beat enqueues ``core.beat_work`` at the start
+    of its tick.  Between arrivals the backlog moves by the same
+    ``d = load - capacity`` every tick, so a gap of ``g`` ticks that
+    starts with backlog ``q`` leaves ``max(0, q + g*d)``, executes
+    ``q + g*load`` minus that, and peaks after its first tick at
+    ``max(0, q + d)`` (at its end when ``d > 0``).  That is the
+    sample-granularity tick loop, one step per arrival tick.
+
+    Args:
+        core: the core's work sources.
+        capacity: cycles the core executes per tick.
+        beats: ``(tick, abnormal beats)`` pairs, ascending ticks in
+            ``[0, ticks)``.
+        ticks: samples simulated.
+    """
+    excess = core.load - capacity
+    queue = executed = peak = 0.0
+    start = 0
+    for tick, count in [*beats, (ticks, 0)]:
+        gap = tick - start
+        if gap:
+            end = max(0.0, queue + gap * excess)
+            executed += queue + gap * core.load - end
+            peak = max(peak, end if excess > 0 else queue + excess)
+            queue = end
+        for work in core.beat_work:
+            queue += work * count
+        start = tick
+    return executed, peak
 
 
 def _required_clock_mhz(app: AppSpec, mode: Mode,
@@ -246,49 +300,39 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
                                  single_core=not multicore,
                                  floor_mhz=floor_mhz)
 
-    # ------------------------------------------------------------------
-    # Build per-core state.
-    # ------------------------------------------------------------------
     with_sync = mode is Mode.MULTI_CORE
-    cores: list[_CoreState] = []
-    triggered_cores: dict[str, list[int]] = {}
+    span = app.beat_span_samples
+    cores: list[_Core] = []
     if multicore:
         for assignment in mapping.assignments:
             phase = app.phase(assignment.phase)
+            sync = phase.sync_ops_per_sample if with_sync else 0.0
             streaming = phase.trigger is Trigger.STREAMING
-            state = _CoreState(
-                phase_name=phase.name,
-                streaming_cycles=phase.cycles_per_sample
-                if streaming else 0.0,
-                streaming_sync=phase.sync_ops_per_sample
-                if (streaming and with_sync) else 0.0,
+            cores.append(_Core(
+                load=phase.cycles_per_sample + sync if streaming else 0.0,
+                sync=sync if streaming else 0.0,
                 dm_rate=phase.dm_access_rate,
+                beat_work=() if streaming
+                else ((phase.cycles_per_sample + sync) * span,),
+                beat_sync=0.0 if streaming else sync * span,
                 group=phase.name if (phase.replicas > 1
                                      and phase.lockstep_alignment > 0)
                 else None,
-                shared_read_fraction=phase.shared_read_fraction,
                 alignment=phase.lockstep_alignment if with_sync else 0.0,
-            )
-            cores.append(state)
-            if not streaming:
-                triggered_cores.setdefault(phase.name, []).append(
-                    len(cores) - 1)
+                shared_read_fraction=phase.shared_read_fraction,
+            ))
     else:
-        streaming_total = app.streaming_cycles_per_sample
         rates = [(phase.cycles_per_sample * phase.replicas,
                   phase.dm_access_rate) for phase in app.phases]
         total = sum(cycles for cycles, _ in rates) or 1.0
         blended_rate = sum(cycles * rate for cycles, rate in rates) / total
-        cores.append(_CoreState(
-            phase_name="all", streaming_cycles=streaming_total,
-            streaming_sync=0.0, dm_rate=blended_rate))
-        for phase in app.phases:
-            if phase.trigger is not Trigger.STREAMING:
-                triggered_cores.setdefault(phase.name, []).append(0)
+        cores.append(_Core(
+            load=app.streaming_cycles_per_sample, sync=0.0,
+            dm_rate=blended_rate,
+            beat_work=tuple(phase.cycles_per_sample * span
+                            for phase in app.phases
+                            if phase.trigger is not Trigger.STREAMING)))
 
-    # ------------------------------------------------------------------
-    # Tick loop at sample granularity.
-    # ------------------------------------------------------------------
     fs = app.fs
     ticks = int(round(duration_s * fs))
     capacity = point.cycles_per_second / fs  # cycles per tick
@@ -297,76 +341,53 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         if event.abnormal and 0 <= event.sample < ticks:
             beats_by_tick[event.sample] = \
                 beats_by_tick.get(event.sample, 0) + 1
+    beats = sorted(beats_by_tick.items())
+    abnormal_beats = sum(beats_by_tick.values())
 
     obs.add("engine.simulations")
     obs.add(f"engine.mode.{mode.value}")
     obs.add("engine.ticks", ticks)
-    abnormal_beats = sum(beats_by_tick.values())
     if abnormal_beats:
         obs.add("engine.beats.abnormal", abnormal_beats)
 
-    groups: dict[str, list[_CoreState]] = {}
-    for state in cores:
-        if state.group is not None:
-            groups.setdefault(state.group, []).append(state)
+    executed: list[float] = []
+    max_queue = 0.0
+    for core in cores:
+        done, peak = _replay(core, capacity, beats, ticks)
+        executed.append(done)
+        max_queue = max(max_queue, peak)
 
+    # Lock-step replicas run identical queues, so whenever one executes
+    # all do, and each tick merges (n - 1)/n of the group's fetches.
     im_merged = 0.0
     dm_merged = 0.0
-    max_queue = 0.0
-    triggered_sync = {
-        phase.name: (phase.sync_ops_per_sample if with_sync else 0.0)
-        for phase in app.phases
-    }
-    for tick in range(ticks):
-        arrivals = beats_by_tick.get(tick, 0)
-        if arrivals:
-            for phase in app.phases:
-                if phase.trigger is not Trigger.ON_ABNORMAL:
-                    continue
-                work = (phase.cycles_per_sample
-                        + triggered_sync[phase.name]) \
-                    * app.beat_span_samples * arrivals
-                for core_index in triggered_cores.get(phase.name, []):
-                    state = cores[core_index]
-                    state.queue += work
-                    state.sync_ops += (triggered_sync[phase.name]
-                                       * app.beat_span_samples * arrivals)
-        for state in cores:
-            state.queue += state.streaming_cycles + state.streaming_sync
-            state.sync_ops += state.streaming_sync
-            executed = min(state.queue, capacity)
-            state.queue -= executed
-            state.executed += executed
-            state.executed_this_tick = executed
-            state.dm_accesses += executed * state.dm_rate
-            if mode is Mode.MULTI_CORE_NO_SYNC:
-                spin = capacity - executed
-                state.spin += spin
-                state.dm_accesses += spin * SPIN_DM_RATE
-            max_queue = max(max_queue, state.queue)
-        for members in groups.values():
-            active = [m for m in members if m.executed_this_tick > 0]
-            if len(active) < 2:
-                continue
-            share = (len(active) - 1) / len(active)
-            fetched = sum(m.executed_this_tick for m in active)
-            alignment = active[0].alignment
-            im_merged += alignment * share * fetched
-            dm_merged += (alignment * share
-                          * active[0].shared_read_fraction
-                          * sum(m.executed_this_tick * m.dm_rate
-                                for m in active))
+    groups: dict[str, list[int]] = {}
+    for index, core in enumerate(cores):
+        if core.group is not None:
+            groups.setdefault(core.group, []).append(index)
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        lead = cores[members[0]]
+        weight = lead.alignment * ((len(members) - 1) / len(members))
+        im_merged += weight * sum(executed[i] for i in members)
+        dm_merged += (weight * lead.shared_read_fraction
+                      * sum(executed[i] * cores[i].dm_rate
+                            for i in members))
 
-    # ------------------------------------------------------------------
-    # Aggregate.
-    # ------------------------------------------------------------------
-    total_executed = sum(state.executed for state in cores)
-    total_spin = sum(state.spin for state in cores)
-    total_fetch = total_executed + total_spin
-    total_dm = sum(state.dm_accesses for state in cores)
-    total_sync = sum(state.sync_ops for state in cores) if with_sync else 0.0
-    sync_writes = total_sync * SYNC_WRITE_FRACTION
     wall_cycles = ticks * capacity
+    total_executed = sum(executed)
+    total_dm = sum(done * core.dm_rate
+                   for done, core in zip(executed, cores))
+    total_spin = 0.0
+    if mode is Mode.MULTI_CORE_NO_SYNC:
+        # Active waiting: every idle cycle spins on a polling loop.
+        total_spin = sum(wall_cycles - done for done in executed)
+        total_dm += total_spin * SPIN_DM_RATE
+    total_fetch = total_executed + total_spin
+    total_sync = sum(core.sync * ticks + core.beat_sync * abnormal_beats
+                     for core in cores)
+    sync_writes = total_sync * SYNC_WRITE_FRACTION
 
     activity = ActivityVector(
         cycles=wall_cycles,

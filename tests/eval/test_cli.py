@@ -201,69 +201,6 @@ def test_cli_search_rejects_unknown_algorithm():
         main(["search", "--algorithm", "nonsense"])
 
 
-def test_cli_search_two_tier_is_byte_identical(capsys, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["search", "--seed", "7", "--count", "3", "--duration", "1",
-            "--oracle", "two-tier", "--screen-budget", "12",
-            "--top-k", "2", "--json"]
-    assert main(argv + [str(a)]) == 0
-    out = capsys.readouterr().out
-    assert "oracle: two-tier, 12 analytic proposal(s)/walk" in out
-    assert "screening:" in out
-    assert "calibration over" in out
-    assert main(argv + [str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-    payload = json.loads(a.read_text())
-    assert payload["schema"] == "repro-search/2"
-    assert payload["oracle"] == "two-tier"
-    assert payload["top_k"] == 2
-    assert payload["screen_budget"] == 12
-    assert payload["screen_summary"]["screened"] > 0
-    assert payload["calibration"]["errors"]["max"] <= 1e-6
-    for outcome in payload["outcomes"]:
-        if outcome["status"] != "rejected":
-            assert outcome["oracle"] == "two-tier"
-            assert outcome["screened"] > 0
-            assert outcome["top_k"] == 2
-
-
-def test_cli_search_exact_oracle_keeps_v1_schema(capsys, tmp_path):
-    path = tmp_path / "search.json"
-    assert main(["search", "--seed", "7", "--count", "2",
-                 "--iterations", "8", "--duration", "1",
-                 "--oracle", "exact", "--json", str(path)]) == 0
-    capsys.readouterr()
-    payload = json.loads(path.read_text())
-    assert payload["schema"] == "repro-search/1"
-    assert "screen_summary" not in payload
-    assert "calibration" not in payload
-    for outcome in payload["outcomes"]:
-        assert "screened" not in outcome
-
-
-def test_cli_search_rejects_unknown_oracle():
-    with pytest.raises(SystemExit):
-        main(["search", "--oracle", "nonsense"])
-
-
-def test_cli_search_rejects_bad_top_k(capsys):
-    assert main(["search", "--seed", "3", "--count", "1", "--duration",
-                 "1", "--oracle", "two-tier", "--top-k", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err == ("python -m repro.eval: error: "
-                   "top-k must be >= 1, got 0\n")
-
-
-def test_cli_search_rejects_budget_below_top_k(capsys):
-    assert main(["search", "--seed", "3", "--count", "1", "--duration",
-                 "1", "--oracle", "two-tier", "--top-k", "5",
-                 "--screen-budget", "4"]) == 2
-    err = capsys.readouterr().err
-    assert err == ("python -m repro.eval: error: "
-                   "screen budget must be >= top-k, got 4 < 5\n")
-
-
 def test_cli_net_tiers_renders_hierarchy(capsys):
     assert main(["net", "--tiers", "tiers:ftsp@5x2/rbs@1x3:dense-ward",
                  "--duration", "2"]) == 0

@@ -280,47 +280,6 @@ def test_render_search_golden():
     assert render_search(_search_fixture()) == expected
 
 
-def _two_tier_fixture() -> SearchReport:
-    base = _search_fixture()
-    ok, repaired, rejected = base.outcomes
-    return replace(
-        base,
-        oracle="two-tier",
-        top_k=3,
-        screen_budget=24,
-        calibration={
-            "kind": "power", "duration_s": 2.0, "num_cores": 8,
-            "apps": 2, "samples": 12,
-            "errors": {"count": 12, "min": 0.0, "p50": 1.5e-16,
-                       "p90": 9.8e-16, "max": 9.8e-16,
-                       "mean": 3.1e-16},
-        },
-        outcomes=(
-            replace(ok, oracle="two-tier", screened=24, top_k=3,
-                    screen_agreement=True),
-            replace(repaired, oracle="two-tier", screened=24, top_k=3,
-                    screen_agreement=False),
-            rejected,
-        ))
-
-
-def test_render_search_two_tier_screen_block_golden():
-    """The screen-stats block is pinned byte-for-byte."""
-    expected = dedent("""\
-        Placement search: seed 7, 3 app(s), anneal/power, 40 iteration(s), 8 cores, 2 s/eval
-          app               family      status   start             paper     best   gap%  evals banks cores
-          -------------------------------------------------------------------------------------------------
-          G00-pipeline      pipeline    ok       paper             72.69    72.08   0.84     15     2     3
-          G01-fork-join     fork-join   repaired balanced              -    47.50   5.00     20     4     6
-          G02-fan-in        fan-in      rejected                       -        -      -      -     -     -
-          placements: 1 ok, 1 repaired, 1 rejected
-          gap over 2 placed app(s): p50 2.92 %, p90 4.58 %, max 5.00 %
-          oracle: two-tier, 24 analytic proposal(s)/walk, top-3 exact-verified
-          screening: 48 candidate(s) screened, 35 simulated, agreement 1/2
-          calibration over 12 sample(s): rel err p50 1.5e-16, p90 9.8e-16, max 9.8e-16""")
-    assert render_search(_two_tier_fixture()) == expected
-
-
 def test_render_search_elides_population_scale_tables():
     base = _search_fixture()
     ok = base.outcomes[0]

@@ -1,5 +1,6 @@
 """Tests for the mapping-policy explorer."""
 
+import numpy as np
 import pytest
 
 from repro.apps.phases import AppSpec, PhaseSpec, SectionSpec
@@ -16,6 +17,7 @@ from repro.gen.explorer import (
     STATUS_REJECTED,
     STATUS_REPAIRED,
     ExplorationRecord,
+    keep_top_k,
     policy_rates,
 )
 
@@ -163,6 +165,17 @@ def test_explore_is_app_major_and_validates_policies():
     ]
     with pytest.raises(ValueError):
         explore(tokens, policies=("nope",), duration_s=1.0)
+
+
+def test_keep_top_k_ranks_best_first():
+    costs = np.array([5.0, 1.0, 3.0, 2.0])
+    assert keep_top_k(costs, 2) == [1, 3]
+    assert keep_top_k(costs, 10) == [1, 3, 2, 0]
+
+
+def test_keep_top_k_breaks_ties_by_position():
+    costs = np.array([2.0, 1.0, 1.0, 1.0])
+    assert keep_top_k(costs, 2) == [1, 2]
 
 
 def test_screen_policies_simulates_only_the_kept():

@@ -1,11 +1,9 @@
-"""Compute fast-path tests: keys, cache tiers, byte-determinism.
+"""Compute fast-path tests: keys, cache, byte-determinism.
 
-The resolver's contract has three load-bearing halves, each pinned
-here: the exact tier is *byte-identical* to the legacy inline path
-(golden artifacts captured before the resolver landed), the analytic
-tier agrees with exact simulation to calibration accuracy on every
-scenario preset, and every artifact is deterministic across hash
-seeds, worker counts, cache temperature and kill-and-resume.
+The resolver's contract has two load-bearing halves, each pinned
+here: it is *byte-identical* to inline per-node simulation (plus
+golden artifacts), and every artifact is deterministic across hash
+seeds, worker counts and cache temperature.
 """
 
 import json
@@ -32,7 +30,7 @@ from repro.net.compute import (
 from repro.net.fleet import run_fleet
 from repro.net.hierarchy import profile_key, profile_table
 from repro.net.node import build_node
-from repro.net.scenarios import SCENARIOS, get_scenario, parse_scenario
+from repro.net.scenarios import get_scenario, parse_scenario
 from repro.power.energy import PowerReport
 from repro.power.vfs import OperatingPoint
 from repro.sysc.engine import (
@@ -132,7 +130,7 @@ def test_exact_resolver_matches_legacy_inline():
     exact = run_fleet("dense-ward", n_nodes=6, duration_s=2.0,
                       compute="exact")
     assert legacy.compute is None
-    assert exact.compute is not None and exact.compute.mode == "exact"
+    assert exact.compute is not None
     assert exact.summary == legacy.summary
     assert _strip_provenance(exact.nodes) == legacy.nodes
     assert all(node.compute_tier == "exact" and node.compute_key
@@ -152,7 +150,7 @@ def test_profile_table_matches_simulate():
         base = parse_scenario(token)
         clear_process_caches()
         table, summary = profile_table(
-            base, 2.0, ComputeResolver(ComputeSettings(mode="exact")))
+            base, 2.0, ComputeResolver(ComputeSettings()))
         bindings = base.apps.universe(base.abnormal_ratio)
         assert summary.requests == len(bindings)
         bpm = (base.bpm_range[0] + base.bpm_range[1]) / 2.0
@@ -170,43 +168,12 @@ def test_profile_table_matches_simulate():
     assert modes == {Mode.MULTI_CORE, Mode.SINGLE_CORE}
 
 
-# ---------------------------------------------------------------------------
-# Analytic tier: parity with exact simulation on every preset
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("preset", sorted(SCENARIOS))
-def test_analytic_parity_on_preset(preset):
-    clear_process_caches()
-    exact = run_fleet(preset, n_nodes=6, duration_s=2.0,
-                      compute="exact")
-    clear_process_caches()  # force the analytic tier to do real work
-    analytic = run_fleet(preset, n_nodes=6, duration_s=2.0,
-                         compute="analytic")
-    summary = analytic.compute
-    assert summary.mode == "analytic"
-    assert summary.calibration is not None
-    assert summary.calibration["within"] is True
-    assert summary.screened > 0
-    assert summary.screened + summary.exact == summary.requests
-    # The radio/clock/sync half is shared verbatim.
-    assert analytic.summary.sync == exact.summary.sync
-    assert analytic.summary.steady_sync == exact.summary.steady_sync
-    assert analytic.summary.unsync == exact.summary.unsync
-    assert analytic.summary.beacons_heard == exact.summary.beacons_heard
-    # Power agrees to calibration accuracy (closed-form vs RTL walk).
-    assert analytic.summary.mean_power_uw == pytest.approx(
-        exact.summary.mean_power_uw, rel=1e-9)
-    for a, b in zip(analytic.nodes, exact.nodes):
-        assert a.power.total_uw == pytest.approx(b.power.total_uw,
-                                                 rel=1e-9)
-
-
-def test_analytic_worker_count_determinism():
+def test_exact_worker_count_determinism():
     clear_process_caches()
     serial = run_fleet(GEN, n_nodes=10, duration_s=2.0,
-                       compute="analytic", workers=1)
+                       compute="exact", workers=1)
     parallel = run_fleet(GEN, n_nodes=10, duration_s=2.0,
-                         compute="analytic", workers=3)
+                         compute="exact", workers=3)
     assert parallel.mode == "parallel"
     assert parallel.summary == serial.summary
     assert parallel.nodes == serial.nodes
@@ -218,14 +185,10 @@ def test_analytic_worker_count_determinism():
 # ---------------------------------------------------------------------------
 
 def test_summary_counters_are_logical():
-    summary = ComputeSummary(mode="analytic", requests=24,
-                             distinct_keys=9, screened=20, exact=4)
+    summary = ComputeSummary(requests=24, distinct_keys=9)
     assert summary.cache_hits == 15
     assert summary.cache_misses == 9
     assert summary.cache_stores == 9
-    block = summary.to_mapping()
-    assert block["cache"] == {"hits": 15, "misses": 9, "stores": 9}
-    assert "calibration" not in block
 
 
 def test_resolver_summary_identical_cold_and_warm():
@@ -235,7 +198,7 @@ def test_resolver_summary_identical_cold_and_warm():
         for node_id in range(6)
     ]
     clear_process_caches()
-    resolver = ComputeResolver(ComputeSettings(mode="exact"))
+    resolver = ComputeResolver(ComputeSettings())
     cold = resolver.resolve(requests)
     warm = resolver.resolve(requests)  # memo now serves every key
     assert warm.summary == cold.summary
@@ -246,12 +209,10 @@ def test_resolver_summary_identical_cold_and_warm():
 def test_disk_cache_cold_vs_warm_nodes_identical(tmp_path, monkeypatch):
     monkeypatch.setenv(COMPUTE_CACHE_ENV, str(tmp_path))
     clear_process_caches()
-    cold = run_fleet(GEN, n_nodes=8, duration_s=2.0,
-                     compute="analytic")
+    cold = run_fleet(GEN, n_nodes=8, duration_s=2.0, compute="exact")
     assert list(tmp_path.rglob("*.json"))  # disk layer engaged
     clear_process_caches()  # second run must be served from disk
-    warm = run_fleet(GEN, n_nodes=8, duration_s=2.0,
-                     compute="analytic")
+    warm = run_fleet(GEN, n_nodes=8, duration_s=2.0, compute="exact")
     assert warm.summary == cold.summary
     assert warm.nodes == cold.nodes
     assert warm.compute == cold.compute
@@ -315,12 +276,12 @@ def test_report_rebuilds_in_canonical_category_order():
 
 def test_compute_settings_normalisation():
     assert compute_settings(None) is None
-    settings = compute_settings("analytic", "/tmp/x")
-    assert settings == ComputeSettings(mode="analytic",
-                                       cache_dir="/tmp/x")
+    settings = compute_settings("exact", "/tmp/x")
+    assert settings == ComputeSettings(cache_dir="/tmp/x")
     assert compute_settings(settings) is settings
-    with pytest.raises(ValueError):
-        compute_settings("fuzzy")
+    for unknown in ("analytic", "fuzzy"):
+        with pytest.raises(ValueError, match="unknown compute mode"):
+            compute_settings(unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -363,40 +324,14 @@ def test_generated_universe_covers_every_fleet_binding():
 ])
 def test_exact_mode_artifact_matches_pre_resolver_golden(
         args, golden, tmp_path):
-    """Default ``--compute exact`` must reproduce the pre-PR bytes."""
+    """``net`` artifacts (exact compute resolver) are pinned bytes."""
     out = _eval_net(args, tmp_path, "artifact.json")
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_analytic_artifact_stable_across_hash_seeds(tmp_path):
+def test_exact_artifact_stable_across_hash_seeds(tmp_path):
     args = ["--scenario", "dense-ward", "--nodes", "6",
-            "--duration", "2", "--compute", "analytic"]
+            "--duration", "2"]
     a = _eval_net(args, tmp_path, "a.json", PYTHONHASHSEED="1")
     b = _eval_net(args, tmp_path, "b.json", PYTHONHASHSEED="42")
     assert a.read_bytes() == b.read_bytes()
-    payload = json.loads(a.read_text(encoding="utf-8"))
-    block = payload["compute_summary"]
-    assert block["mode"] == "analytic"
-    assert block["calibration"]["within"] is True
-    assert block["cache"]["hits"] == \
-        block["requests"] - block["distinct_keys"]
-
-
-def test_analytic_streaming_kill_and_resume_byte_identical(tmp_path):
-    token = "tiers:ftsp@4x10/rbs@2x10:dense-ward"
-    base = ["--tiers", token, "--duration", "2", "--wave", "2",
-            "--compute", "analytic"]
-    ckpt = tmp_path / "ckpt"
-    interrupted = tmp_path / "resumed.json"
-    subprocess.run(
-        [sys.executable, "-m", "repro.eval", "net", *base,
-         "--checkpoint-dir", str(ckpt), "--max-waves", "1",
-         "--json", str(interrupted)],
-        check=True, cwd=tmp_path, env=_subprocess_env(),
-        stdout=subprocess.DEVNULL)
-    assert not interrupted.exists()  # incomplete runs write nothing
-    resumed = _eval_net(
-        base + ["--checkpoint-dir", str(ckpt)], tmp_path,
-        "resumed.json")
-    cold = _eval_net(base, tmp_path, "cold.json")
-    assert resumed.read_bytes() == cold.read_bytes()

@@ -42,6 +42,14 @@ def test_worker_count_does_not_change_the_result():
     assert parallel.tiers == serial.tiers
 
 
+def test_reported_workers_are_capped_by_wave_and_subtrees():
+    """No wave runs more subtrees in parallel than it holds."""
+    assert _run(workers=8).workers == 3  # 3 subtrees
+    assert _run(workers=8, wave_size=2).workers == 2
+    assert _run(workers=2, wave_size=1).workers == 1
+    assert _run(workers=2).workers == 2
+
+
 def test_summary_counts_match_the_spec_shape():
     result = _run()
     spec = parse_hierarchy(TOKEN)

@@ -2,20 +2,16 @@
 
 Mirrors ``tests/search/test_determinism.py``: fresh interpreters with
 *different* ``PYTHONHASHSEED`` values must score the same population
-to the same bytes, and a whole two-tier search campaign must emit a
-byte-identical ``repro-search/2`` payload — the numpy reduction and
-the screen/verify bookkeeping must draw nothing from hash
+to the same bytes — the numpy reduction must draw nothing from hash
 randomisation or per-process state.
 """
 
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import repro
-from repro.eval.searchexp import run_search, search_payload
 
 #: Score a sampled population and print every array bit-exactly.
 _MODEL_DUMP_SCRIPT = """
@@ -32,16 +28,6 @@ print(json.dumps({
     "clock_mhz": [value.hex() for value in scores.clock_mhz.tolist()],
     "voltage": [value.hex() for value in scores.voltage.tolist()],
 }, sort_keys=True, separators=(",", ":")))
-"""
-
-#: Run a tiny two-tier campaign and print its canonical payload.
-_SEARCH_DUMP_SCRIPT = """
-import json
-from repro.eval.searchexp import run_search, search_payload
-report = run_search(seed=13, count=3, iterations=8, duration_s=1.0,
-                    oracle="two-tier", top_k=2, screen_budget=12)
-print(json.dumps(search_payload(report), sort_keys=True,
-                 separators=(",", ":")))
 """
 
 _SRC_ROOT = str(Path(repro.__file__).resolve().parent.parent)
@@ -62,16 +48,3 @@ def test_population_scores_identical_across_hashseeds():
     dumps = [_dump_with_hashseed(_MODEL_DUMP_SCRIPT, seed)
              for seed in ("0", "1", "4242")]
     assert dumps[0] == dumps[1] == dumps[2]
-
-
-def test_two_tier_campaign_identical_across_hashseeds():
-    dumps = [_dump_with_hashseed(_SEARCH_DUMP_SCRIPT, seed)
-             for seed in ("0", "1", "4242")]
-    assert dumps[0] == dumps[1] == dumps[2]
-    # And the subprocess output matches this very process too.
-    local = json.dumps(
-        search_payload(run_search(seed=13, count=3, iterations=8,
-                                  duration_s=1.0, oracle="two-tier",
-                                  top_k=2, screen_budget=12)),
-        sort_keys=True, separators=(",", ":")) + "\n"
-    assert dumps[0] == local

@@ -1,8 +1,8 @@
 """The vectorised analytic model against the exact cost oracle.
 
-The model claims to be a closed-form reduction of the multicore tick
-loop, exact up to float associativity — so every test here compares
-populations scored in one batched call against per-candidate
+The model claims to be a closed-form reduction of multi-core
+``simulate()``, exact up to float associativity — so every test here
+compares populations scored in one batched call against per-candidate
 ``simulate()`` and demands agreement at float-noise level (1e-9
 relative, orders of magnitude above the observed ~1e-15).
 """
@@ -11,23 +11,20 @@ import pytest
 
 from repro.apps import rp_class, three_lead_mf, three_lead_mmd
 from repro.gen.explorer import repair_app
-from repro.gen.generator import app_from_token
-from repro.oracle import AnalyticModel, score_population
+from repro.gen.generator import app_from_token, suite_tokens
+from repro.oracle import AnalyticModel, sample_candidates, score_population
 from repro.search.cost import ORACLE_KINDS, get_oracle
 from repro.search.space import plan_from_candidate
-from repro.oracle import sample_candidates
 
-#: Built-in benchmarks plus generated shapes (the fork-join and
-#: RP-CLASS entries exercise lock-step replicas and triggered
-#: phases — the two terms that are not a plain per-slot sum).
+#: Built-in benchmarks plus a generated suite, one app per topology
+#: family (the fork-join and RP-CLASS entries exercise lock-step
+#: replicas and triggered phases — the two terms that are not a plain
+#: per-slot sum).
 _APPS = (
     three_lead_mf(),
     three_lead_mmd(),
     rp_class(),
-    app_from_token("pipeline:2014:0"),
-    app_from_token("fork-join:2014:1"),
-    app_from_token("fan-in:2014:2"),
-    app_from_token("independent:2014:3"),
+    *(app_from_token(token) for token in suite_tokens(seed=2014, count=4)),
 )
 
 
@@ -55,6 +52,15 @@ def test_population_scores_match_exact_oracle(app, kind):
         assert set(analytic) == set(exact_metrics)
         for key, value in exact_metrics.items():
             assert analytic[key] == pytest.approx(value, rel=1e-9), key
+
+
+def test_sample_candidates_deterministic_and_distinct():
+    app = _repaired(three_lead_mmd())
+    first = sample_candidates(app, samples=6, seed=9)
+    second = sample_candidates(app, samples=6, seed=9)
+    assert first == second
+    assert len(set(first)) == len(first)
+    assert len(first) <= 6
 
 
 def test_metrics_integer_fields_are_python_ints():
