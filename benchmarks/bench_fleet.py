@@ -13,11 +13,13 @@ of the pluggable app-source seam) and is gated by the same
 ``fleet-gen`` campaign.
 
 The ``--mega`` mode exercises the streaming executor instead: it
-runs the same two-tier hierarchy at two sizes (~6k and ~100k nodes)
-and records peak RSS after each.  An executor that held per-node
-results would grow ~16x between the runs; the bounded one barely
-moves, and the regression gate pins both the nodes/second floor and
-the RSS ceiling from the emitted payload.
+streams a ~6k-node two-tier hierarchy, then a 1,000,001-node one
+(1,000 FTSP gateways of 999 RBS leaves each), in waves of
+``DEFAULT_WAVE_SUBTREES`` subtrees as the CLI does, and records peak
+RSS after each.  An executor that held per-node results would grow
+~150x between the runs; the bounded one barely moves, and the
+regression gate pins both the nodes/second floor and the RSS ceiling
+from the emitted payload.
 
 Run with::
 
@@ -39,6 +41,7 @@ sys.path.insert(0, os.path.dirname(__file__))  # plain-script runs
 from conftest import BENCH_DURATION_S  # noqa: E402
 
 from repro.net.fleet import run_fleet  # noqa: E402
+from repro.net.streaming import DEFAULT_WAVE_SUBTREES  # noqa: E402
 from repro.net.streaming import run_streaming  # noqa: E402
 from repro.sweep import BENCH_SCHEMA  # noqa: E402
 
@@ -105,32 +108,32 @@ def test_fleet_generated_parallel_matches_serial(benchmark):
     print(f"\ngenerated x4: {result.nodes_per_second:.1f} nodes/s")
 
 
-#: Hierarchy preset of the mega benchmark (~100k nodes, two tiers).
-MEGA_TIERS = "mega-campus"
+#: Hierarchy of the mega benchmark: 1,000,001 nodes, two tiers.
+MEGA_TIERS = "tiers:ftsp@10x1000~0.5/rbs@2x999:dense-ward"
 
-#: Same shape at 1/16th the subtrees (~6k nodes): the small leg of
-#: the bounded-memory comparison.
+#: The same tiers at ~6k nodes: the small leg of the bounded-memory
+#: comparison.
 MEGA_SMALL_TIERS = "tiers:ftsp@10x20~0.5/rbs@2x320:dense-ward"
 
 #: Simulated seconds per node of the mega benchmark (the hierarchy
-#: multiplies per-node work by ~100k).
+#: multiplies per-node work by ~1M).
 MEGA_DURATION_S = 2.0
 
 
 def measure_mega() -> dict:
     """Hand-timed streaming mega-fleet; returns the BENCH payload.
 
-    Runs the small hierarchy first, then the ~16x larger one, and
+    Runs the small hierarchy first, then the ~150x larger one, and
     records the process peak RSS after each.  ``rss_growth_mb`` is
     the high-water delta the big run added: near zero for the
     bounded streaming executor, hundreds of MB for anything holding
     per-node results.  ``nodes_per_s`` is the big run's throughput,
     which the regression gate holds to a floor.
     """
-    small = run_streaming(MEGA_SMALL_TIERS,
-                          duration_s=MEGA_DURATION_S, seed=1)
-    big = run_streaming(MEGA_TIERS, duration_s=MEGA_DURATION_S,
-                        seed=1)
+    small = run_streaming(MEGA_SMALL_TIERS, duration_s=MEGA_DURATION_S,
+                          seed=1, wave_size=DEFAULT_WAVE_SUBTREES)
+    big = run_streaming(MEGA_TIERS, duration_s=MEGA_DURATION_S, seed=1,
+                        wave_size=DEFAULT_WAVE_SUBTREES)
     nodes = big.summary.n_nodes + small.summary.n_nodes
     wall = big.elapsed_s + small.elapsed_s
     simulated = nodes * MEGA_DURATION_S

@@ -10,8 +10,8 @@ protocols and a sharded multiprocessing runner:
 * :mod:`repro.net.clock` — per-node oscillators (drift / jitter /
   power-loss resets).
 * :mod:`repro.net.radio` — beacon delivery and per-message energy.
-* :mod:`repro.net.timesync` — NoSync / reference-broadcast /
-  FTSP-style offset+skew protocols.
+* :mod:`repro.net.timesync` — the array sync replay of the
+  none / reference-broadcast / FTSP-style offset+skew protocols.
 * :mod:`repro.net.node` — clock + radio + a mapped ECG application.
 * :mod:`repro.net.compute` — the deduplicating, content-addressed
   compute cache fleets resolve app power through.
@@ -20,7 +20,7 @@ protocols and a sharded multiprocessing runner:
 * :mod:`repro.net.hierarchy` — cluster→gateway→backbone tiers with
   per-tier protocols and error compounding across hops.
 * :mod:`repro.net.streaming` — checkpointed bounded-memory waves for
-  mega-fleets (10k–1M nodes).
+  mega-fleets (10k–1M nodes), one array pass per subtree tier.
 * :mod:`repro.net.stats` — summary dataclasses shared with
   :mod:`repro.eval.report`.
 """
@@ -60,7 +60,6 @@ from .hierarchy import (
     WARD_CAMPUS,
     HierarchySpec,
     Tier,
-    compose_errors,
     get_hierarchy,
     hierarchy_token,
     hop_error_samples,
@@ -105,14 +104,7 @@ from .streaming import (
     StreamingRunner,
     run_streaming,
 )
-from .timesync import (
-    PROTOCOLS,
-    FtspSync,
-    NoSync,
-    ReferenceBroadcastSync,
-    SyncProtocol,
-    make_protocol,
-)
+from .timesync import PROTOCOLS, sync_replay
 
 __all__ = [
     "APPS",
@@ -141,7 +133,6 @@ __all__ = [
     "FleetResult",
     "FleetRunner",
     "FleetSummary",
-    "FtspSync",
     "GENERATED_SWARM",
     "GeneratedSuiteSource",
     "GroupStats",
@@ -154,33 +145,28 @@ __all__ = [
     "MIXED_CLINIC",
     "MixedSource",
     "NetworkNode",
-    "NoSync",
     "NodeResult",
     "PROTOCOLS",
     "REFERENCE_NODE_ID",
     "RadioEnergy",
     "RadioSpec",
     "Reception",
-    "ReferenceBroadcastSync",
     "ResolvedCompute",
     "SCENARIOS",
     "Scenario",
     "StreamingConfig",
     "StreamingRunner",
     "SyncError",
-    "SyncProtocol",
     "Tier",
     "TierSummary",
     "WARD_CAMPUS",
     "beacon_schedule",
     "build_node",
-    "compose_errors",
     "generated_scenario",
     "get_hierarchy",
     "get_scenario",
     "hierarchy_token",
     "hop_error_samples",
-    "make_protocol",
     "parse_hierarchy",
     "parse_scenario",
     "receive_beacons",
@@ -188,5 +174,6 @@ __all__ = [
     "run_streaming",
     "scenario_token",
     "source_from_mapping",
+    "sync_replay",
     "with_protocol",
 ]

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Callable, ClassVar
 
 from .. import obs
@@ -157,10 +158,15 @@ class BenchmarkSource:
         self, rng: random.Random, abnormal_ratio: float = 0.0
     ) -> AppBinding:
         """Draw one benchmark from the mix (one ``choices`` call)."""
-        names = [name for name, _ in self.mix]
-        weights = [weight for _, weight in self.mix]
-        name = rng.choices(names, weights=weights)[0]
+        names, cumulative = self._table
+        name = rng.choices(names, cum_weights=cumulative)[0]
         return _benchmark_binding(name, abnormal_ratio)
+
+    @cached_property
+    def _table(self) -> tuple[list[str], list[float]]:
+        """Names and cumulative weights, as ``choices`` takes them."""
+        names = [name for name, _ in self.mix]
+        return names, list(accumulate(weight for _, weight in self.mix))
 
     def universe(
         self, abnormal_ratio: float = 0.0

@@ -26,6 +26,8 @@ import bisect
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Conversion factor for drift expressed in parts-per-million.
 PPM = 1e-6
 
@@ -101,3 +103,22 @@ class LocalClock:
         if self.spec.jitter_s > 0.0:
             noisy += self._rng.gauss(0.0, self.spec.jitter_s)
         return noisy
+
+
+def read_clocks(
+    offset_s: np.ndarray,
+    drift_ppm: np.ndarray,
+    resets: np.ndarray | None,
+    at: np.ndarray,
+) -> np.ndarray:
+    """:meth:`LocalClock.read` of ``M`` clocks (``(M,)`` offsets and
+    drifts; ``(M, K)`` reset instants, ascending and ``inf``-padded, or
+    None) at global instants ``at``, ``(n,)`` or ``(M, n)``."""
+    rate = (1.0 + drift_ppm * PPM)[:, None]
+    plain = offset_s[:, None] + rate * at
+    if resets is None or not resets.shape[1]:
+        return plain
+    at = np.broadcast_to(at, plain.shape)
+    epoch = np.add.reduce(resets[:, :, None] <= at[:, None, :], axis=1)
+    last = np.take_along_axis(resets, np.maximum(epoch - 1, 0), axis=1)
+    return np.where(epoch > 0, rate * (at - last), plain)

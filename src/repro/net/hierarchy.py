@@ -17,19 +17,22 @@ body networks).  This module describes such deployments:
   sweep points and CLI arguments unchanged.
 
 **Error compounding.**  A member of tier *i* estimates its *parent's*
-clock from the beacons it hears (:func:`hop_error_samples`); its
-effective error to the backbone is that hop error composed with the
-parent's own effective error at the shared sample instants
-(:func:`compose_errors`).  The composition is first-order additive —
-exact for the free-running baselines (the telescoping sum collapses
-to leaf local clock minus backbone clock) and accurate to the product
-of per-hop errors otherwise, which is far below the errors
-themselves.
+clock from the beacons it hears (:func:`repro.net.timesync
+.sync_replay`); its effective error to the backbone is that hop
+error plus the parent's own effective error at the shared sample
+instants.  The composition is first-order additive — exact for the
+free-running baselines (the telescoping sum collapses to leaf local
+clock minus backbone clock) and accurate to the product of per-hop
+errors otherwise, which is far below the errors themselves.
 
-**Scale.**  Hierarchical fleets are sized in the tens of thousands of
-nodes, so per-node exact application simulation is off the table.
-Instead, node compute power is looked up (:func:`binding_power_uw`)
-in a per-app profile table (:func:`profile_table`) that resolves every
+**Draws.**  The root is one :func:`build_member`; tier members are
+drawn as arrays per (tier-0 subtree, tier) by :func:`draw_members`,
+so draws depend on neither worker count, wave size nor resume point.
+
+**Scale.**  Hierarchical fleets are sized up to a million nodes, so
+per-node exact application simulation is off the table.  Instead,
+node compute power is looked up (:func:`bindings_power_uw`) in a
+per-app profile table (:func:`profile_table`) that resolves every
 app the source can bind once, at the scenario's canonical heart rate,
 through :class:`repro.net.compute.ComputeResolver`.  Radio energy,
 clocks, receptions and sync errors remain exact per node.
@@ -37,12 +40,16 @@ clocks, receptions and sync errors remain exact per node.
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .. import obs
 from .appsource import AppBinding
-from .clock import LocalClock
+from .clock import LocalClock, read_clocks
 from .radio import Reception
 from .scenarios import (
     DENSE_WARD,
@@ -51,7 +58,7 @@ from .scenarios import (
     parse_scenario,
     scenario_token,
 )
-from .timesync import PROTOCOLS, make_protocol
+from .timesync import PROTOCOLS, sync_replay
 
 #: Prefix of hierarchy tokens (``tiers:<tier/...>:<base>``).
 TIERS_TOKEN_PREFIX = "tiers"
@@ -350,13 +357,10 @@ def parse_hierarchy(text: str) -> HierarchySpec:
 
 
 def _stream(seed: int, path: str, kind: str) -> random.Random:
-    """A named per-node stream keyed by the node's hierarchy path.
-
-    Paths are position-derived (``"3"`` is the fourth tier-0 subtree
-    root, ``"3.7"`` its eighth child), so a node's draws never depend
-    on wave boundaries or worker counts.  String seeding hashes
-    through SHA-512 inside :class:`random.Random` — stable across
-    processes, never ``hash()``.
+    """A named stream keyed by a position-derived hierarchy path
+    (``"root"``, or ``"3"`` for the fourth tier-0 subtree).  String
+    seeding hashes through SHA-512 inside :class:`random.Random` —
+    stable across processes, never ``hash()``.
     """
     return random.Random(f"{seed}:tiers:{path}:{kind}")
 
@@ -368,14 +372,11 @@ def build_member(
     seed: int,
     duration_s: float,
 ) -> tuple[AppBinding, LocalClock]:
-    """Bind one hierarchy member's app and build its clock.
+    """Bind one member's app and build its clock from its own streams.
 
-    Mirrors :func:`repro.net.node.build_node`'s draw discipline (app
-    binding, then the shared clock draw — all from the member's own
-    ``app`` stream) with two hierarchy twists: the tier's drift scale
-    multiplies the drawn magnitude, and only leaf-tier members suffer
-    power-loss resets.  ``tier_index`` -1 builds the backbone root
-    (unscaled drift, continuously powered).
+    :func:`repro.net.node.build_node`'s draw discipline, with the
+    tier's drift scale and leaf-only resets; streaming runs build the
+    backbone root (``tier_index`` -1) this way.
     """
     base = spec.base
     tier = spec.tiers[tier_index] if tier_index >= 0 else None
@@ -391,6 +392,53 @@ def build_member(
     return binding, clock
 
 
+def draw_members(
+    spec: HierarchySpec,
+    seed: int,
+    index: int,
+    tier_index: int,
+    rows: int,
+    beacons: int,
+    duration_s: float,
+) -> tuple[np.ndarray, ...]:
+    """Draw tier ``tier_index`` of tier-0 subtree ``index`` as arrays.
+
+    One Philox generator, keyed by the first 128 bits of the SHA-256
+    of ``f"{seed}:tiers:{index}:{tier_index}"``, yields in turn: drift
+    magnitude ``U(drift_ppm_range) * drift_scale``, sign, boot offset,
+    leaf-tier Poisson resets, then per (member, beacon) loss, delay
+    ``propagation_s + |N(0, delay_jitter_s)|`` and timestamp noise
+    ``N(0, jitter_s)`` — :func:`build_member`'s distributions.
+    Returns ``(drift_ppm, offset_s, resets, heard, delay_s, noise_s)``,
+    a row per member in path order: ``(M,)``, ``(M,)``, leaf resets
+    as :func:`~repro.net.clock.read_clocks` takes them (else None),
+    then ``(M, beacons)`` each.
+    """
+    text = f"{seed}:tiers:{index}:{tier_index}"
+    key = int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "big")
+    rng = np.random.Generator(np.random.Philox(key=key))
+    base = spec.base
+    magnitude = rng.uniform(*base.drift_ppm_range, rows)
+    magnitude *= spec.tiers[tier_index].drift_scale
+    sign = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    offset = rng.uniform(-base.initial_offset_s, base.initial_offset_s, rows)
+    resets = None
+    rate_hz = base.power_loss_rate_hz
+    if tier_index == len(spec.tiers) - 1 and rate_hz > 0.0:
+        counts = rng.poisson(rate_hz * duration_s, rows)
+        resets = np.full((rows, counts.max(initial=0)), np.inf)
+        filled = np.arange(resets.shape[1]) < counts[:, None]
+        resets[filled] = rng.uniform(0.0, duration_s, counts.sum())
+        resets.sort(axis=1)
+    shape = (rows, beacons)
+    radio = base.radio
+    heard = rng.random(shape) >= radio.loss_prob
+    jitter = np.abs(rng.normal(0.0, radio.delay_jitter_s, shape))
+    noise = rng.normal(0.0, base.jitter_s, shape)
+    delay = radio.propagation_s + jitter
+    return sign * magnitude, offset, resets, heard, delay, noise
+
+
 def hop_error_samples(
     protocol_name: str,
     receptions: list[Reception],
@@ -400,66 +448,33 @@ def hop_error_samples(
 ) -> tuple[list[float], list[float]]:
     """One member's signed per-sample error against its parent.
 
-    Replays receptions and error samples in global-time order with
-    power-loss reboot handling — flat nodes run the same replay against
-    the reference (:meth:`repro.net.node.NetworkNode._sync_errors`).
-    The series are *signed* (composition across hops needs signs, not
-    magnitudes).
-
-    Returns:
-        ``(hop_errors, baselines)`` — the protocol's estimate of the
-        parent clock minus the parent's true reading at each sample
-        time, and the free-running counterfactual (raw local clock
-        minus parent reading) from the same replay.
+    The one-row call of :func:`repro.net.timesync.sync_replay`, which
+    flat nodes run against the reference.  Returns ``(hop_errors,
+    baselines)``: the protocol's estimate of the parent clock, and the
+    raw local clock, minus the parent's reading at each sample time.
     """
-    protocol = make_protocol(protocol_name)
-    events = [(r.rx_global, 0, r) for r in receptions]
-    events += [(t, 1, i) for i, t in enumerate(sample_times)]
-    events.sort(key=lambda event: (event[0], event[1]))
-    errors: list[float] = []
-    baselines: list[float] = []
-    seen_resets = 0
-    for when, kind, payload in events:
-        resets = clock.resets_before(when)
-        if resets != seen_resets:
-            protocol.on_reboot()
-            seen_resets = resets
-        if kind == 0:
-            protocol.on_beacon(
-                payload.beacon.ref_timestamp, payload.rx_local
-            )
-        else:
-            local = clock.read(when)
-            errors.append(
-                protocol.estimate_reference(local)
-                - parent_readings[payload]
-            )
-            baselines.append(local - parent_readings[payload])
-    return errors, baselines
-
-
-def compose_errors(
-    hop: list[float], parent: list[float] | None
-) -> list[float]:
-    """Compose a hop's errors with the parent's effective errors.
-
-    First-order additive composition at shared sample instants: the
-    member's effective error to the backbone is its error against the
-    parent plus the parent's error against the backbone.  Exact for
-    free-running baselines (the sum telescopes to leaf local clock
-    minus backbone clock); accurate to the product of per-hop errors
-    otherwise.  Tier-0 members pass ``None`` (their parent *is* the
-    backbone).
-    """
-    if parent is None:
-        return list(hop)
-    return [h + p for h, p in zip(hop, parent)]
+    stamps = [
+        (r.rx_global, r.rx_local, r.beacon.ref_timestamp) for r in receptions
+    ]
+    times = np.asarray(sample_times, dtype=float)
+    resets = np.array([clock.reset_times]) if clock.reset_times else None
+    own = np.array([[clock.spec.initial_offset_s], [clock.spec.drift_ppm]])
+    errors, baselines = sync_replay(
+        protocol_name,
+        times,
+        read_clocks(*own, resets, times),
+        np.array([parent_readings], dtype=float),
+        # rx_global, rx_local and ref rows:
+        *np.array(stamps).reshape(-1, 3).T[:, None],
+        resets=resets,
+    )
+    return errors[0].tolist(), baselines[0].tolist()
 
 
 def profile_key(
     binding: AppBinding, base: Scenario, duration_s: float
 ) -> tuple:
-    """The app-profile identity ``binding_power_uw`` resolves by."""
+    """The app-profile identity ``bindings_power_uw`` resolves by."""
     bpm = (base.bpm_range[0] + base.bpm_range[1]) / 2.0
     return (
         binding.token,
@@ -472,13 +487,13 @@ def profile_key(
     )
 
 
-def binding_power_uw(
-    binding: AppBinding,
+def bindings_power_uw(
+    bindings: list[AppBinding],
     base: Scenario,
     duration_s: float,
     profiles: dict[tuple, float],
-) -> float:
-    """One bound app's compute power from the profile table, in µW.
+) -> tuple[float, float, int]:
+    """Summed compute power (µW), clock floor and repairs of bound nodes.
 
     The profile runs at the scenario's canonical heart rate (the
     midpoint of ``bpm_range``) and a bounded duration
@@ -486,10 +501,21 @@ def binding_power_uw(
     per *distinct* application instead of one per node — the
     deliberate accuracy/scale trade of the hierarchy layer.
     ``profiles`` comes from :func:`profile_table`; a missing key is a
-    hard error rather than a silent re-simulation.
+    hard error rather than a silent re-simulation.  A profile is looked
+    up once per distinct app (first-seen order), times its node count.
     """
-    obs.add("net.profile.requests")
-    return profiles[profile_key(binding, base, duration_s)]
+    obs.add("net.profile.requests", len(bindings))
+    distinct = {id(binding): binding for binding in bindings}
+    groups: dict[tuple, list] = {}
+    for ident, nodes in Counter(map(id, bindings)).items():
+        key = profile_key(distinct[ident], base, duration_s)
+        groups.setdefault(key, [distinct[ident], 0])[1] += nodes
+    power, floor, repairs = 0.0, 0.0, 0
+    for key, (binding, nodes) in groups.items():
+        power += profiles[key] * nodes
+        floor += binding.floor_mhz * nodes
+        repairs += binding.repairs * nodes
+    return power, floor, repairs
 
 
 def profile_table(
@@ -544,9 +570,9 @@ __all__ = [
     "TIERS_TOKEN_PREFIX",
     "Tier",
     "WARD_CAMPUS",
-    "binding_power_uw",
+    "bindings_power_uw",
     "build_member",
-    "compose_errors",
+    "draw_members",
     "get_hierarchy",
     "hierarchy_token",
     "hop_error_samples",

@@ -16,6 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+
+
+def _sum_left(values) -> float:
+    """Left-to-right float sum, as ``sum()`` was before CPython 3.12."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,14 @@ class SyncError:
         if not errors_s:
             return cls()
         n = len(errors_s)
+        sum_abs = sum_sq = 0.0
+        for e in errors_s:  # left to right, like _sum_left
+            sum_abs += abs(e)
+            sum_sq += e * e
         return cls(
             count=n,
-            mean_abs_s=sum(abs(e) for e in errors_s) / n,
-            rms_s=math.sqrt(sum(e * e for e in errors_s) / n),
+            mean_abs_s=sum_abs / n,
+            rms_s=math.sqrt(sum_sq / n),
             max_abs_s=max(abs(e) for e in errors_s),
         )
 
@@ -53,8 +64,8 @@ class SyncError:
         total = sum(part.count for part in parts)
         if total == 0:
             return cls()
-        mean = sum(part.count * part.mean_abs_s for part in parts) / total
-        mean_sq = sum(part.count * part.rms_s**2 for part in parts) / total
+        mean = _sum_left(p.count * p.mean_abs_s for p in parts) / total
+        mean_sq = _sum_left(p.count * p.rms_s**2 for p in parts) / total
         return cls(
             count=total,
             mean_abs_s=mean,

@@ -4,16 +4,16 @@
 node — fine at fleet sizes in the hundreds, fatal at the 10k–1M nodes
 hierarchies are sized for.  :class:`StreamingRunner` never does: the
 unit of work is one *tier-0 subtree* (a gateway and everything under
-it), each subtree folds down to a few :class:`~repro.net.stats
-.SyncError` aggregates per tier inside the worker, and subtrees are
-dispatched in bounded *waves* whose results merge into the running
-per-tier state in subtree-index order.  Peak memory is therefore a
-function of the wave size, never of the fleet size.
+it), simulated as one array pass per tier, members as rows
+(:func:`_simulate_subtree`), that folds into per-tier error *moments*
+(count, Σ|e|, Σe², max|e|).  Subtrees run in bounded *waves* whose
+states add into the running per-tier state in subtree-index order, so
+peak memory depends on the wave size, never on the fleet size.
 
-**Determinism.**  Every node's draws come from its hierarchy *path*
-(:func:`repro.net.hierarchy._stream`), and partial states fold
-per subtree in index order, so the final summary is bit-identical
-across worker counts, wave sizes and interruptions.
+**Determinism.**  Draws are keyed by (seed, subtree, tier), sums in a
+pass run in a fixed order (``cumsum``, not pairwise ``sum``) and
+states fold in subtree order, so the summary is bit-identical across
+worker counts, wave sizes and interruptions.
 
 **Checkpointing.**  With a checkpoint directory configured, the
 runner persists its partial merge after every completed wave to a
@@ -37,14 +37,19 @@ Checkpoint write/load bookkeeping itself is recorded as timings only
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .. import obs
 from ..parallel import pool_map
 from ..store import code_fingerprint, read_json, write_json
+from .clock import read_clocks
 from .compute import (
     ComputeResolver,
     ComputeSettings,
@@ -57,17 +62,17 @@ from .hierarchy import (
     HierarchySpec,
     ROOT_PATH,
     _stream,
-    binding_power_uw,
+    bindings_power_uw,
     build_member,
-    compose_errors,
+    draw_members,
     hierarchy_token,
-    hop_error_samples,
     parse_hierarchy,
     profile_table,
 )
 from .node import error_grid
-from .radio import RadioEnergy, beacon_schedule, receive_beacons
+from .radio import RadioEnergy, beacon_schedule
 from .stats import FleetSummary, SyncError, TierSummary
+from .timesync import sync_replay
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -79,30 +84,59 @@ __all__ = [
 ]
 
 #: Schema tag of the on-disk checkpoint state file.
-CHECKPOINT_SCHEMA = "repro-net-checkpoint/1"
+CHECKPOINT_SCHEMA = "repro-net-checkpoint/2"
 
 #: Default wave size (tier-0 subtrees per wave) of streaming runs.
 DEFAULT_WAVE_SUBTREES = 32
 
-#: Names of the :class:`_TierState` fields holding error aggregates.
-_ERROR_FIELDS = (
-    "hop_sync",
-    "steady_hop_sync",
-    "sync",
-    "steady_sync",
-    "unsync",
-    "steady_unsync",
-)
+
+@dataclass
+class _Moments:
+    """Additive summary of signed error samples: a mergeable SyncError."""
+
+    count: int = 0
+    sum_abs: float = 0.0
+    sum_sq: float = 0.0
+    max_abs: float = 0.0
+
+    @classmethod
+    def of(cls, magnitude: np.ndarray) -> "_Moments":
+        """Moments of a matrix of ``|error|``, summed in row-major order."""
+        if not magnitude.size:
+            return cls()
+        return cls(
+            count=magnitude.size,
+            sum_abs=float(magnitude.cumsum()[-1]),
+            sum_sq=float((magnitude * magnitude).cumsum()[-1]),
+            max_abs=float(magnitude.max()),
+        )
+
+    def fold(self, other: "_Moments") -> None:
+        """Add another summary into this one, in place."""
+        self.count += other.count
+        self.sum_abs += other.sum_abs
+        self.sum_sq += other.sum_sq
+        self.max_abs = max(self.max_abs, other.max_abs)
+
+    def error(self) -> SyncError:
+        """The reported statistic."""
+        if not self.count:
+            return SyncError()
+        return SyncError(
+            count=self.count,
+            mean_abs_s=self.sum_abs / self.count,
+            rms_s=math.sqrt(self.sum_sq / self.count),
+            max_abs_s=self.max_abs,
+        )
 
 
 @dataclass
 class _TierState:
     """Running partial merge of one tier (the checkpointed unit).
 
-    Scalars add; error aggregates recombine exactly through
-    :meth:`SyncError.merged`.  All floats survive the JSON checkpoint
-    round-trip bit-exactly (shortest-repr serialisation), which is
-    what makes resumed runs byte-identical to cold ones.
+    Scalars add and error moments fold.  All floats survive the JSON
+    checkpoint round-trip bit-exactly (shortest-repr serialisation),
+    which is what makes resumed runs byte-identical to cold ones.
     """
 
     nodes: int = 0
@@ -113,69 +147,43 @@ class _TierState:
     resets: int = 0
     beacons_sent: int = 0
     beacons_heard: int = 0
-    hop_sync: SyncError = field(default_factory=SyncError)
-    steady_hop_sync: SyncError = field(default_factory=SyncError)
-    sync: SyncError = field(default_factory=SyncError)
-    steady_sync: SyncError = field(default_factory=SyncError)
-    unsync: SyncError = field(default_factory=SyncError)
-    steady_unsync: SyncError = field(default_factory=SyncError)
+    hop_sync: _Moments = field(default_factory=_Moments)
+    steady_hop_sync: _Moments = field(default_factory=_Moments)
+    sync: _Moments = field(default_factory=_Moments)
+    steady_sync: _Moments = field(default_factory=_Moments)
+    unsync: _Moments = field(default_factory=_Moments)
+    steady_unsync: _Moments = field(default_factory=_Moments)
 
     def fold(self, other: "_TierState") -> None:
         """Merge another partial state into this one, in place."""
-        self.nodes += other.nodes
-        self.power_sum_uw += other.power_sum_uw
-        self.radio_sum_uw += other.radio_sum_uw
-        self.floor_sum_mhz += other.floor_sum_mhz
-        self.repairs += other.repairs
-        self.resets += other.resets
-        self.beacons_sent += other.beacons_sent
-        self.beacons_heard += other.beacons_heard
-        for name in _ERROR_FIELDS:
-            merged = SyncError.merged(
-                [getattr(self, name), getattr(other, name)]
-            )
-            setattr(self, name, merged)
+        for name, value in vars(other).items():
+            mine = getattr(self, name)
+            if isinstance(mine, _Moments):
+                mine.fold(value)
+            else:
+                setattr(self, name, mine + value)
 
-    def add_node(
-        self,
-        hop: list[float],
-        base_hop: list[float],
-        eff: list[float],
-        base_eff: list[float],
-        steady_index: int,
-    ) -> None:
-        """Fold one member's signed error series into the state."""
-        series = {
-            "hop_sync": hop,
-            "steady_hop_sync": hop[steady_index:],
-            "sync": eff,
-            "steady_sync": eff[steady_index:],
-            "unsync": base_eff,
-            "steady_unsync": base_eff[steady_index:],
+    def errors(self) -> dict[str, SyncError]:
+        """The reported error statistics, by field name."""
+        return {
+            name: value.error()
+            for name, value in vars(self).items()
+            if isinstance(value, _Moments)
         }
-        for name in _ERROR_FIELDS:
-            merged = SyncError.merged(
-                [getattr(self, name), SyncError.from_samples(series[name])]
-            )
-            setattr(self, name, merged)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "_TierState":
-        """Rebuild a state from its checkpoint mapping."""
-        errors = {
-            name: SyncError(**data[name]) for name in _ERROR_FIELDS
-        }
-        return cls(
-            nodes=int(data["nodes"]),
-            power_sum_uw=float(data["power_sum_uw"]),
-            radio_sum_uw=float(data["radio_sum_uw"]),
-            floor_sum_mhz=float(data["floor_sum_mhz"]),
-            repairs=int(data["repairs"]),
-            resets=int(data["resets"]),
-            beacons_sent=int(data["beacons_sent"]),
-            beacons_heard=int(data["beacons_heard"]),
-            **errors,
-        )
+        """Rebuild a state from its checkpoint mapping, each value cast
+        to its field's type (ValueError/KeyError/TypeError if bad)."""
+
+        def cast(default, value):
+            if isinstance(default, _Moments):
+                fields = vars(default).items()
+                return _Moments(**{k: cast(v, value[k]) for k, v in fields})
+            return type(default)(value)
+
+        fields = vars(cls()).items()
+        return cls(**{k: cast(v, data[k]) for k, v in fields})
 
 
 @dataclass(frozen=True)
@@ -285,110 +293,77 @@ def _peak_rss_mb() -> float:
     return peak / 1024.0
 
 
-def _walk(
-    spec: HierarchySpec,
-    tier_index: int,
-    path: str,
-    seed: int,
-    duration_s: float,
-    beacons: list,
-    parent_readings: list[float],
-    parent_eff: list[float] | None,
-    parent_base: list[float] | None,
-    sample_times: list[float],
-    steady_index: int,
-    parts: list[_TierState],
-    profiles: dict[tuple, float],
-) -> None:
-    """Simulate one member and, depth-first, everything under it."""
-    tier = spec.tiers[tier_index]
-    binding, clock = build_member(spec, tier_index, path, seed, duration_s)
-    receptions = receive_beacons(
-        beacons, clock, spec.base.radio, _stream(seed, path, "radio")
-    )
-    hop, base_hop = hop_error_samples(
-        tier.protocol, receptions, clock, sample_times, parent_readings
-    )
-    eff = compose_errors(hop, parent_eff)
-    base_eff = compose_errors(base_hop, parent_base)
-
-    energy = RadioEnergy()
-    energy.rx_messages = len(receptions)
-    last = tier_index == len(spec.tiers) - 1
-    schedule: list = []
-    if not last:
-        child = spec.tiers[tier_index + 1]
-        schedule = beacon_schedule(child.beacon_period_s, duration_s, clock)
-        energy.tx_messages = len(schedule)
-    radio_uw = energy.average_uw(spec.base.radio, duration_s)
-
-    part = parts[tier_index]
-    part.nodes += 1
-    part.power_sum_uw += binding_power_uw(
-        binding, spec.base, duration_s, profiles
-    )
-    part.power_sum_uw += radio_uw
-    part.radio_sum_uw += radio_uw
-    part.floor_sum_mhz += binding.floor_mhz
-    part.repairs += binding.repairs
-    part.resets += clock.resets_before(duration_s)
-    part.beacons_heard += len(receptions)
-    part.add_node(hop, base_hop, eff, base_eff, steady_index)
-
-    if not last:
-        parts[tier_index + 1].beacons_sent += len(schedule)
-        readings = [clock.read(t) for t in sample_times]
-        for child_index in range(spec.tiers[tier_index + 1].fan_out):
-            _walk(
-                spec,
-                tier_index + 1,
-                f"{path}.{child_index}",
-                seed,
-                duration_s,
-                schedule,
-                readings,
-                eff,
-                base_eff,
-                sample_times,
-                steady_index,
-                parts,
-                profiles,
-            )
-
-
 def _simulate_subtree(payload: tuple) -> list[_TierState]:
     """Fold one tier-0 subtree down to per-tier partial states.
 
-    Top-level so worker processes can unpickle it; pure function of
-    the payload, so inline and pooled execution are bit-identical.
+    One array pass per tier, members as rows in path order: row ``r``
+    hangs off row ``r // fan_out`` of the tier above.  A pure,
+    top-level function of the payload, so pooled runs are bit-identical
+    to inline ones.
     """
-    (
-        spec,
-        seed,
-        duration_s,
-        index,
-        beacons,
-        sample_times,
-        root_readings,
-        steady_index,
-        profiles,
-    ) = payload
+    config, index, grids, times, steady, profiles, refs, readings = payload
+    spec, seed, duration_s = config.spec, config.seed, config.duration_s
+    parent_refs, parent_readings = np.array([refs]), np.array([readings])
+    base = spec.base
+    apps = _stream(seed, str(index), "apps")
+    parent_eff = parent_base = None
     parts = [_TierState() for _ in spec.tiers]
-    _walk(
-        spec,
-        0,
-        str(index),
-        seed,
-        duration_s,
-        beacons,
-        root_readings,
-        None,
-        None,
-        sample_times,
-        steady_index,
-        parts,
-        profiles,
-    )
+    for tier_index, (tier, part) in enumerate(zip(spec.tiers, parts)):
+        fan = tier.fan_out if tier_index else 1
+        rows = len(parent_readings) * fan
+        beacons = grids[tier_index]
+        with obs.span("net.stream.draw"):
+            bindings = [
+                base.apps.bind(apps, base.abnormal_ratio) for _ in range(rows)
+            ]
+            drift, offset, resets, heard, delay, noise = draw_members(
+                spec, seed, index, tier_index, rows, len(beacons), duration_s
+            )
+        with obs.span("net.stream.replay"):
+            rx_global = beacons + delay
+            rx_local = read_clocks(offset, drift, resets, rx_global) + noise
+            local = read_clocks(offset, drift, resets, times)
+            hop, base_hop = sync_replay(
+                tier.protocol,
+                times,
+                local,
+                np.repeat(parent_readings, fan, axis=0),
+                rx_global,
+                rx_local,
+                np.repeat(parent_refs, fan, axis=0),
+                heard,
+                resets,
+            )
+        with obs.span("net.stream.fold"):
+            # First-order additive composition across hops.
+            eff, base_eff = hop, base_hop
+            if parent_eff is not None:
+                eff = hop + np.repeat(parent_eff, fan, axis=0)
+                base_eff = base_hop + np.repeat(parent_base, fan, axis=0)
+            energy = RadioEnergy(rx_messages=heard.sum(axis=1))
+            if tier_index + 1 < len(spec.tiers):
+                children = grids[tier_index + 1]
+                energy.tx_messages = len(children)
+                parts[tier_index + 1].beacons_sent = rows * len(children)
+            radio = energy.average_uw(base.radio, duration_s)
+            power, part.floor_sum_mhz, part.repairs = bindings_power_uw(
+                bindings, base, duration_s, profiles
+            )
+            part.nodes = rows
+            part.radio_sum_uw = float(radio.cumsum()[-1])
+            part.power_sum_uw = power + part.radio_sum_uw
+            part.beacons_heard = int(energy.rx_messages.sum())
+            if resets is not None:
+                part.resets = int(np.isfinite(resets).sum())
+            series = {"hop_sync": hop, "sync": eff, "unsync": base_eff}
+            for name, errors in series.items():
+                magnitude = np.abs(errors)
+                setattr(part, name, _Moments.of(magnitude))
+                steady_part = _Moments.of(magnitude[:, steady:])
+                setattr(part, f"steady_{name}", steady_part)
+        if tier_index + 1 < len(spec.tiers):
+            parent_refs = read_clocks(offset, drift, None, children)
+            parent_readings, parent_eff, parent_base = local, eff, base_eff
     return parts
 
 
@@ -488,13 +463,18 @@ class StreamingRunner:
         root_binding, root_clock = build_member(
             spec, -1, ROOT_PATH, seed, duration_s
         )
-        beacons: list = []
-        if spec.tiers:
-            beacons = beacon_schedule(
-                spec.tiers[0].beacon_period_s, duration_s, root_clock
-            )
+        # Every parent of a tier broadcasts on the same global grid;
+        # the root's beacons are tier 0's.
+        schedules = [
+            beacon_schedule(tier.beacon_period_s, duration_s, root_clock)
+            for tier in spec.tiers
+        ]
+        beacons = schedules[0] if schedules else []
+        grids = [np.array([b.tx_global for b in s]) for s in schedules]
+        root_refs = [b.ref_timestamp for b in beacons]
         sample_times, steady_index = error_grid(duration_s)
         root_readings = [root_clock.read(t) for t in sample_times]
+        sample_times = np.array(sample_times)
 
         subtrees = spec.subtrees
         wave_size = config.wave_size or max(subtrees, 1)
@@ -507,6 +487,9 @@ class StreamingRunner:
         # up.  As in FleetRunner.run, the resolve runs inside the timed
         # window, so reported throughput includes compute.
         run_span = obs.span("net.stream.run").start()
+        # numpy loads numpy.random lazily (~10 ms): load it once here,
+        # so the pools the waves fork inherit it.
+        importlib.import_module("numpy.random")
         with obs.span("net.compute.resolve"):
             profiles, profile_summary = profile_table(
                 spec.base, duration_s, ComputeResolver(config.compute)
@@ -546,15 +529,14 @@ class StreamingRunner:
             obs.gauge("net.stream.wave_size", wave_size)
             payloads = [
                 (
-                    spec,
-                    seed,
-                    duration_s,
+                    config,
                     index,
-                    beacons,
+                    grids,
                     sample_times,
-                    root_readings,
                     steady_index,
                     profiles,
+                    root_refs,
+                    root_readings,
                 )
                 for index in range(done, done + count)
             ]
@@ -579,77 +561,61 @@ class StreamingRunner:
         # runs all end up with exactly one emission.
         record_compute_counters(profile_summary)
 
-        root_energy = RadioEnergy()
-        root_energy.tx_messages = len(beacons)
+        root_energy = RadioEnergy(tx_messages=len(beacons))
         root_radio_uw = root_energy.average_uw(spec.base.radio, duration_s)
-        root_power_uw = (
-            binding_power_uw(root_binding, spec.base, duration_s, profiles)
-            + root_radio_uw
+        root_power_uw, _, _ = bindings_power_uw(
+            [root_binding], spec.base, duration_s, profiles
         )
+        root_power_uw += root_radio_uw
 
         tiers = []
         for index, (tier, tier_state) in enumerate(zip(spec.tiers, state)):
-            nodes = tier_state.nodes
-            sent = tier_state.beacons_sent
-            if index == 0:
-                sent += len(beacons)
+            nodes = max(tier_state.nodes, 1)
+            root_sent = len(beacons) if index == 0 else 0
             tiers.append(
                 TierSummary(
                     name=tier.name,
                     protocol=tier.protocol,
                     beacon_period_s=tier.beacon_period_s,
                     fan_out=tier.fan_out,
-                    nodes=nodes,
-                    mean_power_uw=(
-                        tier_state.power_sum_uw / nodes if nodes else 0.0
-                    ),
-                    mean_radio_uw=(
-                        tier_state.radio_sum_uw / nodes if nodes else 0.0
-                    ),
-                    mean_floor_mhz=(
-                        tier_state.floor_sum_mhz / nodes if nodes else 0.0
-                    ),
+                    nodes=tier_state.nodes,
+                    mean_power_uw=tier_state.power_sum_uw / nodes,
+                    mean_radio_uw=tier_state.radio_sum_uw / nodes,
+                    mean_floor_mhz=tier_state.floor_sum_mhz / nodes,
                     repairs=tier_state.repairs,
-                    beacons_sent=sent,
+                    beacons_sent=tier_state.beacons_sent + root_sent,
                     beacons_heard=tier_state.beacons_heard,
                     power_loss_resets=tier_state.resets,
-                    hop_sync=tier_state.hop_sync,
-                    steady_hop_sync=tier_state.steady_hop_sync,
-                    sync=tier_state.sync,
-                    steady_sync=tier_state.steady_sync,
-                    unsync=tier_state.unsync,
-                    steady_unsync=tier_state.steady_unsync,
+                    **tier_state.errors(),
                 )
             )
 
-        n_nodes = 1 + sum(part.nodes for part in state)
-        total_power_uw = root_power_uw + sum(
-            part.power_sum_uw for part in state
+        # Fleet-wide totals fold the tiers in order, like the waves.
+        fleet = _TierState(
+            nodes=1,
+            power_sum_uw=root_power_uw,
+            radio_sum_uw=root_radio_uw,
+            beacons_sent=len(beacons),
         )
-        total_radio_uw = root_radio_uw + sum(
-            part.radio_sum_uw for part in state
-        )
+        for part in state:
+            fleet.fold(part)
+        errors = fleet.errors()
         summary = FleetSummary(
             scenario=token,
             protocol="/".join(t.protocol for t in spec.tiers) or "none",
-            n_nodes=n_nodes,
+            n_nodes=fleet.nodes,
             duration_s=duration_s,
-            total_power_uw=total_power_uw,
-            mean_power_uw=total_power_uw / n_nodes,
-            mean_radio_uw=total_radio_uw / n_nodes,
-            sync=SyncError.merged([part.sync for part in state]),
-            steady_sync=SyncError.merged(
-                [part.steady_sync for part in state]
-            ),
-            unsync=SyncError.merged([part.unsync for part in state]),
-            steady_unsync=SyncError.merged(
-                [part.steady_unsync for part in state]
-            ),
-            beacons_sent=len(beacons)
-            + sum(part.beacons_sent for part in state),
-            beacons_heard=sum(part.beacons_heard for part in state),
-            power_loss_resets=sum(part.resets for part in state),
+            total_power_uw=fleet.power_sum_uw,
+            mean_power_uw=fleet.power_sum_uw / fleet.nodes,
+            mean_radio_uw=fleet.radio_sum_uw / fleet.nodes,
+            beacons_sent=fleet.beacons_sent,
+            beacons_heard=fleet.beacons_heard,
+            power_loss_resets=fleet.resets,
             source=spec.base.apps.kind,
+            sync=errors["sync"],
+            steady_sync=errors["steady_sync"],
+            unsync=errors["unsync"],
+            steady_unsync=errors["steady_unsync"],
         )
 
         executed_nodes = executed * spec.subtree_nodes

@@ -1,158 +1,138 @@
-"""Pluggable inter-node time-synchronization protocols.
+"""Inter-node time-synchronization protocols as one array replay.
 
-Each protocol consumes (reference timestamp, local receive timestamp)
-pairs from heard beacons and exposes one query: *given my local clock
-reading, what is the reference node's clock right now?*  The residual
-|estimate − true reference time| is the network-level analogue of the
-paper's intra-node lock-step error, and what
-:class:`repro.net.stats.SyncError` aggregates.
+A node learns its parent's clock only from the beacons it hears; a
+protocol maps the node's local reading to an estimate of the
+parent's, and :class:`repro.net.stats.SyncError` aggregates the
+residual.  :data:`PROTOCOLS`: ``none`` (the free-running local
+clock), ``rbs`` (the last beacon's offset) and ``ftsp`` (offset and
+skew: a centred least-squares line through the last
+:data:`FTSP_WINDOW` beacon pairs, Maróti et al.'s FTSP at one hop).
 
-Two real protocol families are modelled, plus a baseline:
-
-* :class:`NoSync` — free-running local clock (the "unsynchronized
-  drift" baseline every scenario is judged against).
-* :class:`ReferenceBroadcastSync` — periodic reference broadcast:
-  jump to the last beacon's offset and coast on the raw local clock
-  until the next one.  Error grows linearly with relative drift over
-  a beacon period.
-* :class:`FtspSync` — FTSP-style offset *and skew* estimation: a
-  least-squares line through a sliding window of beacon pairs
-  compensates constant drift, leaving timestamp noise and drift
-  wander as the error floor (Maróti et al.'s flooding is collapsed to
-  one hop — the fleet topology is a star).
-
-Protocols are deliberately stateful-but-tiny objects so a fleet of
-thousands costs nothing, and all of them handle power-loss reboots
-(:meth:`SyncProtocol.on_reboot`) by discarding state learned under
-the previous power cycle, whose local epoch no longer exists.
+:func:`sync_replay` runs a protocol for many nodes at once, one per
+row, under one rule: a heard beacon *counts* at sample instant ``t``
+iff it arrived at or before ``t`` and no power-loss reset of the node
+falls in ``(arrival, t]``.  Receptions count in arrival order, ties in
+beacon order.  Sums run left to right and squares are ``d * d``, so
+results depend neither on the CPython version (3.12 made ``sum()`` of
+floats compensated) nor on libm's ``pow``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from collections import deque
+from functools import lru_cache
+
+import numpy as np
+
+#: Registry of sync protocol names.
+PROTOCOLS = ("none", "rbs", "ftsp")
+
+#: Beacon pairs FTSP regresses over (its reference implementation's).
+FTSP_WINDOW = 8
 
 
-class SyncProtocol(ABC):
-    """Interface shared by all inter-node sync protocols."""
+def sync_replay(
+    protocol: str,
+    sample_times: np.ndarray,
+    local: np.ndarray,
+    parent: np.ndarray,
+    rx_global: np.ndarray,
+    rx_local: np.ndarray,
+    ref: np.ndarray,
+    heard: np.ndarray | None = None,
+    resets: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed sync error of ``M`` nodes at ``S`` sample instants.
 
-    #: Registry name; subclasses override.
-    name = "abstract"
-
-    @abstractmethod
-    def on_beacon(self, ref_timestamp: float, rx_local: float) -> None:
-        """Ingest one heard beacon.
-
-        Args:
-            ref_timestamp: the sender's local clock value in the packet.
-            rx_local: this node's (noisy) timestamp of the reception.
-        """
-
-    @abstractmethod
-    def estimate_reference(self, local: float) -> float:
-        """Map a local clock reading to estimated reference time."""
-
-    def on_reboot(self) -> None:
-        """Forget state after a power-loss reset (new local epoch)."""
-
-
-class NoSync(SyncProtocol):
-    """Baseline: trust the local clock, ignore beacons."""
-
-    name = "none"
-
-    def on_beacon(self, ref_timestamp: float, rx_local: float) -> None:
-        pass
-
-    def estimate_reference(self, local: float) -> float:
-        return local
-
-
-class ReferenceBroadcastSync(SyncProtocol):
-    """Offset-only sync against the last heard reference beacon."""
-
-    name = "rbs"
-
-    def __init__(self) -> None:
-        self._last: tuple[float, float] | None = None  # (rx_local, ref)
-
-    def on_beacon(self, ref_timestamp: float, rx_local: float) -> None:
-        self._last = (rx_local, ref_timestamp)
-
-    def estimate_reference(self, local: float) -> float:
-        if self._last is None:
-            return local
-        rx_local, ref = self._last
-        return ref + (local - rx_local)
-
-    def on_reboot(self) -> None:
-        self._last = None
-
-
-class FtspSync(SyncProtocol):
-    """Drift-compensated sync: offset + skew by linear regression.
-
-    Args:
-        window: number of most recent beacon pairs regressed over.
-            Larger windows average more timestamp noise but react more
-            slowly to drift changes; FTSP's reference implementation
-            uses 8.
+    ``local``/``parent`` are ``(M, S)`` exact readings of each node and
+    its parent at ``sample_times``; ``rx_global``/``rx_local``/``ref``
+    are ``(M, B)``: each beacon's global arrival, the node's local
+    stamp of it and the parent timestamp it carries; ``heard`` is
+    False where a beacon was lost; ``resets`` holds ``(M, K)`` reset
+    instants, ascending and ``inf``-padded (None: all heard, no
+    resets).  Returns ``(errors, baselines)``: estimate and local
+    reading minus parent reading, ``(M, S)`` each.  Raises ValueError
+    on an unknown protocol name.
     """
-
-    name = "ftsp"
-
-    def __init__(self, window: int = 8) -> None:
-        if window < 2:
-            raise ValueError("regression window must hold >= 2 pairs")
-        self._pairs: deque[tuple[float, float]] = deque(maxlen=window)
-
-    def on_beacon(self, ref_timestamp: float, rx_local: float) -> None:
-        self._pairs.append((rx_local, ref_timestamp))
-
-    def estimate_reference(self, local: float) -> float:
-        n = len(self._pairs)
-        if n == 0:
-            return local
-        if n == 1:
-            rx_local, ref = self._pairs[0]
-            return ref + (local - rx_local)
-        # Centered least squares: y = a + b * x with x = local RX
-        # times, y = reference timestamps.  Centering keeps the sums
-        # well-conditioned even though x sits at tens-of-seconds
-        # magnitude with micro-second structure.
-        x_mean = sum(x for x, _ in self._pairs) / n
-        y_mean = sum(y for _, y in self._pairs) / n
-        sxx = sum((x - x_mean) ** 2 for x, _ in self._pairs)
-        if sxx == 0.0:
-            rx_local, ref = self._pairs[-1]
-            return ref + (local - rx_local)
-        sxy = sum((x - x_mean) * (y - y_mean) for x, y in self._pairs)
-        slope = sxy / sxx
-        return y_mean + slope * (local - x_mean)
-
-    def on_reboot(self) -> None:
-        self._pairs.clear()
-
-
-#: Protocol registry used by scenarios and the CLI.
-PROTOCOLS: dict[str, type[SyncProtocol]] = {
-    NoSync.name: NoSync,
-    ReferenceBroadcastSync.name: ReferenceBroadcastSync,
-    FtspSync.name: FtspSync,
-}
-
-
-def make_protocol(name: str) -> SyncProtocol:
-    """Instantiate a protocol by registry name.
-
-    Raises:
-        ValueError: unknown protocol name.
-    """
-    try:
-        cls = PROTOCOLS[name]
-    except KeyError:
+    if protocol not in PROTOCOLS:
         raise ValueError(
-            f"unknown sync protocol {name!r}; "
+            f"unknown sync protocol {protocol!r}; "
             f"choose from {sorted(PROTOCOLS)}"
-        ) from None
-    return cls()
+        )
+    baselines = local - parent
+    rows, beacons = rx_global.shape
+    if protocol == "none" or not beacons:
+        return baselines.copy(), baselines
+    if heard is not None:
+        rx_global = np.where(heard, rx_global, np.inf)
+    # Flat indices of each row's receptions in arrival order.
+    offsets = np.arange(0, rows * beacons, beacons)[:, None]
+    order = rx_global.argsort(axis=1, kind="stable") + offsets
+    arrival = rx_global.ravel()[order]
+    pairs = np.array((rx_local.ravel()[order], ref.ravel()[order]))
+    # A sample is served by the last reception at or before it, unless
+    # a reset falls between the two.
+    heard_by = np.add.reduce(arrival[:, :, None] <= sample_times, axis=1)
+    last = np.maximum(heard_by - 1, 0) + offsets
+    served = heard_by > 0
+    epoch = None
+    if resets is not None and resets.shape[1]:
+        epoch = np.add.reduce(resets[:, :, None] <= arrival[:, None], axis=1)
+        now = np.add.reduce(resets[:, :, None] <= sample_times, axis=1)
+        served &= epoch.ravel()[last] == now
+    # Each reception leaves a line to extrapolate: rbs's (and FTSP's
+    # fallback) is the reception's own pair with slope 1.
+    (x0, y0), slope = pairs, None
+    if protocol == "ftsp" and beacons > 1:
+        (x0, y0), slope = _ftsp_lines(pairs, epoch, offsets)
+    elapsed = local - x0.ravel()[last]
+    if slope is not None:
+        elapsed *= slope.ravel()[last]
+    estimate = np.where(served, y0.ravel()[last] + elapsed, local)
+    return estimate - parent, baselines
+
+
+def _ftsp_lines(
+    pairs: np.ndarray, epoch: np.ndarray | None, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """FTSP's line after each reception: ``((x0, y0), slope)``.
+
+    Reception ``e``'s window is the last :data:`FTSP_WINDOW`
+    receptions up to ``e`` in ``e``'s epoch: its centred least-squares
+    line, or ``e``'s own pair with slope 1.0 where FTSP falls back to
+    an offset (one pair, or ``sxx == 0``).  ``pairs`` stacks the local
+    and parent stamps in arrival order.  Slots past a window's end
+    add 0.0, which leaves a left-to-right sum unchanged.
+    """
+    position, (count, at, valid) = _plain_windows(pairs.shape[-1])
+    if epoch is not None:  # an epoch starts at its first reception
+        starts = np.add.reduce(epoch[:, None] < epoch[:, :, None], axis=2)
+        first = np.maximum(position + 1 - count, starts)
+        count, at, valid = _windows(first, position)
+    # Window sums by cumsum: sequential, unlike numpy's pairwise sum.
+    xy = pairs.reshape(2, -1)[:, at + offsets[..., None]] * valid
+    mean = xy.cumsum(axis=-1)[..., -1] / count
+    d = xy - mean[..., None]
+    sxx, sxy = (d[0] * d * valid).cumsum(axis=-1)[..., -1]
+    fit = (count > 1) & (sxx != 0.0)
+    slope = np.where(fit, sxy / np.where(fit, sxx, 1.0), 1.0)
+    return np.where(fit, mean, pairs), slope
+
+
+@lru_cache(maxsize=None)
+def _plain_windows(beacons: int) -> tuple[np.ndarray, tuple]:
+    """Positions and reset-free :func:`_windows` of ``beacons``
+    receptions, shared by every row and call."""
+    position = np.arange(beacons)
+    first = np.maximum(position - (FTSP_WINDOW - 1), 0)
+    return position, _windows(first, position)
+
+
+def _windows(first: np.ndarray, position: np.ndarray) -> tuple:
+    """Sizes, clipped slot positions and slot validity (1.0/0.0) of the
+    windows ``[first, position]``."""
+    at = first[..., None] + np.arange(min(len(position), FTSP_WINDOW))
+    valid = (at <= position[:, None]).astype(float)
+    return position + 1 - first, np.minimum(at, position[:, None]), valid
+
+
+__all__ = ["FTSP_WINDOW", "PROTOCOLS", "sync_replay"]

@@ -1,5 +1,8 @@
-"""Hierarchy-layer tests: tokens, validation, error compounding."""
+"""Hierarchy-layer tests: tokens, validation, draws, compounding."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.net.clock import ClockSpec, LocalClock
@@ -12,7 +15,7 @@ from repro.net.hierarchy import (
     WARD_CAMPUS,
     _stream,
     build_member,
-    compose_errors,
+    draw_members,
     get_hierarchy,
     hierarchy_token,
     hop_error_samples,
@@ -20,6 +23,8 @@ from repro.net.hierarchy import (
 )
 from repro.net.radio import beacon_schedule, receive_beacons
 from repro.net.scenarios import get_scenario
+
+from .reference_stream import compose_errors
 
 
 # ---------------------------------------------------------------------------
@@ -124,44 +129,78 @@ def test_empty_hierarchy_is_the_root_alone():
 
 
 # ---------------------------------------------------------------------------
-# Member draws
+# Member draws: the root's per-member streams and the tiers' array draws
 # ---------------------------------------------------------------------------
 
-def test_member_draws_depend_on_path_not_call_order():
+#: The two ways a member's clock is drawn: on its own
+#: (``build_member``, the root) or as one row of its tier's arrays
+#: (``draw_members``, every tier member of a streaming run).
+DRAW_MODES = ("member", "array")
+
+
+def _draw(mode, spec, tier_index, path, seed, duration_s):
+    """``(drift_ppm, offset_s, can_reset)`` of the member at ``path``."""
+    if mode == "member":
+        _, clock = build_member(spec, tier_index, path, seed, duration_s)
+        return (clock.spec.drift_ppm, clock.spec.initial_offset_s,
+                clock.spec.power_loss_rate_hz > 0)
+    index, *below = (int(part) for part in path.split("."))
+    rows = math.prod(t.fan_out for t in spec.tiers[1:tier_index + 1])
+    row = 0
+    for tier, digit in zip(spec.tiers[1:tier_index + 1], below):
+        row = row * tier.fan_out + digit
+    drift, offset, resets, *_ = draw_members(spec, seed, index,
+                                              tier_index, rows, 2,
+                                              duration_s)
+    return float(drift[row]), float(offset[row]), resets is not None
+
+
+@pytest.mark.parametrize("mode", DRAW_MODES)
+def test_member_draws_depend_on_path_not_call_order(mode):
     spec = WARD_CAMPUS
-    a1, c1 = build_member(spec, 0, "3", seed=9, duration_s=4.0)
-    _ = build_member(spec, 1, "3.7", seed=9, duration_s=4.0)
-    a2, c2 = build_member(spec, 0, "3", seed=9, duration_s=4.0)
-    assert (a1.name, a1.token, a1.policy) == (a2.name, a2.token,
-                                              a2.policy)
-    assert c1.spec == c2.spec
-    _, other = build_member(spec, 0, "4", seed=9, duration_s=4.0)
-    assert other.spec != c1.spec
+    first = _draw(mode, spec, 0, "3", seed=9, duration_s=4.0)
+    _ = _draw(mode, spec, 1, "3.7", seed=9, duration_s=4.0)
+    again = _draw(mode, spec, 0, "3", seed=9, duration_s=4.0)
+    assert first == again
+    assert _draw(mode, spec, 0, "4", seed=9, duration_s=4.0) != first
+    if mode == "member":
+        a1, _ = build_member(spec, 0, "3", seed=9, duration_s=4.0)
+        a2, _ = build_member(spec, 0, "3", seed=9, duration_s=4.0)
+        assert (a1.name, a1.token, a1.policy) == (a2.name, a2.token,
+                                                  a2.policy)
 
 
-def test_drift_scale_scales_the_drawn_magnitude():
+@pytest.mark.parametrize("mode", DRAW_MODES)
+def test_drift_scale_scales_the_drawn_magnitude(mode):
     base = get_scenario("dense-ward")
     tier = dict(protocol="rbs", beacon_period_s=2.0, fan_out=4)
     full = HierarchySpec(name="f", base=base,
                          tiers=(Tier(name="t", **tier),))
     half = HierarchySpec(name="h", base=base,
                          tiers=(Tier(name="t", drift_scale=0.5, **tier),))
-    _, clock_full = build_member(full, 0, "0", seed=5, duration_s=4.0)
-    _, clock_half = build_member(half, 0, "0", seed=5, duration_s=4.0)
-    assert clock_half.spec.drift_ppm == pytest.approx(
-        clock_full.spec.drift_ppm * 0.5)
+    drift_full, _, _ = _draw(mode, full, 0, "0", seed=5, duration_s=4.0)
+    drift_half, _, _ = _draw(mode, half, 0, "0", seed=5, duration_s=4.0)
+    assert drift_half == pytest.approx(drift_full * 0.5)
 
 
-def test_only_leaf_tiers_suffer_power_loss():
+@pytest.mark.parametrize("mode", DRAW_MODES)
+def test_only_leaf_tiers_suffer_power_loss(mode):
     spec = parse_hierarchy(
         "tiers:ftsp@10x2/rbs@1x2:intermittent-harvesting")
     assert spec.base.power_loss_rate_hz > 0
-    _, gateway = build_member(spec, 0, "0", seed=1, duration_s=4.0)
-    _, leaf = build_member(spec, 1, "0.0", seed=1, duration_s=4.0)
+    assert not _draw(mode, spec, 0, "0", seed=1, duration_s=4.0)[2]
+    assert _draw(mode, spec, 1, "0.0", seed=1, duration_s=4.0)[2]
+    # The root is always drawn on its own, and never resets.
     _, root = build_member(spec, -1, ROOT_PATH, seed=1, duration_s=4.0)
-    assert gateway.spec.power_loss_rate_hz == 0.0
     assert root.spec.power_loss_rate_hz == 0.0
-    assert leaf.spec.power_loss_rate_hz == spec.base.power_loss_rate_hz
+    if mode == "member":
+        _, leaf = build_member(spec, 1, "0.0", seed=1, duration_s=4.0)
+        assert leaf.spec.power_loss_rate_hz == spec.base.power_loss_rate_hz
+    else:
+        # Over a long run the leaves' Poisson resets land in the run.
+        _, _, leaves, *_ = draw_members(spec, 1, 0, 1, 2, 2, 400.0)
+        assert np.isfinite(leaves).sum(axis=1).min() > 0
+        assert (leaves[np.isfinite(leaves)] < 400.0).all()
 
 
 # ---------------------------------------------------------------------------

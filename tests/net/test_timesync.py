@@ -1,10 +1,15 @@
-"""Tests for the inter-node sync protocols and their acceptance bar."""
+"""Tests for the inter-node sync protocols and their acceptance bar.
+
+The protocol unit tests run against the reference classes, the oracle
+``test_sync_replay.py`` holds the array kernel to.
+"""
 
 import pytest
 
 from repro.eval.netexp import run_net
 from repro.net.fleet import run_fleet
-from repro.net.timesync import (
+
+from .reference_sync import (
     FtspSync,
     NoSync,
     ReferenceBroadcastSync,
