@@ -31,9 +31,11 @@ SOURCE = """
 ; bank): in lock-step, their instruction fetches merge into broadcasts.
 .section conditioning, bank=0
 producer:
+    sinc SP_DATA           ; register as producer (Fig. 3-a), first of
+                           ; all: the consumer's snop must find the
+                           ; counter already raised, or it fires at once
     li   r5, 0x7F20        ; REG_CORE_ID
     lw   r6, 0(r5)         ; r6 = my core id
-    sinc SP_DATA           ; register as producer (Fig. 3-a)
     ; "conditioning": fold the stream id through a toy filter
     addi r1, r6, 1
     slli r2, r1, 4
@@ -61,7 +63,7 @@ consumer:
 """
 
 
-def main() -> None:
+def main() -> int:
     # ------------------------------------------------------------------
     # 1. Assemble and run on the cycle-level platform.
     # ------------------------------------------------------------------
@@ -76,14 +78,15 @@ def main() -> None:
     assert system.all_halted
 
     result = system.dm_peek(0x910)
-    print(f"consumer computed {result} "
-          f"(expected {17 * 1 + 17 * 2 + 17 * 3})")
+    expected = 17 * 1 + 17 * 2 + 17 * 3
+    print(f"consumer computed {result} (expected {expected})")
 
     stats = system.synchronizer.stats
     activity = system.activity()
+    slept = stats.gate_requests > 0
     print(f"cycles: {system.cycle}, "
           f"sync events fired: {stats.point_fires}, "
-          f"consumer slept: {stats.gate_requests > 0}")
+          f"consumer slept: {slept}")
     print(f"instruction broadcast among producers: "
           f"{activity.im_broadcast_fraction * 100:.1f} % of fetches "
           f"served by merged accesses")
@@ -104,7 +107,8 @@ def main() -> None:
     for name, value in sorted(report.categories.items(),
                               key=lambda item: -item[1]):
         print(f"  {name:<13} {value:6.2f} uW")
+    return 0 if result == expected and slept else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -195,6 +195,8 @@ class Synchronizer:
         event generation, (3) interrupt forwarding.  Cores returned
         here were clock-gated and must resume on the next cycle.
         """
+        if not self._pending and not self.interrupts.pending_lines:
+            return ()
         woken: list[int] = []
         by_point: dict[int, list[SyncRequest]] = {}
         for request in self._pending:

@@ -28,7 +28,7 @@ from ..isa.layout import DmGeometry, MemoryMap
 from .memory import MemoryFault
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PhysicalLocation:
     """A physical (bank, index) data-memory location."""
 
@@ -86,13 +86,12 @@ class MulticoreAtu:
         if address < mmap.private_words:
             bank = (core * self.banks_per_core
                     + address // self.private_slice)
-            return PhysicalLocation(bank=bank,
-                                    index=address % self.private_slice)
+            return PhysicalLocation(bank, address % self.private_slice)
         if address < mmap.shared_limit:
             offset = address - mmap.shared_base
             bank = offset % self.geometry.banks
             index = self.private_slice + offset // self.geometry.banks
-            return PhysicalLocation(bank=bank, index=index)
+            return PhysicalLocation(bank, index)
         raise MemoryFault(
             f"core {core}: logical address {address:#06x} is unmapped "
             f"(shared section ends at {mmap.shared_limit:#06x})")
@@ -109,8 +108,8 @@ class MulticoreAtu:
                 f"address {address:#06x} is outside the shared section")
         offset = address - mmap.shared_base
         return PhysicalLocation(
-            bank=offset % self.geometry.banks,
-            index=self.private_slice + offset // self.geometry.banks)
+            offset % self.geometry.banks,
+            self.private_slice + offset // self.geometry.banks)
 
     def banks_for_core_private(self, core: int) -> set[int]:
         """Banks whose private slices belong to ``core``."""
@@ -138,9 +137,8 @@ class SingleCoreTranslation:
                 f"address {address:#06x} is memory-mapped I/O, not DM")
         if address >= self.geometry.total_words:
             raise MemoryFault(f"address {address:#06x} beyond physical DM")
-        return PhysicalLocation(
-            bank=address // self.geometry.words_per_bank,
-            index=address % self.geometry.words_per_bank)
+        return PhysicalLocation(address // self.geometry.words_per_bank,
+                                address % self.geometry.words_per_bank)
 
     def shared_location(self, address: int) -> PhysicalLocation:
         """Synchronizer-port translation (same linear mapping)."""

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add, and_, eq, ge, lt, ne, or_, sub, xor
 
 from ..core.syncpoint import SyncOp
 from ..isa.encoding import Instruction
-from ..isa.spec import Op, to_signed16, to_u16
+from ..isa.spec import Op
 
 
 class EffectKind(enum.Enum):
@@ -38,7 +39,7 @@ class EffectKind(enum.Enum):
     HALT = "halt"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Effect:
     """Platform-visible side effect of one instruction.
 
@@ -59,13 +60,10 @@ class Effect:
     sync_point: int = 0
 
 
+#: The effects that carry no operands, shared by every execution.
 _NO_EFFECT = Effect(EffectKind.NONE)
-
-_SYNC_OPS = {
-    Op.SINC: SyncOp.SINC,
-    Op.SDEC: SyncOp.SDEC,
-    Op.SNOP: SyncOp.SNOP,
-}
+_SLEEP = Effect(EffectKind.SLEEP)
+_HALT = Effect(EffectKind.HALT)
 
 
 @dataclass
@@ -102,6 +100,139 @@ class CoreStats:
     taken_branches: int = 0
 
 
+# Instruction semantics, one handler per opcode, run once ``execute``
+# has moved ``pc`` past the instruction.  Registers hold 16-bit words
+# and r0 is never written, so it reads as zero; flipping bit 15 orders
+# words as signed integers.
+
+
+def _s16(word: int) -> int:
+    """The signed value of a 16-bit word."""
+    return (word ^ 0x8000) - 0x8000
+
+
+def _reg_op(fn):
+    """``rd = fn(ra, rb)``, wrapped to 16 bits."""
+    def handler(core: "RiscCore", instr: Instruction) -> Effect:
+        if instr.rd:
+            regs = core.regs
+            regs[instr.rd] = fn(regs[instr.ra], regs[instr.rb]) & 0xFFFF
+        return _NO_EFFECT
+    return handler
+
+
+def _imm_op(fn):
+    """``rd = fn(ra, imm)``, wrapped to 16 bits."""
+    def handler(core: "RiscCore", instr: Instruction) -> Effect:
+        if instr.rd:
+            regs = core.regs
+            regs[instr.rd] = fn(regs[instr.ra], instr.imm) & 0xFFFF
+        return _NO_EFFECT
+    return handler
+
+
+def _multiply(shift: int):
+    """``mul``/``mulh``: bits ``shift``.. of the signed product."""
+    def handler(core: "RiscCore", instr: Instruction) -> Effect:
+        regs = core.regs
+        if instr.rd:
+            product = _s16(regs[instr.ra]) * _s16(regs[instr.rb])
+            regs[instr.rd] = (product >> shift) & 0xFFFF
+        core.busy_cycles_left += 1
+        return _NO_EFFECT
+    return handler
+
+
+def _branch(taken):
+    """Conditional branch; a taken one costs a flush cycle."""
+    def handler(core: "RiscCore", instr: Instruction) -> Effect:
+        regs = core.regs
+        if taken(regs[instr.ra], regs[instr.rb]):
+            core.pc = (core.pc + instr.imm) & 0x7FFF
+            core.busy_cycles_left += 1
+            core.stats.taken_branches += 1
+        return _NO_EFFECT
+    return handler
+
+
+def _jump(core: "RiscCore", instr: Instruction, target: int) -> Effect:
+    """Link and jump (``jal``/``jalr``); always costs a flush cycle."""
+    if instr.rd:
+        # The link is this instruction's address plus one, unwrapped.
+        core.regs[instr.rd] = ((core.pc - 1) & 0x7FFF) + 1
+    core.pc = target & 0x7FFF
+    core.busy_cycles_left += 1
+    core.stats.taken_branches += 1
+    return _NO_EFFECT
+
+
+def _load(core: "RiscCore", instr: Instruction) -> Effect:
+    core.stats.loads += 1
+    return Effect(EffectKind.LOAD, (core.regs[instr.ra] + instr.imm)
+                  & 0xFFFF, 0, instr.rd)
+
+
+def _store(core: "RiscCore", instr: Instruction) -> Effect:
+    core.stats.stores += 1
+    regs = core.regs
+    return Effect(EffectKind.STORE, (regs[instr.ra] + instr.imm) & 0xFFFF,
+                  regs[instr.rb])
+
+
+def _sync(op: SyncOp):
+    def handler(core: "RiscCore", instr: Instruction) -> Effect:
+        core.stats.sync_issued += 1
+        return Effect(EffectKind.SYNC, 0, 0, 0, op, instr.imm)
+    return handler
+
+
+def _sleep(core: "RiscCore", instr: Instruction) -> Effect:
+    core.stats.sync_issued += 1
+    return _SLEEP
+
+
+_EXECUTE = {
+    Op.ADD: _reg_op(add),
+    Op.SUB: _reg_op(sub),
+    Op.AND: _reg_op(and_),
+    Op.OR: _reg_op(or_),
+    Op.XOR: _reg_op(xor),
+    Op.SLL: _reg_op(lambda a, b: a << (b & 0xF)),
+    Op.SRL: _reg_op(lambda a, b: a >> (b & 0xF)),
+    Op.SRA: _reg_op(lambda a, b: _s16(a) >> (b & 0xF)),
+    Op.SLT: _reg_op(lambda a, b: int((a ^ 0x8000) < (b ^ 0x8000))),
+    Op.SLTU: _reg_op(lambda a, b: int(a < b)),
+    Op.MUL: _multiply(0),
+    Op.MULH: _multiply(16),
+    Op.ADDI: _imm_op(add),
+    Op.ANDI: _imm_op(and_),
+    Op.ORI: _imm_op(or_),
+    Op.XORI: _imm_op(xor),
+    Op.SLLI: _imm_op(lambda a, imm: a << (imm & 0xF)),
+    Op.SRLI: _imm_op(lambda a, imm: a >> (imm & 0xF)),
+    Op.SRAI: _imm_op(lambda a, imm: _s16(a) >> (imm & 0xF)),
+    Op.SLTI: _imm_op(lambda a, imm: int(_s16(a) < imm)),
+    Op.LUI: _imm_op(lambda a, imm: (imm & 0xFF) << 8),
+    Op.LW: _load,
+    Op.SW: _store,
+    Op.BEQ: _branch(eq),
+    Op.BNE: _branch(ne),
+    Op.BLT: _branch(lambda a, b: (a ^ 0x8000) < (b ^ 0x8000)),
+    Op.BGE: _branch(lambda a, b: (a ^ 0x8000) >= (b ^ 0x8000)),
+    Op.BLTU: _branch(lt),
+    Op.BGEU: _branch(ge),
+    Op.JAL: lambda core, instr: _jump(core, instr, instr.imm),
+    Op.JALR: lambda core, instr: _jump(
+        core, instr, core.regs[instr.ra] + instr.imm),
+    Op.SINC: _sync(SyncOp.SINC),
+    Op.SDEC: _sync(SyncOp.SDEC),
+    Op.SNOP: _sync(SyncOp.SNOP),
+    Op.SLEEP: _sleep,
+    Op.NOP: lambda core, instr: _NO_EFFECT,
+    Op.HALT: lambda core, instr: _HALT,
+}
+
+
 class RiscCore:
     """One computing core.
 
@@ -116,30 +247,11 @@ class RiscCore:
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-        self.regs = [0] * 8
-        self.pc = 0
-        self.halted = False
-        self.gated = False
-        self.busy_cycles_left = 0
-        self.pending_effect: Effect | None = None
-        self.stats = CoreStats()
-
-    # ------------------------------------------------------------------
-    # Register file
-    # ------------------------------------------------------------------
+        self.reset(0)
 
     def read_reg(self, index: int) -> int:
         """Read a register (r0 reads as zero)."""
-        return 0 if index == 0 else self.regs[index]
-
-    def write_reg(self, index: int, value: int) -> None:
-        """Write a register (writes to r0 are discarded)."""
-        if index != 0:
-            self.regs[index] = to_u16(value)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
+        return self.regs[index]
 
     def execute(self, instr: Instruction) -> Effect:
         """Execute one fetched instruction; returns its platform effect.
@@ -149,150 +261,13 @@ class RiscCore:
         before the core may fetch again.
         """
         self.stats.instructions += 1
-        op = instr.op
-        next_pc = self.pc + 1
-        effect = _NO_EFFECT
-
-        if op is Op.ADD:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) + self.read_reg(instr.rb))
-        elif op is Op.SUB:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) - self.read_reg(instr.rb))
-        elif op is Op.AND:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) & self.read_reg(instr.rb))
-        elif op is Op.OR:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) | self.read_reg(instr.rb))
-        elif op is Op.XOR:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) ^ self.read_reg(instr.rb))
-        elif op is Op.SLL:
-            shift = self.read_reg(instr.rb) & 0xF
-            self.write_reg(instr.rd, self.read_reg(instr.ra) << shift)
-        elif op is Op.SRL:
-            shift = self.read_reg(instr.rb) & 0xF
-            self.write_reg(instr.rd, self.read_reg(instr.ra) >> shift)
-        elif op is Op.SRA:
-            shift = self.read_reg(instr.rb) & 0xF
-            self.write_reg(instr.rd,
-                           to_signed16(self.read_reg(instr.ra)) >> shift)
-        elif op is Op.SLT:
-            self.write_reg(instr.rd,
-                           int(to_signed16(self.read_reg(instr.ra))
-                               < to_signed16(self.read_reg(instr.rb))))
-        elif op is Op.SLTU:
-            self.write_reg(instr.rd,
-                           int(self.read_reg(instr.ra)
-                               < self.read_reg(instr.rb)))
-        elif op is Op.MUL:
-            product = (to_signed16(self.read_reg(instr.ra))
-                       * to_signed16(self.read_reg(instr.rb)))
-            self.write_reg(instr.rd, product)
-            self.busy_cycles_left += 1
-        elif op is Op.MULH:
-            product = (to_signed16(self.read_reg(instr.ra))
-                       * to_signed16(self.read_reg(instr.rb)))
-            self.write_reg(instr.rd, product >> 16)
-            self.busy_cycles_left += 1
-        elif op is Op.ADDI:
-            self.write_reg(instr.rd, self.read_reg(instr.ra) + instr.imm)
-        elif op is Op.ANDI:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) & to_u16(instr.imm))
-        elif op is Op.ORI:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) | to_u16(instr.imm))
-        elif op is Op.XORI:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) ^ to_u16(instr.imm))
-        elif op is Op.SLLI:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) << (instr.imm & 0xF))
-        elif op is Op.SRLI:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) >> (instr.imm & 0xF))
-        elif op is Op.SRAI:
-            self.write_reg(instr.rd,
-                           to_signed16(self.read_reg(instr.ra))
-                           >> (instr.imm & 0xF))
-        elif op is Op.SLTI:
-            self.write_reg(instr.rd,
-                           int(to_signed16(self.read_reg(instr.ra))
-                               < instr.imm))
-        elif op is Op.LUI:
-            self.write_reg(instr.rd, (instr.imm & 0xFF) << 8)
-        elif op is Op.LW:
-            address = to_u16(self.read_reg(instr.ra) + instr.imm)
-            effect = Effect(EffectKind.LOAD, address=address, rd=instr.rd)
-            self.stats.loads += 1
-        elif op is Op.SW:
-            address = to_u16(self.read_reg(instr.ra) + instr.imm)
-            effect = Effect(EffectKind.STORE, address=address,
-                            value=self.read_reg(instr.rb))
-            self.stats.stores += 1
-        elif op is Op.BEQ:
-            if self.read_reg(instr.ra) == self.read_reg(instr.rb):
-                next_pc = self._take_branch(instr)
-        elif op is Op.BNE:
-            if self.read_reg(instr.ra) != self.read_reg(instr.rb):
-                next_pc = self._take_branch(instr)
-        elif op is Op.BLT:
-            if (to_signed16(self.read_reg(instr.ra))
-                    < to_signed16(self.read_reg(instr.rb))):
-                next_pc = self._take_branch(instr)
-        elif op is Op.BGE:
-            if (to_signed16(self.read_reg(instr.ra))
-                    >= to_signed16(self.read_reg(instr.rb))):
-                next_pc = self._take_branch(instr)
-        elif op is Op.BLTU:
-            if self.read_reg(instr.ra) < self.read_reg(instr.rb):
-                next_pc = self._take_branch(instr)
-        elif op is Op.BGEU:
-            if self.read_reg(instr.ra) >= self.read_reg(instr.rb):
-                next_pc = self._take_branch(instr)
-        elif op is Op.JAL:
-            self.write_reg(instr.rd, self.pc + 1)
-            next_pc = instr.imm
-            self.busy_cycles_left += 1
-            self.stats.taken_branches += 1
-        elif op is Op.JALR:
-            target = to_u16(self.read_reg(instr.ra) + instr.imm)
-            self.write_reg(instr.rd, self.pc + 1)
-            next_pc = target
-            self.busy_cycles_left += 1
-            self.stats.taken_branches += 1
-        elif op in _SYNC_OPS:
-            effect = Effect(EffectKind.SYNC, sync_op=_SYNC_OPS[op],
-                            sync_point=instr.imm)
-            self.stats.sync_issued += 1
-        elif op is Op.SLEEP:
-            effect = Effect(EffectKind.SLEEP)
-            self.stats.sync_issued += 1
-        elif op is Op.NOP:
-            pass
-        elif op is Op.HALT:
-            effect = Effect(EffectKind.HALT)
-        else:  # pragma: no cover - Op enum is exhaustive
-            raise NotImplementedError(f"unimplemented opcode {op!r}")
-
-        self.pc = next_pc & 0x7FFF
-        return effect
-
-    def _take_branch(self, instr: Instruction) -> int:
-        """Compute a taken-branch target and charge the flush cycle."""
-        self.busy_cycles_left += 1
-        self.stats.taken_branches += 1
-        return self.pc + 1 + instr.imm
-
-    # ------------------------------------------------------------------
-    # Platform callbacks
-    # ------------------------------------------------------------------
+        self.pc = (self.pc + 1) & 0x7FFF
+        return _EXECUTE[instr.op](self, instr)
 
     def complete_load(self, effect: Effect, value: int) -> None:
         """Deliver granted load data to the destination register."""
-        self.write_reg(effect.rd, value)
+        if effect.rd:
+            self.regs[effect.rd] = value & 0xFFFF
 
     def reset(self, entry: int) -> None:
         """Power-on reset at ``entry``."""
@@ -301,5 +276,4 @@ class RiscCore:
         self.halted = False
         self.gated = False
         self.busy_cycles_left = 0
-        self.pending_effect = None
         self.stats = CoreStats()

@@ -20,10 +20,10 @@ decoder-vs-crossbar cost difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemRequest:
     """One port's request during one cycle.
 
@@ -42,7 +42,7 @@ class MemRequest:
     value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class GrantGroup:
     """All requests granted for one bank in one cycle.
 
@@ -61,7 +61,7 @@ class GrantGroup:
         return len(self.requests) - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class ArbitrationResult:
     """Outcome of one cycle of crossbar arbitration.
 
@@ -70,8 +70,8 @@ class ArbitrationResult:
         stalled: requests that lost arbitration and must retry.
     """
 
-    granted: list[GrantGroup] = field(default_factory=list)
-    stalled: list[MemRequest] = field(default_factory=list)
+    granted: list[GrantGroup]
+    stalled: list[MemRequest]
 
 
 @dataclass
@@ -133,78 +133,92 @@ class Crossbar:
         Grant policy per bank: requests are grouped into transactions
         (same-address reads form one mergeable group when broadcasting
         is on; each write and, without broadcasting, each read is its
-        own transaction).  The transaction containing the
-        highest-priority port (round-robin) wins; everything else
-        stalls.
+        own transaction).  A bank with one transaction grants it.  When
+        several compete, the one holding the bank's round-robin priority
+        port, or the port nearest after it, wins; the rest stall, and
+        only then does the priority move on by one port.
         """
-        result = ArbitrationResult()
-        self.stats.requests += len(requests)
+        stats = self.stats
+        stats.requests += len(requests)
+        ports, banks = self.ports, self.num_banks
         by_bank: dict[int, list[MemRequest]] = {}
         for request in requests:
-            if request.port >= self.ports:
+            if request.port >= ports:
                 raise ValueError(
                     f"{self.name}: port {request.port} out of range")
-            if request.bank >= self.num_banks:
-                raise ValueError(
-                    f"{self.name}: bank {request.bank} out of range")
-            by_bank.setdefault(request.bank, []).append(request)
+            bank = request.bank
+            if bank >= banks:
+                raise ValueError(f"{self.name}: bank {bank} out of range")
+            if bank in by_bank:
+                by_bank[bank].append(request)
+            else:
+                by_bank[bank] = [request]
 
-        merged_this_cycle = False
+        granted: list[GrantGroup] = []
+        stalled: list[MemRequest] = []
         for bank, bank_requests in by_bank.items():
+            first = bank_requests[0]
+            if len(bank_requests) == 1 or (
+                    self.broadcast and _one_read(bank_requests, first.index)):
+                granted.append(GrantGroup(bank, first.index, first.is_write,
+                                          bank_requests))
+                continue
             groups = self._group(bank_requests)
             winner = self._pick(bank, groups)
+            granted.append(winner)
             for group in groups:
-                if group is winner:
-                    result.granted.append(group)
-                    self.stats.grants += len(group.requests)
-                    self.stats.accesses += 1
-                    if group.broadcast_extra:
-                        self.stats.broadcast_merged += group.broadcast_extra
-                        merged_this_cycle = True
-                else:
-                    result.stalled.extend(group.requests)
-                    self.stats.conflicts += len(group.requests)
-        if merged_this_cycle:
-            self.stats.broadcast_cycles += 1
-        return result
+                if group is not winner:
+                    stalled.extend(group.requests)
+        # Every request is granted or stalled, and each grant group is
+        # one access: the rest of its requests were merged into it.
+        grants = len(requests) - len(stalled)
+        stats.grants += grants
+        stats.accesses += len(granted)
+        stats.conflicts += len(stalled)
+        if grants > len(granted):
+            stats.broadcast_merged += grants - len(granted)
+            stats.broadcast_cycles += 1
+        return ArbitrationResult(granted, stalled)
 
     def _group(self, requests: list[MemRequest]) -> list[GrantGroup]:
-        """Partition one bank's requests into candidate transactions."""
+        """Partition one bank's competing requests into transactions."""
         groups: list[GrantGroup] = []
         read_groups: dict[int, GrantGroup] = {}
         for request in requests:
             if request.is_write or not self.broadcast:
-                groups.append(GrantGroup(
-                    bank=request.bank, index=request.index,
-                    is_write=request.is_write, requests=[request]))
+                groups.append(GrantGroup(request.bank, request.index,
+                                         request.is_write, [request]))
             else:
                 group = read_groups.get(request.index)
                 if group is None:
-                    group = GrantGroup(
-                        bank=request.bank, index=request.index,
-                        is_write=False, requests=[])
-                    read_groups[request.index] = group
+                    group = read_groups[request.index] = GrantGroup(
+                        request.bank, request.index, False, [])
                     groups.append(group)
                 group.requests.append(request)
         return groups
 
     def _pick(self, bank: int, groups: list[GrantGroup]) -> GrantGroup:
-        """Round-robin: grant the group containing the priority port."""
-        if len(groups) == 1:
-            return groups[0]
+        """Round-robin: grant the group nearest the priority port."""
         priority = self._rr_priority[bank]
-        best: GrantGroup | None = None
-        best_distance = self.ports + 1
+        ports = self.ports
+        self._rr_priority[bank] = (priority + 1) % ports
+        best, nearest = groups[0], ports
         for group in groups:
-            distance = min((request.port - priority) % self.ports
-                           for request in group.requests)
-            if distance < best_distance:
-                best_distance = distance
-                best = group
-        assert best is not None
-        self._rr_priority[bank] = (priority + 1) % self.ports
+            for request in group.requests:
+                distance = (request.port - priority) % ports
+                if distance < nearest:
+                    best, nearest = group, distance
         return best
 
-    def reset_stats(self) -> None:
-        """Zero the cumulative counters."""
+    def reset(self) -> None:
+        """Zero the cumulative counters and every bank's priority."""
         self.stats = CrossbarStats()
+        self._rr_priority = [0] * self.num_banks
+
+
+def _one_read(requests: list[MemRequest], index: int) -> bool:
+    """True if ``requests`` all read word ``index`` (one broadcast)."""
+    for request in requests:
+        if request.is_write or request.index != index:
+            return False
+    return True

@@ -30,10 +30,11 @@ from typing import Sequence
 
 from ..core.synchronizer import Synchronizer, SynchronizerStats
 from ..isa.encoding import Instruction, decode
-from ..isa.errors import LoadError
+from ..isa.errors import EncodingError, LoadError
 from ..isa.layout import (
     DEFAULT_GEOMETRY,
     IRQ_ADC_CH0,
+    PERIPH_BASE,
     PlatformGeometry,
     REG_ADC_CTRL,
     REG_ADC_DATA0,
@@ -51,6 +52,11 @@ from .atu import MulticoreAtu, SingleCoreTranslation
 from .core import Effect, EffectKind, RiscCore
 from .interconnect import Crossbar, CrossbarStats, MemRequest
 from .memory import BankedMemory, MemoryActivity, MemoryFault
+
+
+_NONE, _LOAD, _STORE, _SYNC, _SLEEP = (
+    EffectKind.NONE, EffectKind.LOAD, EffectKind.STORE, EffectKind.SYNC,
+    EffectKind.SLEEP)
 
 
 class SimulationError(Exception):
@@ -112,26 +118,22 @@ class _SyncDmPort:
 
     The synchronizer performs its merged sync-point modifications
     through a dedicated port; accesses are counted by the banks like
-    any other DM traffic.
+    any other DM traffic.  It holds no reference to the system, so a
+    dropped system is freed at once.
     """
 
-    def __init__(self, system: "System") -> None:
-        self._system = system
+    def __init__(self, translation: MulticoreAtu | SingleCoreTranslation,
+                 dm: BankedMemory) -> None:
+        self._translation = translation
+        self._dm = dm
 
     def read(self, address: int) -> int:
-        location = self._system.translation.shared_location(address)
-        return self._system.dm.read(location.bank, location.index)
+        location = self._translation.shared_location(address)
+        return self._dm.read(location.bank, location.index)
 
     def write(self, address: int, value: int) -> None:
-        location = self._system.translation.shared_location(address)
-        self._system.dm.write(location.bank, location.index, value)
-
-
-@dataclass
-class _Pending:
-    """A memory effect waiting for a DM grant."""
-
-    effect: Effect
+        location = self._translation.shared_location(address)
+        self._dm.write(location.bank, location.index, value)
 
 
 class System:
@@ -165,11 +167,13 @@ class System:
             num_cores=num_cores,
             num_points=geometry.memory_map.sync_points,
             point_base=geometry.memory_map.sync_point_base,
-            storage=_SyncDmPort(self), strict=strict_sync)
+            storage=_SyncDmPort(self.translation, self.dm),
+            strict=strict_sync)
         self.adc: Adc | None = None
         self._decoded: dict[int, Instruction] = {}
-        self._pending: list[_Pending | None] = [None] * num_cores
+        self._pending: list[Effect | None] = [None] * num_cores
         self._halted_at_load: set[int] = set(range(num_cores))
+        self._fetch_requests: dict[int, list[MemRequest]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -221,7 +225,7 @@ class System:
             used_im_banks.add(bank)
             try:
                 self._decoded[address] = decode(word)
-            except Exception:
+            except EncodingError:
                 pass  # raw data words are not executable
         self.im.power_off_unused(used_im_banks)
 
@@ -239,19 +243,21 @@ class System:
                     image.dm_highest_address())
         self.dm.power_off_unused(dm_banks_on)
 
+        # Every core restarts, so nothing of an earlier image survives a
+        # reload; a core the image does not enter stays halted.
         for core in self.cores:
             entry = image.entry_for(core.core_id)
-            if entry is None:
-                core.halted = True
-            else:
-                core.reset(entry)
-                self._halted_at_load.discard(core.core_id)
+            core.reset(0 if entry is None else entry)
+            core.halted = entry is None
+        self._halted_at_load = {core.core_id for core in self.cores
+                                if core.halted}
+        self._pending = [None] * self.num_cores
         # Activity counters start from a clean slate (the synchronizer
         # reset above already touched DM).
         self.im.reset_counters()
         self.dm.reset_counters()
-        self.im_xbar.reset_stats()
-        self.dm_xbar.reset_stats()
+        self.im_xbar.reset()
+        self.dm_xbar.reset()
 
     def _dm_init_location(self, address: int):
         if self.multicore_dm:
@@ -281,95 +287,91 @@ class System:
     def step(self) -> None:
         """Advance the platform by one clock cycle."""
         self.cycle += 1
+        cores = self.cores
+        pending = self._pending
+        fetch_requests = self._fetch_requests
         mem_queue: list[tuple[RiscCore, Effect]] = []
-        fetch_requests: list[MemRequest] = []
-        geom = self.geometry.im
-
-        for core in self.cores:
+        fetches: list[MemRequest] = []
+        for core in cores:
             if core.halted:
                 core.stats.halted_cycles += 1
-                continue
-            if core.gated:
+            elif core.gated:
                 core.stats.gated_cycles += 1
-                continue
-            core.stats.active_cycles += 1
-            if core.busy_cycles_left > 0:
-                core.busy_cycles_left -= 1
-                core.stats.busy_cycles += 1
-                continue
-            pending = self._pending[core.core_id]
-            if pending is not None:
-                mem_queue.append((core, pending.effect))
-                continue
-            fetch_requests.append(MemRequest(
-                port=core.core_id, bank=geom.bank_of(core.pc),
-                index=core.pc % geom.words_per_bank))
+            else:
+                stats = core.stats
+                stats.active_cycles += 1
+                if core.busy_cycles_left:
+                    core.busy_cycles_left -= 1
+                    stats.busy_cycles += 1
+                elif pending[core.core_id] is not None:
+                    mem_queue.append((core, pending[core.core_id]))
+                else:
+                    at_pc = (fetch_requests.get(core.pc)
+                             or self._fetch_requests_at(core.pc))
+                    fetches.append(at_pc[core.core_id])
 
-        fetch_result = self.im_xbar.arbitrate(fetch_requests)
-        for request in fetch_result.stalled:
-            self.cores[request.port].stats.fetch_stalls += 1
-        for group in fetch_result.granted:
-            self.im.read(group.bank, group.index)
-            address = group.bank * geom.words_per_bank + group.index
-            instr = self._decoded.get(address)
-            if instr is None:
-                raise SimulationError(
-                    f"core {group.requests[0].port}: fetch from "
-                    f"uninitialised IM address {address:#06x}")
-            for request in group.requests:
-                core = self.cores[request.port]
-                effect = core.execute(instr)
-                self._dispatch(core, effect, mem_queue)
+        if fetches:
+            result = self.im_xbar.arbitrate(fetches)
+            for request in result.stalled:
+                cores[request.port].stats.fetch_stalls += 1
+            for group in result.granted:
+                self.im.read(group.bank, group.index)
+                address = (group.bank * self.geometry.im.words_per_bank
+                           + group.index)
+                instr = self._decoded.get(address)
+                if instr is None:
+                    raise SimulationError(
+                        f"core {group.requests[0].port}: fetch from "
+                        f"uninitialised IM address {address:#06x}")
+                for request in group.requests:
+                    core = cores[request.port]
+                    effect = core.execute(instr)
+                    kind = effect.kind
+                    if kind is _NONE:
+                        continue
+                    if kind is _LOAD or kind is _STORE:
+                        if effect.address >= PERIPH_BASE:
+                            self._peripheral_access(core, effect)
+                        else:
+                            mem_queue.append((core, effect))
+                    elif kind is _SYNC:
+                        self.synchronizer.submit(
+                            core.core_id, effect.sync_op, effect.sync_point)
+                    elif kind is _SLEEP:
+                        if self.synchronizer.sleep(core.core_id):
+                            core.gated = True
+                    else:
+                        core.halted = True
 
-        self._serve_memory(mem_queue)
-
+        if mem_queue:
+            self._serve_memory(mem_queue)
         for core_id in self.synchronizer.end_cycle():
-            self.cores[core_id].gated = False
-
+            cores[core_id].gated = False
         if self.adc is not None:
             self.adc.tick()
 
-    def _dispatch(self, core: RiscCore, effect: Effect,
-                  mem_queue: list[tuple[RiscCore, Effect]]) -> None:
-        kind = effect.kind
-        if kind is EffectKind.NONE:
-            return
-        if kind is EffectKind.HALT:
-            core.halted = True
-            return
-        if kind is EffectKind.SYNC:
-            assert effect.sync_op is not None
-            self.synchronizer.submit(core.core_id, effect.sync_op,
-                                     effect.sync_point)
-            return
-        if kind is EffectKind.SLEEP:
-            if self.synchronizer.sleep(core.core_id):
-                core.gated = True
-            return
-        # LOAD / STORE
-        if self.geometry.memory_map.is_peripheral(effect.address):
-            self._peripheral_access(core, effect)
-            return
-        mem_queue.append((core, effect))
+    def _fetch_requests_at(self, pc: int) -> list[MemRequest]:
+        """Every port's IM request for address ``pc``, built once."""
+        bank, index = divmod(pc, self.geometry.im.words_per_bank)
+        requests = self._fetch_requests[pc] = [
+            MemRequest(port, bank, index) for port in range(self.num_cores)]
+        return requests
 
     def _serve_memory(self, mem_queue: list[tuple[RiscCore, Effect]]) -> None:
-        if not mem_queue:
-            return
+        """Arbitrate the cycle's DM accesses and perform the granted."""
+        translate = self.translation.translate
         requests = []
         effects: dict[int, Effect] = {}
         for core, effect in mem_queue:
-            location = self.translation.translate(core.core_id,
-                                                  effect.address)
+            location = translate(core.core_id, effect.address)
             effects[core.core_id] = effect
             requests.append(MemRequest(
-                port=core.core_id, bank=location.bank, index=location.index,
-                is_write=effect.kind is EffectKind.STORE,
-                value=effect.value))
+                core.core_id, location.bank, location.index,
+                effect.kind is _STORE, effect.value))
         result = self.dm_xbar.arbitrate(requests)
         for request in result.stalled:
-            core = self.cores[request.port]
-            core.stats.mem_stalls += 1
-            self._pending[request.port] = _Pending(effects[request.port])
+            self.cores[request.port].stats.mem_stalls += 1
+            self._pending[request.port] = effects[request.port]
         for group in result.granted:
             if group.is_write:
                 request = group.requests[0]
@@ -378,8 +380,8 @@ class System:
             else:
                 value = self.dm.read(group.bank, group.index)
                 for request in group.requests:
-                    core = self.cores[request.port]
-                    core.complete_load(effects[request.port], value)
+                    self.cores[request.port].complete_load(
+                        effects[request.port], value)
                     self._pending[request.port] = None
 
     def _peripheral_access(self, core: RiscCore, effect: Effect) -> None:
@@ -432,29 +434,32 @@ class System:
         Every non-halted core is clock-gated and no interrupt source
         can still fire (no ADC samples left and no pending lines).
         """
-        if any(not core.halted and not core.gated for core in self.cores):
-            return False
-        if all(core.halted for core in self.cores):
-            return False
-        if self.synchronizer.interrupts.pending_lines:
-            return False
-        if self.adc is not None and not self.adc.all_exhausted:
-            return False
-        return True
+        return (all(core.halted or core.gated for core in self.cores)
+                and not self.all_halted
+                and not self.synchronizer.interrupts.pending_lines
+                and (self.adc is None or self.adc.all_exhausted))
 
     def run(self, max_cycles: int, stop_on_halt: bool = True) -> int:
         """Run up to ``max_cycles``; returns cycles actually simulated.
 
         Raises :class:`SimulationError` on deadlock (all cores gated
-        with no wake source left).
+        with no wake source left).  Both stop conditions need every
+        core halted or gated, so they are checked only on such cycles.
         """
         start = self.cycle
-        while self.cycle - start < max_cycles:
-            if stop_on_halt and self.all_halted:
-                break
-            if self.deadlocked():
-                raise SimulationError(
-                    "deadlock: all cores clock-gated with no event source")
+        end = start + max_cycles
+        cores = self.cores
+        while self.cycle < end:
+            for core in cores:
+                if not (core.halted or core.gated):
+                    break
+            else:
+                if stop_on_halt and self.all_halted:
+                    break
+                if self.deadlocked():
+                    raise SimulationError(
+                        "deadlock: all cores clock-gated with no event "
+                        "source")
             self.step()
         return self.cycle - start
 

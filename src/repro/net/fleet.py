@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..parallel import even_shard_size, pool_map, shard
+from ..power.energy import sum_left
 from .compute import (
     ComputeResolver,
     ComputeSettings,
@@ -225,8 +226,8 @@ class FleetRunner:
             followers = [
                 node for node in members if node.node_id != REFERENCE_NODE_ID
             ]
-            power = sum(node.power.total_uw for node in members)
-            floor = sum(node.floor_mhz for node in members)
+            power = sum_left(node.power.total_uw for node in members)
+            floor = sum_left(node.floor_mhz for node in members)
             stats.append(
                 GroupStats(
                     name=name,
@@ -247,8 +248,8 @@ class FleetRunner:
         """Merge per-node results (already sorted by node id)."""
         config = self.config
         n = len(results)
-        total_power = sum(node.power.total_uw for node in results)
-        total_radio = sum(node.radio_uw for node in results)
+        total_power = sum_left(node.power.total_uw for node in results)
+        total_radio = sum_left(node.radio_uw for node in results)
         followers = [
             node for node in results if node.node_id != REFERENCE_NODE_ID
         ]

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
-
-def _sum_left(values) -> float:
-    """Left-to-right float sum, as ``sum()`` was before CPython 3.12."""
-    return reduce(add, values, 0.0)
+from ..power.energy import sum_left
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class SyncError:
             return cls()
         n = len(errors_s)
         sum_abs = sum_sq = 0.0
-        for e in errors_s:  # left to right, like _sum_left
+        for e in errors_s:  # left to right, like sum_left
             sum_abs += abs(e)
             sum_sq += e * e
         return cls(
@@ -64,8 +59,8 @@ class SyncError:
         total = sum(part.count for part in parts)
         if total == 0:
             return cls()
-        mean = _sum_left(p.count * p.mean_abs_s for p in parts) / total
-        mean_sq = _sum_left(p.count * p.rms_s**2 for p in parts) / total
+        mean = sum_left(p.count * p.mean_abs_s for p in parts) / total
+        mean_sq = sum_left(p.count * p.rms_s**2 for p in parts) / total
         return cls(
             count=total,
             mean_abs_s=mean,

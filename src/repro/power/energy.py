@@ -12,10 +12,19 @@ of Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .components import DEFAULT_ENERGY, EnergyParams
 from .process import DEFAULT_PROCESS, ProcessModel
 from .vfs import OperatingPoint
+
+def sum_left(values) -> float:
+    """Left-to-right sum, as builtin ``sum()`` was before CPython 3.12
+    (which compensates float sums), so totals keep their bits on every
+    Python version."""
+    return reduce(add, values, 0)
+
 
 #: Decomposition categories, in Fig. 6 stacking order.
 CATEGORIES = (
@@ -101,7 +110,7 @@ class PowerReport:
     @property
     def total_uw(self) -> float:
         """Total average power in µW."""
-        return sum(self.categories.values())
+        return sum_left(self.categories.values())
 
     def saving_vs(self, baseline: "PowerReport") -> float:
         """Fractional power saving of ``self`` relative to ``baseline``."""

@@ -194,6 +194,13 @@ def test_power_report_saving_and_str():
     assert improved.saving_vs(baseline) == pytest.approx(0.5)
 
 
+def test_total_sums_categories_left_to_right():
+    """CPython 3.12's compensated ``sum()`` would give 1.0 here."""
+    report = PowerReport(OperatingPoint(1.0, 0.5), 1.0,
+                         {f"c{i}": 0.1 for i in range(10)})
+    assert report.total_uw == 0.9999999999999999
+
+
 def test_zero_cycle_activity_rejected():
     activity = _sc_activity(1.0, 60.0, im_banks=1, dm_banks=1)
     bad = ActivityVector(
