@@ -11,7 +11,7 @@ Run with::
 """
 
 from repro.hw import System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.kernels import (
     characterize_barrier_pipeline,
     characterize_window_min,

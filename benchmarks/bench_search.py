@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro.gen import suite_tokens
-from repro.search import search_token
+from repro.search.anneal import search_token
 
 #: Seed of the benchmark suite (any value works; fixed for stability).
 BENCH_SEED = 2014

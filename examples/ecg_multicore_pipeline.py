@@ -17,7 +17,8 @@ Run with::
     python examples/ecg_multicore_pipeline.py
 """
 
-from repro.apps import map_multicore, run_three_lead_mmd, three_lead_mmd
+from repro.apps import map_multicore, three_lead_mmd
+from repro.apps.functional import run_three_lead_mmd
 from repro.signals import cse_like_record
 from repro.sysc import Mode, simulate, uniform_schedule
 

@@ -19,7 +19,7 @@ Run with::
     python examples/producer_consumer_rounds.py
 """
 
-from repro.core import SenseBarrier, SyncDomain
+from repro.core.primitives import SenseBarrier, SyncDomain
 from repro.kernels import characterize_barrier_pipeline
 
 

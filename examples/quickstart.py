@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro.hw import System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.power import ActivityVector, OperatingPoint, compute_power
 
 SOURCE = """

@@ -12,7 +12,7 @@ Run with::
     python examples/rp_class_sweep.py
 """
 
-from repro.apps import run_rp_class
+from repro.apps.functional import run_rp_class
 from repro.dsp import MorphologicalFilter, RandomProjectionClassifier
 from repro.eval import render_fig7, run_fig7
 from repro.signals import BeatLabel, EcgConfig, rp_class_record, \

@@ -6,7 +6,8 @@ Multi-Core Sensor Nodes": a hybrid HW/SW synchronization mechanism
 for multi-core wireless body sensor nodes, evaluated on three embedded
 ECG applications.
 
-Package map (see DESIGN.md for the full inventory):
+Package map (``docs/architecture.md`` has the layer diagram and the
+import layering):
 
 * :mod:`repro.core` — synchronization points, synchronizer unit,
   protocol primitives (the paper's contribution).
@@ -14,6 +15,8 @@ Package map (see DESIGN.md for the full inventory):
   disassembler, builder/linker.
 * :mod:`repro.hw` — cycle-level platform: cores, banked memories,
   broadcasting crossbars, ATU, ADC, single-/multi-core systems.
+* :mod:`repro.kernels` — assembly kernels characterised on the
+  cycle-level platform, and the cross-check of the calibrated budgets.
 * :mod:`repro.power` — 90 nm-style VFS and component energy models.
 * :mod:`repro.signals` — synthetic multi-lead ECG (CSE substitute).
 * :mod:`repro.dsp` — benchmark DSP: morphological filtering, MMD
@@ -23,11 +26,18 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.sysc` — system-level (SystemC-analog) simulator.
 * :mod:`repro.gen` — seeded synthetic workload generator and
   mapping-policy explorer (beyond the paper's three apps).
+* :mod:`repro.search` — seeded stochastic placement search.
+* :mod:`repro.oracle` — vectorised analytic scoring of placements.
+* :mod:`repro.cover` — coverage model and fuzz loop over generated
+  workloads.
 * :mod:`repro.net` — multi-node WBSN fleets: drifting clocks, beacon
   radio, inter-node time synchronization.
 * :mod:`repro.sweep` — declarative cached experiment campaigns.
-* :mod:`repro.eval` — experiment drivers for Table I, Fig. 6, Fig. 7,
-  the network report and the generated-workload exploration.
+* :mod:`repro.eval` — experiment drivers and the ``python -m
+  repro.eval`` command line.
+* :mod:`repro.obs` — run metrics, timing spans and their artifact.
+* :mod:`repro.store` — atomic JSON writes and the code fingerprint.
+* :mod:`repro.parallel` — the shard-and-merge process pool.
 """
 
 __version__ = "1.0.0"

@@ -1,53 +1,19 @@
-"""Application layer (system S18): phase graphs + mapping methodology."""
+"""Application layer: phase graphs + mapping methodology.
 
-from .benchmarks import (
-    FS,
-    MfOutput,
-    MmdOutput,
-    RpClassApp,
-    RpClassOutput,
-    rp_class,
-    run_rp_class,
-    run_three_lead_mf,
-    run_three_lead_mmd,
-    three_lead_mf,
-    three_lead_mmd,
-)
-from .mapping import (
-    CoreAssignment,
-    MappingError,
-    MappingPlan,
-    distinct_sections,
-    dm_footprint,
-    map_multicore,
-    map_singlecore,
-    sync_points,
-)
-from .phases import AppSpec, ChannelSpec, PhaseSpec, SectionSpec, Trigger
+The functional DSP runners are in :mod:`repro.apps.functional`, which
+this package does not import (it loads numpy and :mod:`repro.dsp`).
+"""
+
+from .benchmarks import rp_class, three_lead_mf, three_lead_mmd
+from .mapping import MappingError, map_multicore, map_singlecore
+from .phases import AppSpec
 
 __all__ = [
     "AppSpec",
-    "ChannelSpec",
-    "CoreAssignment",
-    "FS",
     "MappingError",
-    "MappingPlan",
-    "MfOutput",
-    "MmdOutput",
-    "PhaseSpec",
-    "RpClassApp",
-    "RpClassOutput",
-    "SectionSpec",
-    "Trigger",
-    "distinct_sections",
-    "dm_footprint",
     "map_multicore",
     "map_singlecore",
     "rp_class",
-    "run_rp_class",
-    "run_three_lead_mf",
-    "run_three_lead_mmd",
-    "sync_points",
     "three_lead_mf",
     "three_lead_mmd",
 ]

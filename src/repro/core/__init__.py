@@ -1,6 +1,6 @@
 """The paper's primary contribution: HW/SW code synchronization.
 
-This package implements systems S1-S3 of DESIGN.md:
+The synchronizer layer of ``docs/architecture.md``:
 
 * :mod:`repro.core.syncpoint` — synchronization point words (per-core
   identification flags + up/down counter) and the same-cycle merge
@@ -12,47 +12,7 @@ This package implements systems S1-S3 of DESIGN.md:
 * :mod:`repro.core.primitives` — protocol recipes (producer-consumer,
   lock-step regions, reusable barriers) expressed purely in terms of
   the paper's ``SINC``/``SDEC``/``SNOP``/``SLEEP`` instructions.
+
+The package imports none of its modules: the platform loads only the
+synchronizer, never the protocol recipes.
 """
-
-from .events import EventLatch, InterruptController
-from .primitives import (
-    LockstepRegion,
-    ProducerConsumerChannel,
-    SenseBarrier,
-    StepResult,
-    SyncDomain,
-)
-from .syncpoint import (
-    FireResult,
-    MergedUpdate,
-    SyncOp,
-    SyncPoint,
-    SyncPointLayout,
-    SyncProtocolError,
-    SyncRequest,
-    apply_update,
-    merge_requests,
-)
-from .synchronizer import DictStorage, Synchronizer, SynchronizerStats
-
-__all__ = [
-    "DictStorage",
-    "EventLatch",
-    "FireResult",
-    "InterruptController",
-    "LockstepRegion",
-    "MergedUpdate",
-    "ProducerConsumerChannel",
-    "SenseBarrier",
-    "StepResult",
-    "SyncDomain",
-    "SyncOp",
-    "SyncPoint",
-    "SyncPointLayout",
-    "SyncProtocolError",
-    "SyncRequest",
-    "Synchronizer",
-    "SynchronizerStats",
-    "apply_update",
-    "merge_requests",
-]

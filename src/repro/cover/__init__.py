@@ -31,44 +31,6 @@ draw flows through one SHA-256-derived stream — so the
 ``PYTHONHASHSEED`` values.
 """
 
-from .fuzz import (
-    COVER_BUDGET,
-    COVER_DURATION_S,
-    COVER_POLICIES,
-    COVER_SATURATION,
-    COVER_SEED,
-    FuzzAttempt,
-    FuzzReport,
-    fuzz_campaign,
-    random_campaign,
-)
-from .model import (
-    ADVERSARIAL_POINTS,
-    COVER_SCHEMA,
-    DIMENSIONS,
-    CoverageMap,
-    all_bins,
-    bin_key,
-    classify,
-    parse_bin,
-)
+from .fuzz import fuzz_campaign, random_campaign
 
-__all__ = [
-    "ADVERSARIAL_POINTS",
-    "COVER_BUDGET",
-    "COVER_DURATION_S",
-    "COVER_POLICIES",
-    "COVER_SATURATION",
-    "COVER_SCHEMA",
-    "COVER_SEED",
-    "CoverageMap",
-    "DIMENSIONS",
-    "FuzzAttempt",
-    "FuzzReport",
-    "all_bins",
-    "bin_key",
-    "classify",
-    "fuzz_campaign",
-    "parse_bin",
-    "random_campaign",
-]
+__all__ = ["fuzz_campaign", "random_campaign"]

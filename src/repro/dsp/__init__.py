@@ -1,4 +1,4 @@
-"""Benchmark DSP (systems S15-S17): the paper's three applications.
+"""Benchmark DSP: the paper's three applications.
 
 * :mod:`repro.dsp.morphology` — ECG conditioning by morphological
   filtering (3L-MF, after Sun et al. [21]);
@@ -9,46 +9,7 @@
   et al. [22]).
 """
 
-from .beatdet import BeatDetectorParams, detect_r_peaks, detection_f1
-from .mmd import (
-    DelineatedBeat,
-    MmdDelineator,
-    MmdParams,
-    combine_leads,
-    delineation_sensitivity,
-    mmd_transform,
-)
-from .morphology import (
-    MfParams,
-    MorphologicalFilter,
-    closing,
-    dilate,
-    erode,
-    opening,
-    qrs_preserving_error,
-)
-from .rp import RandomProjectionClassifier, RpParams, classification_accuracy
-from .streaming import StreamingMorphologicalFilter
+from .morphology import MorphologicalFilter
+from .rp import RandomProjectionClassifier
 
-__all__ = [
-    "StreamingMorphologicalFilter",
-    "BeatDetectorParams",
-    "DelineatedBeat",
-    "MfParams",
-    "MmdDelineator",
-    "MmdParams",
-    "MorphologicalFilter",
-    "RandomProjectionClassifier",
-    "RpParams",
-    "classification_accuracy",
-    "closing",
-    "combine_leads",
-    "delineation_sensitivity",
-    "detect_r_peaks",
-    "detection_f1",
-    "dilate",
-    "erode",
-    "mmd_transform",
-    "opening",
-    "qrs_preserving_error",
-]
+__all__ = ["MorphologicalFilter", "RandomProjectionClassifier"]

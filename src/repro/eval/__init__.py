@@ -1,77 +1,37 @@
-"""Experiment drivers (system S21): Table I, Fig. 6, Fig. 7,
-ablations, the network report, the generated-workload exploration and
-the placement-search campaign."""
+"""Experiment drivers: the paper's Table I, Fig. 6, Fig. 7 and ablations.
+
+Importing the package loads the paper part only, the behavioural model
+it runs on and nothing above it.  The other experiments import their
+layers on use, from their own modules: :mod:`~repro.eval.netexp`
+(fleets), :mod:`~repro.eval.sweepexp`, :mod:`~repro.eval.genexp`,
+:mod:`~repro.eval.coverexp` and :mod:`~repro.eval.searchexp`.
+"""
 
 from .ablations import (
-    AblationResult,
     ablate_broadcast,
     ablate_lockstep_recovery,
     ablate_sleep,
     ablate_vfs,
+    render_ablations,
     run_all_ablations,
 )
-from .aggregates import percentile, summary_stats
-from .fig6 import Fig6Group, run_fig6, run_group
-from .fig7 import Fig7Point, run_fig7
-from .netexp import NET_DURATION_S, NetReport, run_net
-from .report import (
-    FleetSummary,
-    SyncError,
-    render_ablations,
-    render_fig6,
-    render_fig7,
-    render_gen,
-    render_net,
-    render_search,
-    render_sweep,
-    render_table1,
-)
-from .searchexp import (
-    SEARCH_SCHEMA,
-    SearchReport,
-    run_search,
-    search_payload,
-    write_search_json,
-)
-from .runconfig import (
-    BenchmarkCase,
-    DURATION_S,
-    FIG7_RATIOS,
-    TABLE1_PATHOLOGICAL_RATIO,
-    benchmark_cases,
-    rp_case,
-)
-from .table1 import PAPER_TABLE1, Table1Column, run_case, run_table1
+from .fig6 import render_fig6, run_fig6, run_group
+from .fig7 import render_fig7, run_fig7
+from .runconfig import DURATION_S, FIG7_RATIOS, benchmark_cases, rp_case
+from .table1 import PAPER_TABLE1, render_table1, run_case, run_table1
 
 __all__ = [
-    "AblationResult",
-    "BenchmarkCase",
     "DURATION_S",
     "FIG7_RATIOS",
-    "Fig6Group",
-    "Fig7Point",
-    "FleetSummary",
-    "NET_DURATION_S",
-    "NetReport",
     "PAPER_TABLE1",
-    "SEARCH_SCHEMA",
-    "SearchReport",
-    "SyncError",
-    "TABLE1_PATHOLOGICAL_RATIO",
-    "Table1Column",
     "ablate_broadcast",
     "ablate_lockstep_recovery",
     "ablate_sleep",
     "ablate_vfs",
     "benchmark_cases",
-    "percentile",
     "render_ablations",
     "render_fig6",
     "render_fig7",
-    "render_gen",
-    "render_net",
-    "render_search",
-    "render_sweep",
     "render_table1",
     "rp_case",
     "run_all_ablations",
@@ -79,10 +39,5 @@ __all__ = [
     "run_fig6",
     "run_fig7",
     "run_group",
-    "run_net",
-    "run_search",
     "run_table1",
-    "search_payload",
-    "summary_stats",
-    "write_search_json",
 ]

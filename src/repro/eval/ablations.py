@@ -1,4 +1,4 @@
-"""Ablation studies (DESIGN.md ABL-1..4).
+"""Ablation studies ABL-1..4.
 
 The paper attributes its gains to specific mechanisms; these ablations
 isolate each one:
@@ -18,6 +18,7 @@ isolate each one:
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from ..apps.phases import AppSpec
 from ..power.energy import compute_power
 from ..power.vfs import OperatingPoint
 from ..sysc.engine import Mode, simulate
+from .cli import add_paper_arguments, paper_duration
 from .runconfig import DURATION_S, benchmark_cases, rp_case
 
 
@@ -144,3 +146,24 @@ def run_all_ablations(duration_s: float = DURATION_S
     results.extend(ablate_sleep(duration_s))
     results.append(ablate_lockstep_recovery(duration_s))
     return results
+
+
+def render_ablations(results: list[AblationResult]) -> str:
+    """Render the ablation outcomes."""
+    lines = ["Ablations: power with / without each mechanism (uW)"]
+    for result in results:
+        lines.append(
+            f"  {result.name}  {result.description:<52} "
+            f"{result.with_feature_uw:7.1f} /{result.without_feature_uw:7.1f}"
+            f"   (+{result.penalty_fraction * 100:.1f} % without)")
+    return "\n".join(lines)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_paper_arguments(parser)
+
+
+def run_command(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> str:
+    """``python -m repro.eval ablations``: the rendered report."""
+    return render_ablations(run_all_ablations(paper_duration(args)))

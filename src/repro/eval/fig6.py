@@ -15,10 +15,12 @@ the synchronized multi-core wins everywhere.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 
-from ..power.energy import PowerReport
+from ..power.energy import CATEGORIES, PowerReport
 from ..sysc.engine import Mode, simulate
+from .cli import add_paper_arguments, paper_duration
 from .runconfig import BenchmarkCase, DURATION_S, benchmark_cases
 
 
@@ -74,3 +76,40 @@ def run_fig6(duration_s: float = DURATION_S) -> list[Fig6Group]:
     """Run the full Figure 6 (three benchmarks x three bars)."""
     return [run_group(case, duration_s)
             for case in benchmark_cases(duration_s)]
+
+
+def render_fig6(groups: list[Fig6Group]) -> str:
+    """Render Figure 6 as stacked numeric columns per configuration."""
+    lines = ["Figure 6: power decomposition (uW)"]
+    for group in groups:
+        lines.append(f"\n== {group.benchmark}")
+        lines.append(
+            "  component       " + "SC".rjust(9)
+            + "MC(no sync)".rjust(13) + "MC(sync)".rjust(10))
+        for name in CATEGORIES:
+            lines.append(
+                f"  {name:<15}"
+                + f"{group.single.categories.get(name, 0.0):9.2f}"
+                + f"{group.multi_no_sync.categories.get(name, 0.0):13.2f}"
+                + f"{group.multi_sync.categories.get(name, 0.0):10.2f}")
+        lines.append(
+            "  total          "
+            + f"{group.single.total_uw:9.2f}"
+            + f"{group.multi_no_sync.total_uw:13.2f}"
+            + f"{group.multi_sync.total_uw:10.2f}")
+        sign = group.no_sync_vs_single
+        verdict = "lower" if sign < -0.02 else \
+            "higher" if sign > 0.02 else "comparable"
+        lines.append(f"  MC without sync is {verdict} than SC "
+                     f"({sign * 100:+.1f} %)")
+    return "\n".join(lines)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_paper_arguments(parser)
+
+
+def run_command(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> str:
+    """``python -m repro.eval fig6``: the rendered report."""
+    return render_fig6(run_fig6(paper_duration(args)))

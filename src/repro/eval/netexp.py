@@ -23,9 +23,12 @@ so two runs of the same configuration produce byte-identical files.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..gen.policies import POLICIES
+from ..gen.topology import FAMILY_ORDER
 from ..net.appsource import BENCHMARK_KIND
 from ..net.fleet import (
     DEFAULT_DURATION_S,
@@ -33,11 +36,24 @@ from ..net.fleet import (
     FleetResult,
     run_fleet,
 )
+from ..net.hierarchy import HIERARCHIES
 from ..net.node import NodeResult
-from ..net.scenarios import generated_scenario
-from ..net.stats import SyncError, TierSummary, improvement_ratio
-from ..net.streaming import HierarchyResult
+from ..net.scenarios import SCENARIOS, generated_scenario
+from ..net.stats import (
+    FleetSummary,
+    SyncError,
+    TierSummary,
+    improvement_ratio,
+)
+from ..net.streaming import (
+    DEFAULT_WAVE_SUBTREES,
+    HierarchyResult,
+    run_streaming,
+)
+from ..net.timesync import PROTOCOLS
 from ..store import write_json
+from .cli import add_duration, add_metrics, nonnegative_int, positive_int
+from .table1 import format_cell
 
 #: Default simulated seconds of the network experiment (the fleet
 #: runner's own default; re-exported under the experiment's name).
@@ -277,6 +293,277 @@ def write_net_json(report: NetReport, path: str | Path) -> Path:
     return write_json(path, net_payload(report))
 
 
+
+_NET_ROWS: tuple[tuple[str, str, str, str], ...] = (
+    # (row label, "no sync" attribute path, protocol attribute path,
+    # format) — same row-driven layout as Table I, so both reports
+    # format through :func:`repro.eval.table1.format_cell`.  Power and
+    # radio rows repeat the same value: the fleets are identical, only
+    # the estimator differs.
+    ("Mean node power (uW)", "mean_power_uw", "mean_power_uw", "f1"),
+    ("Radio power (uW)", "mean_radio_uw", "mean_radio_uw", "f2"),
+    ("Beacons sent", "beacons_sent", "beacons_sent", "int"),
+    ("Beacons heard", "beacons_heard", "beacons_heard", "int"),
+    ("Power-loss resets", "power_loss_resets", "power_loss_resets",
+     "int"),
+    ("Sync err mean (ms)", "unsync.mean_abs_s", "sync.mean_abs_s", "ms"),
+    ("Sync err RMS (ms)", "unsync.rms_s", "sync.rms_s", "ms"),
+    ("Steady err mean (ms)", "steady_unsync.mean_abs_s",
+     "steady_sync.mean_abs_s", "ms"),
+    ("Steady err max (ms)", "steady_unsync.max_abs_s",
+     "steady_sync.max_abs_s", "ms"),
+)
+
+
+def _summary_value(summary: FleetSummary, path: str) -> float:
+    value = summary
+    for attr in path.split("."):
+        value = getattr(value, attr)
+    return value
+
+
+def _breakdown_block(title: str, groups) -> list[str]:
+    """One per-group table of a heterogeneous fleet summary."""
+    lines = [f"  {title} (nodes, floor MHz, power uW, steady err ms):"]
+    for group in groups:
+        lines.append(
+            f"    {group.name:<14}"
+            f"{group.nodes:4d}"
+            f"{group.mean_floor_mhz:8.2f}"
+            f"{group.mean_power_uw:8.1f}"
+            f"{group.steady_sync.mean_abs_s * 1e3:8.2f}")
+    return lines
+
+
+def render_net(report: NetReport) -> str:
+    """Render the network experiment as a two-column comparison.
+
+    Benchmark fleets keep the historical byte-exact layout;
+    heterogeneous fleets (generated-suite or mixed app sources)
+    additionally get per-family and per-policy breakdown blocks.
+    """
+    summary = report.result.summary
+    lines = [
+        f"Network: {report.scenario} "
+        f"({summary.n_nodes} nodes, {summary.duration_s:g} s, "
+        f"{report.result.workers} worker(s), {report.result.mode})",
+        "  " + "Metric".ljust(24)
+        + "no sync".rjust(12) + summary.protocol.rjust(12),
+    ]
+    lines.append("  " + "-" * 46)
+    for label, unsync_path, sync_path, kind in _NET_ROWS:
+        scale = 1e3 if kind == "ms" else 1.0
+        fmt = "f2" if kind == "ms" else kind
+        lines.append(
+            "  " + label.ljust(24)
+            + format_cell(_summary_value(summary, unsync_path) * scale,
+                   fmt).rjust(12)
+            + format_cell(_summary_value(summary, sync_path) * scale,
+                   fmt).rjust(12))
+    lines.append(f"  steady-state error reduced {report.improvement:.1f}x "
+                 f"by {summary.protocol}")
+    if summary.source != BENCHMARK_KIND:
+        lines.extend(_breakdown_block("per-family breakdown",
+                                      summary.families))
+        lines.extend(_breakdown_block("per-policy breakdown",
+                                      summary.policies))
+    if report.result.compute is not None:
+        lines.append(_compute_line(report.result.compute))
+    lines.append(
+        f"  throughput: {report.result.nodes_per_second:.1f} nodes/s "
+        f"({report.result.elapsed_s:.2f} s)")
+    return "\n".join(lines)
+
+
+def _compute_line(compute) -> str:
+    """One-line account of the fleet's compute resolution."""
+    return (f"  compute: {compute.requests} request(s) over "
+            f"{compute.distinct_keys} distinct unit(s)")
+
+
+def render_hierarchy(result: HierarchyResult) -> str:
+    """Render a hierarchical streaming run with per-tier breakdown.
+
+    Reuses the network experiment's row layout (the fleet-wide
+    summary *is* a :class:`FleetSummary`), then adds the per-tier
+    block — each tier's single-hop error next to its effective error
+    against the backbone — and the streaming bookkeeping (waves,
+    resume state, peak RSS).
+    """
+    summary = result.summary
+    lines = [
+        f"Hierarchy: {result.token} "
+        f"({summary.n_nodes} nodes, {len(result.tiers)} tier(s), "
+        f"{summary.duration_s:g} s, {result.workers} worker(s), "
+        f"{result.mode})",
+        "  " + "Metric".ljust(24)
+        + "no sync".rjust(12) + "tiered".rjust(12),
+    ]
+    lines.append("  " + "-" * 46)
+    for label, unsync_path, sync_path, kind in _NET_ROWS:
+        scale = 1e3 if kind == "ms" else 1.0
+        fmt = "f2" if kind == "ms" else kind
+        lines.append(
+            "  " + label.ljust(24)
+            + format_cell(_summary_value(summary, unsync_path) * scale,
+                   fmt).rjust(12)
+            + format_cell(_summary_value(summary, sync_path) * scale,
+                   fmt).rjust(12))
+    lines.append(
+        f"  steady-state error reduced {hierarchy_improvement(result):.1f}x "
+        f"across {len(result.tiers)} hop(s)")
+    lines.append("  per-tier breakdown (nodes, proto, period s, "
+                 "hop err ms, eff err ms):")
+    for tier in result.tiers:
+        lines.append(
+            f"    {tier.name:<12}"
+            f"{tier.nodes:8d}  "
+            f"{tier.protocol:<6}"
+            f"{tier.beacon_period_s:6.1f}"
+            f"{tier.steady_hop_sync.mean_abs_s * 1e3:8.2f}"
+            f"{tier.steady_sync.mean_abs_s * 1e3:8.2f}")
+    if result.resumed_subtrees:
+        lines.append(
+            f"  resumed {result.resumed_subtrees} subtree(s) from "
+            f"checkpoint")
+    if not result.completed:
+        lines.append(
+            f"  partial: {result.subtrees_done}/{result.subtrees} "
+            f"subtree(s) folded - rerun with the same checkpoint dir "
+            f"to finish")
+    lines.append(
+        f"  waves: {result.waves_run}/{result.waves} wave(s) x "
+        f"{result.wave_size} subtree(s)")
+    if result.compute is not None:
+        lines.append(_compute_line(result.compute))
+    lines.append(
+        f"  throughput: {result.nodes_per_second:.1f} nodes/s "
+        f"({result.elapsed_s:.2f} s, peak rss {result.peak_rss_mb:.0f} MB)")
+    return "\n".join(lines)
+
+
+def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    """The fleet flags ``net`` shares with ``all``."""
+    parser.add_argument(
+        "--scenario", choices=sorted(SCENARIOS), default=None,
+        help="fleet scenario (default: drifting-wearables)")
+    parser.add_argument(
+        "--nodes", type=nonnegative_int, default=None,
+        help="fleet size (default: the scenario preset)")
+    parser.add_argument(
+        "--protocol", choices=sorted(PROTOCOLS), default=None,
+        help="override the scenario's sync protocol")
+    parser.add_argument(
+        "--workers", type=positive_int, default=1,
+        help="worker processes of the fleet runner (default: 1)")
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help=f"fleet seed (default: {DEFAULT_SEED})")
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_duration(parser, f"{NET_DURATION_S:g} s")
+    add_metrics(parser)
+    add_fleet_arguments(parser)
+    parser.add_argument(
+        "--suite-seed", type=int, default=None, metavar="SEED",
+        help="draw each node's app from a generated suite with this "
+             f"seed (default when any suite flag is given: "
+             f"{NET_SUITE_SEED})")
+    parser.add_argument(
+        "--suite-count", type=positive_int, default=None, metavar="N",
+        help=f"generated-suite size (default: {NET_SUITE_COUNT})")
+    parser.add_argument(
+        "--families", nargs="+", choices=list(FAMILY_ORDER),
+        default=None, metavar="FAMILY",
+        help="topology families of the generated suite "
+             f"(default: all of {', '.join(FAMILY_ORDER)})")
+    parser.add_argument(
+        "--policy", choices=sorted(POLICIES), default=None,
+        help="mapping policy placing every generated app "
+             f"(default: {NET_SUITE_POLICY})")
+    parser.add_argument(
+        "--compute-cache", default=None, metavar="DIR",
+        help="on-disk compute-cache root shared across runs "
+             "(default: $REPRO_COMPUTE_CACHE, else in-process only)")
+    parser.add_argument(
+        "--tiers", default=None, metavar="SPEC",
+        help="run a hierarchical fleet instead: preset name "
+             f"({', '.join(sorted(HIERARCHIES))}) or a "
+             "'tiers:<proto@<period>x<fan>[~<scale>]/...>:<base>' "
+             "token")
+    parser.add_argument(
+        "--stream", action="store_true",
+        help="run the hierarchy through the streaming executor in "
+             f"bounded-memory waves (default: "
+             f"{DEFAULT_WAVE_SUBTREES} subtrees/wave)")
+    parser.add_argument(
+        "--wave", type=positive_int, default=None, metavar="N",
+        help="tier-0 subtrees per wave (implies --stream)")
+    parser.add_argument(
+        "--checkpoint-dir", default=None, metavar="DIR",
+        help="persist the partial merge after every wave; a rerun "
+             "with the same spec resumes from it (implies --stream)")
+    parser.add_argument(
+        "--max-waves", type=positive_int, default=None, metavar="N",
+        help="stop after N waves - the deterministic kill point the "
+             "resume checks use (implies --stream)")
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="write the deterministic repro-net/1|2 artifact here "
+             "(repro-net/3 with --tiers; skipped while a --max-waves "
+             "run is incomplete)")
+
+
+def run_command(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> str:
+    """``python -m repro.eval net``: a flat fleet, or ``--tiers``.
+
+    A flat fleet dedupes app compute through the shared cache; a
+    hierarchy streams in waves when any streaming flag is given.
+    """
+    duration = NET_DURATION_S if args.duration is None else args.duration
+    streaming = args.stream or any(
+        value is not None
+        for value in (args.wave, args.checkpoint_dir, args.max_waves))
+    if args.tiers is None:
+        if streaming:
+            parser.error(
+                "--stream/--wave/--checkpoint-dir/--max-waves need "
+                "--tiers")
+        report = run_net(
+            scenario=args.scenario or "drifting-wearables",
+            n_nodes=args.nodes, duration_s=duration,
+            protocol=args.protocol, workers=args.workers, seed=args.seed,
+            suite_seed=args.suite_seed, suite_count=args.suite_count,
+            families=tuple(args.families) if args.families else None,
+            policy=args.policy, compute="exact",
+            compute_cache=args.compute_cache)
+        if args.json is not None:
+            write_net_json(report, args.json)
+        return render_net(report)
+    flat = [flag for flag, value in (
+        ("--scenario", args.scenario),
+        ("--nodes", args.nodes),
+        ("--protocol", args.protocol),
+        ("--suite-seed", args.suite_seed),
+        ("--suite-count", args.suite_count),
+        ("--families", args.families),
+        ("--policy", args.policy),
+    ) if value is not None]
+    if flat:
+        parser.error(f"--tiers conflicts with {', '.join(flat)}")
+    wave = args.wave if args.wave is not None else (
+        DEFAULT_WAVE_SUBTREES if streaming else None)
+    result = run_streaming(
+        args.tiers, duration_s=duration, seed=args.seed,
+        workers=args.workers, wave_size=wave,
+        checkpoint_dir=args.checkpoint_dir, max_waves=args.max_waves,
+        compute_cache=args.compute_cache)
+    if args.json is not None and result.completed:
+        write_hierarchy_json(result, args.json)
+    return render_hierarchy(result)
+
 __all__ = [
     "NET_DURATION_S",
     "NET_SCHEMA_V1",
@@ -289,6 +576,8 @@ __all__ = [
     "hierarchy_improvement",
     "hierarchy_payload",
     "net_payload",
+    "render_hierarchy",
+    "render_net",
     "run_net",
     "write_hierarchy_json",
     "write_net_json",

@@ -15,20 +15,24 @@ byte-identical files (the CLI acceptance check).
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..gen.explorer import STATUS_OK, STATUS_REJECTED, STATUS_REPAIRED
 from ..gen.generator import derive_seed, suite_tokens
 from ..gen.topology import FAMILY_ORDER
-from ..search import (
-    ORACLE_DURATION_S,
+from ..search.anneal import (
+    ALGORITHMS,
     SearchOutcome,
     outcome_to_mapping,
     search_token,
 )
+from ..search.cost import ORACLE_DURATION_S, ORACLE_KINDS
 from ..store import write_json
 from .aggregates import summary_stats
+from .cli import add_duration, add_metrics, positive_int
+from .table1 import format_cell
 
 #: Schema tag of search artifacts (bump on incompatible changes).
 SEARCH_SCHEMA = "repro-search/1"
@@ -145,6 +149,126 @@ def write_search_json(report: SearchReport, path: str | Path) -> Path:
     return write_json(path, search_payload(report))
 
 
+
+#: Fixed column layout of the placement-search table: (header, width,
+#: value picker kind, format kind).  Golden tests pin this set.
+_SEARCH_COLUMNS: tuple[tuple[str, int, str, str], ...] = (
+    ("app", 18, "app", "str"),
+    ("family", 12, "family", "str"),
+    ("status", 9, "status", "str"),
+    ("start", 14, "start_policy", "str"),
+    ("paper", 9, "paper_cost", "f2"),
+    ("best", 9, "best_cost", "f2"),
+    ("gap%", 7, "gap", "pct"),
+    ("evals", 7, "evaluations", "int"),
+    ("banks", 6, "im_banks", "int"),
+    ("cores", 6, "active_cores", "int"),
+)
+
+
+def render_search(report: SearchReport, max_rows: int = 48) -> str:
+    """Render a placement-search campaign as a fixed table.
+
+    One row per application: the paper-policy cost, the best-found
+    cost and the gap between them, plus the search effort (oracle
+    evaluations actually paid) and the footprint of the best
+    placement.  A gap percentile summary covers every outcome even
+    when rows are elided.
+    """
+    lines = [
+        f"Placement search: seed {report.seed}, "
+        f"{report.count} app(s), {report.algorithm}/{report.cost}, "
+        f"{report.iterations} iteration(s), {report.num_cores} cores, "
+        f"{report.duration_s:g} s/eval"
+    ]
+    header = "  " + "".join(
+        title.ljust(width) if kind == "str" else title.rjust(width)
+        for title, width, _, kind in _SEARCH_COLUMNS)
+    lines.append(header)
+    lines.append("  " + "-" * (len(header) - 2))
+    for outcome in report.outcomes[:max_rows]:
+        cells = []
+        for _, width, attr, kind in _SEARCH_COLUMNS:
+            if attr in ("im_banks", "active_cores"):
+                value = outcome.best_metrics.get(attr, 0)
+            else:
+                value = getattr(outcome, attr)
+            rejected = outcome.status == "rejected"
+            no_paper = attr == "paper_cost" and not outcome.paper_feasible
+            if kind == "str":
+                cells.append(str(value).ljust(width))
+            elif rejected or no_paper:
+                cells.append("-".rjust(width))
+            else:
+                cells.append(format_cell(value, kind).rjust(width))
+        lines.append("  " + "".join(cells).rstrip())
+    elided = len(report.outcomes) - max_rows
+    if elided > 0:
+        lines.append(f"  ... {elided} more outcome(s) elided")
+    counts = report.counts()
+    lines.append(
+        f"  placements: {counts['ok']} ok, "
+        f"{counts['repaired']} repaired, {counts['rejected']} rejected")
+    gaps = report.gap_summary()
+    if gaps["count"]:
+        lines.append(
+            f"  gap over {gaps['count']} placed app(s): "
+            f"p50 {gaps['p50'] * 100:.2f} %, "
+            f"p90 {gaps['p90'] * 100:.2f} %, "
+            f"max {gaps['max'] * 100:.2f} %")
+    return "\n".join(lines)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--seed", type=int, default=SEARCH_SEED,
+        help=f"suite seed (default: {SEARCH_SEED})")
+    parser.add_argument(
+        "--count", type=positive_int, default=SEARCH_COUNT,
+        help=f"generated applications (default: {SEARCH_COUNT})")
+    parser.add_argument(
+        "--families", nargs="+", choices=list(FAMILY_ORDER),
+        default=None, metavar="FAMILY",
+        help="topology families to cycle through "
+             f"(default: all of {', '.join(FAMILY_ORDER)})")
+    parser.add_argument(
+        "--algorithm", choices=list(ALGORITHMS),
+        default=SEARCH_ALGORITHM,
+        help=f"search algorithm (default: {SEARCH_ALGORITHM})")
+    parser.add_argument(
+        "--cost", choices=list(ORACLE_KINDS), default=SEARCH_COST,
+        help=f"cost oracle to minimise (default: {SEARCH_COST})")
+    parser.add_argument(
+        "--iterations", type=positive_int,
+        default=SEARCH_CLI_ITERATIONS,
+        help=f"proposals per app (default: {SEARCH_CLI_ITERATIONS})")
+    parser.add_argument(
+        "--cores", type=positive_int, default=8,
+        help="provisioned platform width (default: 8)")
+    add_duration(parser, f"{SEARCH_DURATION_S:g} s per oracle call")
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="write the deterministic repro-search/1 artifact here")
+    add_metrics(parser)
+
+
+def run_command(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> str:
+    """``python -m repro.eval search``: the rendered campaign."""
+    report = run_search(
+        seed=args.seed,
+        count=args.count,
+        families=tuple(args.families) if args.families else None,
+        algorithm=args.algorithm,
+        cost=args.cost,
+        iterations=args.iterations,
+        num_cores=args.cores,
+        duration_s=args.duration if args.duration is not None
+        else SEARCH_DURATION_S)
+    if args.json is not None:
+        write_search_json(report, args.json)
+    return render_search(report)
+
 __all__ = [
     "SEARCH_ALGORITHM",
     "SEARCH_CLI_ITERATIONS",
@@ -154,6 +278,7 @@ __all__ = [
     "SEARCH_SCHEMA",
     "SEARCH_SEED",
     "SearchReport",
+    "render_search",
     "run_search",
     "search_payload",
     "write_search_json",

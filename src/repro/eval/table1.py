@@ -10,9 +10,11 @@ average power and the resulting saving.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 
 from ..sysc.engine import Mode, SimulationResult, simulate
+from .cli import add_paper_arguments, paper_duration
 from .runconfig import BenchmarkCase, DURATION_S, benchmark_cases
 
 #: Paper values for EXPERIMENTS.md comparisons, keyed by benchmark.
@@ -91,3 +93,73 @@ def run_table1(duration_s: float = DURATION_S) -> list[Table1Column]:
     """Run all three benchmarks (the full Table I)."""
     return [run_case(case, duration_s) for case in benchmark_cases(
         duration_s)]
+
+
+_TABLE1_ROWS: tuple[tuple[str, str, str], ...] = (
+    # (row label, dict key or pair, format)
+    ("Active Cores", "active_cores", "int"),
+    ("Active IM banks", "sc_im_banks/mc_im_banks", "int"),
+    ("Active DM banks", "sc_dm_banks/mc_dm_banks", "int"),
+    ("IM Broadcast (%)", "im_broadcast", "pct"),
+    ("DM Broadcast (%)", "dm_broadcast", "pct"),
+    ("Min. Clock (MHz)", "sc_clock/mc_clock", "f1"),
+    ("Min. Voltage (V)", "sc_voltage/mc_voltage", "f2"),
+    ("Code Overhead (%)", "code_overhead", "pct"),
+    ("Run-time Overhead (%)", "runtime_overhead", "pct"),
+    ("Avg. Power (uW)", "sc_power/mc_power", "f1"),
+    ("Saving (%)", "saving", "pct"),
+)
+
+
+def format_cell(value: float, kind: str) -> str:
+    """One report cell: ``int``, ``pct`` (of a fraction), ``f1`` or ``f2``."""
+    if kind == "int":
+        return f"{int(round(value))}"
+    if kind == "pct":
+        return f"{value * 100:.2f}"
+    if kind == "f1":
+        return f"{value:.1f}"
+    return f"{value:.2f}"
+
+
+def render_table1(columns: list[Table1Column],
+                  include_paper: bool = True) -> str:
+    """Render Table I in the paper's layout (SC and MC per benchmark)."""
+    header = ["Metric".ljust(24)]
+    for column in columns:
+        header.append(f"{column.benchmark} SC".rjust(12))
+        header.append(f"{column.benchmark} MC".rjust(12))
+    lines = ["  ".join(header), "-" * len("  ".join(header))]
+    data = {column.benchmark: column.as_dict() for column in columns}
+    for label, key, kind in _TABLE1_ROWS:
+        row = [label.ljust(24)]
+        for column in columns:
+            values = data[column.benchmark]
+            if "/" in key:
+                sc_key, mc_key = key.split("/")
+                row.append(format_cell(values[sc_key], kind).rjust(12))
+                row.append(format_cell(values[mc_key], kind).rjust(12))
+            else:
+                shared = ("-", format_cell(values[key], kind))
+                if key == "active_cores":
+                    shared = ("1", format_cell(values[key], kind))
+                row.append(shared[0].rjust(12))
+                row.append(shared[1].rjust(12))
+        lines.append("  ".join(row))
+    if include_paper:
+        lines.append("")
+        lines.append("Paper Table I (MC power / saving): " + ", ".join(
+            f"{name}: {vals['mc_power']:.1f} uW / "
+            f"{vals['saving'] * 100:.1f}%"
+            for name, vals in PAPER_TABLE1.items()))
+    return "\n".join(lines)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    add_paper_arguments(parser)
+
+
+def run_command(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> str:
+    """``python -m repro.eval table1``: the rendered report."""
+    return render_table1(run_table1(paper_duration(args)))

@@ -16,16 +16,8 @@ generated apps ride through the sweep cache, the CLI and the
 benchmark harness exactly like the paper's fixed benchmarks.
 """
 
-from .explorer import (
-    EXPLORE_DURATION_S,
-    ExplorationRecord,
-    evaluate_app,
-    evaluate_token,
-    explore,
-    repair_app,
-)
+from .explorer import evaluate_app, evaluate_token, explore, repair_app
 from .generator import (
-    GEN_SCHEMA,
     app_fingerprint,
     app_from_mapping,
     app_from_token,
@@ -38,31 +30,16 @@ from .generator import (
 )
 from .policies import (
     POLICIES,
-    MappingPolicy,
     critical_path_weights,
     get_policy,
     map_balanced,
     map_critical_path,
 )
-from .topology import (
-    FAMILIES,
-    FAMILY_ORDER,
-    Shape,
-    StageSpec,
-    Topology,
-)
+from .topology import FAMILY_ORDER
 
 __all__ = [
-    "EXPLORE_DURATION_S",
-    "ExplorationRecord",
-    "FAMILIES",
     "FAMILY_ORDER",
-    "GEN_SCHEMA",
-    "MappingPolicy",
     "POLICIES",
-    "Shape",
-    "StageSpec",
-    "Topology",
     "app_fingerprint",
     "app_from_mapping",
     "app_from_token",

@@ -233,7 +233,7 @@ def _search_mapper(algorithm: str) -> Mapper:
     def mapper(app: AppSpec, num_cores: int = 8,
                geometry: ImGeometry | None = None) -> MappingPlan:
         # Deferred import: repro.search builds on this module.
-        from ..search import search_mapping
+        from ..search.anneal import search_mapping
 
         seed = derive_seed("search-policy", algorithm,
                            app_fingerprint(app), num_cores)

@@ -1,47 +1,10 @@
-"""Cycle-level hardware platform (systems S6-S11 of DESIGN.md).
+"""Cycle-level hardware platform (see ``docs/architecture.md``).
 
 Cores, banked memories with power gating, broadcasting crossbars, the
 private/shared ATU, the memory-mapped ADC, and the single-/multi-core
 platform top levels of the paper's Fig. 2.
 """
 
-from .adc import Adc, AdcChannel, AdcChannelStats
-from .atu import MulticoreAtu, PhysicalLocation, SingleCoreTranslation
-from .core import CoreStats, Effect, EffectKind, RiscCore
-from .interconnect import (
-    ArbitrationResult,
-    Crossbar,
-    CrossbarStats,
-    GrantGroup,
-    MemRequest,
-)
-from .memory import BankedMemory, MemoryActivity, MemoryBank, MemoryFault
-from .system import SimulationError, System, SystemActivity
-from .tracing import TraceEvent, Tracer
+from .system import System
 
-__all__ = [
-    "Adc",
-    "AdcChannel",
-    "AdcChannelStats",
-    "ArbitrationResult",
-    "BankedMemory",
-    "CoreStats",
-    "Crossbar",
-    "CrossbarStats",
-    "Effect",
-    "EffectKind",
-    "GrantGroup",
-    "MemRequest",
-    "MemoryActivity",
-    "MemoryBank",
-    "MemoryFault",
-    "MulticoreAtu",
-    "PhysicalLocation",
-    "RiscCore",
-    "SimulationError",
-    "SingleCoreTranslation",
-    "System",
-    "SystemActivity",
-    "TraceEvent",
-    "Tracer",
-]
+__all__ = ["System"]

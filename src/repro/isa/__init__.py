@@ -1,47 +1,14 @@
 """ISA tool-chain: instruction set, assembler, disassembler, images.
 
-This package is substrate S4/S5 of the reproduction (see DESIGN.md): a
-16-bit RISC instruction set with 24-bit instruction words, extended with
-the paper's synchronization instructions (``sinc``, ``sdec``, ``snop``,
-``sleep``), plus the programming tool-chain (assembler + builder/linker
-with bank-placement directives) of the paper's Sec. IV-C.
+A 16-bit RISC instruction set with 24-bit instruction words, extended
+with the paper's synchronization instructions (``sinc``, ``sdec``,
+``snop``, ``sleep``), plus the programming tool-chain (assembler +
+builder/linker with bank-placement directives) of the paper's
+Sec. IV-C.  See ``docs/architecture.md``, section "`repro.isa` →
+`repro.hw`".
+
+The package imports none of its modules: the behavioural layers read
+only :mod:`repro.isa.layout`, so importing it must not build the
+assembler.  Import the defining module, e.g.
+``from repro.isa.assembler import assemble``.
 """
-
-from .assembler import Assembler, assemble, assemble_many
-from .disassembler import disassemble_image, disassemble_word
-from .encoding import Instruction, decode, encode
-from .errors import AssemblerError, EncodingError, IsaError, LinkError
-from .layout import (
-    DEFAULT_GEOMETRY,
-    DmGeometry,
-    ImGeometry,
-    MemoryMap,
-    PlatformGeometry,
-)
-from .program import ProgramImage, SectionInfo
-from .spec import OP_TABLE, Format, Op
-
-__all__ = [
-    "Assembler",
-    "AssemblerError",
-    "DEFAULT_GEOMETRY",
-    "DmGeometry",
-    "EncodingError",
-    "Format",
-    "ImGeometry",
-    "Instruction",
-    "IsaError",
-    "LinkError",
-    "MemoryMap",
-    "OP_TABLE",
-    "Op",
-    "PlatformGeometry",
-    "ProgramImage",
-    "SectionInfo",
-    "assemble",
-    "assemble_many",
-    "decode",
-    "disassemble_image",
-    "disassemble_word",
-    "encode",
-]

@@ -1,26 +1,18 @@
-"""Assembly kernels + cycle-level characterisation (system S20)."""
+"""Assembly kernels + cycle-level characterisation.
+
+:mod:`repro.kernels.costmodel` cross-checks the behavioural model's
+calibrated budgets against these kernels; it loads the ECG DSP stack,
+so this package does not import it.
+"""
 
 from .characterize import (
-    BarrierPipelineReport,
-    MacReport,
-    WindowMinReport,
     characterize_barrier_pipeline,
     characterize_mac,
     characterize_window_min,
 )
-from .sources import (
-    RESULT_BASE,
-    barrier_pipeline_kernel,
-    mac_kernel,
-    window_min_kernel,
-)
+from .sources import mac_kernel, window_min_kernel
 
 __all__ = [
-    "BarrierPipelineReport",
-    "MacReport",
-    "RESULT_BASE",
-    "WindowMinReport",
-    "barrier_pipeline_kernel",
     "characterize_barrier_pipeline",
     "characterize_mac",
     "characterize_window_min",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hw.system import System
-from ..isa import assemble
+from ..isa.assembler import assemble
 from .sources import (
     RESULT_BASE,
     barrier_pipeline_kernel,

@@ -1,4 +1,4 @@
-"""Cross-validation of the calibrated workload budgets (DESIGN 5.4).
+"""Cross-validation of the calibrated workload budgets.
 
 The system-level model uses calibrated per-phase cycle budgets
 (:mod:`repro.apps.benchmarks`), anchored to the paper's single-core
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..apps.benchmarks import MF_CYCLES
 from ..dsp.morphology import MorphologicalFilter
-from ..kernels.characterize import characterize_window_min
+from .characterize import characterize_window_min
 
 #: Default cycles per window element when no measurement is supplied
 #: (the cycle-level window-minimum kernel at W=32 measures ~6.2).

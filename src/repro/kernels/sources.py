@@ -1,4 +1,4 @@
-"""Assembly kernels for cycle-level characterization (system S20).
+"""Assembly kernels for cycle-level characterization.
 
 The paper characterises architectural elements by running "small code
 sections" under post-layout RTL simulation (Sec. IV-C).  These kernels

@@ -45,7 +45,12 @@ from .. import obs
 from ..apps import rp_class, three_lead_mf, three_lead_mmd
 from ..apps.mapping import MappingError, MappingPlan, plan_required_mhz
 from ..apps.phases import AppSpec
+from ..gen.explorer import repair_app
+from ..gen.generator import app_from_token, parse_app_token, suite_tokens
+from ..gen.policies import get_policy
+from ..gen.topology import require_family
 from ..sysc.engine import Mode
+from .compute import app_plan_key
 
 #: Application registry: benchmark names -> AppSpec builders (every
 #: builder takes the pathological-beat ratio; the fixed filtering
@@ -120,8 +125,6 @@ def _benchmark_binding(name: str, abnormal_ratio: float) -> AppBinding:
     every node drawing the same ``(benchmark, ratio)`` can share one
     instance instead of rebuilding the spec and its content hash.
     """
-    from .compute import app_plan_key
-
     app = APPS[name](abnormal_ratio)
     return AppBinding(
         name=name, app=app, app_key=app_plan_key(app, None, 8)
@@ -214,10 +217,6 @@ def _resolve_generated(
             app even after replica repair.
         ValueError: malformed token or unknown policy.
     """
-    from ..gen.explorer import repair_app
-    from ..gen.generator import app_from_token
-    from ..gen.policies import get_policy
-
     with obs.suspended():
         policy = get_policy(policy_name)
         app = app_from_token(token)
@@ -242,9 +241,6 @@ def _generated_binding(
         repro.apps.mapping.MappingError: the policy cannot place the
             app even after replica repair.
     """
-    from ..gen.generator import parse_app_token
-    from .compute import app_plan_key
-
     app, plan, repairs = _resolve_generated(token, policy_name, num_cores)
     family, _, _, _ = parse_app_token(token)
     floor = plan_required_mhz(plan) if plan.multicore else 0.0
@@ -284,9 +280,6 @@ class GeneratedSuiteSource:
     num_cores: int = 8
 
     def __post_init__(self) -> None:
-        from ..gen.policies import get_policy
-        from ..gen.topology import require_family
-
         if self.count < 1:
             raise ValueError("generated suite needs at least one app")
         get_policy(self.policy)
@@ -295,8 +288,6 @@ class GeneratedSuiteSource:
 
     def tokens(self) -> list[str]:
         """The suite's regeneration tokens."""
-        from ..gen.generator import suite_tokens
-
         return suite_tokens(self.seed, self.count, self.families or None)
 
     def bind(

@@ -40,8 +40,10 @@ from typing import TYPE_CHECKING, Sequence
 from .. import obs
 from ..apps.mapping import MappingPlan
 from ..apps.phases import AppSpec
+from ..gen.generator import app_fingerprint
 from ..power.energy import PowerReport
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
+from ..search.space import candidate_from_plan
 from ..store import code_fingerprint, read_json, write_json
 from ..sysc.engine import BeatEvent, Mode, simulate
 
@@ -232,13 +234,9 @@ def app_plan_key(
     placements, so the hash survives process boundaries and
     regeneration (unlike ``id()``-based memo keys).
     """
-    from ..gen.generator import app_fingerprint
-
     if plan is None:
         plan_key = "default"
     elif plan.multicore:
-        from ..search.space import candidate_from_plan
-
         plan_key = candidate_from_plan(plan).key()
     else:
         plan_key = "single-core"

@@ -48,8 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
+from ..sysc.engine import cached_uniform_schedule
 from .appsource import AppBinding
 from .clock import LocalClock, read_clocks
+from .compute import build_request
 from .radio import Reception
 from .scenarios import (
     DENSE_WARD,
@@ -531,9 +533,6 @@ def profile_table(
     binding bit for bit, because cached payloads rebuild their
     reports in the exact category order.
     """
-    from ..sysc.engine import cached_uniform_schedule
-    from .compute import build_request
-
     bindings = base.apps.universe(base.abnormal_ratio)
     bpm = (base.bpm_range[0] + base.bpm_range[1]) / 2.0
     bounded = min(duration_s, PROFILE_DURATION_S)

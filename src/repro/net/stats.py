@@ -1,7 +1,7 @@
 """Summary dataclasses shared by the fleet runner and `repro.eval`.
 
-These are defined here (dependency-free) and re-exported from
-:mod:`repro.eval.report`, so the network report and the Table-I-style
+These are defined here (dependency-free) and rendered by
+:mod:`repro.eval.netexp`, so the network report and the Table-I-style
 reports format results through one path without `repro.net` ever
 importing the evaluation layer.
 

@@ -1,37 +1,20 @@
-"""Power modelling (systems S12-S13 of DESIGN.md).
+"""Power modelling.
 
 90 nm-style process/VFS model, calibrated per-component energies, and
 the activity-to-power accounting that produces Table I's average power
 and Fig. 6's decomposition.
 """
 
-from .components import DEFAULT_ENERGY, EnergyParams
-from .energy import (
-    ActivityVector,
-    CATEGORIES,
-    PowerReport,
-    compute_power,
-)
-from .process import DEFAULT_FMAX_TABLE, DEFAULT_PROCESS, ProcessModel
-from .vfs import (
-    MIN_SYSTEM_CLOCK_MHZ,
-    OperatingPoint,
-    SINGLE_CORE_FMAX_BOOST,
-    plan_operating_point,
-)
+from .energy import ActivityVector, PowerReport, compute_power
+from .process import DEFAULT_PROCESS, ProcessModel
+from .vfs import OperatingPoint, plan_operating_point
 
 __all__ = [
     "ActivityVector",
-    "CATEGORIES",
-    "DEFAULT_ENERGY",
-    "DEFAULT_FMAX_TABLE",
     "DEFAULT_PROCESS",
-    "EnergyParams",
-    "MIN_SYSTEM_CLOCK_MHZ",
     "OperatingPoint",
     "PowerReport",
     "ProcessModel",
-    "SINGLE_CORE_FMAX_BOOST",
     "compute_power",
     "plan_operating_point",
 ]

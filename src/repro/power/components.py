@@ -4,7 +4,7 @@ The paper extracts "the average energy consumption of each
 architectural element when executing small code sections" from
 post-layout simulations and annotates a SystemC model with them.  We
 cannot run a 90 nm flow, so the per-access/per-cycle energies below are
-*calibrated* instead, following DESIGN.md Sec. 5.3:
+*calibrated* instead:
 
 * a linear fit of the three **single-core** Table I rows pins the total
   dynamic energy per cycle at 0.6 V (~22.5 pJ) and the per-bank leakage

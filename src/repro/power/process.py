@@ -24,7 +24,7 @@ pathological-beat ratio pushes the single-core clock past ~3.5 MHz the
 baseline must hop to 0.65 V, which is where the paper's reduction curve
 climbs toward its ~38 % best case.
 
-Calibration note (DESIGN.md Sec. 5.3): the exponents and the table are
+Calibration note: the exponents and the table are
 *process* calibration shared by every experiment; per-benchmark numbers
 are never fitted.
 """

@@ -18,64 +18,7 @@ policy family in :data:`repro.gen.policies.POLICIES`, the ``search``
 run family in :mod:`repro.sweep.runners`, the ``python -m repro.eval
 search`` subcommand (``repro-search/1`` artifacts) and
 ``benchmarks/bench_search.py``.
+
+The package imports none of its modules: fleets key placements through
+:mod:`repro.search.space` alone, without the search drivers.
 """
-
-from .anneal import (
-    ALGORITHMS,
-    ANNEAL_T0,
-    ANNEAL_T_END,
-    SEARCH_ITERATIONS,
-    START_POLICIES,
-    SearchOutcome,
-    outcome_to_mapping,
-    search_mapping,
-    search_token,
-)
-from .cost import (
-    COMPOSITE_CLOCK_WEIGHT_UW_PER_MHZ,
-    ORACLE_DURATION_S,
-    ORACLE_KINDS,
-    CostOracle,
-    get_oracle,
-)
-from .space import (
-    Candidate,
-    candidate_from_plan,
-    candidate_required_mhz,
-    candidate_to_mapping,
-    make_candidate,
-    normalize_cores,
-    plan_from_candidate,
-    propose,
-    repair,
-    slot_phases,
-    violations,
-)
-
-__all__ = [
-    "ALGORITHMS",
-    "ANNEAL_T0",
-    "ANNEAL_T_END",
-    "COMPOSITE_CLOCK_WEIGHT_UW_PER_MHZ",
-    "Candidate",
-    "CostOracle",
-    "ORACLE_DURATION_S",
-    "ORACLE_KINDS",
-    "SEARCH_ITERATIONS",
-    "START_POLICIES",
-    "SearchOutcome",
-    "candidate_from_plan",
-    "candidate_required_mhz",
-    "candidate_to_mapping",
-    "get_oracle",
-    "make_candidate",
-    "normalize_cores",
-    "outcome_to_mapping",
-    "plan_from_candidate",
-    "propose",
-    "repair",
-    "search_mapping",
-    "search_token",
-    "slot_phases",
-    "violations",
-]

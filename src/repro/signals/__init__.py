@@ -1,4 +1,4 @@
-"""Signal substrate (system S14): synthetic ECG, record containers."""
+"""Signal substrate: synthetic ECG, record containers."""
 
 from .ecg import (
     EcgConfig,
@@ -7,13 +7,11 @@ from .ecg import (
     rp_class_record,
     synthesize_ecg,
 )
-from .records import BeatAnnotation, BeatLabel, EcgRecord
+from .records import BeatLabel
 
 __all__ = [
-    "BeatAnnotation",
     "BeatLabel",
     "EcgConfig",
-    "EcgRecord",
     "NoiseProfile",
     "cse_like_record",
     "rp_class_record",

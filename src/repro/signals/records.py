@@ -3,7 +3,7 @@
 The paper evaluates on "standard multi-lead ECG inputs ... from a
 healthy subject of the CSE Database" (Sec. IV-D).  The CSE database is
 proprietary, so this reproduction substitutes synthetic records (see
-:mod:`repro.signals.ecg` and DESIGN.md's substitution table); the
+:mod:`repro.signals.ecg`); the
 containers below are database-agnostic.
 """
 

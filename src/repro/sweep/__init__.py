@@ -1,4 +1,4 @@
-"""Cached, sharded experiment sweeps (system S22).
+"""Cached, sharded experiment sweeps.
 
 Declare a campaign as a :class:`SweepSpec` (axes over applications,
 platform parameters, VFS points, fleet scenarios and sync protocols),

@@ -72,14 +72,15 @@ from ..cover.model import bin_key, classify
 from ..gen.explorer import EXPLORE_DURATION_S, evaluate_token
 from ..gen.generator import app_from_token
 from ..hw.system import System
-from ..isa import assemble
+from ..isa.assembler import assemble
 from ..net.fleet import run_fleet
 from ..net.node import APPS
 from ..net.scenarios import generated_scenario
 from ..net.stats import improvement_ratio
 from ..net.streaming import run_streaming
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ
-from ..search import ORACLE_DURATION_S, SEARCH_ITERATIONS, search_token
+from ..search.anneal import SEARCH_ITERATIONS, search_token
+from ..search.cost import ORACLE_DURATION_S
 from ..sysc.engine import Mode, simulate, uniform_schedule
 from .spec import Value, stable_seed
 

@@ -1,22 +1,8 @@
-"""System-level architectural simulator (system S19 of DESIGN.md)."""
+"""Behavioural system-level simulator (the paper's SystemC analogue).
 
-from .costmodel import CostConsistency, derive_filter_cost
-from .engine import (
-    BeatEvent,
-    Mode,
-    SimulationResult,
-    schedule_from_record,
-    simulate,
-    uniform_schedule,
-)
+See ``docs/architecture.md``, section "`repro.hw` → `repro.sysc`".
+"""
 
-__all__ = [
-    "BeatEvent",
-    "CostConsistency",
-    "Mode",
-    "SimulationResult",
-    "derive_filter_cost",
-    "schedule_from_record",
-    "simulate",
-    "uniform_schedule",
-]
+from .engine import Mode, schedule_from_record, simulate, uniform_schedule
+
+__all__ = ["Mode", "schedule_from_record", "simulate", "uniform_schedule"]

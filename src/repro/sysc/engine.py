@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..apps.mapping import (
@@ -52,7 +52,9 @@ from ..power.vfs import (
     OperatingPoint,
     plan_operating_point,
 )
-from ..signals.records import EcgRecord
+
+if TYPE_CHECKING:  # only read as a type: numpy stays unloaded
+    from ..signals.records import EcgRecord
 
 #: Data accesses per cycle of a busy-wait polling loop (one flag load
 #: every ~3 instructions).

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.apps import (
-    rp_class,
+from repro.apps import rp_class, three_lead_mf, three_lead_mmd
+from repro.apps.functional import (
     run_rp_class,
     run_three_lead_mf,
     run_three_lead_mmd,
-    three_lead_mf,
-    three_lead_mmd,
 )
 from repro.dsp.morphology import MorphologicalFilter
 from repro.dsp.rp import RandomProjectionClassifier

@@ -9,17 +9,12 @@ drift is a deliberate diff, never an accident.
 from dataclasses import replace
 from textwrap import dedent
 
-from repro.eval.genexp import GenReport
-from repro.eval.netexp import NetReport
-from repro.eval.report import (
-    render_gen,
-    render_net,
-    render_search,
-    render_sweep,
-)
-from repro.eval.searchexp import SearchReport
+from repro.eval.genexp import GenReport, render_gen
+from repro.eval.netexp import NetReport, render_net
+from repro.eval.searchexp import SearchReport, render_search
+from repro.eval.sweepexp import render_sweep
 from repro.gen.explorer import ExplorationRecord
-from repro.search import SearchOutcome
+from repro.search.anneal import SearchOutcome
 from repro.net.fleet import FleetResult
 from repro.net.stats import FleetSummary, GroupStats, SyncError
 from repro.sweep.engine import PointResult, SweepResult
@@ -358,7 +353,7 @@ def _hierarchy_fixture():
 
 def test_render_hierarchy_golden():
     """The per-tier breakdown block is pinned byte-for-byte."""
-    from repro.eval.report import render_hierarchy
+    from repro.eval.netexp import render_hierarchy
 
     expected = dedent("""\
         Hierarchy: tiers:ftsp@10x2/rbs@2x3:dense-ward (9 nodes, 2 tier(s), 4 s, 1 worker(s), streaming)
@@ -384,7 +379,7 @@ def test_render_hierarchy_golden():
 
 def test_render_hierarchy_partial_run_golden():
     """Interrupted runs surface resume and partial-fold lines."""
-    from repro.eval.report import render_hierarchy
+    from repro.eval.netexp import render_hierarchy
 
     partial = replace(
         _hierarchy_fixture(), subtrees_done=1, resumed_subtrees=1,

@@ -12,7 +12,7 @@ must cooperate for the checksums to match numpy.
 import numpy as np
 
 from repro.hw.system import System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.isa.layout import (
     REG_ADC_DATA0,
     REG_CORE_ID,

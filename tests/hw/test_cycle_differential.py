@@ -23,7 +23,7 @@ from repro.hw.core import RiscCore
 from repro.hw.interconnect import Crossbar, MemRequest
 from repro.hw.memory import MemoryFault
 from repro.hw.system import SimulationError, System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.isa.encoding import decode
 from repro.isa.layout import (
     REG_ADC_CTRL,

@@ -1,7 +1,7 @@
 """Simulation determinism and reload behaviour."""
 
 from repro.hw.system import System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 
 _PROGRAM = """
     .equ SP, 0

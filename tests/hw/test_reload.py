@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.hw.system import System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.kernels.sources import RESULT_BASE, window_min_kernel
 
 # Every core stores to and loads from its own word of one shared bank,

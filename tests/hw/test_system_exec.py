@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.system import SimulationError, System
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.isa.layout import REG_ADC_DATA0, REG_CORE_ID, REG_INT_SUBSCRIBE
 
 

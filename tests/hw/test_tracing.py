@@ -2,7 +2,7 @@
 
 from repro.hw.system import System
 from repro.hw.tracing import Tracer
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 
 _PROGRAM = """
     .equ SP, 0

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.isa import (
-    Assembler,
-    AssemblerError,
-    LinkError,
-    Op,
-    assemble,
-    assemble_many,
-    decode,
-)
+from repro.isa.assembler import Assembler, assemble, assemble_many
+from repro.isa.encoding import decode
+from repro.isa.errors import AssemblerError, LinkError
+from repro.isa.spec import Op
 
 
 def _ops(image):

@@ -2,9 +2,13 @@
 
 from hypothesis import given, strategies as st
 
-from repro.isa import assemble, decode, disassemble_image, disassemble_word
-from repro.isa.disassembler import format_instruction
-from repro.isa.encoding import Instruction, encode
+from repro.isa.assembler import assemble
+from repro.isa.disassembler import (
+    disassemble_image,
+    disassemble_word,
+    format_instruction,
+)
+from repro.isa.encoding import Instruction, decode, encode
 from repro.isa.spec import OP_TABLE, REG_NAMES, Format, Op
 
 _REG = st.integers(min_value=0, max_value=7)

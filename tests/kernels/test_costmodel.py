@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sysc.costmodel import (
+from repro.kernels.costmodel import (
     DEFAULT_CYCLES_PER_ELEMENT,
     derive_filter_cost,
 )

@@ -229,7 +229,7 @@ def test_power_is_monotonic_in_voltage(v_low, v_high):
 
 def test_activity_vector_from_system_adapter():
     from repro.hw.system import System
-    from repro.isa import assemble
+    from repro.isa.assembler import assemble
 
     system = System.multicore(num_cores=8)
     system.load(assemble("""

@@ -5,12 +5,12 @@ import pytest
 from repro.apps.phases import AppSpec, PhaseSpec, SectionSpec
 from repro.gen import generate_app, get_policy
 from repro.isa.layout import ImGeometry
-from repro.search import (
-    get_oracle,
+from repro.search.anneal import (
     outcome_to_mapping,
     search_mapping,
     search_token,
 )
+from repro.search.cost import get_oracle
 
 
 def test_gap_is_nonnegative_and_best_bounded_by_paper():

@@ -8,7 +8,7 @@ from repro.apps.mapping import map_multicore, plan_required_mhz
 from repro.apps.phases import AppSpec, PhaseSpec, SectionSpec
 from repro.gen import generate_app
 from repro.isa.layout import ImGeometry
-from repro.search import (
+from repro.search.space import (
     candidate_from_plan,
     candidate_required_mhz,
     candidate_to_mapping,
