@@ -69,6 +69,7 @@ __all__ = [
     "record_compute_counters",
     "report_from_payload",
     "schedule_signature",
+    "simulate_request",
 ]
 
 #: Environment override for the on-disk compute cache root.  Unlike
@@ -438,17 +439,21 @@ class ComputeResolver:
         resolver counters are recorded.
         """
         with obs.suspended():
-            result = simulate(
-                request.binding.app,
-                request.mode,
-                request.schedule,
-                duration_s=request.duration_s,
-                num_cores=request.binding.num_cores,
-                mapping=request.binding.plan,
-            )
-        payload = payload_from_report(result.power)
+            payload = payload_from_report(simulate_request(request))
         self.cache.put(request.key, payload)
         return payload
+
+
+def simulate_request(request: ComputeRequest) -> PowerReport:
+    """The power report of one ``simulate()`` run of a request."""
+    return simulate(
+        request.binding.app,
+        request.mode,
+        request.schedule,
+        duration_s=request.duration_s,
+        num_cores=request.binding.num_cores,
+        mapping=request.binding.plan,
+    ).power
 
 
 def record_compute_counters(summary: ComputeSummary) -> None:

@@ -27,14 +27,20 @@ from .compute import (
     ComputeResolver,
     ComputeSettings,
     ComputeSummary,
-    ResolvedCompute,
     compute_settings,
     record_compute_counters,
+    simulate_request,
 )
-from .node import REFERENCE_NODE_ID, NodeResult, build_node, error_grid
+from .node import (
+    REFERENCE_NODE_ID,
+    NetworkNode,
+    NodeResult,
+    build_node,
+    error_grid,
+)
 from .radio import Beacon, beacon_schedule
 from .scenarios import SCENARIOS, Scenario, parse_scenario, with_protocol
-from .stats import FleetSummary, GroupStats, SyncError
+from .stats import SYNC_FIELDS, FleetSummary, GroupStats, SyncError
 
 #: Default fleet seed (the paper's year).
 DEFAULT_SEED = 2014
@@ -93,28 +99,33 @@ class FleetResult:
     compute: ComputeSummary | None = None
 
 
-def _simulate_shard(payload: tuple) -> list[NodeResult]:
-    """Simulate one batch of node ids (top-level: must pickle).
-
-    ``resolved`` maps compute keys to pre-resolved entries (resolved
-    once in the main process); None keeps the legacy inline path.  A
-    missing key is a hard error — workers never fall back to silent
-    re-simulation.
-    """
-    config, node_ids, beacons, sample_times, ref_readings, resolved = payload
-    results = []
-    for node_id in node_ids:
-        node = build_node(
-            config.scenario, node_id, config.seed, config.duration_s
-        )
-        compute: ResolvedCompute | None = None
-        if resolved is not None:
-            compute = resolved[node.compute_request().key]
-        results.append(
-            node.simulate(
-                beacons, sample_times, ref_readings, compute=compute
+def _run_shard(payload: tuple) -> list[NodeResult]:
+    """One pass over a batch of node ids (top-level: must pickle): build
+    each node once, resolve the batch's compute (inline, or through the
+    resolver's memo and caches), then replay and fold the batch."""
+    config, node_ids, beacons, sample_times, ref_readings = payload
+    with obs.span("net.fleet.build"):
+        nodes = [
+            build_node(
+                config.scenario, node_id, config.seed, config.duration_s
             )
-        )
+            for node_id in node_ids
+        ]
+    with obs.span("net.compute.resolve"):
+        requests = [node.compute_request() for node in nodes]
+        if config.compute is None:
+            computes = [(simulate_request(r), None) for r in requests]
+        else:
+            table = ComputeResolver(config.compute).resolve(requests).table
+            entries = [table[r.key] for r in requests]
+            computes = [(entry.report(), entry) for entry in entries]
+    results = NetworkNode._sync_errors(
+        nodes, computes, beacons, sample_times, ref_readings
+    )
+    obs.add("net.node.simulations", len(results))
+    heard = sum(node.beacons_heard for node in results)
+    if heard:
+        obs.add("net.node.beacons_heard", heard)
     return results
 
 
@@ -167,40 +178,23 @@ class FleetRunner:
         workers_used = min(workers, len(shards)) if parallel else 1
         obs.add("net.fleet.runs")
         obs.add("net.fleet.nodes", config.n_nodes)
-        # The resolve step runs inside the timed window: reported
-        # throughput always includes the compute work.
+        # Each shard resolves its own compute inside the timed window:
+        # reported throughput always includes the compute work.
         span = obs.span("net.fleet.run").start()
-        resolution = None
-        if config.compute is not None and node_ids:
-            with obs.span("net.compute.resolve"):
-                resolution = ComputeResolver(config.compute).resolve(
-                    [
-                        build_node(
-                            config.scenario,
-                            node_id,
-                            config.seed,
-                            config.duration_s,
-                        ).compute_request()
-                        for node_id in node_ids
-                    ]
-                )
-        resolved = resolution.table if resolution is not None else None
         payloads = [
-            (config, ids, beacons, sample_times, ref_readings, resolved)
+            (config, ids, beacons, sample_times, ref_readings)
             for ids in shards
         ]
-        if parallel:
-            batches = pool_map(_simulate_shard, payloads, workers_used)
-        else:
-            batches = [_simulate_shard(payload) for payload in payloads]
+        batches = pool_map(_run_shard, payloads, workers_used)
         elapsed = span.stop()
-        if resolution is not None:
-            record_compute_counters(resolution.summary)
+        # Shards are contiguous and merge in payload order: node order.
+        results = [node for batch in batches for node in batch]
+        compute = None
+        if config.compute is not None and results:
+            keys = {node.compute_key for node in results}
+            compute = ComputeSummary(len(results), len(keys))
+            record_compute_counters(compute)
 
-        results = sorted(
-            (node for batch in batches for node in batch),
-            key=lambda node: node.node_id,
-        )
         return FleetResult(
             summary=self._aggregate(results, beacons),
             nodes=tuple(results),
@@ -209,7 +203,7 @@ class FleetRunner:
             workers=workers_used,
             shards=len(shards),
             mode="parallel" if parallel else "serial",
-            compute=resolution.summary if resolution is not None else None,
+            compute=compute,
         )
 
     @staticmethod
@@ -223,9 +217,6 @@ class FleetRunner:
         stats = []
         for name in sorted(groups):
             members = groups[name]
-            followers = [
-                node for node in members if node.node_id != REFERENCE_NODE_ID
-            ]
             power = sum_left(node.power.total_uw for node in members)
             floor = sum_left(node.floor_mhz for node in members)
             stats.append(
@@ -236,7 +227,7 @@ class FleetRunner:
                     mean_floor_mhz=floor / len(members),
                     repairs=sum(node.repairs for node in members),
                     steady_sync=SyncError.merged(
-                        [node.steady_sync for node in followers]
+                        [node.steady_sync for node in members]
                     ),
                 )
             )
@@ -250,9 +241,11 @@ class FleetRunner:
         n = len(results)
         total_power = sum_left(node.power.total_uw for node in results)
         total_radio = sum_left(node.radio_uw for node in results)
-        followers = [
-            node for node in results if node.node_id != REFERENCE_NODE_ID
-        ]
+        # The reference's errors are empty, so they merge away.
+        errors = {
+            name: SyncError.merged([getattr(node, name) for node in results])
+            for name in SYNC_FIELDS
+        }
         return FleetSummary(
             scenario=config.scenario.name,
             protocol=config.scenario.protocol,
@@ -261,14 +254,7 @@ class FleetRunner:
             total_power_uw=total_power,
             mean_power_uw=total_power / n if n else 0.0,
             mean_radio_uw=total_radio / n if n else 0.0,
-            sync=SyncError.merged([node.sync for node in followers]),
-            steady_sync=SyncError.merged(
-                [node.steady_sync for node in followers]
-            ),
-            unsync=SyncError.merged([node.unsync for node in followers]),
-            steady_unsync=SyncError.merged(
-                [node.steady_unsync for node in followers]
-            ),
+            **errors,
             beacons_sent=len(beacons) if n else 0,
             beacons_heard=sum(node.beacons_heard for node in results),
             power_loss_resets=sum(node.resets for node in results),

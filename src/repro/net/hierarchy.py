@@ -52,7 +52,7 @@ from ..sysc.engine import cached_uniform_schedule
 from .appsource import AppBinding
 from .clock import LocalClock, read_clocks
 from .compute import build_request
-from .radio import Reception
+from .radio import Beacon, Reception
 from .scenarios import (
     DENSE_WARD,
     DRIFTING_WEARABLES,
@@ -443,34 +443,48 @@ def draw_members(
 
 def hop_error_samples(
     protocol_name: str,
-    receptions: list[Reception],
-    clock: LocalClock,
+    beacons: list[Beacon],
+    receptions: list[list[Reception]],
+    clocks: list[LocalClock],
     sample_times: list[float],
     parent_readings: list[float],
-) -> tuple[list[float], list[float]]:
-    """One member's signed per-sample error against its parent.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Members' signed per-sample errors against one parent, as rows.
 
-    The one-row call of :func:`repro.net.timesync.sync_replay`, which
-    flat nodes run against the reference.  Returns ``(hop_errors,
+    One :func:`repro.net.timesync.sync_replay` call (a flat shard's
+    followers): row ``r`` spans every beacon, masked to
+    ``receptions[r]`` by ``Beacon.seq``.  Returns ``(hop_errors,
     baselines)``: the protocol's estimate of the parent clock, and the
-    raw local clock, minus the parent's reading at each sample time.
+    raw local clock, minus the parent's reading at each sample time,
+    ``(M, S)`` each.
     """
-    stamps = [
-        (r.rx_global, r.rx_local, r.beacon.ref_timestamp) for r in receptions
+    rows = len(clocks)
+    heard = np.zeros((rows, len(beacons)), dtype=bool)
+    stamps = np.zeros((3, *heard.shape))  # rx_global, rx_local, ref
+    cells = [
+        (row, r.beacon.seq, r.rx_global, r.rx_local, r.beacon.ref_timestamp)
+        for row, received in enumerate(receptions)
+        for r in received
     ]
+    row, seq, *values = np.array(cells).reshape(-1, 5).T
+    at = row.astype(int), seq.astype(int)
+    heard[at] = True
+    stamps[:, at[0], at[1]] = values
+    depth = max((len(clock.reset_times) for clock in clocks), default=0)
+    resets = np.full((rows, depth), np.inf)
+    for row, clock in enumerate(clocks):
+        resets[row, : len(clock.reset_times)] = clock.reset_times
+    own = [(c.spec.initial_offset_s, c.spec.drift_ppm) for c in clocks]
     times = np.asarray(sample_times, dtype=float)
-    resets = np.array([clock.reset_times]) if clock.reset_times else None
-    own = np.array([[clock.spec.initial_offset_s], [clock.spec.drift_ppm]])
-    errors, baselines = sync_replay(
+    return sync_replay(
         protocol_name,
         times,
-        read_clocks(*own, resets, times),
+        read_clocks(*np.array(own).reshape(rows, 2).T, resets, times),
         np.array([parent_readings], dtype=float),
-        # rx_global, rx_local and ref rows:
-        *np.array(stamps).reshape(-1, 3).T[:, None],
-        resets=resets,
+        *stamps,
+        heard,
+        resets,
     )
-    return errors[0].tolist(), baselines[0].tolist()
 
 
 def profile_key(

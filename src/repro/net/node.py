@@ -28,16 +28,15 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .. import obs
-from ..apps.phases import AppSpec
 from ..power.energy import PowerReport
-from ..sysc.engine import BeatEvent, cached_uniform_schedule, simulate
+from ..sysc.engine import cached_uniform_schedule
 from .appsource import APPS, AppBinding
 from .compute import ComputeRequest, ResolvedCompute, build_request
 from .clock import LocalClock
 from .hierarchy import hop_error_samples
 from .radio import Beacon, RadioEnergy, receive_beacons
 from .scenarios import Scenario
-from .stats import SyncError
+from .stats import SYNC_FIELDS, Moments, SyncError
 
 __all__ = [
     "APPS",
@@ -169,129 +168,90 @@ class NetworkNode:
         """Name of the bound application."""
         return self.binding.name
 
-    @property
-    def app(self) -> AppSpec:
-        """The bound (possibly repaired) application spec."""
-        return self.binding.app
-
-    def schedule(self) -> tuple[BeatEvent, ...]:
-        """The node's beat schedule (memoised across same-shape nodes)."""
-        return cached_uniform_schedule(
+    def compute_request(self) -> ComputeRequest:
+        """Content-address the node's app-compute work."""
+        schedule = cached_uniform_schedule(
             self.duration_s,
-            self.app.fs,
+            self.binding.app.fs,
             bpm=self.bpm,
             abnormal_ratio=self.scenario.abnormal_ratio,
         )
-
-    def compute_request(self) -> ComputeRequest:
-        """Content-address the node's app-compute work."""
         return build_request(
-            self.binding, self.binding.mode, self.duration_s, self.schedule()
+            self.binding, self.binding.mode, self.duration_s, schedule
         )
 
-    def simulate(
-        self,
+    @staticmethod
+    def _sync_errors(
+        nodes: list["NetworkNode"],
+        computes: list[tuple[PowerReport, ResolvedCompute | None]],
         beacons: list[Beacon],
         sample_times: list[float],
         ref_readings: list[float],
-        compute: ResolvedCompute | None = None,
-    ) -> NodeResult:
-        """Run the node over one window.
-
-        Args:
-            beacons: the reference node's broadcast schedule.
-            sample_times: global times at which the residual sync
-                error is sampled — the :func:`error_grid` of the
-                node's duration, whose steady index splits them.
-            ref_readings: the reference clock's exact reading at each
-                sample time (``len(sample_times)`` values).
-            compute: pre-resolved app-compute entry from
-                :class:`repro.net.compute.ComputeResolver` (None =
-                simulate inline, the legacy path).  The radio, clock
-                and sync work below is always exact and per-node.
-        """
-        if compute is None:
-            result = simulate(
-                self.app,
-                self.binding.mode,
-                self.schedule(),
-                duration_s=self.duration_s,
-                num_cores=self.binding.num_cores,
-                mapping=self.binding.plan,
+    ) -> list[NodeResult]:
+        """Replay a shard's followers as the rows of one
+        :func:`hop_error_samples` call, then fold each node's errors and
+        its ``computes`` entry: compute report (the radio's power joins
+        it) and resolver entry (None = simulated inline)."""
+        scenario, duration_s = nodes[0].scenario, nodes[0].duration_s
+        followers = [node for node in nodes if not node.is_reference]
+        with obs.span("net.fleet.replay"):
+            heard = [
+                receive_beacons(
+                    beacons, node.clock, scenario.radio, node._rng_radio
+                )
+                for node in followers
+            ]
+            replay = hop_error_samples(
+                scenario.protocol,
+                beacons,
+                heard,
+                [node.clock for node in followers],
+                sample_times,
+                ref_readings,
             )
-            power = result.power
-            compute_key = compute_tier = ""
-        else:
-            power = compute.report()
-            compute_key = compute.key
-            compute_tier = compute.tier
-
-        energy = RadioEnergy()
-        errors: list[float] = []
-        steady: list[float] = []
-        base_errors: list[float] = []
-        base_steady: list[float] = []
-        if self.is_reference:
-            energy.tx_messages = len(beacons)
-            heard = 0
-        else:
-            receptions = receive_beacons(
-                beacons, self.clock, self.scenario.radio, self._rng_radio
-            )
-            energy.rx_messages = heard = len(receptions)
-            errors, steady, base_errors, base_steady = self._sync_errors(
-                receptions, sample_times, ref_readings
-            )
-
-        radio_uw = energy.average_uw(self.scenario.radio, self.duration_s)
-        obs.add("net.node.simulations")
-        if heard:
-            obs.add("net.node.beacons_heard", heard)
-        power.categories["radio"] = radio_uw
-        return NodeResult(
-            node_id=self.node_id,
-            app_name=self.app_name,
-            protocol=(
-                "reference" if self.is_reference else self.scenario.protocol
-            ),
-            drift_ppm=self.clock.spec.drift_ppm,
-            bpm=self.bpm,
-            resets=self.clock.resets_before(self.duration_s),
-            beacons_heard=heard,
-            radio_uw=radio_uw,
-            power=power,
-            sync=SyncError.from_samples(errors),
-            steady_sync=SyncError.from_samples(steady),
-            unsync=SyncError.from_samples(base_errors),
-            steady_unsync=SyncError.from_samples(base_steady),
-            token=self.binding.token,
-            family=self.binding.family,
-            policy=self.binding.policy,
-            floor_mhz=self.binding.floor_mhz,
-            repairs=self.binding.repairs,
-            compute_key=compute_key,
-            compute_tier=compute_tier,
-        )
-
-    def _sync_errors(
-        self, receptions, sample_times: list[float], ref_readings: list[float]
-    ) -> tuple[list[float], list[float], list[float], list[float]]:
-        """Replay receptions and error samples in global-time order.
-
-        Returns the active protocol's error samples and, from the same
-        replay, the free-running baseline (raw local clock vs.
-        reference) — the counterfactual every report compares against
-        — each followed by its steady half.
-        """
-        errors, base_errors = hop_error_samples(
-            self.scenario.protocol,
-            receptions,
-            self.clock,
-            sample_times,
-            ref_readings,
-        )
-        _, steady = error_grid(self.duration_s)
-        return errors, errors[steady:], base_errors, base_errors[steady:]
+        with obs.span("net.fleet.fold"):
+            _, steady = error_grid(duration_s)
+            series = [
+                Moments.rows(magnitude[:, cut:])
+                for magnitude in map(abs, replay)
+                for cut in (0, steady)
+            ]
+            folded = zip(heard, zip(*series))
+            results = []
+            for node, (power, compute) in zip(nodes, computes):
+                energy, moments = RadioEnergy(), (Moments(),) * 4
+                protocol = scenario.protocol
+                if node.is_reference:
+                    energy.tx_messages = len(beacons)
+                    protocol = "reference"
+                else:
+                    received, moments = next(folded)
+                    energy.rx_messages = len(received)
+                radio_uw = energy.average_uw(scenario.radio, duration_s)
+                power.categories["radio"] = radio_uw
+                errors = [part.error() for part in moments]
+                results.append(
+                    NodeResult(
+                        node_id=node.node_id,
+                        app_name=node.app_name,
+                        protocol=protocol,
+                        drift_ppm=node.clock.spec.drift_ppm,
+                        bpm=node.bpm,
+                        resets=node.clock.resets_before(duration_s),
+                        beacons_heard=energy.rx_messages,
+                        radio_uw=radio_uw,
+                        power=power,
+                        **dict(zip(SYNC_FIELDS, errors)),
+                        token=node.binding.token,
+                        family=node.binding.family,
+                        policy=node.binding.policy,
+                        floor_mhz=node.binding.floor_mhz,
+                        repairs=node.binding.repairs,
+                        compute_key=compute.key if compute else "",
+                        compute_tier=compute.tier if compute else "",
+                    )
+                )
+            return results
 
 
 def build_node(

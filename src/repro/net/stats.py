@@ -1,9 +1,9 @@
 """Summary dataclasses shared by the fleet runner and `repro.eval`.
 
-These are defined here (dependency-free) and rendered by
-:mod:`repro.eval.netexp`, so the network report and the Table-I-style
-reports format results through one path without `repro.net` ever
-importing the evaluation layer.
+These are defined here (free of the rest of :mod:`repro.net`) and
+rendered by :mod:`repro.eval.netexp`, so the network report and the
+Table-I-style reports format results through one path without
+`repro.net` ever importing the evaluation layer.
 
 :class:`SyncError` supports *exact* merging: per-node statistics carry
 their sample counts, and :meth:`SyncError.merged` recombines them with
@@ -17,7 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..power.energy import sum_left
+
+#: The error fields of a node or fleet: the protocol's and the
+#: free-running baseline's, each followed by its steady half.
+SYNC_FIELDS = ("sync", "steady_sync", "unsync", "steady_unsync")
 
 
 @dataclass(frozen=True)
@@ -38,20 +44,8 @@ class SyncError:
 
     @classmethod
     def from_samples(cls, errors_s: list[float]) -> "SyncError":
-        """Summarise raw signed error samples (seconds)."""
-        if not errors_s:
-            return cls()
-        n = len(errors_s)
-        sum_abs = sum_sq = 0.0
-        for e in errors_s:  # left to right, like sum_left
-            sum_abs += abs(e)
-            sum_sq += e * e
-        return cls(
-            count=n,
-            mean_abs_s=sum_abs / n,
-            rms_s=math.sqrt(sum_sq / n),
-            max_abs_s=max(abs(e) for e in errors_s),
-        )
+        """Summarise signed error samples (seconds): one-row moments."""
+        return Moments.rows(np.abs(np.array([errors_s], float)))[0].error()
 
     @classmethod
     def merged(cls, parts: list["SyncError"]) -> "SyncError":
@@ -66,6 +60,56 @@ class SyncError:
             mean_abs_s=mean,
             rms_s=math.sqrt(mean_sq),
             max_abs_s=max(part.max_abs_s for part in parts),
+        )
+
+
+@dataclass
+class Moments:
+    """Additive summary of signed error samples: a mergeable SyncError.
+
+    Sums run left to right (``cumsum``, not numpy's pairwise ``sum``),
+    so a flat shard's rows and a streaming tier's matrix fold alike.
+    """
+
+    count: int = 0
+    sum_abs: float = 0.0
+    sum_sq: float = 0.0
+    max_abs: float = 0.0
+
+    @classmethod
+    def of(cls, magnitude: np.ndarray) -> "Moments":
+        """Moments of a matrix of ``|error|``, summed in row-major order."""
+        return cls.rows(magnitude.reshape(1, -1))[0]
+
+    @classmethod
+    def rows(cls, magnitude: np.ndarray) -> list["Moments"]:
+        """Moments of each row of an ``(M, S)`` matrix of ``|error|``."""
+        count = magnitude.shape[1]
+        if not count:
+            return [cls() for _ in range(len(magnitude))]
+        sums = zip(
+            magnitude.cumsum(axis=1)[:, -1].tolist(),
+            (magnitude * magnitude).cumsum(axis=1)[:, -1].tolist(),
+            magnitude.max(axis=1).tolist(),
+        )
+        return [cls(count, *row) for row in sums]
+
+    def fold(self, other: "Moments") -> None:
+        """Add another summary into this one, in place."""
+        self.count += other.count
+        self.sum_abs += other.sum_abs
+        self.sum_sq += other.sum_sq
+        self.max_abs = max(self.max_abs, other.max_abs)
+
+    def error(self) -> SyncError:
+        """The reported statistic."""
+        if not self.count:
+            return SyncError()
+        return SyncError(
+            count=self.count,
+            mean_abs_s=self.sum_abs / self.count,
+            rms_s=math.sqrt(self.sum_sq / self.count),
+            max_abs_s=self.max_abs,
         )
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
-from ..parallel import pool_map
+from ..parallel import pool_map, worker_pool
 from ..store import code_fingerprint, read_json, write_json
 from .clock import read_clocks
 from .compute import (
@@ -71,7 +70,7 @@ from .hierarchy import (
 )
 from .node import error_grid
 from .radio import RadioEnergy, beacon_schedule
-from .stats import FleetSummary, SyncError, TierSummary
+from .stats import FleetSummary, Moments, SyncError, TierSummary
 from .timesync import sync_replay
 
 __all__ = [
@@ -91,46 +90,6 @@ DEFAULT_WAVE_SUBTREES = 32
 
 
 @dataclass
-class _Moments:
-    """Additive summary of signed error samples: a mergeable SyncError."""
-
-    count: int = 0
-    sum_abs: float = 0.0
-    sum_sq: float = 0.0
-    max_abs: float = 0.0
-
-    @classmethod
-    def of(cls, magnitude: np.ndarray) -> "_Moments":
-        """Moments of a matrix of ``|error|``, summed in row-major order."""
-        if not magnitude.size:
-            return cls()
-        return cls(
-            count=magnitude.size,
-            sum_abs=float(magnitude.cumsum()[-1]),
-            sum_sq=float((magnitude * magnitude).cumsum()[-1]),
-            max_abs=float(magnitude.max()),
-        )
-
-    def fold(self, other: "_Moments") -> None:
-        """Add another summary into this one, in place."""
-        self.count += other.count
-        self.sum_abs += other.sum_abs
-        self.sum_sq += other.sum_sq
-        self.max_abs = max(self.max_abs, other.max_abs)
-
-    def error(self) -> SyncError:
-        """The reported statistic."""
-        if not self.count:
-            return SyncError()
-        return SyncError(
-            count=self.count,
-            mean_abs_s=self.sum_abs / self.count,
-            rms_s=math.sqrt(self.sum_sq / self.count),
-            max_abs_s=self.max_abs,
-        )
-
-
-@dataclass
 class _TierState:
     """Running partial merge of one tier (the checkpointed unit).
 
@@ -147,18 +106,18 @@ class _TierState:
     resets: int = 0
     beacons_sent: int = 0
     beacons_heard: int = 0
-    hop_sync: _Moments = field(default_factory=_Moments)
-    steady_hop_sync: _Moments = field(default_factory=_Moments)
-    sync: _Moments = field(default_factory=_Moments)
-    steady_sync: _Moments = field(default_factory=_Moments)
-    unsync: _Moments = field(default_factory=_Moments)
-    steady_unsync: _Moments = field(default_factory=_Moments)
+    hop_sync: Moments = field(default_factory=Moments)
+    steady_hop_sync: Moments = field(default_factory=Moments)
+    sync: Moments = field(default_factory=Moments)
+    steady_sync: Moments = field(default_factory=Moments)
+    unsync: Moments = field(default_factory=Moments)
+    steady_unsync: Moments = field(default_factory=Moments)
 
     def fold(self, other: "_TierState") -> None:
         """Merge another partial state into this one, in place."""
         for name, value in vars(other).items():
             mine = getattr(self, name)
-            if isinstance(mine, _Moments):
+            if isinstance(mine, Moments):
                 mine.fold(value)
             else:
                 setattr(self, name, mine + value)
@@ -168,7 +127,7 @@ class _TierState:
         return {
             name: value.error()
             for name, value in vars(self).items()
-            if isinstance(value, _Moments)
+            if isinstance(value, Moments)
         }
 
     @classmethod
@@ -177,9 +136,9 @@ class _TierState:
         to its field's type (ValueError/KeyError/TypeError if bad)."""
 
         def cast(default, value):
-            if isinstance(default, _Moments):
+            if isinstance(default, Moments):
                 fields = vars(default).items()
-                return _Moments(**{k: cast(v, value[k]) for k, v in fields})
+                return Moments(**{k: cast(v, value[k]) for k, v in fields})
             return type(default)(value)
 
         fields = vars(cls()).items()
@@ -358,8 +317,8 @@ def _simulate_subtree(payload: tuple) -> list[_TierState]:
             series = {"hop_sync": hop, "sync": eff, "unsync": base_eff}
             for name, errors in series.items():
                 magnitude = np.abs(errors)
-                setattr(part, name, _Moments.of(magnitude))
-                steady_part = _Moments.of(magnitude[:, steady:])
+                setattr(part, name, Moments.of(magnitude))
+                steady_part = Moments.of(magnitude[:, steady:])
                 setattr(part, f"steady_{name}", steady_part)
         if tier_index + 1 < len(spec.tiers):
             parent_refs = read_clocks(offset, drift, None, children)
@@ -440,7 +399,7 @@ class StreamingRunner:
         """Execute (or resume) the fleet.
 
         Args:
-            workers: worker processes per wave (1 = inline).
+            workers: worker processes, one pool for all waves (1 = inline).
             max_waves: stop after this many waves even if subtrees
                 remain — the knob CI's kill-and-resume check uses to
                 interrupt a run at a deterministic point.
@@ -519,42 +478,46 @@ class StreamingRunner:
 
         executed = 0
         waves_run = 0
-        while done < subtrees:
-            if max_waves is not None and waves_run >= max_waves:
-                break
-            count = min(wave_size, subtrees - done)
-            obs.add("net.stream.waves")
-            obs.add("net.stream.subtrees", count)
-            obs.add("net.stream.nodes", count * spec.subtree_nodes)
-            obs.gauge("net.stream.wave_size", wave_size)
-            payloads = [
-                (
-                    config,
-                    index,
-                    grids,
-                    sample_times,
-                    steady_index,
-                    profiles,
-                    root_refs,
-                    root_readings,
-                )
-                for index in range(done, done + count)
-            ]
-            with obs.span("net.stream.wave"):
-                for parts in pool_map(
-                    _simulate_subtree, payloads, min(workers_used, count)
-                ):
-                    for tier_state, part in zip(state, parts):
-                        tier_state.fold(part)
-            done += count
-            executed += count
-            waves_run += 1
-            if checkpoint is not None:
-                delta = None
-                if registry is not None:
-                    delta = obs.counter_delta(base, registry.deterministic())
-                with obs.span("net.stream.checkpoint.write"):
-                    self._write(checkpoint, identity, done, state, delta)
+        # One pool, forked at the first pooled wave, serves every wave.
+        with worker_pool(workers_used):
+            while done < subtrees:
+                if max_waves is not None and waves_run >= max_waves:
+                    break
+                count = min(wave_size, subtrees - done)
+                obs.add("net.stream.waves")
+                obs.add("net.stream.subtrees", count)
+                obs.add("net.stream.nodes", count * spec.subtree_nodes)
+                obs.gauge("net.stream.wave_size", wave_size)
+                payloads = [
+                    (
+                        config,
+                        index,
+                        grids,
+                        sample_times,
+                        steady_index,
+                        profiles,
+                        root_refs,
+                        root_readings,
+                    )
+                    for index in range(done, done + count)
+                ]
+                with obs.span("net.stream.wave"):
+                    for parts in pool_map(
+                        _simulate_subtree, payloads, min(workers_used, count)
+                    ):
+                        for tier_state, part in zip(state, parts):
+                            tier_state.fold(part)
+                done += count
+                executed += count
+                waves_run += 1
+                if checkpoint is not None:
+                    delta = None
+                    if registry is not None:
+                        delta = obs.counter_delta(
+                            base, registry.deterministic()
+                        )
+                    with obs.span("net.stream.checkpoint.write"):
+                        self._write(checkpoint, identity, done, state, delta)
         elapsed = run_span.stop()
         # Emitted once, after the final checkpoint write, so the
         # persisted delta never contains it: cold, killed and resumed

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import sys
-from typing import Callable, Sequence, TypeVar
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import obs
 
@@ -61,6 +62,27 @@ def _observed(payload: tuple) -> tuple:
     return result, registry.snapshot()
 
 
+#: The innermost :func:`worker_pool` block: ``[workers]``, then with its pool.
+_shared: list | None = None
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[None]:
+    """Run the block's pooled :func:`pool_map` calls on one pool of
+    ``workers`` processes, forked at the first such call (a block that
+    maps nothing, or only inline, forks nothing) and torn down on
+    exit, an exception included."""
+    global _shared
+    previous, _shared = _shared, [workers]
+    try:
+        yield
+    finally:
+        for pool in _shared[1:]:
+            pool.terminate()
+            pool.join()
+        _shared = previous
+
+
 def pool_map(
     fn: Callable[[Item], Result],
     payloads: Sequence[Item],
@@ -75,7 +97,8 @@ def pool_map(
     records metrics (when collection is active) straight into the
     caller's registry; pooled execution wraps each payload through
     :func:`_observed` and merges the returned snapshots in payload
-    index order.
+    index order.  Inside a :func:`worker_pool` block the call runs on
+    the block's pool; outside, it is a block of its own.
 
     fork is the cheap path but is only reliably safe on Linux (macOS
     lists it as available, yet forking with numpy/Accelerate loaded
@@ -88,16 +111,18 @@ def pool_map(
         return []
     if workers == 1:
         return [fn(payload) for payload in payloads]
-    registry = obs.active()
-    use_fork = (
-        sys.platform.startswith("linux")
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    ctx = multiprocessing.get_context("fork" if use_fork else None)
-    with ctx.Pool(processes=workers) as pool:
+    with nullcontext() if _shared else worker_pool(workers):
+        if len(_shared) == 1:
+            use_fork = (
+                sys.platform.startswith("linux")
+                and "fork" in multiprocessing.get_all_start_methods()
+            )
+            ctx = multiprocessing.get_context("fork" if use_fork else None)
+            _shared.append(ctx.Pool(processes=_shared[0]))
+        registry = obs.active()
         if registry is None:
-            return pool.map(fn, payloads)
-        wrapped = pool.map(
+            return _shared[1].map(fn, payloads)
+        wrapped = _shared[1].map(
             _observed, [(fn, payload) for payload in payloads]
         )
     results = []

@@ -207,6 +207,13 @@ def test_only_leaf_tiers_suffer_power_loss(mode):
 # Error compounding across hops
 # ---------------------------------------------------------------------------
 
+def _one_row(protocol, beacons, receptions, clock, times, parent):
+    """The one-row call of ``hop_error_samples``, as lists."""
+    errors, baselines = hop_error_samples(
+        protocol, beacons, [receptions], [clock], times, parent)
+    return errors[0].tolist(), baselines[0].tolist()
+
+
 def _clock(drift_ppm, offset_s, horizon_s=8.0):
     return LocalClock(
         ClockSpec(drift_ppm=drift_ppm, jitter_s=0.0,
@@ -227,14 +234,14 @@ def test_composed_baselines_telescope_to_leaf_minus_root():
     gw_beacons = beacon_schedule(2.0, duration, root)
     gw_rx = receive_beacons(gw_beacons, gateway, base.radio,
                             _stream(1, "t:gw", "radio"))
-    gw_hop, gw_base = hop_error_samples(
-        "ftsp", gw_rx, gateway, sample_times, root_readings)
+    gw_hop, gw_base = _one_row(
+        "ftsp", gw_beacons, gw_rx, gateway, sample_times, root_readings)
     gw_readings = [gateway.read(t) for t in sample_times]
     leaf_beacons = beacon_schedule(1.0, duration, gateway)
     leaf_rx = receive_beacons(leaf_beacons, leaf, base.radio,
                               _stream(1, "t:leaf", "radio"))
-    leaf_hop, leaf_base = hop_error_samples(
-        "rbs", leaf_rx, leaf, sample_times, gw_readings)
+    leaf_hop, leaf_base = _one_row(
+        "rbs", leaf_beacons, leaf_rx, leaf, sample_times, gw_readings)
 
     composed = compose_errors(leaf_base, compose_errors(gw_base, None))
     direct = [leaf.read(t) - root_readings[i]
@@ -259,10 +266,8 @@ def test_hop_errors_are_signed():
     sample_times = [1.0, 2.0, 3.0]
     fast = _clock(200.0, 0.01)
     parent = [float(t) for t in sample_times]
-    _, baselines = hop_error_samples("none", [], fast, sample_times,
-                                     parent)
+    _, baselines = _one_row("none", [], [], fast, sample_times, parent)
     assert all(b > 0 for b in baselines)
     slow = _clock(-200.0, -0.01)
-    _, baselines = hop_error_samples("none", [], slow, sample_times,
-                                     parent)
+    _, baselines = _one_row("none", [], [], slow, sample_times, parent)
     assert all(b < 0 for b in baselines)

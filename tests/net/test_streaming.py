@@ -1,6 +1,10 @@
 """Streaming executor tests: invariance, checkpoints, degeneracy."""
 
 import json
+import multiprocessing
+import multiprocessing.pool
+import os
+import sys
 import time
 
 import pytest
@@ -174,3 +178,62 @@ def test_checkpointing_unserialisable_specs_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="token-serialisable"):
         StreamingRunner(StreamingConfig(
             spec=nameless, checkpoint_dir=tmp_path)).run()
+
+
+#: File the patched subtree pass appends its process id to.
+_PIDS = ""
+
+#: The unpatched subtree pass.
+_SUBTREE = streaming._simulate_subtree
+
+
+def _recording_subtree(payload):
+    with open(_PIDS, "a") as log:
+        log.write(f"{os.getpid()}\n")
+    return _SUBTREE(payload)
+
+
+def test_every_wave_runs_on_one_pool(tmp_path, monkeypatch):
+    pids = tmp_path / "pids"
+    monkeypatch.setattr(sys.modules[__name__], "_PIDS", str(pids))
+    monkeypatch.setattr(streaming, "_simulate_subtree", _recording_subtree)
+    result = run_streaming("tiers:ftsp@5x6/rbs@1x2:dense-ward",
+                           duration_s=2.0, workers=2, wave_size=2)
+    assert result.waves_run == 3
+    ran = pids.read_text().split()
+    assert len(ran) == 6 and len(set(ran)) <= 2
+    assert str(os.getpid()) not in ran
+    assert multiprocessing.active_children() == []
+
+
+def test_a_short_last_wave_gives_the_same_result():
+    """Waves of 3, 3 and 1 subtrees, or of 5 and 2, on a 3-worker
+    pool: the last wave holds fewer payloads than the pool has workers
+    (one payload runs inline)."""
+    token = "tiers:ftsp@5x7/rbs@1x2:dense-ward"
+    serial = run_streaming(token, duration_s=2.0)
+    for wave_size in (3, 5):
+        pooled = run_streaming(token, duration_s=2.0, workers=3,
+                               wave_size=wave_size)
+        assert pooled.summary == serial.summary
+        assert pooled.tiers == serial.tiers
+
+
+def test_resume_with_nothing_left_forks_no_pool(tmp_path, monkeypatch):
+    done = _run(workers=2, wave_size=2, checkpoint_dir=tmp_path)
+    assert done.workers == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forked a pool")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refuse)
+    resumed = _run(workers=2, wave_size=2, checkpoint_dir=tmp_path)
+    assert resumed.completed and resumed.waves_run == 0
+    assert resumed.summary == done.summary
+
+
+def test_max_waves_leaves_no_child_process(tmp_path):
+    result = _run(workers=2, wave_size=2, checkpoint_dir=tmp_path,
+                  max_waves=1)
+    assert not result.completed and result.waves_run == 1
+    assert multiprocessing.active_children() == []

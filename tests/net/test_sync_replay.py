@@ -181,22 +181,33 @@ def test_replay_matches_the_event_loop(fleet):
     ("drifting-wearables", 12.0),
 ])
 def test_flat_nodes_replay_like_the_event_loop(scenario, duration):
-    """The one-row call on real nodes: receptions, clocks, resets."""
+    """Real nodes as the rows of one call, as a flat shard replays
+    them: each row masked to the beacons it heard, resets padded to
+    the widest row.  Each row alone gives the same bits."""
     spec = parse_scenario(scenario)
     reference = build_node(spec, 0, 3, duration)
     beacons = beacon_schedule(spec.beacon_period_s, duration,
                               reference.clock)
     times, _ = error_grid(duration)
     readings = [reference.clock.read(t) for t in times]
-    for node_id in range(1, 13):
-        node = build_node(spec, node_id, 3, duration)
-        heard = receive_beacons(beacons, node.clock, spec.radio,
-                                node._rng_radio)
-        for protocol in PROTOCOLS:
-            assert hop_error_samples(
-                protocol, heard, node.clock, times, readings
-            ) == replay_events(protocol, heard, node.clock, times,
-                               readings)
+    nodes = [build_node(spec, node_id, 3, duration)
+             for node_id in range(1, 13)]
+    heard = [receive_beacons(beacons, node.clock, spec.radio,
+                             node._rng_radio) for node in nodes]
+    clocks = [node.clock for node in nodes]
+    assert any(len(row) < len(beacons) for row in heard)
+    if spec.power_loss_rate_hz:
+        assert len({len(clock.reset_times) for clock in clocks}) > 1
+    for protocol in PROTOCOLS:
+        errors, baselines = hop_error_samples(
+            protocol, beacons, heard, clocks, times, readings)
+        for row, (received, clock) in enumerate(zip(heard, clocks)):
+            want = replay_events(protocol, received, clock, times,
+                                 readings)
+            assert (errors[row].tolist(), baselines[row].tolist()) == want
+            alone = hop_error_samples(protocol, beacons, [received],
+                                      [clock], times, readings)
+            assert (alone[0][0].tolist(), alone[1][0].tolist()) == want
 
 
 def test_unknown_protocols_are_rejected():

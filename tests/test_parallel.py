@@ -1,9 +1,12 @@
 """Tests for the shared shard-and-merge multiprocessing helpers."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro import obs
-from repro.parallel import even_shard_size, pool_map, shard
+from repro.parallel import even_shard_size, pool_map, shard, worker_pool
 
 
 def _square(value):
@@ -21,6 +24,11 @@ def _explode(value):
 def _explode_observed(value):
     obs.add("exploded.before", 1)
     raise BeatLost(f"beat {value} lost")
+
+
+def _pid(value):
+    obs.add("pid.calls", value)
+    return os.getpid()
 
 
 def test_shard_and_even_shard_size():
@@ -103,3 +111,60 @@ def test_pool_map_raise_without_collection_leaves_obs_inactive():
     with pytest.raises(BeatLost):
         pool_map(_explode, [1, 2], workers=2)
     assert obs.active() is None
+
+
+def test_pool_map_outside_a_block_forks_a_pool_per_call():
+    first = set(pool_map(_pid, range(4), workers=2))
+    second = set(pool_map(_pid, range(4), workers=2))
+    assert not first & second
+    assert os.getpid() not in first | second
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_serves_every_call_of_the_block():
+    with worker_pool(2):
+        first = pool_map(_pid, range(4), workers=2)
+        # Fewer payloads than workers, and fewer workers than the pool.
+        second = pool_map(_pid, [1], workers=2)
+        third = pool_map(_pid, range(3), workers=2)
+        assert pool_map(_pid, [1], workers=1) == [os.getpid()]
+    pids = set(first + second + third)
+    assert len(pids) <= 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_merges_worker_metrics_like_inline_runs():
+    def counters(workers):
+        with obs.collecting() as registry:
+            with worker_pool(workers):
+                pool_map(_pid, range(5), workers)
+                pool_map(_pid, range(3), workers)
+        return registry.deterministic()
+
+    assert counters(2) == counters(1) == {
+        "counters": {"pid.calls": 13}, "gauges": {}}
+
+
+def test_worker_pool_forks_nothing_until_a_pooled_call():
+    with worker_pool(2):
+        assert pool_map(_pid, [], workers=2) == []
+        assert pool_map(_pid, [1, 2], workers=1) == [os.getpid()] * 2
+        assert multiprocessing.active_children() == []
+        pool_map(_pid, [1, 2], workers=2)
+        assert len(multiprocessing.active_children()) == 2
+
+
+def test_worker_pool_leaves_no_child_after_a_worker_raises():
+    with pytest.raises(BeatLost, match=r"beat \d lost"):
+        with worker_pool(2):
+            assert pool_map(_square, [1, 2], workers=2) == [1, 4]
+            pool_map(_explode, [1, 2, 3], workers=2)
+    assert multiprocessing.active_children() == []
+    # The pool is gone: the next call outside the block forks its own.
+    assert pool_map(_square, [3, 4], workers=2) == [9, 16]
+
+
+def test_worker_pool_rejects_zero_workers():
+    with pytest.raises(ValueError):
+        with worker_pool(0):
+            pool_map(_square, [1, 2], workers=2)
