@@ -146,25 +146,3 @@ class MorphologicalFilter:
             + 2 * pass_ops(self.close_size)
         noise_ops = 4 * pass_ops(self.noise_size)
         return baseline_ops + noise_ops + 4  # subtract + add + shift + store
-
-
-def qrs_preserving_error(clean: np.ndarray, filtered: np.ndarray,
-                         r_peaks: list[int], fs: float,
-                         window_s: float = 0.05) -> float:
-    """RMS error around R peaks, normalised to the R amplitude.
-
-    Validation metric: conditioning must remove drift *without*
-    distorting the QRS complexes the downstream stages analyse.
-    """
-    if not r_peaks:
-        return 0.0
-    half = int(window_s * fs)
-    errors = []
-    amplitude = max(1.0, float(np.percentile(np.abs(clean), 99)))
-    for peak in r_peaks:
-        lo = max(0, peak - half)
-        hi = min(len(clean), peak + half)
-        segment_error = np.asarray(clean[lo:hi], dtype=float) \
-            - np.asarray(filtered[lo:hi], dtype=float)
-        errors.append(np.sqrt(np.mean(segment_error ** 2)))
-    return float(np.mean(errors)) / amplitude

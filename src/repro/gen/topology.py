@@ -207,11 +207,6 @@ class Topology:
     family: str
     stages: tuple[StageSpec, ...]
 
-    @property
-    def total_replicas(self) -> int:
-        """Cores a one-core-per-replica mapping needs."""
-        return sum(stage.replicas for stage in self.stages)
-
 
 def _pipeline(rng: random.Random) -> Topology:
     depth = rng.randint(2, 4)

@@ -472,11 +472,6 @@ class System:
         location = self.translation.translate(core, address)
         return self.dm.bank(location.bank).peek(location.index)
 
-    def dm_poke(self, address: int, value: int, core: int = 0) -> None:
-        """Debug write of logical DM ``address`` as seen by ``core``."""
-        location = self.translation.translate(core, address)
-        self.dm.bank(location.bank).poke(location.index, value)
-
     def activity(self) -> SystemActivity:
         """Snapshot of all counters (the power model's input)."""
         return SystemActivity(

@@ -115,15 +115,6 @@ class MemoryMap:
                 f"[0, {self.sync_points})")
         return self.sync_point_base + index
 
-    def is_sync_point(self, address: int) -> bool:
-        """True if ``address`` falls inside the sync point region."""
-        return (self.sync_point_base <= address
-                < self.sync_point_base + self.sync_points)
-
-    def is_private(self, address: int) -> bool:
-        """True if ``address`` belongs to the private section."""
-        return 0 <= address < self.private_words
-
     def is_peripheral(self, address: int) -> bool:
         """True if ``address`` falls inside the peripheral window."""
         return address >= PERIPH_BASE

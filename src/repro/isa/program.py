@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .encoding import decode
-from .errors import LinkError
 from .layout import ImGeometry
 from .spec import OP_TABLE
 
@@ -107,38 +106,3 @@ class ProgramImage:
     def entry_for(self, core: int) -> int | None:
         """Entry point of ``core``, or ``None`` if the core is unused."""
         return self.entries.get(core)
-
-    def words_in_bank(self, bank: int,
-                      geometry: ImGeometry | None = None) -> int:
-        """Number of occupied words inside IM bank ``bank``."""
-        geom = geometry or ImGeometry()
-        return sum(1 for addr in self.im if geom.bank_of(addr) == bank)
-
-    def merged_with(self, other: "ProgramImage") -> "ProgramImage":
-        """Combine two images, raising :class:`LinkError` on any clash."""
-        overlap = self.im.keys() & other.im.keys()
-        if overlap:
-            addr = min(overlap)
-            raise LinkError(f"IM overlap while merging images at {addr:#06x}")
-        dm_overlap = self.dm_init.keys() & other.dm_init.keys()
-        if dm_overlap:
-            addr = min(dm_overlap)
-            raise LinkError(f"DM overlap while merging images at {addr:#06x}")
-        entry_overlap = self.entries.keys() & other.entries.keys()
-        if entry_overlap:
-            core = min(entry_overlap)
-            raise LinkError(f"both images define an entry for core {core}")
-        sym_clashes = {
-            name for name in self.symbols.keys() & other.symbols.keys()
-            if self.symbols[name] != other.symbols[name]
-        }
-        if sym_clashes:
-            name = sorted(sym_clashes)[0]
-            raise LinkError(f"conflicting definitions of symbol {name!r}")
-        return ProgramImage(
-            im={**self.im, **other.im},
-            dm_init={**self.dm_init, **other.dm_init},
-            entries={**self.entries, **other.entries},
-            symbols={**self.symbols, **other.symbols},
-            sections=[*self.sections, *other.sections],
-        )

@@ -288,7 +288,14 @@ class GeneratedSuiteSource:
 
     def tokens(self) -> list[str]:
         """The suite's regeneration tokens."""
-        return suite_tokens(self.seed, self.count, self.families or None)
+        return list(self._tokens)
+
+    @cached_property
+    def _tokens(self) -> tuple[str, ...]:
+        """The suite's tokens, formatted and checked once per source."""
+        return tuple(
+            suite_tokens(self.seed, self.count, self.families or None)
+        )
 
     def bind(
         self, rng: random.Random, abnormal_ratio: float = 0.0
@@ -303,7 +310,7 @@ class GeneratedSuiteSource:
             repro.apps.mapping.MappingError: no app in the suite is
                 placeable under the policy.
         """
-        tokens = self.tokens()
+        tokens = self._tokens
         start = rng.randrange(self.count)
         errors: list[str] = []
         for offset in range(self.count):
@@ -336,7 +343,7 @@ class GeneratedSuiteSource:
         discovering bindings node by node.
         """
         bindings: list[AppBinding] = []
-        for token in self.tokens():
+        for token in self._tokens:
             try:
                 bindings.append(
                     _generated_binding(

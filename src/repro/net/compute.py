@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,7 @@ from ..power.energy import PowerReport
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
 from ..search.space import candidate_from_plan
 from ..store import code_fingerprint, read_json, write_json
-from ..sysc.engine import BeatEvent, Mode, simulate
+from ..sysc.engine import Mode, schedule_signature, simulate_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .appsource import AppBinding
@@ -83,6 +84,9 @@ COMPUTE_ENTRY_SCHEMA = "repro-compute-entry/1"
 #: Tier label recorded on resolved entries (every entry is a
 #: ``simulate()`` result).
 EXACT_TIER = "exact"
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Category insertion order of :func:`repro.power.energy.compute_power`
 #: — ``PowerReport.total_uw`` sums in this order, so cached payloads
@@ -144,15 +148,15 @@ class ComputeRequest:
         binding: the node's app binding.
         mode: simulator mode the node would run.
         duration_s: simulated seconds.
-        schedule: the node's full beat schedule (simulated only if
-            this request is the first of its key and the cache misses).
+        signature: the schedule signature (simulated only if this
+            request is the first of its key and the cache misses).
     """
 
     key: str
     binding: "AppBinding"
     mode: Mode
     duration_s: float
-    schedule: tuple[BeatEvent, ...]
+    signature: list
 
 
 @dataclass(frozen=True)
@@ -202,29 +206,6 @@ class ComputeResolution:
     summary: ComputeSummary
 
 
-def schedule_signature(
-    schedule: Sequence[BeatEvent], ticks: int
-) -> list:
-    """The schedule properties ``simulate()`` actually reads.
-
-    Multi-core consumes only abnormal events clipped to
-    ``[0, ticks)`` (grouped by sample); the single-core clock
-    requirement counts *all* abnormal events.  Normal beats never
-    influence the result, so two schedules with equal signatures
-    yield byte-identical simulations — dense wards (ratio 0) collapse
-    every same-app node onto one signature.
-    """
-    total = 0
-    clipped: list[int] = []
-    for event in schedule:
-        if event.abnormal:
-            total += 1
-            if 0 <= event.sample < ticks:
-                clipped.append(event.sample)
-    clipped.sort()
-    return [ticks, total, clipped]
-
-
 def app_plan_key(
     app: AppSpec, plan: MappingPlan | None, num_cores: int
 ) -> str:
@@ -241,14 +222,12 @@ def app_plan_key(
         plan_key = candidate_from_plan(plan).key()
     else:
         plan_key = "single-core"
-    blob = json.dumps(
+    blob = _CANONICAL_JSON.encode(
         {
             "app": app_fingerprint(app),
             "num_cores": num_cores,
             "plan": plan_key,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -261,7 +240,7 @@ def compute_key(
     floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
 ) -> str:
     """Content-addressed cache key of one compute unit."""
-    blob = json.dumps(
+    blob = _CANONICAL_JSON.encode(
         {
             "app": app_key,
             "duration_s": duration_s,
@@ -269,29 +248,23 @@ def compute_key(
             "mode": mode.value,
             "schedule": signature,
             "schema": COMPUTE_ENTRY_SCHEMA,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:40]
 
 
 def build_request(
-    binding: "AppBinding",
-    mode: Mode,
-    duration_s: float,
-    schedule: Sequence[BeatEvent],
+    binding: "AppBinding", mode: Mode, duration_s: float, signature: list
 ) -> ComputeRequest:
-    """Content-address one node's compute work."""
-    ticks = int(round(duration_s * binding.app.fs))
-    signature = schedule_signature(schedule, ticks)
+    """Content-address one node's compute work (``signature`` is its
+    schedule's :func:`~repro.sysc.engine.schedule_signature`)."""
     key = compute_key(binding.app_key, mode, duration_s, signature)
     return ComputeRequest(
         key=key,
         binding=binding,
         mode=mode,
         duration_s=duration_s,
-        schedule=tuple(schedule),
+        signature=signature,
     )
 
 
@@ -344,6 +317,26 @@ def clear_process_caches() -> None:
     _MEMO.clear()
 
 
+def _complete(payload) -> bool:
+    """True for an exact entry of this schema whose categories and
+    operating point are all there, as finite floats."""
+    if not isinstance(payload, dict):
+        return False
+    categories = payload.get("categories")
+    fields = ("frequency_mhz", "voltage", "duration_s")
+    values = [payload.get(name) for name in fields]
+    return (
+        payload.get("schema") == COMPUTE_ENTRY_SCHEMA
+        and payload.get("tier") == EXACT_TIER
+        and isinstance(categories, dict)
+        and sorted(categories) == sorted(_CATEGORY_ORDER)
+        and all(
+            type(value) is float and math.isfinite(value)
+            for value in [*categories.values(), *values]
+        )
+    )
+
+
 class ComputeCache:
     """Process memo + optional content-addressed disk layer.
 
@@ -373,16 +366,13 @@ class ComputeCache:
         return self.root / self.fingerprint / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        """Look up one entry (memo first, then disk)."""
+        """Look up one entry (memo first, then disk); an incomplete
+        disk entry reads as a miss, so it is simulated and replaced."""
         payload = _MEMO.get(key)
         if payload is not None or self.root is None:
             return payload
         payload = read_json(self._path(key))
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != COMPUTE_ENTRY_SCHEMA
-            or not isinstance(payload.get("categories"), dict)
-        ):
+        if not _complete(payload):
             return None
         _MEMO[key] = payload
         return payload
@@ -402,7 +392,6 @@ class ComputeResolver:
     """Resolve a batch of compute requests: dedupe, cache, simulate."""
 
     def __init__(self, settings: ComputeSettings) -> None:
-        self.settings = settings
         self.cache = ComputeCache(settings.cache_dir)
 
     def resolve(
@@ -411,49 +400,67 @@ class ComputeResolver:
         """Resolve every request; returns a key-indexed table.
 
         Deterministic for a given request set: every distinct key is
-        looked up in the cache and simulated on a miss, in key order,
-        so the table never depends on the physical cache state.
+        looked up in the cache, in key order, and the misses of each
+        (app, mode, cores, duration) group are simulated in one
+        :func:`~repro.sysc.engine.simulate_batch` call, so the table
+        never depends on the physical cache state.  How many rows run
+        does depend on it, so they run under suspended metrics and
+        only the logical resolver counters are recorded.
         """
         unique: dict[str, ComputeRequest] = {}
         for request in requests:
             unique.setdefault(request.key, request)
 
-        table: dict[str, ResolvedCompute] = {}
+        payloads: dict[str, dict] = {}
+        misses: dict[tuple, list[ComputeRequest]] = {}
         for key in sorted(unique):
             payload = self.cache.get(key)
-            if payload is None:
-                payload = self._simulate(unique[key])
-            table[key] = ResolvedCompute(
-                key=key, tier=str(payload["tier"]), payload=payload
+            if payload is not None:
+                payloads[key] = payload
+                continue
+            request = unique[key]
+            group = (
+                request.binding.app_key,
+                request.mode,
+                request.binding.num_cores,
+                request.duration_s,
             )
+            misses.setdefault(group, []).append(request)
+        with obs.suspended():
+            for batch in misses.values():
+                results = _simulate_group(batch)
+                for request, result in zip(batch, results):
+                    payload = payload_from_report(result.power)
+                    self.cache.put(request.key, payload)
+                    payloads[request.key] = payload
+        table = {
+            key: ResolvedCompute(
+                key=key, tier=str(payloads[key]["tier"]), payload=payloads[key]
+            )
+            for key in sorted(unique)
+        }
         summary = ComputeSummary(
             requests=len(requests), distinct_keys=len(unique)
         )
         return ComputeResolution(table=table, summary=summary)
 
-    def _simulate(self, request: ComputeRequest) -> dict:
-        """One ``simulate()`` run per key, stored in the cache.
 
-        Runs under suspended metrics — how many simulations actually
-        execute depends on the cache state, so only the logical
-        resolver counters are recorded.
-        """
-        with obs.suspended():
-            payload = payload_from_report(simulate_request(request))
-        self.cache.put(request.key, payload)
-        return payload
+def _simulate_group(requests: Sequence[ComputeRequest]) -> list:
+    """One engine call: each request's ``SimulationResult``, in order."""
+    first = requests[0]
+    return simulate_batch(
+        first.binding.app,
+        first.mode,
+        [request.signature for request in requests],
+        duration_s=first.duration_s,
+        num_cores=first.binding.num_cores,
+        mapping=first.binding.plan,
+    )
 
 
 def simulate_request(request: ComputeRequest) -> PowerReport:
-    """The power report of one ``simulate()`` run of a request."""
-    return simulate(
-        request.binding.app,
-        request.mode,
-        request.schedule,
-        duration_s=request.duration_s,
-        num_cores=request.binding.num_cores,
-        mapping=request.binding.plan,
-    ).power
+    """The power report of one request, simulated on its own."""
+    return _simulate_group([request])[0].power
 
 
 def record_compute_counters(summary: ComputeSummary) -> None:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..sysc.engine import cached_uniform_schedule
+from ..sysc.engine import uniform_signature
 from .appsource import AppBinding
 from .clock import LocalClock, read_clocks
 from .compute import build_request
@@ -552,14 +552,11 @@ def profile_table(
     bounded = min(duration_s, PROFILE_DURATION_S)
     requests = []
     for binding in bindings:
-        schedule = cached_uniform_schedule(
-            bounded,
-            binding.app.fs,
-            bpm=bpm,
-            abnormal_ratio=base.abnormal_ratio,
+        signature = uniform_signature(
+            bounded, binding.app.fs, bpm, base.abnormal_ratio
         )
         requests.append(
-            build_request(binding, binding.mode, bounded, schedule)
+            build_request(binding, binding.mode, bounded, signature)
         )
     resolution = resolver.resolve(requests)
     table = {

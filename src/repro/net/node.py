@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..power.energy import PowerReport
-from ..sysc.engine import cached_uniform_schedule
+from ..sysc.engine import uniform_signature
 from .appsource import APPS, AppBinding
 from .compute import ComputeRequest, ResolvedCompute, build_request
 from .clock import LocalClock
@@ -170,14 +170,14 @@ class NetworkNode:
 
     def compute_request(self) -> ComputeRequest:
         """Content-address the node's app-compute work."""
-        schedule = cached_uniform_schedule(
+        signature = uniform_signature(
             self.duration_s,
             self.binding.app.fs,
-            bpm=self.bpm,
-            abnormal_ratio=self.scenario.abnormal_ratio,
+            self.bpm,
+            self.scenario.abnormal_ratio,
         )
         return build_request(
-            self.binding, self.binding.mode, self.duration_s, schedule
+            self.binding, self.binding.mode, self.duration_s, signature
         )
 
     @staticmethod

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
+from typing import Callable
 
 from .components import DEFAULT_ENERGY, EnergyParams
 from .process import DEFAULT_PROCESS, ProcessModel
@@ -145,45 +146,56 @@ def compute_power(activity: ActivityVector, point: OperatingPoint,
         params: per-component energies at the reference voltage.
         process: voltage scaling model.
     """
-    if activity.cycles <= 0:
+    return power_model(point, multicore, activity.cycles, activity.cores_on,
+                       activity.im_banks_on, activity.dm_banks_on,
+                       activity.platform_cores, params, process)(activity)
+
+
+def power_model(point: OperatingPoint, multicore: bool, cycles: float,
+                cores_on: int, im_banks_on: int, dm_banks_on: int,
+                platform_cores: int,
+                params: EnergyParams = DEFAULT_ENERGY,
+                process: ProcessModel = DEFAULT_PROCESS
+                ) -> Callable[[ActivityVector], PowerReport]:
+    """:func:`compute_power` of activities with these fields: duration,
+    voltage scales, leakage and the clock root's and synchronizer's
+    idle energy are computed once; the returned function adds an
+    activity's own terms."""
+    if cycles <= 0:
         raise ValueError("activity must span at least one cycle")
-    duration_s = activity.cycles / point.cycles_per_second
+    duration_s = cycles / point.cycles_per_second
     dyn = process.dynamic_scale(point.voltage)
     leak = process.leakage_scale(point.voltage)
-
-    # Dynamic energies in pJ.
-    cores_pj = activity.core_active_cycles * params.core_active_pj
-    clock_pj = (activity.cycles
-                * (params.clock_root_base_pj
-                   + params.clock_root_per_core_pj * activity.platform_cores)
-                + activity.core_active_cycles * params.clock_branch_pj)
-    im_pj = activity.im_accesses * params.im_access_pj
-    dm_pj = activity.dm_accesses * params.dm_access_pj
+    clock_root_pj = cycles * (params.clock_root_base_pj
+                              + params.clock_root_per_core_pj * platform_cores)
     grant_pj = params.xbar_grant_pj if multicore else params.decoder_access_pj
-    xbar_pj = activity.interconnect_grants * grant_pj
-    sync_pj = activity.sync_ops * params.sync_op_pj
-    if multicore:
-        sync_pj += activity.cycles * params.sync_idle_pj
+    sync_idle_pj = cycles * params.sync_idle_pj
+    leakage_uw = leak * (
+        im_banks_on * params.leak_im_bank_uw
+        + dm_banks_on * params.leak_dm_bank_uw
+        + cores_on * params.leak_core_uw
+        + (params.leak_xbar_uw if multicore else 0.0))
 
     def to_uw(pico_joules: float) -> float:
         return pico_joules * dyn / duration_s * 1e-6
 
-    leakage_uw = leak * (
-        activity.im_banks_on * params.leak_im_bank_uw
-        + activity.dm_banks_on * params.leak_dm_bank_uw
-        + activity.cores_on * params.leak_core_uw
-        + (params.leak_xbar_uw if multicore else 0.0))
-
-    return PowerReport(
-        operating_point=point,
-        duration_s=duration_s,
-        categories={
-            "cores_logic": to_uw(cores_pj),
-            "clock_tree": to_uw(clock_pj),
-            "instr_mem": to_uw(im_pj),
-            "data_mem": to_uw(dm_pj),
-            "interconnect": to_uw(xbar_pj),
+    def report(activity: ActivityVector) -> PowerReport:
+        # Dynamic energies in pJ.
+        active = activity.core_active_cycles
+        sync_pj = activity.sync_ops * params.sync_op_pj
+        if multicore:
+            sync_pj += sync_idle_pj
+        categories = {
+            "cores_logic": to_uw(active * params.core_active_pj),
+            "clock_tree": to_uw(clock_root_pj
+                                + active * params.clock_branch_pj),
+            "instr_mem": to_uw(activity.im_accesses * params.im_access_pj),
+            "data_mem": to_uw(activity.dm_accesses * params.dm_access_pj),
+            "interconnect": to_uw(activity.interconnect_grants * grant_pj),
             "synchronizer": to_uw(sync_pj),
             "leakage": leakage_uw,
-        },
-    )
+        }
+        return PowerReport(operating_point=point, duration_s=duration_s,
+                           categories=categories)
+
+    return report

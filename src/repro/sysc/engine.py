@@ -16,7 +16,9 @@ closed form from one arrival to the next (:func:`_replay`) instead of
 stepping every sample: 60 s of ECG costs one step per abnormal beat
 and core, not 15,000 ticks.  ``tests/sysc/reference_engine.py`` keeps
 the per-sample tick loop as the differential oracle it is tested
-against.
+against.  :func:`simulate_batch` runs many schedules of one app and
+configuration, doing the schedule-free work once; :func:`simulate` is
+its one-row call.
 
 Three execution modes mirror the paper's comparisons:
 
@@ -33,8 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .. import obs
 from ..apps.mapping import (
@@ -45,7 +46,7 @@ from ..apps.mapping import (
 )
 from ..apps.phases import AppSpec, Trigger
 from ..power.components import DEFAULT_ENERGY, EnergyParams
-from ..power.energy import ActivityVector, PowerReport, compute_power
+from ..power.energy import ActivityVector, PowerReport, power_model
 from ..power.process import DEFAULT_PROCESS, ProcessModel
 from ..power.vfs import (
     MIN_SYSTEM_CLOCK_MHZ,
@@ -93,6 +94,24 @@ def schedule_from_record(record: EcgRecord) -> list[BeatEvent]:
             for beat in record.annotations]
 
 
+def _uniform_beats(duration_s: float, fs: float, bpm: float,
+                   abnormal_ratio: float, abnormal_only: bool = False
+                   ) -> Iterator[tuple[int, bool]]:
+    """``(sample, abnormal)`` of every beat of :func:`uniform_schedule`,
+    or of its abnormal beats only."""
+    period = 60.0 / bpm * fs
+    count = int(duration_s * fs / period)
+    abnormal_target = abnormal_ratio * count
+    credit = 0.0
+    for index in range(count):
+        credit += abnormal_target / count
+        abnormal = credit >= 1.0
+        if abnormal:
+            credit -= 1.0
+        if abnormal or not abnormal_only:
+            yield int((index + 0.6) * period), abnormal
+
+
 def uniform_schedule(duration_s: float, fs: float, bpm: float = 72.0,
                      abnormal_ratio: float = 0.0) -> list[BeatEvent]:
     """Synthetic schedule with uniformly spread abnormal beats.
@@ -100,38 +119,33 @@ def uniform_schedule(duration_s: float, fs: float, bpm: float = 72.0,
     Matches the Fig. 7 setting ("the abnormal heartbeats have been
     distributed uniformly") without synthesising waveforms.
     """
-    period = 60.0 / bpm * fs
-    count = int(duration_s * fs / period)
-    if count <= 0:
-        return []
-    abnormal_target = abnormal_ratio * count
-    events = []
-    credit = 0.0
-    for index in range(count):
-        credit += abnormal_target / count
-        abnormal = credit >= 1.0
-        if abnormal:
-            credit -= 1.0
-        events.append(BeatEvent(sample=int((index + 0.6) * period),
-                                abnormal=abnormal))
-    return events
+    return [BeatEvent(sample=sample, abnormal=abnormal) for sample, abnormal
+            in _uniform_beats(duration_s, fs, bpm, abnormal_ratio)]
 
 
-@lru_cache(maxsize=4096)
-def cached_uniform_schedule(duration_s: float, fs: float,
-                            bpm: float = 72.0,
-                            abnormal_ratio: float = 0.0
-                            ) -> tuple[BeatEvent, ...]:
-    """Memoised :func:`uniform_schedule` (immutable tuple form).
+def schedule_signature(schedule: Iterable[BeatEvent], ticks: int) -> list:
+    """What a run of ``ticks`` samples reads of ``schedule``: ``[ticks,
+    abnormal beats, sorted abnormal samples in [0, ticks)]``.
 
-    Fleets rebuild identical schedules for every node that shares a
-    ``(duration, fs, bpm, abnormal_ratio)`` shape; this caches the
-    construction per process.  The result is a tuple of frozen
-    :class:`BeatEvent` values, so sharing one schedule across nodes
-    (and threads) is safe — ``simulate()`` only ever reads it.
+    The replay reads the abnormal beats inside the run; single-core
+    sizing counts them all.  Normal beats never influence a run, so
+    equal signatures yield byte-identical simulations.
     """
-    return tuple(uniform_schedule(duration_s, fs, bpm=bpm,
-                                  abnormal_ratio=abnormal_ratio))
+    return _signature([event.sample for event in schedule
+                       if event.abnormal], ticks)
+
+
+def uniform_signature(duration_s: float, fs: float, bpm: float = 72.0,
+                      abnormal_ratio: float = 0.0) -> list:
+    """:func:`schedule_signature` of a :func:`uniform_schedule` over
+    ``duration_s`` seconds, from its abnormal beats alone."""
+    beats = _uniform_beats(duration_s, fs, bpm, abnormal_ratio, True)
+    return _signature([sample for sample, _ in beats],
+                      int(round(duration_s * fs)))
+
+
+def _signature(samples: list[int], ticks: int) -> list:
+    return [ticks, len(samples), sorted(s for s in samples if 0 <= s < ticks)]
 
 
 @dataclass
@@ -225,29 +239,34 @@ def _replay(core: _Core, capacity: float,
             ``[0, ticks)``.
         ticks: samples simulated.
     """
-    excess = core.load - capacity
+    load, beat_work = core.load, core.beat_work
+    excess = load - capacity
     queue = executed = peak = 0.0
     start = 0
     for tick, count in [*beats, (ticks, 0)]:
         gap = tick - start
         if gap:
-            end = max(0.0, queue + gap * excess)
-            executed += queue + gap * core.load - end
-            peak = max(peak, end if excess > 0 else queue + excess)
+            # max(0.0, end) and max(peak, top) as compares: no calls.
+            end = queue + gap * excess
+            if not end > 0.0:
+                end = 0.0
+            executed += queue + gap * load - end
+            top = end if excess > 0 else queue + excess
+            if top > peak:
+                peak = top
             queue = end
-        for work in core.beat_work:
+        for work in beat_work:
             queue += work * count
         start = tick
     return executed, peak
 
 
-def _required_clock_mhz(app: AppSpec, mode: Mode,
-                        schedule: Sequence[BeatEvent],
+def _required_clock_mhz(app: AppSpec, mode: Mode, abnormal: int,
                         duration_s: float,
                         mapping: MappingPlan) -> float:
-    """Sizing step of Sec. V-A: the minimum clock for real time."""
+    """Sizing step of Sec. V-A: the minimum clock for real time
+    (``abnormal`` counts the schedule's abnormal beats)."""
     if mode is Mode.SINGLE_CORE:
-        abnormal = sum(1 for event in schedule if event.abnormal)
         streaming = app.streaming_cycles_per_sample * app.fs
         triggered = (abnormal * app.triggered_cycles_per_beat
                      / duration_s if duration_s > 0 else 0.0)
@@ -266,7 +285,8 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
              process: ProcessModel = DEFAULT_PROCESS,
              floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
              mapping: MappingPlan | None = None) -> SimulationResult:
-    """Simulate one application in one configuration.
+    """Simulate one application in one configuration: the one-row
+    call of :func:`simulate_batch`.
 
     Args:
         app: benchmark application.
@@ -287,6 +307,27 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         ValueError: ``mapping`` targets the wrong platform kind for
             ``mode``.
     """
+    signature = schedule_signature(schedule, int(round(duration_s * app.fs)))
+    return simulate_batch(app, mode, [signature], duration_s, num_cores,
+                          energy, process, floor_mhz, mapping)[0]
+
+
+def simulate_batch(app: AppSpec, mode: Mode, signatures: Sequence[list],
+                   duration_s: float = 60.0, num_cores: int = 8,
+                   energy: EnergyParams = DEFAULT_ENERGY,
+                   process: ProcessModel = DEFAULT_PROCESS,
+                   floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
+                   mapping: MappingPlan | None = None
+                   ) -> list[SimulationResult]:
+    """:func:`simulate` of many schedules, given as their
+    :func:`schedule_signature`, that share every other argument.
+
+    Row ``i`` and its ``engine.*`` counts equal the run of schedule
+    ``i``.  Mapping, the core table, lock-step groups and the power
+    model's constants are set up once, sizing once per requirement;
+    each row replays only its own abnormal beats.  Raises as
+    :func:`simulate`, and if a signature spans other ticks.
+    """
     app.validate()
     multicore = mode is not Mode.SINGLE_CORE
     if mapping is None:
@@ -296,11 +337,6 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         raise ValueError(
             f"mapping is {'multi' if mapping.multicore else 'single'}"
             f"-core but mode is {mode.value}")
-    required = _required_clock_mhz(app, mode, schedule, duration_s,
-                                   mapping)
-    point = plan_operating_point(required, process=process,
-                                 single_core=not multicore,
-                                 floor_mhz=floor_mhz)
 
     with_sync = mode is Mode.MULTI_CORE
     span = app.beat_span_samples
@@ -334,88 +370,106 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
             beat_work=tuple(phase.cycles_per_sample * span
                             for phase in app.phases
                             if phase.trigger is not Trigger.STREAMING)))
-
-    fs = app.fs
-    ticks = int(round(duration_s * fs))
-    capacity = point.cycles_per_second / fs  # cycles per tick
-    beats_by_tick: dict[int, int] = {}
-    for event in schedule:
-        if event.abnormal and 0 <= event.sample < ticks:
-            beats_by_tick[event.sample] = \
-                beats_by_tick.get(event.sample, 0) + 1
-    beats = sorted(beats_by_tick.items())
-    abnormal_beats = sum(beats_by_tick.values())
-
-    obs.add("engine.simulations")
-    obs.add(f"engine.mode.{mode.value}")
-    obs.add("engine.ticks", ticks)
-    if abnormal_beats:
-        obs.add("engine.beats.abnormal", abnormal_beats)
-
-    executed: list[float] = []
-    max_queue = 0.0
-    for core in cores:
-        done, peak = _replay(core, capacity, beats, ticks)
-        executed.append(done)
-        max_queue = max(max_queue, peak)
+    # Replicas of a phase are equal cores: replay each queue once.
+    distinct = list(dict.fromkeys(cores))
+    slots = [distinct.index(core) for core in cores]
+    dm_rates = [core.dm_rate for core in cores]
 
     # Lock-step replicas run identical queues, so whenever one executes
     # all do, and each tick merges (n - 1)/n of the group's fetches.
-    im_merged = 0.0
-    dm_merged = 0.0
     groups: dict[str, list[int]] = {}
     for index, core in enumerate(cores):
         if core.group is not None:
             groups.setdefault(core.group, []).append(index)
+    lockstep = []
     for members in groups.values():
-        if len(members) < 2:
-            continue
-        lead = cores[members[0]]
-        weight = lead.alignment * ((len(members) - 1) / len(members))
-        im_merged += weight * sum(executed[i] for i in members)
-        dm_merged += (weight * lead.shared_read_fraction
-                      * sum(executed[i] * cores[i].dm_rate
-                            for i in members))
+        if len(members) >= 2:
+            lead = cores[members[0]]
+            weight = lead.alignment * ((len(members) - 1) / len(members))
+            lockstep.append(
+                (members, weight, weight * lead.shared_read_fraction))
 
-    wall_cycles = ticks * capacity
-    total_executed = sum(executed)
-    total_dm = sum(done * core.dm_rate
-                   for done, core in zip(executed, cores))
-    total_spin = 0.0
-    if mode is Mode.MULTI_CORE_NO_SYNC:
-        # Active waiting: every idle cycle spins on a polling loop.
-        total_spin = sum(wall_cycles - done for done in executed)
-        total_dm += total_spin * SPIN_DM_RATE
-    total_fetch = total_executed + total_spin
-    total_sync = sum(core.sync * ticks + core.beat_sync * abnormal_beats
-                     for core in cores)
-    sync_writes = total_sync * SYNC_WRITE_FRACTION
+    fs = app.fs
+    ticks = int(round(duration_s * fs))
+    shape = dict(cores_on=mapping.active_cores,
+                 im_banks_on=len(mapping.im_banks_used),
+                 dm_banks_on=mapping.dm_banks_active,
+                 platform_cores=num_cores if multicore else 1)
+    # Sizing per abnormal-beat count (single-core) or once (multi-core).
+    sized: dict[int | None, tuple] = {}
+    results: list[SimulationResult] = []
+    for signature_ticks, abnormal, clipped in signatures:
+        if signature_ticks != ticks:
+            raise ValueError(f"signature spans {signature_ticks} ticks, "
+                             f"the run {ticks}")
+        key = None if multicore else abnormal
+        if key not in sized:
+            required = _required_clock_mhz(app, mode, abnormal,
+                                           duration_s, mapping)
+            point = plan_operating_point(required, process=process,
+                                         single_core=not multicore,
+                                         floor_mhz=floor_mhz)
+            capacity = point.cycles_per_second / fs  # cycles per tick
+            wall_cycles = ticks * capacity
+            sized[key] = (required, point, capacity, wall_cycles, power_model(
+                point, multicore, wall_cycles, **shape, params=energy,
+                process=process))
+        required, point, capacity, wall_cycles, power_of = sized[key]
+        beats_by_tick: dict[int, int] = {}
+        for tick in clipped:
+            beats_by_tick[tick] = beats_by_tick.get(tick, 0) + 1
+        beats = sorted(beats_by_tick.items())
+        abnormal_beats = len(clipped)
+        obs.add("engine.simulations")
+        obs.add(f"engine.mode.{mode.value}")
+        obs.add("engine.ticks", ticks)
+        if abnormal_beats:
+            obs.add("engine.beats.abnormal", abnormal_beats)
 
-    activity = ActivityVector(
-        cycles=wall_cycles,
-        core_active_cycles=total_fetch,
-        im_accesses=total_fetch - im_merged,
-        dm_accesses=total_dm - dm_merged + sync_writes,
-        interconnect_grants=total_fetch + total_dm + sync_writes,
-        sync_ops=total_sync,
-        cores_on=mapping.active_cores,
-        im_banks_on=len(mapping.im_banks_used),
-        dm_banks_on=mapping.dm_banks_active,
-        platform_cores=num_cores if multicore else 1,
-    )
-    power = compute_power(activity, point, multicore=multicore,
-                          params=energy, process=process)
-    return SimulationResult(
-        mode=mode,
-        mapping=mapping,
-        operating_point=point,
-        required_mhz=required,
-        activity=activity,
-        power=power,
-        im_broadcast_fraction=im_merged / total_fetch if total_fetch else 0.0,
-        dm_broadcast_fraction=dm_merged / total_dm if total_dm else 0.0,
-        runtime_overhead=total_sync / total_executed
-        if total_executed else 0.0,
-        max_latency_s=max_queue / point.cycles_per_second,
-        duration_s=duration_s,
-    )
+        replays = [_replay(core, capacity, beats, ticks)
+                   for core in distinct]
+        executed = [replays[slot][0] for slot in slots]
+        max_queue = max([peak for _, peak in replays], default=0.0)
+        im_merged = dm_merged = 0.0
+        for members, weight, dm_weight in lockstep:
+            im_merged += weight * sum(executed[i] for i in members)
+            dm_merged += dm_weight * sum(executed[i] * dm_rates[i]
+                                         for i in members)
+
+        total_executed = sum(executed)
+        total_dm = sum(done * rate for done, rate in zip(executed, dm_rates))
+        total_spin = 0.0
+        if mode is Mode.MULTI_CORE_NO_SYNC:
+            # Active waiting: every idle cycle spins on a polling loop.
+            total_spin = sum(wall_cycles - done for done in executed)
+            total_dm += total_spin * SPIN_DM_RATE
+        total_fetch = total_executed + total_spin
+        total_sync = sum(core.sync * ticks + core.beat_sync * abnormal_beats
+                         for core in cores)
+        sync_writes = total_sync * SYNC_WRITE_FRACTION
+
+        activity = ActivityVector(
+            cycles=wall_cycles,
+            core_active_cycles=total_fetch,
+            im_accesses=total_fetch - im_merged,
+            dm_accesses=total_dm - dm_merged + sync_writes,
+            interconnect_grants=total_fetch + total_dm + sync_writes,
+            sync_ops=total_sync,
+            **shape,
+        )
+        results.append(SimulationResult(
+            mode=mode,
+            mapping=mapping,
+            operating_point=point,
+            required_mhz=required,
+            activity=activity,
+            power=power_of(activity),
+            im_broadcast_fraction=im_merged / total_fetch
+            if total_fetch else 0.0,
+            dm_broadcast_fraction=dm_merged / total_dm if total_dm else 0.0,
+            runtime_overhead=total_sync / total_executed
+            if total_executed else 0.0,
+            max_latency_s=max_queue / point.cycles_per_second,
+            duration_s=duration_s,
+        ))
+    return results

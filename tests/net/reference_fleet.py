@@ -5,7 +5,9 @@ resolves in one batch before any node runs, and once more to run.  A
 node then replays its own receptions as a one-row
 :func:`~repro.net.timesync.sync_replay` call over the beacons it heard
 and folds its four error series in Python loops; the summary merges
-the followers' errors, leaving the reference out.
+the followers' errors, leaving the reference out.  Inline compute runs
+scalar :func:`~repro.sysc.engine.simulate` on the node's full beat
+schedule, normal beats included.
 :class:`repro.net.fleet.FleetRunner` must equal it ``==``, node for
 node and in the summary.
 """
@@ -29,7 +31,7 @@ from repro.net.radio import RadioEnergy, receive_beacons
 from repro.net.stats import FleetSummary, GroupStats, SyncError
 from repro.power.energy import sum_left
 from repro.net.timesync import sync_replay
-from repro.sysc.engine import simulate
+from repro.sysc.engine import simulate, uniform_schedule
 
 
 def from_samples(errors_s: list[float]) -> SyncError:
@@ -71,10 +73,16 @@ def one_row_replay(protocol, receptions, clock, sample_times, readings):
 def simulate_node(node, beacons, sample_times, readings, compute=None):
     """One node's result: inline compute unless ``compute`` is given."""
     if compute is None:
+        schedule = uniform_schedule(
+            node.duration_s,
+            node.binding.app.fs,
+            bpm=node.bpm,
+            abnormal_ratio=node.scenario.abnormal_ratio,
+        )
         power = simulate(
             node.binding.app,
             node.binding.mode,
-            node.compute_request().schedule,
+            schedule,
             duration_s=node.duration_s,
             num_cores=node.binding.num_cores,
             mapping=node.binding.plan,

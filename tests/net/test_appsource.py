@@ -1,11 +1,12 @@
 """Tests for the pluggable per-node application sources."""
 
+import pickle
 import random
 
 import pytest
 
 from repro.apps.mapping import MappingError
-from repro.gen.generator import parse_app_token
+from repro.gen.generator import parse_app_token, suite_tokens
 from repro.net.appsource import (
     APPS,
     BenchmarkSource,
@@ -81,6 +82,26 @@ def test_generated_source_binding_is_deterministic():
     # 5 tokens: different stream names usually land elsewhere, but at
     # minimum the draw is a pure function of the stream
     assert other.token in source.tokens()
+
+
+def test_generated_source_builds_its_tokens_once(monkeypatch):
+    import repro.net.appsource
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return suite_tokens(*args)
+
+    fresh = [GeneratedSuiteSource(seed=7, count=12).bind(_rng(f"n{i}"))
+             for i in range(16)]
+    monkeypatch.setattr(repro.net.appsource, "suite_tokens", counting)
+    source = GeneratedSuiteSource(seed=7, count=12)
+    assert [source.bind(_rng(f"n{i}")) for i in range(16)] == fresh
+    assert len(calls) == 1
+    assert source.tokens() == suite_tokens(7, 12)
+    assert source.universe() and len(calls) == 1
+    assert pickle.loads(pickle.dumps(source)) == source
 
 
 def test_generated_source_single_core_policy_yields_sc_plan():

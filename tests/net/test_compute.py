@@ -7,6 +7,7 @@ seeds, worker counts and cache temperature.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,13 +32,13 @@ from repro.net.fleet import run_fleet
 from repro.net.hierarchy import profile_key, profile_table
 from repro.net.node import build_node
 from repro.net.scenarios import get_scenario, parse_scenario
-from repro.power.energy import PowerReport
+from repro.power.energy import CATEGORIES, PowerReport
 from repro.power.vfs import OperatingPoint
 from repro.sysc.engine import (
     BeatEvent,
     Mode,
-    cached_uniform_schedule,
     simulate,
+    simulate_batch,
     uniform_schedule,
 )
 
@@ -73,22 +74,8 @@ def _eval_net(args, tmp_path, name, **env_overrides):
 
 
 # ---------------------------------------------------------------------------
-# Schedule memo + signature
+# Schedule signature
 # ---------------------------------------------------------------------------
-
-def test_cached_uniform_schedule_memoises_per_shape():
-    cached_uniform_schedule.cache_clear()
-    a = cached_uniform_schedule(2.0, 250.0, 72.0, 0.25)
-    b = cached_uniform_schedule(2.0, 250.0, 72.0, 0.25)
-    assert a is b  # same object, not merely equal
-    assert a == tuple(uniform_schedule(2.0, 250.0, bpm=72.0,
-                                       abnormal_ratio=0.25))
-    c = cached_uniform_schedule(2.0, 250.0, 80.0, 0.25)
-    assert c is not a
-    cached_uniform_schedule.cache_clear()
-    d = cached_uniform_schedule(2.0, 250.0, 72.0, 0.25)
-    assert d is not a and d == a
-
 
 def test_schedule_signature_reads_what_simulate_reads():
     schedule = [
@@ -206,6 +193,56 @@ def test_resolver_summary_identical_cold_and_warm():
         assert warm.table[key].payload == entry.payload
 
 
+def test_partly_warm_groups_resolve_like_a_cold_run(tmp_path, monkeypatch):
+    """Each app group comes a third from disk, a third from the memo
+    and a third from one engine call: the table equals a cold one."""
+    import repro.net.compute
+
+    monkeypatch.delenv(COMPUTE_CACHE_ENV, raising=False)
+    scenario = get_scenario("generated-swarm")
+    requests = [
+        build_node(scenario, node_id, 1, 10.0).compute_request()
+        for node_id in range(64)
+    ]
+    clear_process_caches()
+    cold = ComputeResolver(ComputeSettings()).resolve(requests)
+    groups: dict[tuple, list[str]] = {}
+    for request in {r.key: r for r in requests}.values():
+        group = (request.binding.app_key, request.mode)
+        groups.setdefault(group, []).append(request.key)
+    assert max(map(len, groups.values())) >= 3
+    clear_process_caches()
+    disk, memo = ComputeCache(tmp_path), ComputeCache(None)
+    missing = 0
+    for keys in groups.values():
+        for index, key in enumerate(sorted(keys)):
+            if index % 3 == 0:
+                disk.put(key, cold.table[key].payload)
+            elif index % 3 == 1:
+                memo.put(key, cold.table[key].payload)
+            else:
+                missing += 1
+    for keys in groups.values():  # disk-only: drop the memo copies
+        for key in sorted(keys)[::3]:
+            repro.net.compute._MEMO.pop(key)
+
+    rows = []
+
+    def counting(app, mode, signatures, *args, **kwargs):
+        rows.append(len(signatures))
+        return simulate_batch(app, mode, signatures, *args, **kwargs)
+
+    monkeypatch.setattr(repro.net.compute, "simulate_batch", counting)
+    warm = ComputeResolver(ComputeSettings(str(tmp_path))).resolve(requests)
+    assert sum(rows) == missing
+    assert len(rows) == sum(len(keys) >= 3 for keys in groups.values())
+    assert warm.summary == cold.summary
+    assert list(warm.table) == list(cold.table)
+    assert warm.table == cold.table
+    for key, entry in cold.table.items():
+        assert warm.table[key].report() == entry.report()
+
+
 def test_disk_cache_cold_vs_warm_nodes_identical(tmp_path, monkeypatch):
     monkeypatch.setenv(COMPUTE_CACHE_ENV, str(tmp_path))
     clear_process_caches()
@@ -238,12 +275,21 @@ def _entry_payload():
     }
 
 
+def _complete_payload():
+    """An entry with every category a live run reports."""
+    payload = _entry_payload()
+    payload["categories"] = {
+        **dict.fromkeys(CATEGORIES, 0.25), **payload["categories"]
+    }
+    return payload
+
+
 def test_cache_roundtrip_and_corrupt_entries(tmp_path):
     cache = ComputeCache(tmp_path)
     key = "ab" + "0" * 38
-    cache.put(key, _entry_payload())
+    cache.put(key, _complete_payload())
     clear_process_caches()  # force the disk read
-    assert ComputeCache(tmp_path).get(key) == _entry_payload()
+    assert ComputeCache(tmp_path).get(key) == _complete_payload()
     # Corrupt bytes and foreign schemas both read as misses.
     path = cache._path(key)
     path.write_text("{not json", encoding="utf-8")
@@ -252,6 +298,44 @@ def test_cache_roundtrip_and_corrupt_entries(tmp_path):
     path.write_text(json.dumps({"schema": "other/1"}), encoding="utf-8")
     clear_process_caches()
     assert ComputeCache(tmp_path).get(key) is None
+
+
+#: Doctored disk entries, each of which must read as a miss.
+_DOCTORED = {
+    "missing category": lambda p: p["categories"].pop("leakage"),
+    "NaN category": lambda p: p["categories"].update(leakage=math.nan),
+    "infinite category": lambda p: p["categories"].update(
+        cores_logic=math.inf),
+    "string category": lambda p: p["categories"].update(leakage="0"),
+    "bool category": lambda p: p["categories"].update(leakage=True),
+    "unknown category": lambda p: p["categories"].update(bogus=5.0),
+    "no frequency": lambda p: p.pop("frequency_mhz"),
+    "no voltage": lambda p: p.pop("voltage"),
+    "no duration": lambda p: p.pop("duration_s"),
+    "null voltage": lambda p: p.update(voltage=None),
+    "no tier": lambda p: p.pop("tier"),
+}
+
+
+@pytest.mark.parametrize("doctor", sorted(_DOCTORED))
+def test_doctored_cache_entry_is_resimulated(doctor, tmp_path):
+    """A corrupt entry ends in a correct run: it reads as a miss, is
+    simulated again and overwritten with the good payload."""
+    def fleet():
+        clear_process_caches()
+        return run_fleet("generated-swarm", n_nodes=6, duration_s=2.0,
+                         compute="exact", compute_cache=str(tmp_path))
+
+    cold = fleet()
+    entry = sorted(tmp_path.rglob("*.json"))[0]
+    good = json.loads(entry.read_text(encoding="utf-8"))
+    doctored = json.loads(entry.read_text(encoding="utf-8"))
+    _DOCTORED[doctor](doctored)
+    entry.write_text(json.dumps(doctored), encoding="utf-8")
+    warm = fleet()
+    assert warm.nodes == cold.nodes
+    assert warm.summary == cold.summary
+    assert json.loads(entry.read_text(encoding="utf-8")) == good
 
 
 def test_cache_root_from_environment(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from repro.net.compute import clear_process_caches, compute_settings
 from repro.net.fleet import FleetConfig, FleetRunner
 from repro.net.scenarios import get_scenario, with_protocol
 from repro.net.stats import Moments, SyncError
-from repro.sysc.engine import simulate
+from repro.sysc.engine import simulate_batch
 
 from .reference_fleet import from_samples, reference_fleet
 
@@ -122,14 +122,15 @@ def test_flat_fleet_counters_match_with_cold_and_warm_cache(tmp_path):
     assert warm == cold
 
 
-#: File the patched ``simulate`` appends its process id to.
+#: File the patched ``simulate_batch`` appends a process id to, once
+#: per simulated row.
 _PIDS = ""
 
 
-def _recording_simulate(*args, **kwargs):
+def _recording_simulate_batch(app, mode, signatures, *args, **kwargs):
     with open(_PIDS, "a") as log:
-        log.write(f"{os.getpid()}\n")
-    return simulate(*args, **kwargs)
+        log.write(f"{os.getpid()}\n" * len(signatures))
+    return simulate_batch(app, mode, signatures, *args, **kwargs)
 
 
 def test_parallel_exact_fleet_resolves_compute_in_the_workers(
@@ -140,7 +141,9 @@ def test_parallel_exact_fleet_resolves_compute_in_the_workers(
     pids = tmp_path / "pids"
     monkeypatch.setattr(sys.modules[__name__], "_PIDS", str(pids))
     # Forked workers inherit the patch and an empty process memo.
-    monkeypatch.setattr(repro.net.compute, "simulate", _recording_simulate)
+    monkeypatch.setattr(
+        repro.net.compute, "simulate_batch", _recording_simulate_batch
+    )
     clear_process_caches()
     result = run_fleet("generated-swarm", n_nodes=16, duration_s=4.0,
                        seed=5, compute="exact", workers=2)

@@ -69,8 +69,9 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         raise ValueError(
             f"mapping is {'multi' if mapping.multicore else 'single'}"
             f"-core but mode is {mode.value}")
-    required = _required_clock_mhz(app, mode, schedule, duration_s,
-                                   mapping)
+    required = _required_clock_mhz(
+        app, mode, sum(1 for event in schedule if event.abnormal),
+        duration_s, mapping)
     point = plan_operating_point(required, process=process,
                                  single_core=not multicore,
                                  floor_mhz=floor_mhz)
