@@ -113,20 +113,20 @@ class SyncPointLayout:
         self.counter_bits = word_bits - num_cores
         self.counter_mask = (1 << self.counter_bits) - 1
         self.max_counter = self.counter_mask
+        self._flag_bits = tuple(1 << (word_bits - 1 - core)
+                                for core in range(num_cores))
+        self._flags_mask = sum(self._flag_bits)
 
     def flag_bit(self, core: int) -> int:
         """Mask with only ``core``'s identification flag set."""
         if not 0 <= core < self.num_cores:
             raise ValueError(
                 f"core {core} out of range [0, {self.num_cores})")
-        return 1 << (self.word_bits - 1 - core)
+        return self._flag_bits[core]
 
     def flags_field_mask(self) -> int:
         """Mask covering the whole flags field."""
-        mask = 0
-        for core in range(self.num_cores):
-            mask |= self.flag_bit(core)
-        return mask
+        return self._flags_mask
 
     def encode(self, flags: int, counter: int) -> int:
         """Pack a (flags, counter) pair into a memory word."""
@@ -143,8 +143,8 @@ class SyncPointLayout:
 
     def cores_of(self, flags: int) -> tuple[int, ...]:
         """Core ids whose identification flags are set in ``flags``."""
-        return tuple(core for core in range(self.num_cores)
-                     if flags & self.flag_bit(core))
+        return tuple(core for core, bit in enumerate(self._flag_bits)
+                     if flags & bit)
 
 
 def merge_requests(layout: SyncPointLayout,

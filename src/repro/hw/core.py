@@ -238,7 +238,7 @@ class RiscCore:
 
     The platform drives the core with this per-cycle contract:
 
-    1. if ``halted``/``gated`` — idle; account the cycle;
+    1. if ``halted``/``gated`` — idle (booked when the state ends);
     2. if ``busy_cycles_left`` — burn one busy cycle;
     3. if a load/store is pending — re-present it to the crossbar;
     4. otherwise fetch at ``pc`` (subject to IM arbitration) and call

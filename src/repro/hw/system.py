@@ -5,9 +5,9 @@ multi-banked instruction and data memories behind broadcasting
 crossbars, the synchronizer unit, per-core ATUs and the memory-mapped
 ADC.  A :class:`System` advances in lock-step clock cycles:
 
-1. non-blocked cores present instruction fetches; the IM crossbar
-   arbitrates (same-address fetches merge into one broadcast access);
-2. granted cores execute; loads/stores become DM crossbar requests
+1. clocked cores present instruction fetches, one transaction per
+   word (a broadcast access); the IM crossbar arbitrates contention;
+2. granted cores execute; loads/stores become DM transactions
    (same-address reads merge; bank conflicts stall the losers);
 3. synchronization instructions go to the synchronizer, which merges
    same-point requests, updates the points in shared DM, clock-gates
@@ -50,7 +50,7 @@ from ..isa.spec import INSTR_MASK, WORD_MASK
 from .adc import Adc
 from .atu import MulticoreAtu, SingleCoreTranslation
 from .core import Effect, EffectKind, RiscCore
-from .interconnect import Crossbar, CrossbarStats, MemRequest
+from .interconnect import Crossbar, CrossbarStats, Transaction
 from .memory import BankedMemory, MemoryActivity, MemoryFault
 
 
@@ -153,10 +153,10 @@ class System:
                                INSTR_MASK, name="im")
         self.dm = BankedMemory(geometry.dm.banks, geometry.dm.words_per_bank,
                                WORD_MASK, name="dm")
-        self.im_xbar = Crossbar(num_cores, geometry.im.banks,
-                                broadcast=broadcast, name="im_xbar")
-        self.dm_xbar = Crossbar(num_cores, geometry.dm.banks,
-                                broadcast=broadcast, name="dm_xbar")
+        self.im_xbar = Crossbar(num_cores, geometry.im.banks, broadcast,
+                                "im_xbar", geometry.im.words_per_bank)
+        self.dm_xbar = Crossbar(num_cores, geometry.dm.banks, broadcast,
+                                "dm_xbar", geometry.dm.words_per_bank)
         if multicore_dm:
             self.translation: MulticoreAtu | SingleCoreTranslation = \
                 MulticoreAtu(num_cores, geometry.dm, geometry.memory_map)
@@ -173,7 +173,10 @@ class System:
         self._decoded: dict[int, Instruction] = {}
         self._pending: list[Effect | None] = [None] * num_cores
         self._halted_at_load: set[int] = set(range(num_cores))
-        self._fetch_requests: dict[int, list[MemRequest]] = {}
+        # The cores neither halted nor gated, in id order, and the cycle
+        # up to which each core's cycles are booked (see ``_book``).
+        self._clocked = list(self.cores)
+        self._since = [0] * num_cores
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -212,8 +215,12 @@ class System:
                 bank, Sec. V-A) or the smallest prefix covering the
                 initialised data for the single-core baseline.
         """
-        # Reset the synchronizer first: clearing the points writes into
-        # shared DM, which must happen while all banks are still powered.
+        # Nothing of an earlier image survives.  The synchronizer resets
+        # next: clearing the points writes into shared DM, which must
+        # happen while all banks are still powered.
+        for bank in self.im.banks + self.dm.banks:
+            bank.data = [0] * bank.words
+        self._decoded = {}
         self.synchronizer.reset()
         geom = self.geometry.im
         used_im_banks: set[int] = set()
@@ -251,6 +258,8 @@ class System:
             core.halted = entry is None
         self._halted_at_load = {core.core_id for core in self.cores
                                 if core.halted}
+        self._since = [self.cycle] * self.num_cores
+        self._settle()
         self._pending = [None] * self.num_cores
         # Activity counters start from a clean slate (the synchronizer
         # reset above already touched DM).
@@ -285,46 +294,64 @@ class System:
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the platform by one clock cycle."""
-        self.cycle += 1
+        """Advance the platform by one clock cycle.
+
+        Only the clocked cores are visited.  Cycle counters are booked
+        as cores halt, gate or wake, and settled when :meth:`run` ends.
+        """
+        cycle = self.cycle = self.cycle + 1
         cores = self.cores
         pending = self._pending
-        fetch_requests = self._fetch_requests
         mem_queue: list[tuple[RiscCore, Effect]] = []
-        fetches: list[MemRequest] = []
-        for core in cores:
-            if core.halted:
-                core.stats.halted_cycles += 1
-            elif core.gated:
-                core.stats.gated_cycles += 1
+        fetches: dict[int, list[int]] = {}  # word -> ports fetching it
+        for core in self._clocked:
+            if core.busy_cycles_left:
+                core.busy_cycles_left -= 1
+                core.stats.busy_cycles += 1
+            elif pending[core.core_id] is not None:
+                mem_queue.append((core, pending[core.core_id]))
+            elif core.pc in fetches:
+                fetches[core.pc].append(core.core_id)
             else:
-                stats = core.stats
-                stats.active_cycles += 1
-                if core.busy_cycles_left:
-                    core.busy_cycles_left -= 1
-                    stats.busy_cycles += 1
-                elif pending[core.core_id] is not None:
-                    mem_queue.append((core, pending[core.core_id]))
-                else:
-                    at_pc = (fetch_requests.get(core.pc)
-                             or self._fetch_requests_at(core.pc))
-                    fetches.append(at_pc[core.core_id])
+                fetches[core.pc] = [core.core_id]
 
+        changed = synced = False
+        sync = self.synchronizer
         if fetches:
-            result = self.im_xbar.arbitrate(fetches)
-            for request in result.stalled:
-                cores[request.port].stats.fetch_stalls += 1
-            for group in result.granted:
-                self.im.read(group.bank, group.index)
-                address = (group.bank * self.geometry.im.words_per_bank
-                           + group.index)
-                instr = self._decoded.get(address)
+            xbar = self.im_xbar
+            alone = len(fetches) == 1
+            if alone:
+                (pc, ports), = fetches.items()
+                alone = xbar.broadcast or len(ports) == 1
+            if alone:  # one transaction: granted without arbitration
+                bank, requests = pc // xbar.words_per_bank, len(ports)
+                stats = xbar.stats
+                stats.requests += requests
+                if bank >= xbar.num_banks:
+                    raise ValueError(f"{xbar.name}: bank {bank} out of range")
+                stats.grants += requests
+                stats.accesses += 1
+                if requests > 1:
+                    stats.broadcast_merged += requests - 1
+                    stats.broadcast_cycles += 1
+                granted: list[Transaction] = [(pc, ports)]
+            else:
+                granted, stalled = xbar.arbitrate(
+                    fetches.items() if xbar.broadcast else
+                    [(pc, [port]) for pc, ports in fetches.items()
+                     for port in ports])
+                for port in stalled:
+                    cores[port].stats.fetch_stalls += 1
+            for pc, ports in granted:
+                bank, index = divmod(pc, xbar.words_per_bank)
+                self.im.banks[bank].read(index)
+                instr = self._decoded.get(pc)
                 if instr is None:
                     raise SimulationError(
-                        f"core {group.requests[0].port}: fetch from "
-                        f"uninitialised IM address {address:#06x}")
-                for request in group.requests:
-                    core = cores[request.port]
+                        f"core {ports[0]}: fetch from uninitialised IM "
+                        f"address {pc:#06x}")
+                for port in ports:
+                    core = cores[port]
                     effect = core.execute(instr)
                     kind = effect.kind
                     if kind is _NONE:
@@ -335,54 +362,71 @@ class System:
                         else:
                             mem_queue.append((core, effect))
                     elif kind is _SYNC:
-                        self.synchronizer.submit(
-                            core.core_id, effect.sync_op, effect.sync_point)
+                        sync.submit(port, effect.sync_op, effect.sync_point)
+                        synced = True
                     elif kind is _SLEEP:
-                        if self.synchronizer.sleep(core.core_id):
-                            core.gated = True
+                        if sync.sleep(port):
+                            self._book(core, cycle)
+                            core.gated = changed = True
                     else:
-                        core.halted = True
+                        self._book(core, cycle)
+                        core.halted = changed = True
 
         if mem_queue:
             self._serve_memory(mem_queue)
-        for core_id in self.synchronizer.end_cycle():
-            cores[core_id].gated = False
+        if synced or sync.interrupts.pending_lines:
+            for port in sync.end_cycle():
+                self._book(cores[port], cycle)
+                cores[port].gated = False
+                changed = True
         if self.adc is not None:
             self.adc.tick()
-
-    def _fetch_requests_at(self, pc: int) -> list[MemRequest]:
-        """Every port's IM request for address ``pc``, built once."""
-        bank, index = divmod(pc, self.geometry.im.words_per_bank)
-        requests = self._fetch_requests[pc] = [
-            MemRequest(port, bank, index) for port in range(self.num_cores)]
-        return requests
+        if changed:
+            self._clocked = [core for core in cores
+                             if not (core.halted or core.gated)]
 
     def _serve_memory(self, mem_queue: list[tuple[RiscCore, Effect]]) -> None:
-        """Arbitrate the cycle's DM accesses and perform the granted."""
-        translate = self.translation.translate
-        requests = []
+        """Arbitrate the cycle's DM accesses and perform the granted.
+
+        Reads of one word merge while broadcasting is on; each write,
+        and each read without broadcasting, is its own transaction.
+        """
+        xbar, banks = self.dm_xbar, self.dm.banks
         effects: dict[int, Effect] = {}
+        reads: dict[int, list[int]] = {}
+        transactions: list[Transaction] = []
         for core, effect in mem_queue:
-            location = translate(core.core_id, effect.address)
             effects[core.core_id] = effect
-            requests.append(MemRequest(
-                core.core_id, location.bank, location.index,
-                effect.kind is _STORE, effect.value))
-        result = self.dm_xbar.arbitrate(requests)
-        for request in result.stalled:
-            self.cores[request.port].stats.mem_stalls += 1
-            self._pending[request.port] = effects[request.port]
-        for group in result.granted:
-            if group.is_write:
-                request = group.requests[0]
-                self.dm.write(group.bank, group.index, request.value)
-                self._pending[request.port] = None
+            location = self.translation.translate(core.core_id,
+                                                  effect.address)
+            word = location.bank * xbar.words_per_bank + location.index
+            if effect.kind is _STORE or not xbar.broadcast:
+                transactions.append((word, [core.core_id]))
+            elif word in reads:
+                reads[word].append(core.core_id)
             else:
-                value = self.dm.read(group.bank, group.index)
-                for request in group.requests:
-                    self.cores[request.port].complete_load(
-                        effects[request.port], value)
-                    self._pending[request.port] = None
+                reads[word] = [core.core_id]
+                transactions.append((word, reads[word]))
+        if len(mem_queue) == 1:  # one access: granted without arbitration
+            granted, stalled = transactions, []
+            xbar.stats.requests += 1
+            xbar.stats.grants += 1
+            xbar.stats.accesses += 1
+        else:
+            granted, stalled = xbar.arbitrate(transactions)
+        for port in stalled:
+            self.cores[port].stats.mem_stalls += 1
+            self._pending[port] = effects[port]
+        for word, ports in granted:
+            bank, index = divmod(word, xbar.words_per_bank)
+            if effects[ports[0]].kind is _STORE:
+                banks[bank].write(index, effects[ports[0]].value)
+            else:
+                value = banks[bank].read(index)
+                for port in ports:
+                    self.cores[port].complete_load(effects[port], value)
+            for port in ports:
+                self._pending[port] = None
 
     def _peripheral_access(self, core: RiscCore, effect: Effect) -> None:
         """Serve a memory-mapped register access (combinational)."""
@@ -444,24 +488,46 @@ class System:
 
         Raises :class:`SimulationError` on deadlock (all cores gated
         with no wake source left).  Both stop conditions need every
-        core halted or gated, so they are checked only on such cycles.
+        core halted or gated, so they are checked only on cycles when
+        no core is clocked.  Counters are settled on return or raise.
         """
         start = self.cycle
         end = start + max_cycles
-        cores = self.cores
-        while self.cycle < end:
-            for core in cores:
-                if not (core.halted or core.gated):
-                    break
-            else:
-                if stop_on_halt and self.all_halted:
-                    break
-                if self.deadlocked():
-                    raise SimulationError(
-                        "deadlock: all cores clock-gated with no event "
-                        "source")
-            self.step()
+        try:
+            while self.cycle < end:
+                if not self._clocked:
+                    if stop_on_halt and self.all_halted:
+                        break
+                    if self.deadlocked():
+                        raise SimulationError(
+                            "deadlock: all cores clock-gated with no event "
+                            "source")
+                self.step()
+        finally:
+            self._settle()
         return self.cycle - start
+
+    def _book(self, core: RiscCore, cycle: int) -> None:
+        """Book ``core``'s cycles up to ``cycle`` to its present state.
+
+        Called just before a core halts, gates or wakes, and for every
+        core when :meth:`run` returns or raises.
+        """
+        stats, cycles = core.stats, cycle - self._since[core.core_id]
+        if core.halted:
+            stats.halted_cycles += cycles
+        elif core.gated:
+            stats.gated_cycles += cycles
+        else:
+            stats.active_cycles += cycles
+        self._since[core.core_id] = cycle
+
+    def _settle(self) -> None:
+        """Book every core's cycles so far; re-read who is clocked."""
+        for core in self.cores:
+            self._book(core, self.cycle)
+        self._clocked = [core for core in self.cores
+                         if not (core.halted or core.gated)]
 
     # ------------------------------------------------------------------
     # Observation

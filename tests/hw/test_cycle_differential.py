@@ -8,7 +8,10 @@ memory words and access counts, crossbar counters and round-robin
 pointers, synchronizer counters and point words, and ADC counters; a
 run that raises must raise the same exception at the same cycle in
 both.  The inputs are the repository's kernels and random multi-core
-programs.
+programs.  The fast loop books idle cores' cycles lazily, so it is
+also run in chunks of ``run(k)``, which must add up to one ``run``,
+and after every run the counters must satisfy the accounting
+invariants of :func:`_check_accounting`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.syncpoint import SyncProtocolError
 from repro.hw.core import RiscCore
-from repro.hw.interconnect import Crossbar, MemRequest
+from repro.hw.interconnect import Crossbar
 from repro.hw.memory import MemoryFault
 from repro.hw.system import SimulationError, System
 from repro.isa.assembler import assemble
@@ -43,6 +46,7 @@ from repro.kernels.sources import (
 )
 
 from .reference_system import (
+    MemRequest,
     ReferenceCore,
     ReferenceCrossbar,
     ReferenceSystem,
@@ -71,27 +75,58 @@ def _state(system: System) -> dict:
     }
 
 
-def _run(cls, make, source: str, max_cycles: int, adc=None):
+def _check_accounting(system: System, loaded_at: int) -> None:
+    """Counters that must add up whenever a run has returned or raised."""
+    for core in system.cores:
+        stats = core.stats
+        assert (stats.active_cycles + stats.gated_cycles
+                + stats.halted_cycles) == system.cycle - loaded_at
+        assert stats.instructions <= stats.active_cycles
+    for xbar in (system.im_xbar, system.dm_xbar):
+        stats = xbar.stats
+        assert stats.grants + stats.conflicts == stats.requests
+        assert stats.accesses + stats.broadcast_merged == stats.grants
+
+
+def _run(cls, make, source: str, max_cycles: int, adc=None,
+         chunk: int | None = None):
+    """Load ``source`` and run ``max_cycles`` in one ``run``, or in
+    ``run(chunk)`` calls until the system halts or the budget is spent.
+    """
     system = make(cls)
     system.load(assemble(source))
+    loaded_at = system.cycle
     if adc is not None:
         system.attach_adc(*adc)
+    budget = max_cycles
     try:
-        system.run(max_cycles)
+        while budget:
+            cycles = min(budget, chunk or budget)
+            ran = system.run(cycles)
+            _check_accounting(system, loaded_at)
+            budget -= ran
+            if ran < cycles:
+                break
     except (SimulationError, SyncProtocolError, MemoryFault) as exc:
+        _check_accounting(system, loaded_at)
         return (type(exc), str(exc), system.cycle), _state(system)
     return None, _state(system)
 
 
-def run_both(make, source: str, max_cycles: int = 200_000, adc=None):
+def run_both(make, source: str, max_cycles: int = 200_000, adc=None,
+             chunks=()):
     """Run ``source`` through the fast loop and the oracle; compare.
 
-    Returns the fast loop's ``(error, state)``.
+    Each of ``chunks`` also runs the fast loop in ``run(chunk)`` calls,
+    which must leave the same outcome.  Returns the fast loop's
+    ``(error, state)``.
     """
     fast = _run(System, make, source, max_cycles, adc)
     reference = _run(ReferenceSystem, make, source, max_cycles, adc)
     assert fast[0] == reference[0]
     assert fast[1] == reference[1]
+    for chunk in chunks:
+        assert _run(System, make, source, max_cycles, adc, chunk) == fast
     return fast
 
 
@@ -135,24 +170,49 @@ _REQUESTS = st.lists(
     max_size=8, unique_by=lambda request: request[0])
 
 
+_WORDS_PER_BANK = 6
+
+
+def _transactions(requests, broadcast: bool) -> list:
+    """One cycle's ``(port, bank, index, is_write, value)`` requests as
+    crossbar transactions, grouped as ``System`` groups DM accesses:
+    reads of one word merge while broadcasting, each write is its own."""
+    transactions, reads = [], {}
+    for port, bank, index, is_write, _ in requests:
+        word = bank * _WORDS_PER_BANK + index
+        if broadcast and not is_write:
+            ports = reads.get(word)
+            if ports is not None:
+                ports.append(port)
+                continue
+            ports = reads[word] = [port]
+        else:
+            ports = [port]
+        transactions.append((word, ports))
+    return transactions
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_REQUESTS, min_size=1, max_size=6), st.booleans())
 def test_arbitrate_matches_reference(cycles, broadcast):
     """Per cycle: the same grants, in order, the same stalls, in order,
     and the same counters and round-robin pointers."""
-    fast = Crossbar(8, 4, broadcast=broadcast)
+    fast = Crossbar(8, 4, broadcast=broadcast,
+                    words_per_bank=_WORDS_PER_BANK)
     reference = ReferenceCrossbar(8, 4, broadcast=broadcast)
     for cycle in cycles:
-        outcomes = []
-        for xbar in (fast, reference):
-            result = xbar.arbitrate([MemRequest(*spec) for spec in cycle])
-            outcomes.append((
-                [(group.bank, group.index, group.is_write,
-                  [request.port for request in group.requests])
-                 for group in result.granted],
-                [request.port for request in result.stalled],
-                dataclasses.asdict(xbar.stats), list(xbar._rr_priority)))
-        assert outcomes[0] == outcomes[1]
+        writes = {port: is_write for port, _, _, is_write, _ in cycle}
+        granted, stalled = fast.arbitrate(_transactions(cycle, broadcast))
+        result = reference.arbitrate([MemRequest(*spec) for spec in cycle])
+        assert [(*divmod(word, _WORDS_PER_BANK), writes[ports[0]], ports)
+                for word, ports in granted] == \
+            [(group.bank, group.index, group.is_write,
+              [request.port for request in group.requests])
+             for group in result.granted]
+        assert stalled == [request.port for request in result.stalled]
+        assert dataclasses.asdict(fast.stats) == \
+            dataclasses.asdict(reference.stats)
+        assert fast._rr_priority == reference._rr_priority
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +284,26 @@ def test_window_min_without_broadcast():
 def test_errors_match(source, error):
     outcome, _ = run_both(_multicore(), source, max_cycles=100)
     assert outcome is not None and error in outcome[1]
+
+
+_CHUNKS = (1, 7, 97)
+
+
+@pytest.mark.parametrize("make, source", [
+    (_multicore(), window_min_kernel(cores=3, window=4, outputs=5)),
+    (_multicore(), window_min_kernel(cores=8, window=6, outputs=4,
+                                     with_sync=False)),
+    (_multicore(broadcast=False),
+     window_min_kernel(cores=4, window=6, outputs=4)),
+    (_multicore(), barrier_pipeline_kernel(3, 9)),
+    (_singlecore, mac_kernel(taps=12)),
+    (_multicore(), ".entry 0, main\n.entry 1, main\nmain:\n    sleep\n"
+     "    halt\n"),
+], ids=["window-min", "window-min-unsynced", "window-min-serial",
+        "barrier", "mac", "deadlock"])
+def test_chunked_kernels(make, source):
+    """``run(k)`` repeated until halt leaves what one ``run`` leaves."""
+    run_both(make, source, chunks=_CHUNKS)
 
 
 # ----------------------------------------------------------------------
@@ -402,11 +482,33 @@ def test_random_programs_singlecore(program):
     run_both(_singlecore, program, max_cycles=1500)
 
 
+_STREAMS = st.lists(st.lists(st.integers(0, 0xFFFF), max_size=6),
+                   min_size=3, max_size=3)
+
+
 @_SETTINGS
-@given(programs(adc=True),
-       st.lists(st.lists(st.integers(0, 0xFFFF), max_size=6), min_size=3,
-                max_size=3),
-       st.integers(3, 40))
+@given(programs(adc=True), _STREAMS, st.integers(3, 40))
 def test_random_programs_with_adc(program, streams, period):
     run_both(_multicore(), program, max_cycles=1500,
              adc=(streams, period))
+
+
+_CHUNKED = settings(_SETTINGS, max_examples=50)
+
+
+@_CHUNKED
+@given(st.sampled_from((2, 8)).flatmap(
+    lambda size: st.tuples(st.just(size), programs(max_cores=size))),
+    st.booleans(), st.sampled_from(_CHUNKS))
+def test_chunked_random_programs(sized, broadcast, chunk):
+    size, source = sized
+    run_both(_multicore(size, broadcast), source, max_cycles=1500,
+             chunks=(chunk,))
+
+
+@_CHUNKED
+@given(programs(adc=True), _STREAMS, st.integers(3, 40),
+       st.sampled_from(_CHUNKS))
+def test_chunked_random_programs_with_adc(program, streams, period, chunk):
+    run_both(_multicore(), program, max_cycles=1500,
+             adc=(streams, period), chunks=(chunk,))

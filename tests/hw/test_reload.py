@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.hw.system import System
+from repro.hw.system import SimulationError, System
 from repro.isa.assembler import assemble
 from repro.kernels.sources import RESULT_BASE, window_min_kernel
 
@@ -65,3 +65,47 @@ def test_hammer_leaves_accesses_waiting():
     """The cut run above does leave DM accesses waiting for a grant."""
     system = _after(System.multicore(num_cores=8), _HAMMER, 57)
     assert any(effect is not None for effect in system._pending)
+
+
+# An earlier image's words must not show through a later one: code the
+# new image does not cover (``j 4`` lands past its only word) and data
+# it never stored.
+_NOPS_THEN_LI = ".entry 0, main\nmain:\n" + "    nop\n" * 4 + """\
+    li   r1, 7
+    halt
+"""
+_JUMP_4 = ".entry 0, main\nmain:\n    j 4\n"
+_STORE = """.entry 0, main
+main:
+    li   r1, 1234
+    sw   r1, 16(r0)
+    halt
+"""
+_LOAD = """.entry 0, main
+main:
+    lw   r2, 16(r0)
+    halt
+"""
+
+
+def _outcome(system: System, source: str) -> tuple:
+    system.load(assemble(source))
+    try:
+        system.run(100)
+        error = None
+    except SimulationError as exc:
+        error = str(exc)
+    activity = dataclasses.asdict(system.activity())
+    del activity["cycles"]
+    return error, system.cores[0].regs, system.dm_peek(16), activity
+
+
+@pytest.mark.parametrize("first, second", [
+    (_NOPS_THEN_LI, _JUMP_4),
+    (_STORE, _LOAD),
+], ids=["code", "data"])
+def test_reload_forgets_the_earlier_image(first, second):
+    reloaded = _after(System.multicore(num_cores=8), first, 100)
+    assert reloaded.all_halted
+    fresh = _outcome(System.multicore(num_cores=8), second)
+    assert _outcome(reloaded, second) == fresh
