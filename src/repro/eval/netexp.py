@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from ..gen.policies import POLICIES
 from ..gen.topology import FAMILY_ORDER
@@ -202,34 +201,25 @@ def net_payload(report: NetReport) -> dict:
     """
     summary = report.result.summary
     heterogeneous = summary.source != BENCHMARK_KIND
-    payload = {
-        "schema": NET_SCHEMA_V2 if heterogeneous else NET_SCHEMA_V1,
-        "scenario": summary.scenario,
-        "protocol": summary.protocol,
-        "seed": report.seed,
-        "n_nodes": summary.n_nodes,
-        "duration_s": summary.duration_s,
-        "total_power_uw": summary.total_power_uw,
-        "mean_power_uw": summary.mean_power_uw,
-        "mean_radio_uw": summary.mean_radio_uw,
-        "beacons_sent": summary.beacons_sent,
-        "beacons_heard": summary.beacons_heard,
-        "power_loss_resets": summary.power_loss_resets,
-        "sync": asdict(summary.sync),
-        "steady_sync": asdict(summary.steady_sync),
-        "unsync": asdict(summary.unsync),
-        "steady_unsync": asdict(summary.steady_unsync),
-        "improvement": _json_safe(report.improvement),
-        "nodes": [_node_entry(node, heterogeneous)
-                  for node in report.result.nodes],
-    }
-    if heterogeneous:
-        payload["source"] = summary.source
-        payload["families"] = [asdict(group)
-                               for group in summary.families]
-        payload["policies"] = [asdict(group)
-                               for group in summary.policies]
-    return payload
+    groups = () if heterogeneous else ("source", "families", "policies")
+    return _summary_doc(
+        summary, *groups,
+        schema=NET_SCHEMA_V2 if heterogeneous else NET_SCHEMA_V1,
+        seed=report.seed,
+        improvement=_json_safe(report.improvement),
+        nodes=[_node_entry(node, heterogeneous)
+               for node in report.result.nodes])
+
+
+def _summary_doc(summary: FleetSummary, *drop: str, **extra) -> dict:
+    """A summary's artifact fields but ``drop``, plus ``extra``: the
+    part every schema shares (group blocks as lists)."""
+    doc = {**asdict(summary), **extra}
+    for name in ("families", "policies"):
+        doc[name] = list(doc[name])
+    for name in drop:
+        del doc[name]
+    return doc
 
 
 def hierarchy_improvement(result: HierarchyResult) -> float:
@@ -257,40 +247,14 @@ def hierarchy_payload(result: HierarchyResult) -> dict:
     design — hierarchical fleets are sized where holding them is the
     exact failure mode the streaming executor removes.
     """
-    summary = result.summary
-    return {
-        "schema": NET_SCHEMA_V3,
-        "scenario": result.token,
-        "protocol": summary.protocol,
-        "seed": result.seed,
-        "n_nodes": summary.n_nodes,
-        "duration_s": summary.duration_s,
-        "subtrees": result.subtrees,
-        "total_power_uw": summary.total_power_uw,
-        "mean_power_uw": summary.mean_power_uw,
-        "mean_radio_uw": summary.mean_radio_uw,
-        "beacons_sent": summary.beacons_sent,
-        "beacons_heard": summary.beacons_heard,
-        "power_loss_resets": summary.power_loss_resets,
-        "source": summary.source,
-        "sync": asdict(summary.sync),
-        "steady_sync": asdict(summary.steady_sync),
-        "unsync": asdict(summary.unsync),
-        "steady_unsync": asdict(summary.steady_unsync),
-        "improvement": _json_safe(hierarchy_improvement(result)),
-        "tiers": [_tier_entry(tier) for tier in result.tiers],
-    }
-
-
-def write_hierarchy_json(result: HierarchyResult,
-                         path: str | Path) -> Path:
-    """Write the hierarchical-fleet artifact; returns its path."""
-    return write_json(path, hierarchy_payload(result))
-
-
-def write_net_json(report: NetReport, path: str | Path) -> Path:
-    """Write the network-experiment artifact; returns its path."""
-    return write_json(path, net_payload(report))
+    return _summary_doc(
+        result.summary, "families", "policies",
+        schema=NET_SCHEMA_V3,
+        scenario=result.token,
+        seed=result.seed,
+        subtrees=result.subtrees,
+        improvement=_json_safe(hierarchy_improvement(result)),
+        tiers=[_tier_entry(tier) for tier in result.tiers])
 
 
 
@@ -322,6 +286,19 @@ def _summary_value(summary: FleetSummary, path: str) -> float:
     return value
 
 
+def _comparison(summary: FleetSummary, column: str) -> list[str]:
+    """The metric rows both reports open with: no sync vs ``column``."""
+    lines = ["  " + "Metric".ljust(24) + "no sync".rjust(12)
+             + column.rjust(12), "  " + "-" * 46]
+    for label, unsync_path, sync_path, kind in _NET_ROWS:
+        scale = 1e3 if kind == "ms" else 1.0
+        fmt = "f2" if kind == "ms" else kind
+        lines.append("  " + label.ljust(24) + "".join(
+            format_cell(_summary_value(summary, path) * scale,
+                        fmt).rjust(12) for path in (unsync_path, sync_path)))
+    return lines
+
+
 def _breakdown_block(title: str, groups) -> list[str]:
     """One per-group table of a heterogeneous fleet summary."""
     lines = [f"  {title} (nodes, floor MHz, power uW, steady err ms):"]
@@ -347,19 +324,8 @@ def render_net(report: NetReport) -> str:
         f"Network: {report.scenario} "
         f"({summary.n_nodes} nodes, {summary.duration_s:g} s, "
         f"{report.result.workers} worker(s), {report.result.mode})",
-        "  " + "Metric".ljust(24)
-        + "no sync".rjust(12) + summary.protocol.rjust(12),
+        *_comparison(summary, summary.protocol),
     ]
-    lines.append("  " + "-" * 46)
-    for label, unsync_path, sync_path, kind in _NET_ROWS:
-        scale = 1e3 if kind == "ms" else 1.0
-        fmt = "f2" if kind == "ms" else kind
-        lines.append(
-            "  " + label.ljust(24)
-            + format_cell(_summary_value(summary, unsync_path) * scale,
-                   fmt).rjust(12)
-            + format_cell(_summary_value(summary, sync_path) * scale,
-                   fmt).rjust(12))
     lines.append(f"  steady-state error reduced {report.improvement:.1f}x "
                  f"by {summary.protocol}")
     if summary.source != BENCHMARK_KIND:
@@ -396,19 +362,8 @@ def render_hierarchy(result: HierarchyResult) -> str:
         f"({summary.n_nodes} nodes, {len(result.tiers)} tier(s), "
         f"{summary.duration_s:g} s, {result.workers} worker(s), "
         f"{result.mode})",
-        "  " + "Metric".ljust(24)
-        + "no sync".rjust(12) + "tiered".rjust(12),
+        *_comparison(summary, "tiered"),
     ]
-    lines.append("  " + "-" * 46)
-    for label, unsync_path, sync_path, kind in _NET_ROWS:
-        scale = 1e3 if kind == "ms" else 1.0
-        fmt = "f2" if kind == "ms" else kind
-        lines.append(
-            "  " + label.ljust(24)
-            + format_cell(_summary_value(summary, unsync_path) * scale,
-                   fmt).rjust(12)
-            + format_cell(_summary_value(summary, sync_path) * scale,
-                   fmt).rjust(12))
     lines.append(
         f"  steady-state error reduced {hierarchy_improvement(result):.1f}x "
         f"across {len(result.tiers)} hop(s)")
@@ -540,7 +495,7 @@ def run_command(args: argparse.Namespace,
             policy=args.policy, compute="exact",
             compute_cache=args.compute_cache)
         if args.json is not None:
-            write_net_json(report, args.json)
+            write_json(args.json, net_payload(report))
         return render_net(report)
     flat = [flag for flag, value in (
         ("--scenario", args.scenario),
@@ -561,7 +516,7 @@ def run_command(args: argparse.Namespace,
         checkpoint_dir=args.checkpoint_dir, max_waves=args.max_waves,
         compute_cache=args.compute_cache)
     if args.json is not None and result.completed:
-        write_hierarchy_json(result, args.json)
+        write_json(args.json, hierarchy_payload(result))
     return render_hierarchy(result)
 
 __all__ = [
@@ -579,6 +534,4 @@ __all__ = [
     "render_hierarchy",
     "render_net",
     "run_net",
-    "write_hierarchy_json",
-    "write_net_json",
 ]

@@ -6,7 +6,9 @@ scenarios originally hard-coded that choice as a weighted
 binding into a first-class seam: a :class:`Scenario
 <repro.net.scenarios.Scenario>` carries an **AppSource**, and
 :func:`repro.net.node.build_node` asks it to *bind* one application
-per node from the node's own seeded stream.  Three sources exist:
+per node from the node's own seeded stream (a streaming pass asks for
+a block of ``count`` nodes at once with ``bind_many``, whose pairs
+are the binds ``count`` calls of ``bind`` make).  Three sources exist:
 
 * :class:`BenchmarkSource` — the original behaviour, byte-compatible:
   one weighted draw from the Table I benchmark registry
@@ -36,6 +38,7 @@ processes) and serialisable through :meth:`to_mapping` /
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -131,6 +134,15 @@ def _benchmark_binding(name: str, abnormal_ratio: float) -> AppBinding:
     )
 
 
+def _bind_each(source, rng, abnormal_ratio: float, count: int) -> list:
+    """``bind_many`` as ``count`` single binds, tallied per binding."""
+    tally: dict[int, list] = {}
+    for _ in range(count):
+        binding = source.bind(rng, abnormal_ratio)
+        tally.setdefault(id(binding), [binding, 0])[1] += 1
+    return [(binding, nodes) for binding, nodes in tally.values()]
+
+
 @dataclass(frozen=True)
 class BenchmarkSource:
     """The paper's fixed benchmarks, drawn from a weighted mix.
@@ -165,6 +177,19 @@ class BenchmarkSource:
         name = rng.choices(names, cum_weights=cumulative)[0]
         return _benchmark_binding(name, abnormal_ratio)
 
+    def bind_many(
+        self, rng: random.Random, abnormal_ratio: float, count: int
+    ) -> list[tuple[AppBinding, int]]:
+        """``count`` binds as ``(binding, nodes)`` pairs in first-drawn
+        order, from one ``choices`` call: it draws one ``random()`` per
+        node in turn, as ``count`` calls of :meth:`bind` do."""
+        names, cumulative = self._table
+        drawn = rng.choices(names, cum_weights=cumulative, k=count)
+        return [
+            (_benchmark_binding(name, abnormal_ratio), nodes)
+            for name, nodes in Counter(drawn).items()
+        ]
+
     @cached_property
     def _table(self) -> tuple[list[str], list[float]]:
         """Names and cumulative weights, as ``choices`` takes them."""
@@ -175,10 +200,7 @@ class BenchmarkSource:
         self, abnormal_ratio: float = 0.0
     ) -> tuple[AppBinding, ...]:
         """Every binding this source can produce (mix order)."""
-        names: list[str] = []
-        for name, _ in self.mix:
-            if name not in names:
-                names.append(name)
+        names = dict.fromkeys(name for name, _ in self.mix)
         return tuple(
             _benchmark_binding(name, abnormal_ratio) for name in names
         )
@@ -333,6 +355,8 @@ class GeneratedSuiteSource:
             + "; ".join(errors)
         )
 
+    bind_many = _bind_each
+
     def universe(
         self, abnormal_ratio: float = 0.0
     ) -> tuple[AppBinding, ...]:
@@ -406,6 +430,8 @@ class MixedSource:
         weights = [weight for _, weight in self.parts]
         chosen = rng.choices(sources, weights=weights)[0]
         return chosen.bind(rng, abnormal_ratio)
+
+    bind_many = _bind_each
 
     def universe(
         self, abnormal_ratio: float = 0.0

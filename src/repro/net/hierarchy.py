@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -118,8 +119,6 @@ class Tier:
 
 def _default_tier_names(count: int) -> tuple[str, ...]:
     """Canonical tier names of a parsed token (position-derived)."""
-    if count <= 0:
-        return ()
     if count == 1:
         return ("cluster",)
     middles = tuple(f"relay{i}" for i in range(1, count - 1))
@@ -159,12 +158,7 @@ class HierarchySpec:
     @property
     def tier_counts(self) -> tuple[int, ...]:
         """Node count per tier (cumulative fan-out products)."""
-        counts = []
-        members = 1
-        for tier in self.tiers:
-            members *= tier.fan_out
-            counts.append(members)
-        return tuple(counts)
+        return tuple(accumulate((t.fan_out for t in self.tiers), mul))
 
     @property
     def n_nodes(self) -> int:
@@ -179,9 +173,7 @@ class HierarchySpec:
     @property
     def subtree_nodes(self) -> int:
         """Nodes per tier-0 subtree (root excluded)."""
-        if not self.tiers:
-            return 0
-        return (self.n_nodes - 1) // self.subtrees
+        return (self.n_nodes - 1) // max(self.subtrees, 1)
 
 
 WARD_CAMPUS = HierarchySpec(
@@ -248,21 +240,6 @@ HIERARCHIES: dict[str, HierarchySpec] = {
     spec.name: spec
     for spec in (WARD_CAMPUS, BODY_NETWORKS, MEGA_CAMPUS)
 }
-
-
-def get_hierarchy(name: str) -> HierarchySpec:
-    """Look up a hierarchy preset.
-
-    Raises:
-        ValueError: unknown preset name.
-    """
-    try:
-        return HIERARCHIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown hierarchy {name!r}; "
-            f"choose from {sorted(HIERARCHIES)}"
-        ) from None
 
 
 def _tier_token(tier: Tier) -> str:
@@ -358,13 +335,15 @@ def parse_hierarchy(text: str) -> HierarchySpec:
     )
 
 
-def _stream(seed: int, path: str, kind: str) -> random.Random:
-    """A named stream keyed by a position-derived hierarchy path
-    (``"root"``, or ``"3"`` for the fourth tier-0 subtree).  String
-    seeding hashes through SHA-512 inside :class:`random.Random` —
-    stable across processes, never ``hash()``.
+def _stream(seed: int, *parts) -> random.Random:
+    """A named random stream keyed by ``"seed:part:...:part"``: a flat
+    node's ``(node id, kind)``, or ``("tiers", path, kind)`` for a
+    position-derived hierarchy path (``"root"``, or ``"3"`` for the
+    fourth tier-0 subtree).  String seeding hashes through SHA-512
+    inside :class:`random.Random`: stable across processes, never
+    ``hash()``.
     """
-    return random.Random(f"{seed}:tiers:{path}:{kind}")
+    return random.Random(":".join(map(str, (seed, *parts))))
 
 
 def build_member(
@@ -382,11 +361,11 @@ def build_member(
     """
     base = spec.base
     tier = spec.tiers[tier_index] if tier_index >= 0 else None
-    rng = _stream(seed, path, "app")
+    rng = _stream(seed, "tiers", path, "app")
     binding = base.apps.bind(rng, base.abnormal_ratio)
     clock = base.draw_clock(
         rng,
-        _stream(seed, path, "clock"),
+        _stream(seed, "tiers", path, "clock"),
         duration_s,
         resets=tier is not None and tier_index == len(spec.tiers) - 1,
         drift_scale=tier.drift_scale if tier is not None else 1.0,
@@ -397,48 +376,58 @@ def build_member(
 def draw_members(
     spec: HierarchySpec,
     seed: int,
-    index: int,
+    indices: list[int],
     tier_index: int,
     rows: int,
     beacons: int,
     duration_s: float,
 ) -> tuple[np.ndarray, ...]:
-    """Draw tier ``tier_index`` of tier-0 subtree ``index`` as arrays.
+    """Draw tier ``tier_index`` of tier-0 subtrees ``indices`` as arrays.
 
-    One Philox generator, keyed by the first 128 bits of the SHA-256
-    of ``f"{seed}:tiers:{index}:{tier_index}"``, yields in turn: drift
-    magnitude ``U(drift_ppm_range) * drift_scale``, sign, boot offset,
-    leaf-tier Poisson resets, then per (member, beacon) loss, delay
+    Per subtree ``index``, one Philox generator, keyed by the first 128
+    bits of the SHA-256 of ``f"{seed}:tiers:{index}:{tier_index}"``,
+    yields in turn for its ``rows`` members: drift magnitude
+    ``U(drift_ppm_range) * drift_scale``, sign, boot offset, leaf-tier
+    Poisson resets, then per (member, beacon) loss, delay
     ``propagation_s + |N(0, delay_jitter_s)|`` and timestamp noise
     ``N(0, jitter_s)`` — :func:`build_member`'s distributions.
     Returns ``(drift_ppm, offset_s, resets, heard, delay_s, noise_s)``,
-    a row per member in path order: ``(M,)``, ``(M,)``, leaf resets
-    as :func:`~repro.net.clock.read_clocks` takes them (else None),
-    then ``(M, beacons)`` each.
+    the subtrees' row blocks in order, members in path order: ``(M,)``,
+    ``(M,)``, leaf resets as :func:`~repro.net.clock.read_clocks` takes
+    them (else None), then ``(M, beacons)`` each.
     """
-    text = f"{seed}:tiers:{index}:{tier_index}"
-    key = int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "big")
-    rng = np.random.Generator(np.random.Philox(key=key))
-    base = spec.base
-    magnitude = rng.uniform(*base.drift_ppm_range, rows)
-    magnitude *= spec.tiers[tier_index].drift_scale
-    sign = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
-    offset = rng.uniform(-base.initial_offset_s, base.initial_offset_s, rows)
-    resets = None
+    base, radio = spec.base, spec.base.radio
     rate_hz = base.power_loss_rate_hz
-    if tier_index == len(spec.tiers) - 1 and rate_hz > 0.0:
-        counts = rng.poisson(rate_hz * duration_s, rows)
-        resets = np.full((rows, counts.max(initial=0)), np.inf)
+    leaf = tier_index == len(spec.tiers) - 1 and rate_hz > 0.0
+    drawn, counts, instants = [], [], []
+    for index in indices:
+        text = f"{seed}:tiers:{index}:{tier_index}"
+        digest = hashlib.sha256(text.encode()).digest()
+        key = int.from_bytes(digest[:16], "big")
+        rng = np.random.Generator(np.random.Philox(key=key))
+        magnitude = rng.uniform(*base.drift_ppm_range, rows)
+        magnitude *= spec.tiers[tier_index].drift_scale
+        sign = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+        bound = base.initial_offset_s
+        offset = rng.uniform(-bound, bound, rows)
+        if leaf:
+            counts.append(rng.poisson(rate_hz * duration_s, rows))
+            instants.append(rng.uniform(0.0, duration_s, counts[-1].sum()))
+        shape = (rows, beacons)
+        heard = rng.random(shape) >= radio.loss_prob
+        jitter = np.abs(rng.normal(0.0, radio.delay_jitter_s, shape))
+        noise = rng.normal(0.0, base.jitter_s, shape)
+        delay = radio.propagation_s + jitter
+        drawn.append((sign * magnitude, offset, heard, delay, noise))
+    drift, offset, heard, delay, noise = map(np.concatenate, zip(*drawn))
+    resets = None
+    if leaf:
+        counts = np.concatenate(counts)
+        resets = np.full((len(counts), counts.max(initial=0)), np.inf)
         filled = np.arange(resets.shape[1]) < counts[:, None]
-        resets[filled] = rng.uniform(0.0, duration_s, counts.sum())
+        resets[filled] = np.concatenate(instants)
         resets.sort(axis=1)
-    shape = (rows, beacons)
-    radio = base.radio
-    heard = rng.random(shape) >= radio.loss_prob
-    jitter = np.abs(rng.normal(0.0, radio.delay_jitter_s, shape))
-    noise = rng.normal(0.0, base.jitter_s, shape)
-    delay = radio.propagation_s + jitter
-    return sign * magnitude, offset, resets, heard, delay, noise
+    return drift, offset, resets, heard, delay, noise
 
 
 def hop_error_samples(
@@ -504,12 +493,13 @@ def profile_key(
 
 
 def bindings_power_uw(
-    bindings: list[AppBinding],
+    pairs: list[tuple[AppBinding, int]],
     base: Scenario,
     duration_s: float,
     profiles: dict[tuple, float],
 ) -> tuple[float, float, int]:
-    """Summed compute power (µW), clock floor and repairs of bound nodes.
+    """Summed compute power (µW), clock floor and repairs of bound nodes,
+    given as ``(binding, nodes)`` pairs (``AppSource.bind_many``'s).
 
     The profile runs at the scenario's canonical heart rate (the
     midpoint of ``bpm_range``) and a bounded duration
@@ -520,12 +510,11 @@ def bindings_power_uw(
     hard error rather than a silent re-simulation.  A profile is looked
     up once per distinct app (first-seen order), times its node count.
     """
-    obs.add("net.profile.requests", len(bindings))
-    distinct = {id(binding): binding for binding in bindings}
     groups: dict[tuple, list] = {}
-    for ident, nodes in Counter(map(id, bindings)).items():
-        key = profile_key(distinct[ident], base, duration_s)
-        groups.setdefault(key, [distinct[ident], 0])[1] += nodes
+    for binding, nodes in pairs:
+        key = profile_key(binding, base, duration_s)
+        groups.setdefault(key, [binding, 0])[1] += nodes
+    obs.add("net.profile.requests", sum(n for _, n in groups.values()))
     power, floor, repairs = 0.0, 0.0, 0
     for key, (binding, nodes) in groups.items():
         power += profiles[key] * nodes
@@ -583,7 +572,6 @@ __all__ = [
     "bindings_power_uw",
     "build_member",
     "draw_members",
-    "get_hierarchy",
     "hierarchy_token",
     "hop_error_samples",
     "parse_hierarchy",

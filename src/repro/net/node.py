@@ -33,7 +33,7 @@ from ..sysc.engine import uniform_signature
 from .appsource import APPS, AppBinding
 from .compute import ComputeRequest, ResolvedCompute, build_request
 from .clock import LocalClock
-from .hierarchy import hop_error_samples
+from .hierarchy import _stream, hop_error_samples
 from .radio import Beacon, RadioEnergy, receive_beacons
 from .scenarios import Scenario
 from .stats import SYNC_FIELDS, Moments, SyncError
@@ -125,16 +125,6 @@ class NodeResult:
     repairs: int = 0
     compute_key: str = ""
     compute_tier: str = ""
-
-
-def _stream(fleet_seed: int, node_id: int, stream: str) -> random.Random:
-    """A named, order-independent per-node random stream.
-
-    String seeding hashes through SHA-512 inside :class:`random.Random`,
-    so streams are stable across processes and Python invocations
-    (never ``hash()``, which is salted per process).
-    """
-    return random.Random(f"{fleet_seed}:{node_id}:{stream}")
 
 
 class NetworkNode:

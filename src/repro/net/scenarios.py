@@ -89,17 +89,6 @@ class Scenario:
     protocol: str
     radio: RadioSpec = RadioSpec()
 
-    @property
-    def app_mix(self) -> tuple[tuple[str, float], ...]:
-        """The benchmark mix, when the source is benchmark-backed.
-
-        Kept for the original ``app_mix`` callers; heterogeneous
-        sources have no fixed mix and return ``()``.
-        """
-        if isinstance(self.apps, BenchmarkSource):
-            return self.apps.mix
-        return ()
-
     def draw_clock(
         self,
         rng: random.Random,

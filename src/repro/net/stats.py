@@ -68,18 +68,13 @@ class Moments:
     """Additive summary of signed error samples: a mergeable SyncError.
 
     Sums run left to right (``cumsum``, not numpy's pairwise ``sum``),
-    so a flat shard's rows and a streaming tier's matrix fold alike.
+    so a flat shard's rows and a streaming pass's row blocks fold alike.
     """
 
     count: int = 0
     sum_abs: float = 0.0
     sum_sq: float = 0.0
     max_abs: float = 0.0
-
-    @classmethod
-    def of(cls, magnitude: np.ndarray) -> "Moments":
-        """Moments of a matrix of ``|error|``, summed in row-major order."""
-        return cls.rows(magnitude.reshape(1, -1))[0]
 
     @classmethod
     def rows(cls, magnitude: np.ndarray) -> list["Moments"]:

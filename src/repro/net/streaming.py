@@ -4,16 +4,19 @@
 node — fine at fleet sizes in the hundreds, fatal at the 10k–1M nodes
 hierarchies are sized for.  :class:`StreamingRunner` never does: the
 unit of work is one *tier-0 subtree* (a gateway and everything under
-it), simulated as one array pass per tier, members as rows
-(:func:`_simulate_subtree`), that folds into per-tier error *moments*
-(count, Σ|e|, Σe², max|e|).  Subtrees run in bounded *waves* whose
-states add into the running per-tier state in subtree-index order, so
-peak memory depends on the wave size, never on the fleet size.
+it), which folds into per-tier error *moments* (count, Σ|e|, Σe²,
+max|e|).  Subtrees run in *waves*, each worker taking a contiguous
+share of a wave as passes of at most :data:`PASS_CELLS`
+member-samples: one array pass per tier, each subtree a block of rows
+(:func:`_simulate_pass`), members drawn with one
+``AppSource.bind_many`` per block.  States fold into the running
+per-tier state in subtree-index order, and peak memory depends on
+neither the wave nor the fleet size.
 
 **Determinism.**  Draws are keyed by (seed, subtree, tier), sums in a
-pass run in a fixed order (``cumsum``, not pairwise ``sum``) and
+block run in a fixed order (``cumsum``, not pairwise ``sum``) and
 states fold in subtree order, so the summary is bit-identical across
-worker counts, wave sizes and interruptions.
+worker counts, wave and pass sizes and interruptions.
 
 **Checkpointing.**  With a checkpoint directory configured, the
 runner persists its partial merge after every completed wave to a
@@ -22,8 +25,8 @@ schema, spec token, seed, duration and the
 :func:`~repro.store.code_fingerprint` of the simulating code).  A
 later run with the same identity resumes from the recorded subtree
 index and — because the fold sequence is the same one a cold run
-performs — produces a byte-identical artifact.  Stale, corrupt or
-other-code state files are ignored, never trusted.
+performs — produces a byte-identical artifact.  Stale, corrupt,
+other-code or inconsistent state files are ignored, never trusted.
 
 When metrics collection is active (:mod:`repro.obs`), the checkpoint
 additionally persists the *counter delta* this run accumulated past
@@ -39,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -46,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
-from ..parallel import pool_map, worker_pool
+from ..parallel import even_shard_size, pool_map, shard, worker_pool
 from ..store import code_fingerprint, read_json, write_json
 from .clock import read_clocks
 from .compute import (
@@ -70,7 +74,7 @@ from .hierarchy import (
 )
 from .node import error_grid
 from .radio import RadioEnergy, beacon_schedule
-from .stats import FleetSummary, Moments, SyncError, TierSummary
+from .stats import SYNC_FIELDS, FleetSummary, Moments, SyncError, TierSummary
 from .timesync import sync_replay
 
 __all__ = [
@@ -87,6 +91,12 @@ CHECKPOINT_SCHEMA = "repro-net-checkpoint/2"
 
 #: Default wave size (tier-0 subtrees per wave) of streaming runs.
 DEFAULT_WAVE_SUBTREES = 32
+
+#: Member-samples (members x error samples) one array pass holds at
+#: most: ``run`` cuts each worker's share of a wave into passes of
+#: whole subtrees under it (a bigger subtree gets a pass of its own),
+#: so memory stays bounded whatever the wave size.
+PASS_CELLS = 1 << 15
 
 
 @dataclass
@@ -121,6 +131,22 @@ class _TierState:
                 mine.fold(value)
             else:
                 setattr(self, name, mine + value)
+
+    def consistent(self, nodes: int, samples: int, steady: int) -> bool:
+        """Whether this can be the fold of ``nodes`` members sampled at
+        ``samples`` instants (``steady`` of them before the steady half):
+        node and sample counts match, every value finite and >= 0."""
+        values = []
+        for name, value in vars(self).items():
+            if isinstance(value, Moments):
+                width = samples - steady if "steady" in name else samples
+                if value.count != nodes * width:
+                    return False
+                values.extend(vars(value).values())
+            else:
+                values.append(value)
+        finite = all(math.isfinite(v) and v >= 0 for v in values)
+        return finite and self.nodes == nodes
 
     def errors(self) -> dict[str, SyncError]:
         """The reported error statistics, by field name."""
@@ -252,31 +278,41 @@ def _peak_rss_mb() -> float:
     return peak / 1024.0
 
 
-def _simulate_subtree(payload: tuple) -> list[_TierState]:
-    """Fold one tier-0 subtree down to per-tier partial states.
+def _block_sums(values: np.ndarray, blocks: int) -> list:
+    """Left-to-right sums of ``blocks`` equal blocks of ``values``."""
+    return values.reshape(blocks, -1).cumsum(axis=1)[:, -1].tolist()
 
-    One array pass per tier, members as rows in path order: row ``r``
-    hangs off row ``r // fan_out`` of the tier above.  A pure,
-    top-level function of the payload, so pooled runs are bit-identical
-    to inline ones.
+
+def _simulate_pass(
+    config: StreamingConfig, indices: list[int], context: tuple
+) -> list[list[_TierState]]:
+    """Fold tier-0 subtrees ``indices`` down to per-tier partial states.
+
+    One array pass per tier: row ``r`` hangs off row ``r // fan_out``
+    of the tier above, so subtree ``b`` owns the ``b``-th of equal row
+    blocks (tier 0 has one row per subtree).  Draws, radio, resets,
+    power and moments are taken per block, so a subtree's states are
+    bit-identical whatever pass holds it.  ``context`` is the run's
+    ``(grids, times, steady, profiles, refs, readings)``.
     """
-    config, index, grids, times, steady, profiles, refs, readings = payload
+    grids, times, steady, profiles, refs, readings = context
     spec, seed, duration_s = config.spec, config.seed, config.duration_s
+    base, last, blocks = spec.base, len(spec.tiers) - 1, len(indices)
+    states = [[_TierState() for _ in spec.tiers] for _ in indices]
+    apps = [_stream(seed, "tiers", index, "apps") for index in indices]
     parent_refs, parent_readings = np.array([refs]), np.array([readings])
-    base = spec.base
-    apps = _stream(seed, str(index), "apps")
     parent_eff = parent_base = None
-    parts = [_TierState() for _ in spec.tiers]
-    for tier_index, (tier, part) in enumerate(zip(spec.tiers, parts)):
-        fan = tier.fan_out if tier_index else 1
-        rows = len(parent_readings) * fan
+    for tier_index, tier in enumerate(spec.tiers):
+        fan = tier.fan_out if tier_index else blocks
+        size = len(parent_readings) * fan // blocks
         beacons = grids[tier_index]
         with obs.span("net.stream.draw"):
             bindings = [
-                base.apps.bind(apps, base.abnormal_ratio) for _ in range(rows)
+                base.apps.bind_many(rng, base.abnormal_ratio, size)
+                for rng in apps
             ]
             drift, offset, resets, heard, delay, noise = draw_members(
-                spec, seed, index, tier_index, rows, len(beacons), duration_s
+                spec, seed, indices, tier_index, size, len(beacons), duration_s
             )
         with obs.span("net.stream.replay"):
             rx_global = beacons + delay
@@ -299,31 +335,48 @@ def _simulate_subtree(payload: tuple) -> list[_TierState]:
             if parent_eff is not None:
                 eff = hop + np.repeat(parent_eff, fan, axis=0)
                 base_eff = base_hop + np.repeat(parent_base, fan, axis=0)
-            energy = RadioEnergy(rx_messages=heard.sum(axis=1))
-            if tier_index + 1 < len(spec.tiers):
-                children = grids[tier_index + 1]
-                energy.tx_messages = len(children)
-                parts[tier_index + 1].beacons_sent = rows * len(children)
+            children = grids[tier_index + 1] if tier_index < last else ()
+            energy = RadioEnergy(len(children), heard.sum(axis=1))
             radio = energy.average_uw(base.radio, duration_s)
-            power, part.floor_sum_mhz, part.repairs = bindings_power_uw(
-                bindings, base, duration_s, profiles
-            )
-            part.nodes = rows
-            part.radio_sum_uw = float(radio.cumsum()[-1])
-            part.power_sum_uw = power + part.radio_sum_uw
-            part.beacons_heard = int(energy.rx_messages.sum())
+            columns = {
+                "nodes": [size] * blocks,
+                "radio_sum_uw": _block_sums(radio, blocks),
+                "beacons_heard": _block_sums(energy.rx_messages, blocks),
+            }
             if resets is not None:
-                part.resets = int(np.isfinite(resets).sum())
+                finite = np.isfinite(resets).sum(axis=1)
+                columns["resets"] = _block_sums(finite, blocks)
             series = {"hop_sync": hop, "sync": eff, "unsync": base_eff}
             for name, errors in series.items():
                 magnitude = np.abs(errors)
-                setattr(part, name, Moments.of(magnitude))
-                steady_part = Moments.of(magnitude[:, steady:])
-                setattr(part, f"steady_{name}", steady_part)
-        if tier_index + 1 < len(spec.tiers):
+                columns[name] = Moments.rows(magnitude.reshape(blocks, -1))
+                steady_rows = magnitude[:, steady:].reshape(blocks, -1)
+                columns[f"steady_{name}"] = Moments.rows(steady_rows)
+            for block, (parts, pairs) in enumerate(zip(states, bindings)):
+                part = parts[tier_index]
+                for name, values in columns.items():
+                    setattr(part, name, values[block])
+                power, part.floor_sum_mhz, part.repairs = bindings_power_uw(
+                    pairs, base, duration_s, profiles
+                )
+                part.power_sum_uw = power + part.radio_sum_uw
+                if tier_index < last:
+                    parts[tier_index + 1].beacons_sent = size * len(children)
+        if tier_index < last:
             parent_refs = read_clocks(offset, drift, None, children)
             parent_readings, parent_eff, parent_base = local, eff, base_eff
-    return parts
+    return states
+
+
+def _simulate_share(payload: tuple) -> list[list[_TierState]]:
+    """One worker's share of a wave, one :func:`_simulate_pass` per pass:
+    per-tier states subtree by subtree, in index order.  Pure and
+    top-level, so pooled runs are bit-identical to inline ones."""
+    config, passes, context = payload
+    states = []
+    for indices in passes:
+        states += _simulate_pass(config, indices, context)
+    return states
 
 
 class StreamingRunner:
@@ -351,7 +404,8 @@ class StreamingRunner:
     def _load(
         self, path: Path, identity: dict
     ) -> tuple[list[_TierState], int, dict | None] | None:
-        """Restore a partial merge; ``None`` when absent or stale.
+        """Restore a partial merge; ``None`` when absent, stale or not
+        the fold of its ``subtrees_done`` subtrees (a doctored file).
 
         The third element is the killed run's deterministic metrics
         delta (``None`` for checkpoints written without collection —
@@ -371,7 +425,13 @@ class StreamingRunner:
                 return None
         except (ValueError, KeyError, TypeError):
             return None
-        if not 0 <= done <= self.config.spec.subtrees:
+        spec = self.config.spec
+        times, steady = error_grid(self.config.duration_s)
+        consistent = all(
+            part.consistent(done * count // spec.subtrees, len(times), steady)
+            for part, count in zip(state, spec.tier_counts)
+        )
+        if not (0 <= done <= spec.subtrees and consistent):
             return None
         return state, done, saved_obs
 
@@ -405,9 +465,7 @@ class StreamingRunner:
                 interrupt a run at a deterministic point.
         """
         config = self.config
-        spec = config.spec
-        seed = config.seed
-        duration_s = config.duration_s
+        spec, seed, duration_s = config.spec, config.seed, config.duration_s
 
         try:
             token = hierarchy_token(spec)
@@ -431,15 +489,17 @@ class StreamingRunner:
         beacons = schedules[0] if schedules else []
         grids = [np.array([b.tx_global for b in s]) for s in schedules]
         root_refs = [b.ref_timestamp for b in beacons]
-        sample_times, steady_index = error_grid(duration_s)
-        root_readings = [root_clock.read(t) for t in sample_times]
-        sample_times = np.array(sample_times)
+        times, steady = error_grid(duration_s)
+        root_readings = [root_clock.read(t) for t in times]
+        times = np.array(times)
 
         subtrees = spec.subtrees
         wave_size = config.wave_size or max(subtrees, 1)
         waves = -(-subtrees // wave_size) if subtrees else 0
         # No wave runs more subtrees in parallel than it holds.
         workers_used = max(1, min(workers, wave_size, subtrees))
+        cells = spec.subtree_nodes * max(len(times), 1)
+        per_pass = max(1, PASS_CELLS // max(cells, 1))
 
         # Profiles are resolved once, in the main process, from the
         # source's closed binding universe — workers only ever look
@@ -453,6 +513,7 @@ class StreamingRunner:
             profiles, profile_summary = profile_table(
                 spec.base, duration_s, ComputeResolver(config.compute)
             )
+        context = (grids, times, steady, profiles, root_refs, root_readings)
 
         state = [_TierState() for _ in spec.tiers]
         done = 0
@@ -460,10 +521,9 @@ class StreamingRunner:
         checkpoint = None
         registry = obs.active()
         # Counter baseline for the checkpointed delta: the preamble
-        # above (root build, schedule precompute, profile resolve)
-        # re-runs identically in every run — cold or resumed — so only
-        # counters recorded past this point belong to the persisted
-        # delta.
+        # above (root build, schedules, profile resolve) re-runs alike
+        # in every run, cold or resumed, so only counters recorded past
+        # this point belong to the persisted delta.
         base = registry.deterministic() if registry is not None else None
         if config.checkpoint_dir is not None:
             identity = self._identity(token)
@@ -488,25 +548,19 @@ class StreamingRunner:
                 obs.add("net.stream.subtrees", count)
                 obs.add("net.stream.nodes", count * spec.subtree_nodes)
                 obs.gauge("net.stream.wave_size", wave_size)
+                # One contiguous share per worker, cut into passes.
+                step = even_shard_size(count, workers_used)
                 payloads = [
-                    (
-                        config,
-                        index,
-                        grids,
-                        sample_times,
-                        steady_index,
-                        profiles,
-                        root_refs,
-                        root_readings,
-                    )
-                    for index in range(done, done + count)
+                    (config, shard(share, per_pass), context)
+                    for share in shard(range(done, done + count), step)
                 ]
                 with obs.span("net.stream.wave"):
-                    for parts in pool_map(
-                        _simulate_subtree, payloads, min(workers_used, count)
+                    for share in pool_map(
+                        _simulate_share, payloads, len(payloads)
                     ):
-                        for tier_state, part in zip(state, parts):
-                            tier_state.fold(part)
+                        for parts in share:
+                            for tier_state, part in zip(state, parts):
+                                tier_state.fold(part)
                 done += count
                 executed += count
                 waves_run += 1
@@ -527,7 +581,7 @@ class StreamingRunner:
         root_energy = RadioEnergy(tx_messages=len(beacons))
         root_radio_uw = root_energy.average_uw(spec.base.radio, duration_s)
         root_power_uw, _, _ = bindings_power_uw(
-            [root_binding], spec.base, duration_s, profiles
+            [(root_binding, 1)], spec.base, duration_s, profiles
         )
         root_power_uw += root_radio_uw
 
@@ -575,13 +629,10 @@ class StreamingRunner:
             beacons_heard=fleet.beacons_heard,
             power_loss_resets=fleet.resets,
             source=spec.base.apps.kind,
-            sync=errors["sync"],
-            steady_sync=errors["steady_sync"],
-            unsync=errors["unsync"],
-            steady_unsync=errors["steady_unsync"],
+            **{name: errors[name] for name in SYNC_FIELDS},
         )
 
-        executed_nodes = executed * spec.subtree_nodes
+        nodes_run = executed * spec.subtree_nodes
         return HierarchyResult(
             spec=spec,
             token=token,
@@ -598,9 +649,7 @@ class StreamingRunner:
             summary=summary,
             tiers=tuple(tiers),
             elapsed_s=elapsed,
-            nodes_per_second=(
-                executed_nodes / elapsed if elapsed > 0.0 else 0.0
-            ),
+            nodes_per_second=nodes_run / elapsed if elapsed > 0.0 else 0.0,
             workers=workers_used,
             mode="streaming",
             peak_rss_mb=_peak_rss_mb(),
@@ -629,10 +678,9 @@ def run_streaming(
         ValueError: ``compute`` is neither ``"exact"`` nor a
             :class:`ComputeSettings`.
     """
-    if isinstance(tiers, HierarchySpec):
-        spec = tiers
-    else:
-        spec = parse_hierarchy(str(tiers))
+    spec = (
+        tiers if isinstance(tiers, HierarchySpec) else parse_hierarchy(tiers)
+    )
     config = StreamingConfig(
         spec=spec,
         duration_s=duration_s,

@@ -1,12 +1,18 @@
-"""The per-member streaming walk the array pass replaced.
+"""The two streaming executors the share pass replaced.
 
-Every member is built on its own (:func:`repro.net.hierarchy
-.build_member`'s ``random`` streams keyed by its path), hears its
-parent's beacons through :func:`repro.net.radio.receive_beacons`, is
-replayed by the event loop (:func:`reference_sync.replay_events`) and
-folds into per-tier :class:`~repro.net.stats.SyncError` aggregates
-through :meth:`SyncError.merged`, depth-first.  Its draws differ from
-the array pass's (other generators, same distributions), so it is a
+:func:`reference_subtree` is the per-subtree array pass: one tier-0
+subtree per call, members as rows, each bound by its own
+``AppSource.bind``.  It draws what the share pass draws, so it is a
+*bitwise* oracle for :func:`repro.net.streaming._simulate_share`.
+
+:func:`reference_tiers` is the older per-member walk.  Every member is
+built on its own (:func:`repro.net.hierarchy.build_member`'s
+``random`` streams keyed by its path), hears its parent's beacons
+through :func:`repro.net.radio.receive_beacons`, is replayed by the
+event loop (:func:`reference_sync.replay_events`) and folds into
+per-tier :class:`~repro.net.stats.SyncError` aggregates through
+:meth:`SyncError.merged`, depth-first.  Its draws differ from the
+array passes' (other generators, same distributions), so it is a
 *statistical* oracle for :mod:`repro.net.streaming`, not a bitwise
 one.
 """
@@ -15,6 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.net.clock import read_clocks
 from repro.net.compute import ComputeResolver, ComputeSettings
 from repro.net.hierarchy import (
     ROOT_PATH,
@@ -22,13 +31,92 @@ from repro.net.hierarchy import (
     _stream,
     bindings_power_uw,
     build_member,
+    draw_members,
     profile_table,
 )
 from repro.net.node import error_grid
 from repro.net.radio import RadioEnergy, beacon_schedule, receive_beacons
-from repro.net.stats import SyncError, TierSummary
+from repro.net.stats import Moments, SyncError, TierSummary
+from repro.net.streaming import _TierState
+from repro.net.timesync import sync_replay
 
 from .reference_sync import replay_events
+
+
+def _moments_of(magnitude: np.ndarray) -> Moments:
+    """Moments of a matrix of ``|error|``, summed in row-major order."""
+    return Moments.rows(magnitude.reshape(1, -1))[0]
+
+
+def reference_subtree(payload: tuple) -> list[_TierState]:
+    """Fold one tier-0 subtree down to per-tier partial states.
+
+    One array pass per tier, members as rows in path order: row ``r``
+    hangs off row ``r // fan_out`` of the tier above.  The payload is
+    ``(config, index, *context)``: a share payload's config and run
+    context around one subtree index.
+    """
+    config, index, grids, times, steady, profiles, refs, readings = payload
+    spec, seed, duration_s = config.spec, config.seed, config.duration_s
+    parent_refs, parent_readings = np.array([refs]), np.array([readings])
+    base = spec.base
+    apps = _stream(seed, "tiers", str(index), "apps")
+    parent_eff = parent_base = None
+    parts = [_TierState() for _ in spec.tiers]
+    for tier_index, (tier, part) in enumerate(zip(spec.tiers, parts)):
+        fan = tier.fan_out if tier_index else 1
+        rows = len(parent_readings) * fan
+        beacons = grids[tier_index]
+        bindings = [
+            base.apps.bind(apps, base.abnormal_ratio) for _ in range(rows)
+        ]
+        drift, offset, resets, heard, delay, noise = draw_members(
+            spec, seed, [index], tier_index, rows, len(beacons), duration_s
+        )
+        rx_global = beacons + delay
+        rx_local = read_clocks(offset, drift, resets, rx_global) + noise
+        local = read_clocks(offset, drift, resets, times)
+        hop, base_hop = sync_replay(
+            tier.protocol,
+            times,
+            local,
+            np.repeat(parent_readings, fan, axis=0),
+            rx_global,
+            rx_local,
+            np.repeat(parent_refs, fan, axis=0),
+            heard,
+            resets,
+        )
+        # First-order additive composition across hops.
+        eff, base_eff = hop, base_hop
+        if parent_eff is not None:
+            eff = hop + np.repeat(parent_eff, fan, axis=0)
+            base_eff = base_hop + np.repeat(parent_base, fan, axis=0)
+        energy = RadioEnergy(rx_messages=heard.sum(axis=1))
+        if tier_index + 1 < len(spec.tiers):
+            children = grids[tier_index + 1]
+            energy.tx_messages = len(children)
+            parts[tier_index + 1].beacons_sent = rows * len(children)
+        radio = energy.average_uw(base.radio, duration_s)
+        power, part.floor_sum_mhz, part.repairs = bindings_power_uw(
+            [(binding, 1) for binding in bindings], base, duration_s,
+            profiles,
+        )
+        part.nodes = rows
+        part.radio_sum_uw = float(radio.cumsum()[-1])
+        part.power_sum_uw = power + part.radio_sum_uw
+        part.beacons_heard = int(energy.rx_messages.sum())
+        if resets is not None:
+            part.resets = int(np.isfinite(resets).sum())
+        series = {"hop_sync": hop, "sync": eff, "unsync": base_eff}
+        for name, errors in series.items():
+            magnitude = np.abs(errors)
+            setattr(part, name, _moments_of(magnitude))
+            setattr(part, f"steady_{name}", _moments_of(magnitude[:, steady:]))
+        if tier_index + 1 < len(spec.tiers):
+            parent_refs = read_clocks(offset, drift, None, children)
+            parent_readings, parent_eff, parent_base = local, eff, base_eff
+    return parts
 
 #: Error aggregates of a tier, in report order.
 ERROR_FIELDS = (
@@ -97,7 +185,8 @@ def walk(
     tier = spec.tiers[tier_index]
     binding, clock = build_member(spec, tier_index, path, seed, duration_s)
     receptions = receive_beacons(
-        beacons, clock, spec.base.radio, _stream(seed, path, "radio")
+        beacons, clock, spec.base.radio,
+        _stream(seed, "tiers", path, "radio")
     )
     hop, base_hop = replay_events(
         tier.protocol, receptions, clock, sample_times, parent_readings
@@ -116,7 +205,7 @@ def walk(
     part = parts[tier_index]
     part.nodes += 1
     part.power_sum_uw += bindings_power_uw(
-        [binding], spec.base, duration_s, profiles
+        [(binding, 1)], spec.base, duration_s, profiles
     )[0]
     part.power_sum_uw += energy.average_uw(spec.base.radio, duration_s)
     part.resets += clock.resets_before(duration_s)

@@ -16,7 +16,6 @@ from repro.net.hierarchy import (
     _stream,
     build_member,
     draw_members,
-    get_hierarchy,
     hierarchy_token,
     hop_error_samples,
     parse_hierarchy,
@@ -35,7 +34,6 @@ def test_presets_serialise_to_their_registry_names():
     for name, spec in HIERARCHIES.items():
         assert hierarchy_token(spec) == name
         assert parse_hierarchy(name) is spec
-        assert get_hierarchy(name) is spec
 
 
 def test_token_round_trip_preserves_tiers_and_base():
@@ -149,7 +147,7 @@ def _draw(mode, spec, tier_index, path, seed, duration_s):
     row = 0
     for tier, digit in zip(spec.tiers[1:tier_index + 1], below):
         row = row * tier.fan_out + digit
-    drift, offset, resets, *_ = draw_members(spec, seed, index,
+    drift, offset, resets, *_ = draw_members(spec, seed, [index],
                                               tier_index, rows, 2,
                                               duration_s)
     return float(drift[row]), float(offset[row]), resets is not None
@@ -198,7 +196,7 @@ def test_only_leaf_tiers_suffer_power_loss(mode):
         assert leaf.spec.power_loss_rate_hz == spec.base.power_loss_rate_hz
     else:
         # Over a long run the leaves' Poisson resets land in the run.
-        _, _, leaves, *_ = draw_members(spec, 1, 0, 1, 2, 2, 400.0)
+        _, _, leaves, *_ = draw_members(spec, 1, [0], 1, 2, 2, 400.0)
         assert np.isfinite(leaves).sum(axis=1).min() > 0
         assert (leaves[np.isfinite(leaves)] < 400.0).all()
 
@@ -218,7 +216,7 @@ def _clock(drift_ppm, offset_s, horizon_s=8.0):
     return LocalClock(
         ClockSpec(drift_ppm=drift_ppm, jitter_s=0.0,
                   initial_offset_s=offset_s),
-        _stream(1, f"test{drift_ppm}:{offset_s}", "clock"),
+        _stream(1, "tiers", f"test{drift_ppm}:{offset_s}", "clock"),
         horizon_s=horizon_s)
 
 
@@ -233,13 +231,13 @@ def test_composed_baselines_telescope_to_leaf_minus_root():
     root_readings = [root.read(t) for t in sample_times]
     gw_beacons = beacon_schedule(2.0, duration, root)
     gw_rx = receive_beacons(gw_beacons, gateway, base.radio,
-                            _stream(1, "t:gw", "radio"))
+                            _stream(1, "tiers", "t:gw", "radio"))
     gw_hop, gw_base = _one_row(
         "ftsp", gw_beacons, gw_rx, gateway, sample_times, root_readings)
     gw_readings = [gateway.read(t) for t in sample_times]
     leaf_beacons = beacon_schedule(1.0, duration, gateway)
     leaf_rx = receive_beacons(leaf_beacons, leaf, base.radio,
-                              _stream(1, "t:leaf", "radio"))
+                              _stream(1, "tiers", "t:leaf", "radio"))
     leaf_hop, leaf_base = _one_row(
         "rbs", leaf_beacons, leaf_rx, leaf, sample_times, gw_readings)
 

@@ -16,14 +16,14 @@ def test_registry_holds_the_presets():
         assert isinstance(scenario, Scenario)
         assert scenario.default_nodes > 0
         assert scenario.beacon_period_s > 0
-        for app_name, weight in scenario.app_mix:
+        for app_name, weight in getattr(scenario.apps, "mix", ()):
             assert app_name in APPS
             assert weight > 0
-    # the benchmark presets still expose their mix through app_mix
-    assert SCENARIOS["dense-ward"].app_mix == \
+    # the benchmark presets expose their mix through their source
+    assert SCENARIOS["dense-ward"].apps.mix == \
         (("3L-MF", 2.0), ("3L-MMD", 1.0))
     # heterogeneous sources have no fixed benchmark mix
-    assert SCENARIOS["generated-swarm"].app_mix == ()
+    assert not hasattr(SCENARIOS["generated-swarm"].apps, "mix")
 
 
 def test_get_scenario_protocol_override_does_not_mutate_preset():

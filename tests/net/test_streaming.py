@@ -1,26 +1,70 @@
-"""Streaming executor tests: invariance, checkpoints, degeneracy."""
+"""Streaming executor tests: invariance, checkpoints, degeneracy.
+
+Every run here goes through :func:`run_streaming`, which checks the
+result's invariants (:func:`_check_invariants`) before returning it.
+"""
 
 import json
+import math
 import multiprocessing
 import multiprocessing.pool
 import os
 import sys
 import time
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
 from repro.eval.netexp import hierarchy_payload
 from repro.net import streaming
 from repro.net.hierarchy import HierarchySpec, parse_hierarchy
+from repro.net.node import error_grid
 from repro.net.scenarios import get_scenario
-from repro.net.streaming import (
-    StreamingConfig,
-    StreamingRunner,
-    run_streaming,
-)
+from repro.net.stats import SYNC_FIELDS
+from repro.net.streaming import StreamingConfig, StreamingRunner
 
 #: Small two-tier fixture: 3 subtrees of 1 gateway + 4 leaves each.
 TOKEN = "tiers:ftsp@5x3/rbs@1x4:dense-ward"
+
+#: The error aggregates of a tier.
+TIER_ERRORS = ("hop_sync", "steady_hop_sync", *SYNC_FIELDS)
+
+
+def _check_invariants(result):
+    """Nodes and samples are conserved across tiers and waves, and
+    every error is finite with ``0 <= mean <= max``."""
+    spec, summary = result.spec, result.summary
+    times, steady = error_grid(result.duration_s)
+    done = result.subtrees_done
+    nodes = [n * done // spec.subtrees for n in spec.tier_counts]
+    if result.completed:
+        assert nodes == list(spec.tier_counts)
+        assert summary.n_nodes == spec.n_nodes
+    assert [tier.nodes for tier in result.tiers] == nodes
+    assert summary.n_nodes == 1 + sum(nodes)
+    errors = [getattr(summary, name) for name in SYNC_FIELDS]
+    for tier in result.tiers:
+        for name in TIER_ERRORS:
+            error = getattr(tier, name)
+            width = len(times) - steady if "steady" in name else len(times)
+            assert error.count == tier.nodes * width, (tier.name, name)
+            errors.append(error)
+    for name in SYNC_FIELDS:
+        assert getattr(summary, name).count == sum(
+            getattr(tier, name).count for tier in result.tiers)
+    assert summary.beacons_heard == sum(
+        tier.beacons_heard for tier in result.tiers)
+    for error in errors:
+        assert all(math.isfinite(value) for value in astuple(error))
+        assert 0.0 <= error.mean_abs_s <= error.max_abs_s * (1 + 1e-12)
+
+
+def run_streaming(tiers, **kwargs):
+    """:func:`repro.net.streaming.run_streaming`, invariants checked."""
+    result = streaming.run_streaming(tiers, **kwargs)
+    _check_invariants(result)
+    return result
 
 
 def _run(**kwargs):
@@ -104,6 +148,37 @@ def test_corrupt_checkpoint_is_ignored(tmp_path):
     assert resumed.summary == _run().summary
 
 
+#: Doctored checkpoints of a run killed after 2 of 6 waves, each
+#: edited into a state no run folds: more subtrees done than its
+#: nodes, a negative or off-by-one sample count, a NaN or negative sum.
+DOCTORED = {
+    "subtrees_done": lambda doc: doc.update(subtrees_done=3),
+    "negative_count": lambda doc: doc["tiers"][-1]["sync"].update(count=-5),
+    "steady_count": lambda doc: doc["tiers"][-1]["steady_sync"].update(
+        count=doc["tiers"][-1]["steady_sync"]["count"] + 1),
+    "nan_max": lambda doc: doc["tiers"][-1]["sync"].update(max_abs="nan"),
+    "negative_power": lambda doc: doc["tiers"][0].update(
+        power_sum_uw=-1.0),
+}
+
+
+@pytest.mark.parametrize("doctor", DOCTORED.values(), ids=DOCTORED)
+def test_doctored_checkpoint_starts_over(tmp_path, doctor):
+    token = "tiers:ftsp@5x6/rbs@1x2:dense-ward"
+    run = dict(duration_s=2.0, seed=3, wave_size=1)
+    killed = run_streaming(token, checkpoint_dir=tmp_path, max_waves=2,
+                           **run)
+    path = Path(killed.checkpoint)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doctor(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    resumed = run_streaming(token, checkpoint_dir=tmp_path, **run)
+    cold = run_streaming(token, **run)
+    assert resumed.resumed_subtrees == 0  # started over, not trusted
+    assert resumed.summary == cold.summary
+    assert resumed.tiers == cold.tiers
+
+
 def test_checkpoint_identity_keys_on_seed_and_duration(tmp_path,
                                                       monkeypatch):
     _run(wave_size=1, checkpoint_dir=tmp_path, max_waves=2)
@@ -180,23 +255,24 @@ def test_checkpointing_unserialisable_specs_is_rejected(tmp_path):
             spec=nameless, checkpoint_dir=tmp_path)).run()
 
 
-#: File the patched subtree pass appends its process id to.
+#: File the patched share pass appends its process id to.
 _PIDS = ""
 
-#: The unpatched subtree pass.
-_SUBTREE = streaming._simulate_subtree
+#: The unpatched share pass.
+_SHARE = streaming._simulate_share
 
 
-def _recording_subtree(payload):
+def _recording_share(payload):
     with open(_PIDS, "a") as log:
         log.write(f"{os.getpid()}\n")
-    return _SUBTREE(payload)
+    return _SHARE(payload)
 
 
 def test_every_wave_runs_on_one_pool(tmp_path, monkeypatch):
+    """Waves of 2 subtrees on 2 workers: one share of 1 per worker."""
     pids = tmp_path / "pids"
     monkeypatch.setattr(sys.modules[__name__], "_PIDS", str(pids))
-    monkeypatch.setattr(streaming, "_simulate_subtree", _recording_subtree)
+    monkeypatch.setattr(streaming, "_simulate_share", _recording_share)
     result = run_streaming("tiers:ftsp@5x6/rbs@1x2:dense-ward",
                            duration_s=2.0, workers=2, wave_size=2)
     assert result.waves_run == 3
@@ -237,3 +313,39 @@ def test_max_waves_leaves_no_child_process(tmp_path):
                   max_waves=1)
     assert not result.completed and result.waves_run == 1
     assert multiprocessing.active_children() == []
+
+
+def _pass_sizes(monkeypatch, token, duration_s, cells=None):
+    """Run ``token`` as one wave (``wave_size=None``), serially, with
+    the pass cap at ``cells`` (None: the module's); returns the result
+    and the subtree count of every pass."""
+    sizes = []
+
+    def recording(payload):
+        sizes.extend(len(indices) for indices in payload[1])
+        return _SHARE(payload)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(streaming, "_simulate_share", recording)
+        if cells is not None:
+            patch.setattr(streaming, "PASS_CELLS", cells)
+        result = run_streaming(token, duration_s=duration_s)
+    return result, sizes
+
+
+def test_one_wave_never_stacks_more_subtrees_than_the_cap(monkeypatch):
+    # 3 nodes x 10 samples a subtree: a cap of 65 cells passes 2.
+    token = "tiers:ftsp@5x7/rbs@1x2:dense-ward"
+    whole = run_streaming(token, duration_s=2.0)
+    capped, sizes = _pass_sizes(monkeypatch, token, 2.0, cells=65)
+    assert sizes == [2, 2, 2, 1]
+    assert capped.summary == whole.summary
+    assert capped.tiers == whole.tiers
+    # 41 nodes x 100 samples a subtree: the module's cap splits 12.
+    token = "tiers:ftsp@5x12/rbs@1x40:intermittent-harvesting"
+    _, sizes = _pass_sizes(monkeypatch, token, 20.0)
+    assert sum(sizes) == 12 and len(sizes) > 1
+    assert max(sizes) <= max(1, streaming.PASS_CELLS // (41 * 100))
+    # A subtree bigger than the cap still gets a pass of its own.
+    _, sizes = _pass_sizes(monkeypatch, token, 20.0, cells=100)
+    assert sizes == [1] * 12
