@@ -2,7 +2,7 @@
 
 Measures nodes-per-second of the :class:`repro.net.fleet.FleetRunner`
 on the ``drifting-wearables`` scenario and the speedup of the sharded
-multiprocessing path over serial execution.  On a machine with 4+
+forked-process path over serial execution.  On a machine with 4+
 cores the parallel path should clear 2x; the script prints honest
 numbers either way (CI containers are often single-core).
 
@@ -84,7 +84,7 @@ def test_fleet_serial_throughput(benchmark):
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_fleet_parallel_throughput(benchmark, workers):
-    """Time the sharded multiprocessing fleet."""
+    """Time the fleet sharded over the caller and forked children."""
     result = benchmark(_run, workers)
     assert result.mode == "parallel"
     assert result.summary == _run(1).summary  # determinism while timing

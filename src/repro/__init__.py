@@ -37,7 +37,8 @@ import layering):
   repro.eval`` command line.
 * :mod:`repro.obs` — run metrics, timing spans and their artifact.
 * :mod:`repro.store` — atomic JSON writes and the code fingerprint.
-* :mod:`repro.parallel` — the shard-and-merge process pool.
+* :mod:`repro.parallel` — shard-and-merge over the caller and forked
+  children.
 """
 
 __version__ = "1.0.0"

@@ -1,8 +1,8 @@
 """Assembly kernels + cycle-level characterisation.
 
-:mod:`repro.kernels.costmodel` cross-checks the behavioural model's
-calibrated budgets against these kernels; it loads the ECG DSP stack,
-so this package does not import it.
+The cross-check of the behavioural model's calibrated budgets against
+these kernels loads the ECG DSP stack, so it lives beside its test in
+``tests/kernels/costmodel.py``.
 """
 
 from .characterize import (

@@ -3,7 +3,7 @@
 The paper reproduces *one* sensor node (``repro.isa`` → ``repro.hw`` →
 ``repro.sysc``); this package simulates *fleets* of such nodes with
 drifting local clocks, a beacon radio, pluggable inter-node time-sync
-protocols and a sharded multiprocessing runner:
+protocols and a runner sharded over forked processes:
 
 * :mod:`repro.net.appsource` — pluggable per-node application
   sources (benchmarks / generated suites / weighted mixes).

@@ -1,12 +1,13 @@
-"""Sharded, multiprocessing-backed execution of node fleets.
+"""Sharded execution of node fleets over forked processes.
 
 The fleet problem is embarrassingly parallel *by construction*: the
 reference node's beacon schedule is precomputed once from the fleet
 seed, after which every node is a pure function of
 ``(scenario, seed, node id, schedule)`` — no inter-process
 communication during the run.  :class:`FleetRunner` shards the node-id
-range into batches, executes them either inline or on a
-:mod:`multiprocessing` pool, then merges per-node results in node-id
+range into batches, executes them either inline or with
+:func:`repro.parallel.pool_map` (the first share in the caller, the
+rest in forked children), then merges per-node results in node-id
 order.  Because the merge order is fixed and every random draw comes
 from named per-node streams, serial and parallel execution produce
 **bit-identical** :class:`~repro.net.stats.FleetSummary` values — the
@@ -82,7 +83,8 @@ class FleetResult:
         nodes: per-node results, ordered by node id.
         elapsed_s: wall-clock seconds the node simulations took.
         nodes_per_second: throughput over ``elapsed_s``.
-        workers: worker processes used (1 = serial).
+        workers: processes that ran shards, the caller included
+            (1 = serial).
         shards: number of node batches executed.
         mode: ``"serial"`` or ``"parallel"``.
         compute: compute-resolution account (None = legacy inline
@@ -130,7 +132,7 @@ def _run_shard(payload: tuple) -> list[NodeResult]:
 
 
 class FleetRunner:
-    """Executes a :class:`FleetConfig` serially or on a process pool."""
+    """Executes a :class:`FleetConfig` serially or on forked processes."""
 
     def __init__(self, config: FleetConfig) -> None:
         if config.n_nodes < 0:
@@ -160,8 +162,9 @@ class FleetRunner:
         """Simulate the whole fleet.
 
         Args:
-            workers: worker processes; 1 executes inline.  More
-                workers than shards is allowed (the extras idle).
+            workers: processes that run shards, the caller
+                included; 1 executes inline.  More workers than
+                shards is allowed (the extras are never forked).
             shard_size: nodes per batch; defaults to an even split
                 across workers.  The node count need not divide
                 evenly — the last shard is simply shorter.
@@ -290,7 +293,7 @@ def run_fleet(
         seed: fleet seed.
         protocol: override the scenario's sync protocol (e.g.
             ``"none"`` for the unsynchronized baseline).
-        workers: worker processes (1 = serial).
+        workers: processes, the caller included (1 = serial).
         shard_size: explicit batch size (defaults to an even split).
         compute: ``"exact"`` or a
             :class:`~repro.net.compute.ComputeSettings` to resolve

@@ -235,8 +235,9 @@ class HierarchyResult:
             resolve included.
         nodes_per_second: simulated nodes per wall-clock second of
             this run (resumed subtrees excluded).
-        workers: worker processes used: the requested count, capped
-            by the wave size and the subtree count.
+        workers: processes that ran shares, the caller included:
+            the requested count, capped by the wave size and the
+            subtree count.
         mode: always ``"streaming"``.
         peak_rss_mb: peak resident set of this process, MiB (0 where
             :mod:`resource` is unavailable).
@@ -459,7 +460,8 @@ class StreamingRunner:
         """Execute (or resume) the fleet.
 
         Args:
-            workers: worker processes, one pool for all waves (1 = inline).
+            workers: processes, the caller included; one set of
+                children serves every wave (1 = inline).
             max_waves: stop after this many waves even if subtrees
                 remain — the knob CI's kill-and-resume check uses to
                 interrupt a run at a deterministic point.
@@ -507,7 +509,7 @@ class StreamingRunner:
         # window, so reported throughput includes compute.
         run_span = obs.span("net.stream.run").start()
         # numpy loads numpy.random lazily (~10 ms): load it once here,
-        # so the pools the waves fork inherit it.
+        # so the children the waves fork inherit it.
         importlib.import_module("numpy.random")
         with obs.span("net.compute.resolve"):
             profiles, profile_summary = profile_table(
@@ -538,7 +540,8 @@ class StreamingRunner:
 
         executed = 0
         waves_run = 0
-        # One pool, forked at the first pooled wave, serves every wave.
+        # One set of children, forked at the first pooled wave, serves
+        # every wave; share 0 of each wave runs here.
         with worker_pool(workers_used):
             while done < subtrees:
                 if max_waves is not None and waves_run >= max_waves:

@@ -22,9 +22,10 @@ Three metric kinds exist, split by determinism contract:
 Names are dotted paths (``net.stream.wave``, ``sweep.cache.hit``) so
 renderers and diff tools can group by subsystem.
 
-Multiprocessing workers collect into their own registry and ship a
-:meth:`MetricsRegistry.snapshot` back to the parent, which merges the
-snapshots in payload index order (see :func:`repro.parallel.pool_map`).
+Forked workers collect into their own registry and ship a
+:meth:`MetricsRegistry.snapshot` back to the caller, whose own share
+records straight into its registry and which merges the snapshots in
+child order (see :func:`repro.parallel.pool_map`).
 :func:`suspended` masks collection around memoised computation whose
 execution count depends on process-local cache state — call sites
 record a deterministic *request* counter instead.

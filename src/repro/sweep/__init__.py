@@ -2,7 +2,7 @@
 
 Declare a campaign as a :class:`SweepSpec` (axes over applications,
 platform parameters, VFS points, fleet scenarios and sync protocols),
-execute it with :func:`run_sweep` on a sharded multiprocessing pool,
+execute it with :func:`run_sweep` sharded over forked processes,
 and get every point's metrics back in deterministic order — with each
 result stored in a content-addressed on-disk cache so re-runs and
 incremental sweeps only pay for new work.  :mod:`repro.sweep.artifacts`

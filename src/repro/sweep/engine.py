@@ -3,11 +3,11 @@
 :func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` into
 its deduplicated point list, resolves as many points as possible from
 the :class:`~repro.sweep.cache.ResultCache`, and executes the misses
-on a :mod:`multiprocessing` pool using the same shard-and-merge
+with :func:`repro.parallel.pool_map` using the same shard-and-merge
 discipline as :class:`repro.net.fleet.FleetRunner`: contiguous batches
-of points go to workers, results come back in arbitrary batch order,
-and the final merge restores point order — so serial and parallel
-sweeps produce identical result sequences (wall-clock fields aside).
+of points go to the caller and its forked children, and results merge
+back in point order — so serial and parallel sweeps produce identical
+result sequences (wall-clock fields aside).
 
 Every executed point is stored back into the cache, which makes
 re-runs and incremental sweeps (a grown axis, a few new points) cost
@@ -70,7 +70,8 @@ class SweepResult:
             execution and merging included).
         cache_hits: points served from the cache.
         cache_misses: points actually executed.
-        workers: worker processes used (1 = serial).
+        workers: processes that ran point batches, the caller
+            included (1 = serial).
         shards: executed point batches.
         mode: ``"serial"`` or ``"parallel"``.
         fingerprint: code fingerprint the results are keyed under
@@ -147,7 +148,8 @@ def run_sweep(
 
     Args:
         spec: the campaign to run.
-        workers: worker processes for cache misses; 1 executes inline.
+        workers: processes for cache misses, the caller included;
+            1 executes inline.
         cache: result cache; a default-rooted one is created when
             ``use_cache`` is true and none is given.
         use_cache: disable all cache reads *and* writes when false.
@@ -196,10 +198,7 @@ def run_sweep(
 
     parallel = workers > 1 and len(shards) > 1
     workers_used = min(workers, len(shards)) if parallel else 1
-    if parallel:
-        batches = pool_map(_run_shard, payloads, workers_used)
-    else:
-        batches = [_run_shard(payload) for payload in payloads]
+    batches = pool_map(_run_shard, payloads, workers_used)
 
     stores = 0
     for batch in batches:

@@ -15,7 +15,7 @@ Families:
 * ``fleet`` — one multi-node scenario through
   :func:`repro.net.fleet.run_fleet`; axes reach the scenario preset,
   sync protocol, fleet size, duration and seed.  Runs serially inside
-  the sweep worker (the sweep pool is the parallelism).
+  the sweep worker (the sweep's processes are the parallelism).
 * ``fleet-gen`` — one *heterogeneous* fleet whose nodes draw
   generated apps from a seeded suite
   (:func:`repro.net.scenarios.generated_scenario`); axes reach the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .morphology import MfParams, MorphologicalFilter
+from repro.dsp.morphology import MfParams, MorphologicalFilter
 
 
 class StreamingMorphologicalFilter:

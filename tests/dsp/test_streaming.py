@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsp.morphology import MfParams, MorphologicalFilter
-from repro.dsp.streaming import StreamingMorphologicalFilter
 from repro.signals import cse_like_record
+
+from .streaming import StreamingMorphologicalFilter
 
 FS = 250.0
 

@@ -1,8 +1,9 @@
 """Tests for the execution tracer."""
 
 from repro.hw.system import System
-from repro.hw.tracing import Tracer
 from repro.isa.assembler import assemble
+
+from .tracing import Tracer
 
 _PROGRAM = """
     .equ SP, 0

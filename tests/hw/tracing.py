@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..isa.disassembler import format_instruction
-from .system import System
+from repro.hw.system import System
+from repro.isa.disassembler import format_instruction
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..apps.benchmarks import MF_CYCLES
-from ..dsp.morphology import MorphologicalFilter
-from .characterize import characterize_window_min
+from repro.apps.benchmarks import MF_CYCLES
+from repro.dsp.morphology import MorphologicalFilter
+from repro.kernels.characterize import characterize_window_min
 
 #: Default cycles per window element when no measurement is supplied
 #: (the cycle-level window-minimum kernel at W=32 measures ~6.2).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernels.costmodel import (
+from .costmodel import (
     DEFAULT_CYCLES_PER_ELEMENT,
     derive_filter_cost,
 )

@@ -6,8 +6,6 @@ result's invariants (:func:`_check_invariants`) before returning it.
 
 import json
 import math
-import multiprocessing
-import multiprocessing.pool
 import os
 import sys
 import time
@@ -23,6 +21,8 @@ from repro.net.node import error_grid
 from repro.net.scenarios import get_scenario
 from repro.net.stats import SYNC_FIELDS
 from repro.net.streaming import StreamingConfig, StreamingRunner
+
+from ..processes import children, run_fresh
 
 #: Small two-tier fixture: 3 subtrees of 1 gateway + 4 leaves each.
 TOKEN = "tiers:ftsp@5x3/rbs@1x4:dense-ward"
@@ -269,17 +269,20 @@ def _recording_share(payload):
 
 
 def test_every_wave_runs_on_one_pool(tmp_path, monkeypatch):
-    """Waves of 2 subtrees on 2 workers: one share of 1 per worker."""
+    """Waves of 2 subtrees on 2 workers: one share of 1 in the caller
+    and one in the block's single child, the same child every wave."""
     pids = tmp_path / "pids"
     monkeypatch.setattr(sys.modules[__name__], "_PIDS", str(pids))
     monkeypatch.setattr(streaming, "_simulate_share", _recording_share)
+    before = children()
     result = run_streaming("tiers:ftsp@5x6/rbs@1x2:dense-ward",
                            duration_s=2.0, workers=2, wave_size=2)
     assert result.waves_run == 3
     ran = pids.read_text().split()
-    assert len(ran) == 6 and len(set(ran)) <= 2
-    assert str(os.getpid()) not in ran
-    assert multiprocessing.active_children() == []
+    me = str(os.getpid())
+    assert len(ran) == 6 and ran.count(me) == 3
+    assert len(set(ran) - {me}) == 1
+    assert children() == before
 
 
 def test_a_short_last_wave_gives_the_same_result():
@@ -300,19 +303,53 @@ def test_resume_with_nothing_left_forks_no_pool(tmp_path, monkeypatch):
     assert done.workers == 2
 
     def refuse(*args, **kwargs):
-        raise AssertionError("forked a pool")
+        raise AssertionError("forked a worker")
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     resumed = _run(workers=2, wave_size=2, checkpoint_dir=tmp_path)
     assert resumed.completed and resumed.waves_run == 0
     assert resumed.summary == done.summary
 
 
 def test_max_waves_leaves_no_child_process(tmp_path):
+    before = children()
     result = _run(workers=2, wave_size=2, checkpoint_dir=tmp_path,
                   max_waves=1)
     assert not result.completed and result.waves_run == 1
-    assert multiprocessing.active_children() == []
+    assert children() == before
+
+
+def test_a_worker_killed_mid_wave_raises_and_the_rerun_resumes(tmp_path):
+    """The child's share of wave 2 kills its process: the run raises
+    ``WorkerLost`` with wave 1 checkpointed, and a rerun resumes from
+    there to the cold run's result."""
+    token = "tiers:ftsp@5x6/rbs@1x2:dense-ward"
+    outcome = run_fresh(f"""
+        from repro.net import streaming
+
+        share = streaming._simulate_share
+
+        def dying(payload):
+            if os.getpid() != MAIN and payload[1][0][0] >= 2:
+                kill_self()
+            return share(payload)
+
+        streaming._simulate_share = dying
+
+        def run():
+            streaming.run_streaming(
+                {token!r}, duration_s=2.0, workers=2, wave_size=2,
+                checkpoint_dir={str(tmp_path)!r})
+    """)
+    assert outcome["raised"] == "WorkerLost"
+    assert outcome["payloads"] == [1]
+    assert outcome["seconds"] < 5.0 and outcome["no_child"]
+    resumed = run_streaming(token, duration_s=2.0, workers=2, wave_size=2,
+                            checkpoint_dir=tmp_path)
+    assert resumed.resumed_subtrees == 2 and resumed.waves_run == 2
+    cold = run_streaming(token, duration_s=2.0)
+    assert resumed.summary == cold.summary
+    assert resumed.tiers == cold.tiers
 
 
 def _pass_sizes(monkeypatch, token, duration_s, cells=None):

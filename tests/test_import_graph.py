@@ -77,7 +77,7 @@ def _within(modules: list[str], packages: tuple[str, ...]) -> list[str]:
       "repro.signals")),
     ("import repro.net",
      ("repro.hw", "repro.isa.assembler", "repro.dsp", "repro.signals.ecg",
-      "repro.eval")),
+      "repro.eval", "multiprocessing", "concurrent")),
 ], ids=["cli-import", "cli-help", "cli-table1", "sysc-engine", "net"])
 def test_entry_point_loads_only_its_layers(setup, forbidden):
     loaded, _ = _loaded(setup)
@@ -92,6 +92,22 @@ result = run_streaming("tiers:ftsp@5x2/rbs@1x3:dense-ward", duration_s=2.0)
 assert result.subtrees == 2
 """)
     assert _within(loaded, ("repro",)) == []
+
+
+def test_pooled_runs_import_no_process_machinery():
+    # Pooled runs fork and pipe with the standard library's os layer;
+    # a process or thread package loaded part-way would be timed as run.
+    _, loaded = _loaded("import repro.net", """
+from repro.net import run_fleet, run_streaming
+result = run_fleet("generated-swarm", n_nodes=4, duration_s=2.0,
+                   compute="exact", workers=2)
+assert result.workers == 2
+result = run_streaming("tiers:ftsp@5x4/rbs@1x3:dense-ward", duration_s=2.0,
+                       workers=2, wave_size=2)
+assert result.workers == 2 and result.waves_run == 2
+""")
+    assert _within(loaded, ("multiprocessing", "concurrent", "queue",
+                            "subprocess", "threading")) == []
 
 
 def test_paper_experiments_import_nothing():
