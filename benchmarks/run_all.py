@@ -2,11 +2,8 @@
 
 Replays every campaign in :data:`repro.sweep.specs.BENCH_SPECS`,
 writes one ``BENCH_<name>.json`` per bench plus the merged
-``BENCH_all.json`` the CI regression gate consumes.  One bench is not
-a sweep campaign but emits the same schema keys and rides in the
-merged document alongside the others: ``oracle`` (``bench_oracle.py``,
-analytic population scoring vs exact candidate evaluation).  The
-merged document also records ``loc``, the line count of
+``BENCH_all.json`` the CI regression gate consumes.  The merged
+document also records ``loc``, the line count of
 ``src/repro/**/*.py``, which the regression gate holds to a ceiling.
 
 Run with::
@@ -21,9 +18,6 @@ from pathlib import Path
 import repro
 from repro.store import write_json
 from repro.sweep import BENCH_SPECS, ResultCache, run_all_benches
-from repro.sweep.artifacts import merge_bench
-
-import bench_oracle
 
 
 def source_loc() -> int:
@@ -64,7 +58,7 @@ def main(argv=None) -> int:
         nargs="*",
         default=None,
         metavar="NAME",
-        choices=sorted([*BENCH_SPECS, "oracle"]),
+        choices=sorted(BENCH_SPECS),
         help="run only these benches (default: all)",
     )
     args = parser.parse_args(argv)
@@ -73,24 +67,14 @@ def main(argv=None) -> int:
         if args.cache_dir is not None and not args.no_cache
         else None
     )
-    run_oracle = args.only is None or "oracle" in args.only
-    sweep_names = (
-        None
-        if args.only is None
-        else tuple(name for name in args.only if name != "oracle")
-    )
     merged, path = run_all_benches(
         out_dir=args.out_dir,
         workers=args.workers,
-        names=sweep_names,
+        names=None if args.only is None else tuple(args.only),
         cache=cache,
         use_cache=not args.no_cache,
         force=args.force,
     )
-    if run_oracle:
-        payload = bench_oracle.measure()
-        write_json(Path(args.out_dir) / "BENCH_oracle.json", payload)
-        merged = merge_bench({**merged["benches"], "oracle": payload})
     merged["loc"] = source_loc()
     write_json(path, merged)
     for name, payload in merged["benches"].items():

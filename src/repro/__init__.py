@@ -27,7 +27,6 @@ import layering):
 * :mod:`repro.gen` — seeded synthetic workload generator and
   mapping-policy explorer (beyond the paper's three apps).
 * :mod:`repro.search` — seeded stochastic placement search.
-* :mod:`repro.oracle` — vectorised analytic scoring of placements.
 * :mod:`repro.cover` — coverage model and fuzz loop over generated
   workloads.
 * :mod:`repro.net` — multi-node WBSN fleets: drifting clocks, beacon

@@ -40,10 +40,6 @@ COVER_DURATION_S = 2.0
 COVER_POLICIES: tuple[str, ...] = ("paper", "balanced")
 COVER_CORES = 8
 
-#: Candidates promoted to exact simulation per attempt (the rest
-#: come back analytically "screened" — itself a coverage outcome).
-COVER_TOP_K = 1
-
 #: Index of the outcome axis inside a bin-key label tuple.
 _OUTCOME_AXIS = next(index for index, dimension in enumerate(DIMENSIONS)
                      if dimension.name == "outcome")
@@ -156,7 +152,7 @@ def fuzz_campaign(seed: int = COVER_SEED, budget: int = COVER_BUDGET,
             no newly covered bin.
         policies: mapping policies screened per app.
         num_cores: provisioned platform width.
-        duration_s: simulated seconds per exact point.
+        duration_s: simulated seconds per placement.
         targeted: steer toward uncovered bins (False: the blind
             baseline of :func:`random_campaign`).
 
@@ -197,8 +193,7 @@ def fuzz_campaign(seed: int = COVER_SEED, budget: int = COVER_BUDGET,
             app = app_from_token(token)
             records = screen_policies(
                 app, policies, num_cores=num_cores,
-                duration_s=duration_s, top_k=COVER_TOP_K,
-                token=token, family=family)
+                duration_s=duration_s, token=token, family=family)
             new_bins = 0
             for record in records:
                 status_counts[record.status] = \

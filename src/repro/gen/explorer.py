@@ -10,6 +10,10 @@ first — the same concession a developer would make porting a wide app
 to a narrow platform) and *rejected* when code genuinely does not fit
 the instruction memory.
 
+:func:`measure` is the one path from a placement to those figures:
+the explorer, its policy screen and the placement search's cost
+oracles (:mod:`repro.search.cost`) all call it.
+
 Everything is a pure function of ``(app identity, policy, cores,
 duration)``; records therefore cache cleanly under the sweep engine
 and reproduce byte-identically across processes.
@@ -19,10 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .. import obs
-from ..apps.mapping import MappingError
+from ..apps.mapping import MappingError, MappingPlan
 from ..apps.phases import AppSpec, Trigger
 from ..sysc.engine import Mode, simulate, uniform_schedule
 from .generator import app_from_token, parse_app_token
@@ -41,8 +43,9 @@ STATUS_OK = "ok"
 STATUS_REPAIRED = "repaired"
 STATUS_REJECTED = "rejected"
 
-#: Outcome of candidates the analytic screen scored but never
-#: simulated (see :func:`screen_policies`).
+#: Outcome of placements the policy screen simulated but did not
+#: keep, because another policy's placement drew less power (see
+#: :func:`screen_policies`).
 STATUS_SCREENED = "screened"
 
 
@@ -57,8 +60,8 @@ class ExplorationRecord:
         policy: mapping policy applied.
         num_cores: provisioned platform width.
         status: ``ok`` / ``repaired`` / ``rejected``, or
-            ``screened`` for analytic-only records (never simulated;
-            ``simulated_s`` stays 0).
+            ``screened`` for a simulated placement the policy screen
+            did not keep.
         repairs: replicas trimmed to fit the platform.
         error: placement error text (rejected points only).
         required_mhz: clock requirement before the platform floor.
@@ -127,6 +130,48 @@ def repair_app(app: AppSpec, num_cores: int) -> tuple[AppSpec, int]:
     return repaired, trimmed
 
 
+def measure(app: AppSpec, plan: MappingPlan, mode: Mode, num_cores: int,
+            duration_s: float) -> dict:
+    """Simulate one placement and distil its figures of merit.
+
+    The schedule is uniform; when the app has triggered phases,
+    :data:`EXPLORE_ABNORMAL_RATIO` of its beats are pathological.
+
+    Args:
+        app: the (already repaired) application ``plan`` places.
+        plan: the placement.
+        mode: execution mode of the simulation.
+        num_cores: provisioned platform width.
+        duration_s: simulated seconds.
+
+    Returns:
+        ``power_uw``, ``clock_mhz``, ``voltage``, ``required_mhz``,
+        ``duty_cycle``, ``sync_overhead``, ``code_overhead``,
+        ``im_banks`` and ``active_cores`` — the figure fields of
+        :class:`ExplorationRecord`.
+    """
+    has_triggered = any(phase.trigger is Trigger.ON_ABNORMAL
+                        for phase in app.phases)
+    ratio = EXPLORE_ABNORMAL_RATIO if has_triggered else 0.0
+    schedule = uniform_schedule(duration_s, app.fs, abnormal_ratio=ratio)
+    result = simulate(app, mode, schedule, duration_s=duration_s,
+                      num_cores=num_cores, mapping=plan)
+    activity = result.activity
+    provisioned = activity.cycles * activity.cores_on
+    return {
+        "power_uw": result.power.total_uw,
+        "clock_mhz": result.operating_point.frequency_mhz,
+        "voltage": result.operating_point.voltage,
+        "required_mhz": result.required_mhz,
+        "duty_cycle": activity.core_active_cycles / provisioned
+        if provisioned > 0 else 0.0,
+        "sync_overhead": result.runtime_overhead,
+        "code_overhead": result.code_overhead,
+        "im_banks": len(plan.im_banks_used),
+        "active_cores": plan.active_cores,
+    }
+
+
 def evaluate_app(app: AppSpec, policy_name: str, num_cores: int = 8,
                  duration_s: float = EXPLORE_DURATION_S,
                  token: str = "", family: str = "") -> ExplorationRecord:
@@ -165,66 +210,34 @@ def evaluate_app(app: AppSpec, policy_name: str, num_cores: int = 8,
         return ExplorationRecord(
             **base, status=STATUS_REJECTED, repairs=repairs,
             error=str(exc))
-    obs.add(
-        f"gen.status.{STATUS_REPAIRED if repairs else STATUS_OK}"
-    )
+    status = STATUS_REPAIRED if repairs else STATUS_OK
+    obs.add(f"gen.status.{status}")
     mode = Mode.MULTI_CORE if policy.multicore else Mode.SINGLE_CORE
-    has_triggered = any(phase.trigger is Trigger.ON_ABNORMAL
-                        for phase in candidate.phases)
-    ratio = EXPLORE_ABNORMAL_RATIO if has_triggered else 0.0
-    schedule = uniform_schedule(duration_s, candidate.fs,
-                                abnormal_ratio=ratio)
-    result = simulate(candidate, mode, schedule, duration_s=duration_s,
-                      num_cores=num_cores, mapping=plan)
-    activity = result.activity
-    provisioned = activity.cycles * activity.cores_on
     return ExplorationRecord(
-        **base,
-        status=STATUS_REPAIRED if repairs else STATUS_OK,
-        repairs=repairs,
-        required_mhz=result.required_mhz,
-        clock_mhz=result.operating_point.frequency_mhz,
-        voltage=result.operating_point.voltage,
-        power_uw=result.power.total_uw,
-        duty_cycle=activity.core_active_cycles / provisioned
-        if provisioned > 0 else 0.0,
-        sync_overhead=result.runtime_overhead,
-        code_overhead=result.code_overhead,
-        active_cores=plan.active_cores,
-        im_banks=len(plan.im_banks_used),
-        simulated_s=duration_s,
-    )
-
-
-def keep_top_k(costs: np.ndarray, top_k: int) -> list[int]:
-    """Indices of the ``top_k`` cheapest costs, stable on ties."""
-    order = np.argsort(costs, kind="stable")
-    return [int(index) for index in order[:top_k]]
+        **base, status=status, repairs=repairs, simulated_s=duration_s,
+        **measure(candidate, plan, mode, num_cores, duration_s))
 
 
 def screen_policies(app: AppSpec,
                     policies: tuple[str, ...] = ("paper", "balanced"),
                     num_cores: int = 8,
                     duration_s: float = EXPLORE_DURATION_S,
-                    top_k: int = 1, token: str = "",
+                    token: str = "",
                     family: str = "") -> list[ExplorationRecord]:
-    """Screen one app's policy candidates; simulate only the best.
+    """Rank one app's multi-core placements by power; keep the least.
 
-    Every multicore policy's placement is scored by the vectorised
-    analytic model (:mod:`repro.oracle`) in one batched call; only
-    the ``top_k`` analytically-cheapest candidates pay a full
-    behavioural simulation.  The rest come back with analytic
-    figures of merit under ``status == "screened"`` (and
-    ``simulated_s == 0``).  Single-core policies cannot be screened
-    (the model covers the multicore engine) and fall through to the
-    exact :func:`evaluate_app`.
+    Every multi-core policy's placement is simulated once
+    (:func:`measure`).  The one drawing the least power — the first in
+    ``policies`` order on a tie — is reported ``ok``/``repaired``; the
+    others come back ``screened``, with their own simulated figures.
+    Single-core policies are not ranked and fall through to
+    :func:`evaluate_app`.
 
     Args:
         app: the application to place.
         policies: mapping-policy names to rank.
         num_cores: provisioned platform width.
-        duration_s: simulated seconds per *exact* point.
-        top_k: candidates promoted to exact simulation.
+        duration_s: simulated seconds per placement.
         token: regeneration token recorded in the records.
         family: topology family recorded in the records.
 
@@ -232,18 +245,13 @@ def screen_policies(app: AppSpec,
         One record per policy, in ``policies`` order.
 
     Raises:
-        ValueError: unknown policy or ``top_k`` < 1.
+        ValueError: unknown policy.
     """
-    from ..oracle import AnalyticModel
-    from ..search.space import candidate_from_plan
-
-    if top_k < 1:
-        raise ValueError(f"top-k must be >= 1, got {top_k}")
     repaired, repairs = repair_app(app, num_cores)
     base = dict(app=app.name, token=token, family=family,
                 num_cores=num_cores)
     records: dict[str, ExplorationRecord] = {}
-    feasible: list[tuple[str, object]] = []
+    measured: list[tuple[str, dict]] = []
     for name in policies:
         policy = get_policy(name)
         if not policy.multicore:
@@ -251,67 +259,32 @@ def screen_policies(app: AppSpec,
                 app, name, num_cores=num_cores, duration_s=duration_s,
                 token=token, family=family)
             continue
+        obs.add("gen.points")
         try:
             plan = policy.map(repaired, num_cores)
         except MappingError as exc:
-            obs.add("gen.points")
             obs.add(f"gen.status.{STATUS_REJECTED}")
             records[name] = ExplorationRecord(
                 **base, policy=name, status=STATUS_REJECTED,
                 repairs=repairs, error=str(exc))
             continue
-        feasible.append((name, candidate_from_plan(plan)))
-    if feasible:
-        model = AnalyticModel(repaired, num_cores=num_cores,
-                              kind="power", duration_s=duration_s)
-        scores = model.score([candidate for _, candidate in feasible])
-        obs.add("gen.screen.scored", len(feasible))
-        kept = set(keep_top_k(scores.cost, top_k))
-        for index, (name, _) in enumerate(feasible):
-            if index in kept:
-                records[name] = evaluate_app(
-                    app, name, num_cores=num_cores,
-                    duration_s=duration_s, token=token, family=family)
-                continue
-            metrics = scores.metrics(index)
-            obs.add("gen.points")
-            obs.add(f"gen.status.{STATUS_SCREENED}")
+        measured.append((name, measure(repaired, plan, Mode.MULTI_CORE,
+                                       num_cores, duration_s)))
+    if measured:
+        obs.add("gen.screen.scored", len(measured))
+        kept = min(range(len(measured)),
+                   key=lambda index: measured[index][1]["power_uw"])
+        for index, (name, figures) in enumerate(measured):
+            status = STATUS_SCREENED
+            if index == kept:
+                status = STATUS_REPAIRED if repairs else STATUS_OK
+                if repairs:
+                    obs.add("gen.repairs", repairs)
+            obs.add(f"gen.status.{status}")
             records[name] = ExplorationRecord(
-                **base, policy=name, status=STATUS_SCREENED,
-                repairs=repairs,
-                required_mhz=metrics["required_mhz"],
-                clock_mhz=metrics["clock_mhz"],
-                voltage=metrics["voltage"],
-                power_uw=metrics["power_uw"],
-                duty_cycle=metrics["duty_cycle"],
-                sync_overhead=metrics["sync_overhead"],
-                code_overhead=metrics["code_overhead"],
-                active_cores=metrics["active_cores"],
-                im_banks=metrics["im_banks"],
-                simulated_s=0.0)
+                **base, policy=name, status=status, repairs=repairs,
+                simulated_s=duration_s, **figures)
     return [records[name] for name in policies]
-
-
-def screen_tokens(tokens: list[str],
-                  policies: tuple[str, ...] = ("paper", "balanced"),
-                  num_cores: int = 8,
-                  duration_s: float = EXPLORE_DURATION_S,
-                  top_k: int = 1) -> list[ExplorationRecord]:
-    """:func:`screen_policies` over a token suite, app-major order.
-
-    Raises:
-        ValueError: unknown policy, malformed token, or bad top-k.
-    """
-    for name in policies:
-        get_policy(name)  # fail fast before any scoring
-    records: list[ExplorationRecord] = []
-    for token in tokens:
-        family, _, _, _ = parse_app_token(token)
-        app = app_from_token(token)
-        records.extend(screen_policies(
-            app, policies, num_cores=num_cores, duration_s=duration_s,
-            top_k=top_k, token=token, family=family))
-    return records
 
 
 def policy_rates(records: list[ExplorationRecord]
@@ -402,9 +375,8 @@ __all__ = [
     "evaluate_app",
     "evaluate_token",
     "explore",
-    "keep_top_k",
+    "measure",
     "policy_rates",
     "repair_app",
     "screen_policies",
-    "screen_tokens",
 ]

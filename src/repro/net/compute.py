@@ -45,7 +45,7 @@ from ..gen.generator import app_fingerprint
 from ..power.energy import PowerReport
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
 from ..search.space import candidate_from_plan
-from ..store import code_fingerprint, read_json, write_json
+from ..store import code_fingerprint, entry_path, read_json, write_json
 from ..sysc.engine import Mode, schedule_signature, simulate_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -340,9 +340,10 @@ def _complete(payload) -> bool:
 class ComputeCache:
     """Process memo + optional content-addressed disk layer.
 
-    The disk layout mirrors :class:`repro.sweep.cache.ResultCache`:
-    ``<root>/<code fingerprint>/<key[:2]>/<key>.json`` through
-    :mod:`repro.store`, and corrupt or foreign files read as misses.
+    The disk layout is :class:`repro.sweep.cache.ResultCache`'s:
+    ``<root>/<code fingerprint>/<key[:2]>/<key>.json``
+    (:func:`repro.store.entry_path`), and corrupt or foreign files
+    read as misses.
     The cache is deliberately silent in metrics — physical hit
     patterns depend on prior runs, so only the resolver's logical
     counters surface.
@@ -363,7 +364,7 @@ class ComputeCache:
 
     def _path(self, key: str) -> Path:
         assert self.root is not None
-        return self.root / self.fingerprint / key[:2] / f"{key}.json"
+        return entry_path(self.root, self.fingerprint, key)
 
     def get(self, key: str) -> dict | None:
         """Look up one entry (memo first, then disk); an incomplete

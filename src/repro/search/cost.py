@@ -12,6 +12,9 @@ minimise.  Three kinds ship:
 * ``composite`` — power plus a weighted clock term, for co-tuning
   placements that should not buy microwatts with megahertz.
 
+The simulation and its figures come from
+:func:`repro.gen.explorer.measure`, the explorer's own path, so a
+placement scores the same here as in a ``gen`` or ``cover`` record.
 Oracles are pure functions of ``(app, plan, num_cores)``, so the
 search can memoise them by candidate identity and the whole run stays
 byte-deterministic.
@@ -21,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..apps.phases import AppSpec, Trigger
+from ..apps.phases import AppSpec
 from ..apps.mapping import MappingPlan
-from ..sysc.engine import Mode, simulate, uniform_schedule
+from ..gen.explorer import measure
+from ..sysc.engine import Mode
 
 #: Cost kinds :func:`get_oracle` accepts.
 ORACLE_KINDS = ("power", "clock", "composite")
@@ -33,10 +37,6 @@ ORACLE_KINDS = ("power", "clock", "composite")
 #: metrics to settle; the paper's reproduced metrics are
 #: duration-invariant).
 ORACLE_DURATION_S = 2.0
-
-#: Pathological-beat ratio of oracle schedules when the app has
-#: triggered phases (the explorer's Table I setting).
-ORACLE_ABNORMAL_RATIO = 0.20
 
 #: uW charged per MHz of operating clock by the composite oracle.
 COMPOSITE_CLOCK_WEIGHT_UW_PER_MHZ = 25.0
@@ -71,28 +71,8 @@ class CostOracle:
             (power, clock, voltage, duty cycle, sync overhead, active
             banks/cores).
         """
-        has_triggered = any(phase.trigger is Trigger.ON_ABNORMAL
-                            for phase in app.phases)
-        ratio = ORACLE_ABNORMAL_RATIO if has_triggered else 0.0
-        schedule = uniform_schedule(self.duration_s, app.fs,
-                                    abnormal_ratio=ratio)
-        result = simulate(app, Mode.MULTI_CORE, schedule,
-                          duration_s=self.duration_s,
-                          num_cores=num_cores, mapping=plan)
-        activity = result.activity
-        provisioned = activity.cycles * activity.cores_on
-        metrics = {
-            "power_uw": result.power.total_uw,
-            "clock_mhz": result.operating_point.frequency_mhz,
-            "voltage": result.operating_point.voltage,
-            "required_mhz": result.required_mhz,
-            "duty_cycle": activity.core_active_cycles / provisioned
-            if provisioned > 0 else 0.0,
-            "sync_overhead": result.runtime_overhead,
-            "code_overhead": result.code_overhead,
-            "im_banks": len(plan.im_banks_used),
-            "active_cores": plan.active_cores,
-        }
+        metrics = measure(app, plan, Mode.MULTI_CORE, num_cores,
+                          self.duration_s)
         return self.cost_of(metrics), metrics
 
     def cost_of(self, metrics: dict) -> float:

@@ -33,6 +33,17 @@ def code_fingerprint(package_root: str | Path | None = None) -> str:
     return outer.hexdigest()[:16]
 
 
+def entry_path(root: str | Path, fingerprint: str, key: str) -> Path:
+    """Where a content-addressed cache keeps the entry ``key``.
+
+    ``<root>/<fingerprint>/<key[:2]>/<key>.json``: the fingerprint
+    namespaces entries by the code that produced them, and the
+    two-character fan-out keeps directories small.  The sweep and
+    compute caches share this layout.
+    """
+    return Path(root) / fingerprint / key[:2] / f"{key}.json"
+
+
 def read_json(path: str | Path):
     """The document stored at ``path``; ``None`` if missing or corrupt."""
     try:
@@ -61,4 +72,4 @@ def write_json(path: str | Path, payload) -> Path:
     return path
 
 
-__all__ = ["code_fingerprint", "read_json", "write_json"]
+__all__ = ["code_fingerprint", "entry_path", "read_json", "write_json"]

@@ -8,8 +8,9 @@ A cached entry is addressed by two coordinates:
    source file, so any change to the simulation code invalidates all
    prior results without ever serving a stale metric.
 
-Entries live at ``<root>/<fingerprint>/<key[:2]>/<key>.json``; a new
-fingerprint simply opens a fresh namespace (old entries stay behind
+Entries live at ``<root>/<fingerprint>/<key[:2]>/<key>.json``
+(:func:`repro.store.entry_path`, shared with the fleet compute cache);
+a new fingerprint simply opens a fresh namespace (old entries stay behind
 for rollbacks and can be garbage-collected with :meth:`ResultCache.prune`).
 Writes go through :func:`repro.store.write_json` (atomic), so a sweep
 killed mid-write never leaves a corrupt entry, and concurrent workers
@@ -27,7 +28,7 @@ import time
 from pathlib import Path
 
 from .. import obs
-from ..store import code_fingerprint, read_json, write_json
+from ..store import code_fingerprint, entry_path, read_json, write_json
 from .spec import Value, point_key
 
 #: Environment variable overriding the default cache root.
@@ -66,7 +67,7 @@ class ResultCache:
         )
 
     def _path(self, key: str) -> Path:
-        return self.root / self.fingerprint / key[:2] / f"{key}.json"
+        return entry_path(self.root, self.fingerprint, key)
 
     def get(self, runner: str, point: dict[str, Value]) -> dict | None:
         """The stored entry for a point, or ``None`` on a miss.

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from repro.cover import fuzz_campaign
+from repro.eval.__main__ import main
 from repro.eval.coverexp import cover_payload, write_cover_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _dumps(report):
@@ -52,3 +56,13 @@ def test_artifact_survives_pythonhashseed(tmp_path):
             check=True, env=env, capture_output=True)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_builtin_campaign_matches_golden(tmp_path, capsys):
+    """The built-in campaign's artifact is pinned bytes: a change to the
+    steering, the shapes or a placement outcome shows here even when it
+    still covers as many bins."""
+    out = tmp_path / "cover.json"
+    assert main(["cover", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "cover_seed7.json").read_bytes()

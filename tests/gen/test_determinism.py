@@ -17,6 +17,8 @@ import repro
 from repro.eval.__main__ import main
 from repro.gen import app_fingerprint, app_to_mapping, generate_suite
 
+GOLDEN = Path(__file__).parent / "golden"
+
 #: Serialise a small all-family suite canonically and print it.
 _DUMP_SCRIPT = """
 import json
@@ -64,3 +66,11 @@ def test_gen_cli_artifacts_are_byte_identical(tmp_path, capsys):
     assert main(argv + [str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_cli_artifact_matches_golden(tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    assert main(["gen", "--seed", "7", "--count", "6",
+                 "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "gen_seed7_n6.json").read_bytes()

@@ -4,7 +4,7 @@ The per-policy reject/repair/screened fractions are the standing
 metric the gen experiment and its artifact report; they must tie out
 exactly against the record population they summarise — for every
 built-in family and every built-in mapping policy, including the
-screened status that only :func:`screen_tokens` produces.
+screened status that only the policy screen produces.
 """
 
 from collections import Counter
@@ -18,11 +18,12 @@ from repro.gen.explorer import (
     STATUS_SCREENED,
     explore,
     policy_rates,
-    screen_tokens,
 )
 from repro.gen.generator import parse_app_token
 from repro.gen.policies import POLICIES
 from repro.gen.topology import FAMILY_ORDER
+
+from .screen import screen_tokens
 
 ALL_STATUSES = (STATUS_OK, STATUS_REPAIRED, STATUS_REJECTED,
                 STATUS_SCREENED)
@@ -42,7 +43,7 @@ def records():
                         duration_s=0.5)
     screened = screen_tokens(
         TOKENS, policies=("paper", "balanced", "single-core"),
-        duration_s=0.5, top_k=1)
+        duration_s=0.5)
     return evaluated + screened
 
 

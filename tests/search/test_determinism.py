@@ -13,7 +13,10 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.eval.__main__ import main
 from repro.eval.searchexp import run_search, search_payload
+
+GOLDEN = Path(__file__).parent / "golden"
 
 #: Run a tiny campaign and print its canonical payload.
 _DUMP_SCRIPT = """
@@ -56,3 +59,12 @@ def test_best_mapping_is_byte_stable_for_one_seed():
     for a, b in zip(first.outcomes, second.outcomes):
         assert a.best_candidate == b.best_candidate
         assert a.best_cost == b.best_cost
+
+
+def test_search_cli_artifact_matches_golden(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    argv = ["search", "--seed", "7", "--count", "6", "--json", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == \
+        (GOLDEN / "search_seed7_n6.json").read_bytes()

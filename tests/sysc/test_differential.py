@@ -19,10 +19,10 @@ from repro.apps import rp_class, three_lead_mf, three_lead_mmd
 from repro.apps.mapping import MappingError
 from repro.gen.explorer import EXPLORE_ABNORMAL_RATIO, repair_app
 from repro.gen.generator import app_from_token, suite_tokens
-from repro.oracle import sample_candidates
 from repro.search.space import plan_from_candidate, slot_phases
 from repro.sysc.engine import BeatEvent, Mode, simulate, uniform_schedule
 
+from .candidates import sample_candidates
 from .reference_engine import simulate as reference_simulate
 
 REL = 1e-12
@@ -147,6 +147,15 @@ def test_edge_configs_include_coalesced_placements():
     assert coalesced
     for plan in coalesced:
         assert plan.active_cores < len(plan.assignments)
+
+
+def test_sample_candidates_deterministic_and_distinct():
+    app, _ = repair_app(three_lead_mmd(), 8)
+    first = sample_candidates(app, samples=6, seed=9)
+    second = sample_candidates(app, samples=6, seed=9)
+    assert first == second
+    assert len(set(first)) == len(first)
+    assert len(first) <= 6
 
 
 #: Several abnormal beats on one tick, beats at 0 and at ``ticks - 1``

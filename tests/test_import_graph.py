@@ -46,8 +46,7 @@ runpy.run_module("repro.eval", run_name="__main__", alter_sys=True)
 #: Layers the CLI's start-up must not load.
 _NOT_AT_START_UP = ("numpy", "repro.net", "repro.hw", "repro.isa.assembler",
                     "repro.dsp", "repro.signals", "repro.gen",
-                    "repro.search", "repro.sweep", "repro.cover",
-                    "repro.oracle")
+                    "repro.search", "repro.sweep", "repro.cover")
 
 
 def _loaded(setup: str, run: str = "") -> tuple[list[str], list[str]]:
@@ -78,7 +77,14 @@ def _within(modules: list[str], packages: tuple[str, ...]) -> list[str]:
     ("import repro.net",
      ("repro.hw", "repro.isa.assembler", "repro.dsp", "repro.signals.ecg",
       "repro.eval", "multiprocessing", "concurrent")),
-], ids=["cli-import", "cli-help", "cli-table1", "sysc-engine", "net"])
+    (_CLI.format(args=["gen", "--count", "5", "--duration", "1"]),
+     ("numpy", "repro.net", "repro.hw")),
+    (_CLI.format(args=["cover"]), ("numpy", "repro.net", "repro.hw")),
+    (_CLI.format(args=["search", "--count", "2", "--iterations", "8",
+                       "--duration", "1"]),
+     ("numpy", "repro.net", "repro.hw")),
+], ids=["cli-import", "cli-help", "cli-table1", "sysc-engine", "net",
+        "cli-gen", "cli-cover", "cli-search"])
 def test_entry_point_loads_only_its_layers(setup, forbidden):
     loaded, _ = _loaded(setup)
     assert _within(loaded, forbidden) == []
@@ -108,6 +114,19 @@ assert result.workers == 2 and result.waves_run == 2
 """)
     assert _within(loaded, ("multiprocessing", "concurrent", "queue",
                             "subprocess", "threading")) == []
+
+
+def test_cover_and_search_runs_import_nothing():
+    _, loaded = _loaded("import repro.cover.fuzz, repro.search.anneal", """
+from repro.cover.fuzz import fuzz_campaign
+from repro.gen.generator import app_from_token, suite_tokens
+from repro.search.anneal import search_mapping
+report = fuzz_campaign(budget=12, saturation=12)
+assert report.status_counts.get("screened")
+for token in suite_tokens(7, 2):
+    search_mapping(app_from_token(token), iterations=8, duration_s=1.0)
+""")
+    assert loaded == []
 
 
 def test_paper_experiments_import_nothing():

@@ -1,8 +1,9 @@
 """repro.store: canonical atomic JSON writes and tolerant reads."""
 
 import multiprocessing
+from pathlib import Path
 
-from repro.store import read_json, write_json
+from repro.store import entry_path, read_json, write_json
 
 
 def _hammer(path: str, writer: int) -> None:
@@ -41,3 +42,9 @@ def test_concurrent_writers_of_one_path_all_succeed(tmp_path):
     assert [process.exitcode for process in writers] == [0, 0, 0]
     assert read_json(path)["step"] == 99
     assert [entry.name for entry in tmp_path.iterdir()] == ["state.json"]
+
+
+def test_entry_path_fans_out_by_fingerprint_and_key_prefix(tmp_path):
+    assert entry_path(tmp_path, "0123abcd", "f00d42") == \
+        tmp_path / "0123abcd" / "f0" / "f00d42.json"
+    assert entry_path("cache", "fp", "ab") == Path("cache/fp/ab/ab.json")
