@@ -226,8 +226,9 @@ def screen_policies(app: AppSpec,
                     family: str = "") -> list[ExplorationRecord]:
     """Rank one app's multi-core placements by power; keep the least.
 
-    Every multi-core policy's placement is simulated once
-    (:func:`measure`).  The one drawing the least power — the first in
+    Every distinct multi-core placement is simulated once
+    (:func:`measure`); policies whose plans are equal share its
+    figures.  The placement drawing the least power — the first in
     ``policies`` order on a tie — is reported ``ok``/``repaired``; the
     others come back ``screened``, with their own simulated figures.
     Single-core policies are not ranked and fall through to
@@ -252,6 +253,7 @@ def screen_policies(app: AppSpec,
                 num_cores=num_cores)
     records: dict[str, ExplorationRecord] = {}
     measured: list[tuple[str, dict]] = []
+    simulated: list[tuple[MappingPlan, dict]] = []
     for name in policies:
         policy = get_policy(name)
         if not policy.multicore:
@@ -268,8 +270,12 @@ def screen_policies(app: AppSpec,
                 **base, policy=name, status=STATUS_REJECTED,
                 repairs=repairs, error=str(exc))
             continue
-        measured.append((name, measure(repaired, plan, Mode.MULTI_CORE,
-                                       num_cores, duration_s)))
+        figures = next((f for done, f in simulated if done == plan), None)
+        if figures is None:
+            figures = measure(repaired, plan, Mode.MULTI_CORE, num_cores,
+                              duration_s)
+            simulated.append((plan, figures))
+        measured.append((name, figures))
     if measured:
         obs.add("gen.screen.scored", len(measured))
         kept = min(range(len(measured)),

@@ -109,6 +109,18 @@ class Adc:
             if channel.deliver():
                 self.raise_irq(self.first_irq_line + number)
 
+    def cycles_to_next(self) -> int:
+        """Ticks up to and including the next period boundary."""
+        return self._countdown
+
+    def advance(self, cycles: int) -> None:
+        """The same as ``cycles`` calls of :meth:`tick`."""
+        if cycles < self._countdown:
+            self._countdown -= cycles
+            return
+        for _ in range(cycles):
+            self.tick()
+
     def read_data(self, channel: int) -> int:
         """Memory-mapped data-register read."""
         return self.channels[channel].read()

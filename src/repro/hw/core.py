@@ -12,9 +12,10 @@ for taken branches and jumps.  Full forwarding means no data hazards.
 Memory-bank conflicts surface as stalls imposed by the platform, not by
 this class.
 
-The core communicates with the platform through :class:`Effect` values
-returned by :meth:`RiscCore.execute`; the platform performs arbitration
-and calls back :meth:`RiscCore.complete_load` / the sync interfaces.
+The platform binds every instruction word once, at load (:func:`bind`),
+and calls the bound instruction on each core that fetches it; the call
+returns the :class:`Effect` the platform must arbitrate or forward to
+the synchronizer.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ class CoreStats:
     taken_branches: int = 0
 
 
-# Instruction semantics, one handler per opcode, run once ``execute``
-# has moved ``pc`` past the instruction.  Registers hold 16-bit words
-# and r0 is never written, so it reads as zero; flipping bit 15 orders
-# words as signed integers.
+# Instruction semantics, bound once per IM word: a binder turns a word
+# and its address into the call ``op(core)`` that moves ``pc`` on,
+# counts the instruction, applies the semantics and returns the
+# platform effect, or None.  Registers hold 16-bit words and r0 is
+# never written, so it reads as zero; flipping bit 15 orders words as
+# signed integers.
 
 
 def _s16(word: int) -> int:
@@ -111,126 +114,161 @@ def _s16(word: int) -> int:
     return (word ^ 0x8000) - 0x8000
 
 
-def _reg_op(fn):
-    """``rd = fn(ra, rb)``, wrapped to 16 bits."""
-    def handler(core: "RiscCore", instr: Instruction) -> Effect:
-        if instr.rd:
-            regs = core.regs
-            regs[instr.rd] = fn(regs[instr.ra], regs[instr.rb]) & 0xFFFF
-        return _NO_EFFECT
-    return handler
+def _fixed(effect_of, sync_issued: int = 1):
+    """An instruction whose effect, if any, is known when it is bound."""
+    def bind(instr: Instruction, address: int):
+        effect, next_pc = effect_of(instr), (address + 1) & 0x7FFF
+
+        def op(core: "RiscCore") -> Effect | None:
+            core.pc = next_pc
+            stats = core.stats
+            stats.instructions += 1
+            stats.sync_issued += sync_issued
+            return effect
+        return op
+    return bind
 
 
-def _imm_op(fn):
-    """``rd = fn(ra, imm)``, wrapped to 16 bits."""
-    def handler(core: "RiscCore", instr: Instruction) -> Effect:
-        if instr.rd:
+_nop = _fixed(lambda instr: None, 0)
+
+
+def _alu(fn, use_imm: bool = False):
+    """``rd = fn(ra, rb)``, or ``fn(ra, imm)``, wrapped to 16 bits."""
+    def bind(instr: Instruction, address: int):
+        rd, ra, rb, imm = instr.rd, instr.ra, instr.rb, instr.imm
+        next_pc = (address + 1) & 0x7FFF
+        if not rd:
+            return _nop(instr, address)
+
+        def op(core: "RiscCore") -> None:
+            core.pc = next_pc
+            core.stats.instructions += 1
             regs = core.regs
-            regs[instr.rd] = fn(regs[instr.ra], instr.imm) & 0xFFFF
-        return _NO_EFFECT
-    return handler
+            regs[rd] = fn(regs[ra], imm if use_imm else regs[rb]) & 0xFFFF
+        return op
+    return bind
 
 
 def _multiply(shift: int):
-    """``mul``/``mulh``: bits ``shift``.. of the signed product."""
-    def handler(core: "RiscCore", instr: Instruction) -> Effect:
-        regs = core.regs
-        if instr.rd:
-            product = _s16(regs[instr.ra]) * _s16(regs[instr.rb])
-            regs[instr.rd] = (product >> shift) & 0xFFFF
-        core.busy_cycles_left += 1
-        return _NO_EFFECT
-    return handler
+    """``mul``/``mulh``: bits ``shift``.. of the signed product, 2 cycles."""
+    product = _alu(lambda a, b: (_s16(a) * _s16(b)) >> shift)
+
+    def bind(instr: Instruction, address: int):
+        write = product(instr, address)
+
+        def op(core: "RiscCore") -> None:
+            write(core)
+            core.busy_cycles_left += 1
+        return op
+    return bind
 
 
 def _branch(taken):
     """Conditional branch; a taken one costs a flush cycle."""
-    def handler(core: "RiscCore", instr: Instruction) -> Effect:
-        regs = core.regs
-        if taken(regs[instr.ra], regs[instr.rb]):
-            core.pc = (core.pc + instr.imm) & 0x7FFF
+    def bind(instr: Instruction, address: int):
+        ra, rb, next_pc = instr.ra, instr.rb, (address + 1) & 0x7FFF
+        target = (address + 1 + instr.imm) & 0x7FFF
+
+        def op(core: "RiscCore") -> None:
+            stats, regs = core.stats, core.regs
+            stats.instructions += 1
+            if taken(regs[ra], regs[rb]):
+                core.pc = target
+                core.busy_cycles_left += 1
+                stats.taken_branches += 1
+            else:
+                core.pc = next_pc
+        return op
+    return bind
+
+
+def _jump(indirect: bool):
+    """``jal``/``jalr``: link ``address + 1`` (unwrapped), jump, flush."""
+    def bind(instr: Instruction, address: int):
+        rd, ra, imm = instr.rd, instr.ra, instr.imm
+
+        def op(core: "RiscCore") -> None:
+            stats, regs = core.stats, core.regs
+            core.pc = ((regs[ra] if indirect else 0) + imm) & 0x7FFF
+            if rd:
+                regs[rd] = address + 1
             core.busy_cycles_left += 1
-            core.stats.taken_branches += 1
-        return _NO_EFFECT
-    return handler
+            stats.instructions += 1
+            stats.taken_branches += 1
+        return op
+    return bind
 
 
-def _jump(core: "RiscCore", instr: Instruction, target: int) -> Effect:
-    """Link and jump (``jal``/``jalr``); always costs a flush cycle."""
-    if instr.rd:
-        # The link is this instruction's address plus one, unwrapped.
-        core.regs[instr.rd] = ((core.pc - 1) & 0x7FFF) + 1
-    core.pc = target & 0x7FFF
-    core.busy_cycles_left += 1
-    core.stats.taken_branches += 1
-    return _NO_EFFECT
+def _memory(store: bool):
+    """``lw``/``sw``: an access the platform must grant."""
+    def bind(instr: Instruction, address: int):
+        rd, ra, rb, imm = instr.rd, instr.ra, instr.rb, instr.imm
+        next_pc = (address + 1) & 0x7FFF
+
+        def op(core: "RiscCore") -> Effect:
+            core.pc = next_pc
+            stats, regs = core.stats, core.regs
+            stats.instructions += 1
+            if store:
+                stats.stores += 1
+                return Effect(EffectKind.STORE, (regs[ra] + imm) & 0xFFFF,
+                              regs[rb])
+            stats.loads += 1
+            return Effect(EffectKind.LOAD, (regs[ra] + imm) & 0xFFFF, 0, rd)
+        return op
+    return bind
 
 
-def _load(core: "RiscCore", instr: Instruction) -> Effect:
-    core.stats.loads += 1
-    return Effect(EffectKind.LOAD, (core.regs[instr.ra] + instr.imm)
-                  & 0xFFFF, 0, instr.rd)
+def _sync(sync_op: SyncOp):
+    return _fixed(lambda instr: Effect(EffectKind.SYNC, 0, 0, 0, sync_op,
+                                       instr.imm))
 
 
-def _store(core: "RiscCore", instr: Instruction) -> Effect:
-    core.stats.stores += 1
-    regs = core.regs
-    return Effect(EffectKind.STORE, (regs[instr.ra] + instr.imm) & 0xFFFF,
-                  regs[instr.rb])
-
-
-def _sync(op: SyncOp):
-    def handler(core: "RiscCore", instr: Instruction) -> Effect:
-        core.stats.sync_issued += 1
-        return Effect(EffectKind.SYNC, 0, 0, 0, op, instr.imm)
-    return handler
-
-
-def _sleep(core: "RiscCore", instr: Instruction) -> Effect:
-    core.stats.sync_issued += 1
-    return _SLEEP
-
-
-_EXECUTE = {
-    Op.ADD: _reg_op(add),
-    Op.SUB: _reg_op(sub),
-    Op.AND: _reg_op(and_),
-    Op.OR: _reg_op(or_),
-    Op.XOR: _reg_op(xor),
-    Op.SLL: _reg_op(lambda a, b: a << (b & 0xF)),
-    Op.SRL: _reg_op(lambda a, b: a >> (b & 0xF)),
-    Op.SRA: _reg_op(lambda a, b: _s16(a) >> (b & 0xF)),
-    Op.SLT: _reg_op(lambda a, b: int((a ^ 0x8000) < (b ^ 0x8000))),
-    Op.SLTU: _reg_op(lambda a, b: int(a < b)),
+_BIND = {
+    Op.ADD: _alu(add),
+    Op.SUB: _alu(sub),
+    Op.AND: _alu(and_),
+    Op.OR: _alu(or_),
+    Op.XOR: _alu(xor),
+    Op.SLL: _alu(lambda a, b: a << (b & 0xF)),
+    Op.SRL: _alu(lambda a, b: a >> (b & 0xF)),
+    Op.SRA: _alu(lambda a, b: _s16(a) >> (b & 0xF)),
+    Op.SLT: _alu(lambda a, b: int((a ^ 0x8000) < (b ^ 0x8000))),
+    Op.SLTU: _alu(lambda a, b: int(a < b)),
     Op.MUL: _multiply(0),
     Op.MULH: _multiply(16),
-    Op.ADDI: _imm_op(add),
-    Op.ANDI: _imm_op(and_),
-    Op.ORI: _imm_op(or_),
-    Op.XORI: _imm_op(xor),
-    Op.SLLI: _imm_op(lambda a, imm: a << (imm & 0xF)),
-    Op.SRLI: _imm_op(lambda a, imm: a >> (imm & 0xF)),
-    Op.SRAI: _imm_op(lambda a, imm: _s16(a) >> (imm & 0xF)),
-    Op.SLTI: _imm_op(lambda a, imm: int(_s16(a) < imm)),
-    Op.LUI: _imm_op(lambda a, imm: (imm & 0xFF) << 8),
-    Op.LW: _load,
-    Op.SW: _store,
+    Op.ADDI: _alu(add, True),
+    Op.ANDI: _alu(and_, True),
+    Op.ORI: _alu(or_, True),
+    Op.XORI: _alu(xor, True),
+    Op.SLLI: _alu(lambda a, imm: a << (imm & 0xF), True),
+    Op.SRLI: _alu(lambda a, imm: a >> (imm & 0xF), True),
+    Op.SRAI: _alu(lambda a, imm: _s16(a) >> (imm & 0xF), True),
+    Op.SLTI: _alu(lambda a, imm: int(_s16(a) < imm), True),
+    Op.LUI: _alu(lambda a, imm: (imm & 0xFF) << 8, True),
+    Op.LW: _memory(store=False),
+    Op.SW: _memory(store=True),
     Op.BEQ: _branch(eq),
     Op.BNE: _branch(ne),
     Op.BLT: _branch(lambda a, b: (a ^ 0x8000) < (b ^ 0x8000)),
     Op.BGE: _branch(lambda a, b: (a ^ 0x8000) >= (b ^ 0x8000)),
     Op.BLTU: _branch(lt),
     Op.BGEU: _branch(ge),
-    Op.JAL: lambda core, instr: _jump(core, instr, instr.imm),
-    Op.JALR: lambda core, instr: _jump(
-        core, instr, core.regs[instr.ra] + instr.imm),
+    Op.JAL: _jump(indirect=False),
+    Op.JALR: _jump(indirect=True),
     Op.SINC: _sync(SyncOp.SINC),
     Op.SDEC: _sync(SyncOp.SDEC),
     Op.SNOP: _sync(SyncOp.SNOP),
-    Op.SLEEP: _sleep,
-    Op.NOP: lambda core, instr: _NO_EFFECT,
-    Op.HALT: lambda core, instr: _HALT,
+    Op.SLEEP: _fixed(lambda instr: _SLEEP),
+    Op.NOP: _nop,
+    Op.HALT: _fixed(lambda instr: _HALT, 0),
 }
+
+
+def bind(instr: Instruction, address: int):
+    """The call ``op(core)`` that executes ``instr`` for a core whose
+    ``pc`` is ``address``; it returns the effect, or None."""
+    return _BIND[instr.op](instr, address)
 
 
 class RiscCore:
@@ -241,8 +279,8 @@ class RiscCore:
     1. if ``halted``/``gated`` — idle (booked when the state ends);
     2. if ``busy_cycles_left`` — burn one busy cycle;
     3. if a load/store is pending — re-present it to the crossbar;
-    4. otherwise fetch at ``pc`` (subject to IM arbitration) and call
-       :meth:`execute`.
+    4. otherwise fetch at ``pc`` (subject to IM arbitration) and run
+       the instruction bound there (see :meth:`execute`).
     """
 
     def __init__(self, core_id: int) -> None:
@@ -254,15 +292,9 @@ class RiscCore:
         return self.regs[index]
 
     def execute(self, instr: Instruction) -> Effect:
-        """Execute one fetched instruction; returns its platform effect.
-
-        Updates ``pc`` and timing state.  For loads/stores the returned
-        effect must be granted by the platform (possibly after stalls)
-        before the core may fetch again.
-        """
-        self.stats.instructions += 1
-        self.pc = (self.pc + 1) & 0x7FFF
-        return _EXECUTE[instr.op](self, instr)
+        """Execute ``instr`` at ``pc`` as the platform does (:func:`bind`);
+        a load/store effect must be granted before the next fetch."""
+        return bind(instr, self.pc)(self) or _NO_EFFECT
 
     def complete_load(self, effect: Effect, value: int) -> None:
         """Deliver granted load data to the destination register."""

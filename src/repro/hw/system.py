@@ -49,14 +49,13 @@ from ..isa.program import ProgramImage
 from ..isa.spec import INSTR_MASK, WORD_MASK
 from .adc import Adc
 from .atu import MulticoreAtu, SingleCoreTranslation
-from .core import Effect, EffectKind, RiscCore
+from .core import Effect, EffectKind, RiscCore, bind
 from .interconnect import Crossbar, CrossbarStats, Transaction
-from .memory import BankedMemory, MemoryActivity, MemoryFault
+from .memory import BankedMemory, MemoryActivity, MemoryBank, MemoryFault
 
 
-_NONE, _LOAD, _STORE, _SYNC, _SLEEP = (
-    EffectKind.NONE, EffectKind.LOAD, EffectKind.STORE, EffectKind.SYNC,
-    EffectKind.SLEEP)
+_LOAD, _STORE, _SYNC, _SLEEP = (
+    EffectKind.LOAD, EffectKind.STORE, EffectKind.SYNC, EffectKind.SLEEP)
 
 
 class SimulationError(Exception):
@@ -126,14 +125,23 @@ class _SyncDmPort:
                  dm: BankedMemory) -> None:
         self._translation = translation
         self._dm = dm
+        self._cells: dict[int, tuple[MemoryBank, int]] = {}
+
+    def _cell(self, address: int) -> tuple[MemoryBank, int]:
+        cell = self._cells.get(address)
+        if cell is None:
+            location = self._translation.shared_location(address)
+            cell = self._cells[address] = (self._dm.banks[location.bank],
+                                           location.index)
+        return cell
 
     def read(self, address: int) -> int:
-        location = self._translation.shared_location(address)
-        return self._dm.read(location.bank, location.index)
+        bank, index = self._cell(address)
+        return bank.read(index)
 
     def write(self, address: int, value: int) -> None:
-        location = self._translation.shared_location(address)
-        self._dm.write(location.bank, location.index, value)
+        bank, index = self._cell(address)
+        bank.write(index, value)
 
 
 class System:
@@ -171,6 +179,10 @@ class System:
             strict=strict_sync)
         self.adc: Adc | None = None
         self._decoded: dict[int, Instruction] = {}
+        # Physical DM word of each (address, core) accessed so far.
+        self._dm_words: dict[int, int] = {}
+        # Per IM address: its bound instruction (``core.bind``) and bank.
+        self._program: dict[int, tuple] = {}
         self._pending: list[Effect | None] = [None] * num_cores
         self._halted_at_load: set[int] = set(range(num_cores))
         # The cores neither halted nor gated, in id order, and the cycle
@@ -220,7 +232,7 @@ class System:
         # happen while all banks are still powered.
         for bank in self.im.banks + self.dm.banks:
             bank.data = [0] * bank.words
-        self._decoded = {}
+        self._decoded, self._program = {}, {}
         self.synchronizer.reset()
         geom = self.geometry.im
         used_im_banks: set[int] = set()
@@ -231,9 +243,11 @@ class System:
             self.im.bank(bank).poke(address % geom.words_per_bank, word)
             used_im_banks.add(bank)
             try:
-                self._decoded[address] = decode(word)
+                instr = self._decoded[address] = decode(word)
             except EncodingError:
-                pass  # raw data words are not executable
+                continue  # raw data words are not executable
+            self._program[address] = (bind(instr, address),
+                                      self.im.banks[bank])
         self.im.power_off_unused(used_im_banks)
 
         for address, value in image.dm_init.items():
@@ -294,96 +308,127 @@ class System:
     # ------------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the platform by one clock cycle.
+        """Advance one clock cycle, with no halt or deadlock check.
 
-        Only the clocked cores are visited.  Cycle counters are booked
-        as cores halt, gate or wake, and settled when :meth:`run` ends.
+        Counters are settled only when :meth:`run` ends.
         """
-        cycle = self.cycle = self.cycle + 1
-        cores = self.cores
-        pending = self._pending
-        mem_queue: list[tuple[RiscCore, Effect]] = []
-        fetches: dict[int, list[int]] = {}  # word -> ports fetching it
-        for core in self._clocked:
-            if core.busy_cycles_left:
-                core.busy_cycles_left -= 1
-                core.stats.busy_cycles += 1
-            elif pending[core.core_id] is not None:
-                mem_queue.append((core, pending[core.core_id]))
-            elif core.pc in fetches:
-                fetches[core.pc].append(core.core_id)
-            else:
-                fetches[core.pc] = [core.core_id]
+        self._cycles(self.cycle + 1, stop_on_halt=False, checked=False)
 
-        changed = synced = False
-        sync = self.synchronizer
-        if fetches:
-            xbar = self.im_xbar
-            alone = len(fetches) == 1
-            if alone:
-                (pc, ports), = fetches.items()
-                alone = xbar.broadcast or len(ports) == 1
-            if alone:  # one transaction: granted without arbitration
-                bank, requests = pc // xbar.words_per_bank, len(ports)
-                stats = xbar.stats
-                stats.requests += requests
-                if bank >= xbar.num_banks:
-                    raise ValueError(f"{xbar.name}: bank {bank} out of range")
-                stats.grants += requests
-                stats.accesses += 1
-                if requests > 1:
-                    stats.broadcast_merged += requests - 1
-                    stats.broadcast_cycles += 1
-                granted: list[Transaction] = [(pc, ports)]
-            else:
-                granted, stalled = xbar.arbitrate(
-                    fetches.items() if xbar.broadcast else
-                    [(pc, [port]) for pc, ports in fetches.items()
-                     for port in ports])
-                for port in stalled:
-                    cores[port].stats.fetch_stalls += 1
-            for pc, ports in granted:
-                bank, index = divmod(pc, xbar.words_per_bank)
-                self.im.banks[bank].read(index)
-                instr = self._decoded.get(pc)
-                if instr is None:
-                    raise SimulationError(
-                        f"core {ports[0]}: fetch from uninitialised IM "
-                        f"address {pc:#06x}")
-                for port in ports:
-                    core = cores[port]
-                    effect = core.execute(instr)
-                    kind = effect.kind
-                    if kind is _NONE:
-                        continue
-                    if kind is _LOAD or kind is _STORE:
-                        if effect.address >= PERIPH_BASE:
-                            self._peripheral_access(core, effect)
+    def _cycles(self, end: int, stop_on_halt: bool, checked: bool) -> None:
+        """The cycle loop of :meth:`run` and :meth:`step`, up to ``end``.
+
+        Clocked cores burn a busy cycle, retry a waiting DM access or
+        fetch, one transaction per word; a granted fetch calls the
+        word's bound instruction for every port sharing it.  A cycle
+        with no core clocked (first checked for halt and deadlock) and
+        no interrupt line pending changes nothing until the ADC's next
+        delivery, so the cycles before that are skipped.
+        """
+        cycle, cores, pending, program = (
+            self.cycle, self.cores, self._pending, self._program)
+        clocked, xbar, sync, adc = (
+            self._clocked, self.im_xbar, self.synchronizer, self.adc)
+        interrupts, submit, sleep = sync.interrupts, sync.submit, sync.sleep
+        book, stats, broadcast = self._book, xbar.stats, xbar.broadcast
+        last_pc = xbar.num_banks * xbar.words_per_bank - 1
+        while cycle < end:
+            if not clocked:
+                if checked:
+                    if stop_on_halt and self.all_halted:
+                        break
+                    if self.deadlocked():
+                        raise SimulationError(
+                            "deadlock: all cores clock-gated with no event "
+                            "source")
+                if adc is not None and not interrupts.pending_lines:
+                    skip = min(adc.cycles_to_next(), end - cycle) - 1
+                    if skip > 0:
+                        cycle += skip
+                        adc.advance(skip)
+            cycle = self.cycle = cycle + 1
+            mem_queue: list[tuple[RiscCore, Effect]] = []
+            fetches: dict[int, list[int]] = {}  # word -> ports fetching it
+            for core in clocked:
+                if core.busy_cycles_left:
+                    core.busy_cycles_left -= 1
+                    core.stats.busy_cycles += 1
+                    continue
+                port = core.core_id
+                if pending[port] is not None:
+                    mem_queue.append((core, pending[port]))
+                elif (pc := core.pc) in fetches:
+                    fetches[pc].append(port)
+                else:
+                    fetches[pc] = [port]
+
+            changed = synced = False
+            if fetches:
+                alone = len(fetches) == 1
+                if alone:
+                    (pc, ports), = fetches.items()
+                    requests = len(ports)
+                    alone = broadcast or requests == 1
+                if alone and pc <= last_pc:  # one transaction: no arbitration
+                    stats.requests += requests
+                    stats.grants += requests
+                    stats.accesses += 1
+                    if requests > 1:
+                        stats.broadcast_merged += requests - 1
+                        stats.broadcast_cycles += 1
+                    granted: list[Transaction] = [(pc, ports)]
+                else:  # arbitration also faults a word beyond the banks
+                    granted, stalled = xbar.arbitrate(
+                        fetches.items() if broadcast else
+                        [(pc, [port]) for pc, ports in fetches.items()
+                         for port in ports])
+                    for port in stalled:
+                        cores[port].stats.fetch_stalls += 1
+                for pc, ports in granted:
+                    bound = program.get(pc)
+                    if bound is None or not bound[1].powered:
+                        bank, index = divmod(pc, xbar.words_per_bank)
+                        self.im.banks[bank].read(index)  # faults if off
+                        raise SimulationError(
+                            f"core {ports[0]}: fetch from uninitialised "
+                            f"IM address {pc:#06x}")
+                    op, bank = bound
+                    bank.reads += 1
+                    for port in ports:
+                        core = cores[port]
+                        effect = op(core)
+                        if effect is None:
+                            continue
+                        kind = effect.kind
+                        if kind is _LOAD or kind is _STORE:
+                            if effect.address >= PERIPH_BASE:
+                                self._peripheral_access(core, effect)
+                            else:
+                                mem_queue.append((core, effect))
+                        elif kind is _SYNC:
+                            submit(port, effect.sync_op, effect.sync_point)
+                            synced = True
+                        elif kind is _SLEEP:
+                            if sleep(port):
+                                book(core, cycle)
+                                core.gated = changed = True
                         else:
-                            mem_queue.append((core, effect))
-                    elif kind is _SYNC:
-                        sync.submit(port, effect.sync_op, effect.sync_point)
-                        synced = True
-                    elif kind is _SLEEP:
-                        if sync.sleep(port):
-                            self._book(core, cycle)
-                            core.gated = changed = True
-                    else:
-                        self._book(core, cycle)
-                        core.halted = changed = True
+                            book(core, cycle)
+                            core.halted = changed = True
 
-        if mem_queue:
-            self._serve_memory(mem_queue)
-        if synced or sync.interrupts.pending_lines:
-            for port in sync.end_cycle():
-                self._book(cores[port], cycle)
-                cores[port].gated = False
-                changed = True
-        if self.adc is not None:
-            self.adc.tick()
-        if changed:
-            self._clocked = [core for core in cores
-                             if not (core.halted or core.gated)]
+            if mem_queue:
+                self._serve_memory(mem_queue)
+            if synced or interrupts.pending_lines:
+                for port in sync.end_cycle():
+                    book(cores[port], cycle)
+                    cores[port].gated = False
+                    changed = True
+            if adc is not None:
+                adc.tick()
+            if changed:
+                clocked = [core for core in cores
+                           if not (core.halted or core.gated)]
+        self.cycle = cycle
+        self._clocked = clocked
 
     def _serve_memory(self, mem_queue: list[tuple[RiscCore, Effect]]) -> None:
         """Arbitrate the cycle's DM accesses and perform the granted.
@@ -391,21 +436,25 @@ class System:
         Reads of one word merge while broadcasting is on; each write,
         and each read without broadcasting, is its own transaction.
         """
-        xbar, banks = self.dm_xbar, self.dm.banks
+        xbar, banks, words = self.dm_xbar, self.dm.banks, self._dm_words
         effects: dict[int, Effect] = {}
         reads: dict[int, list[int]] = {}
         transactions: list[Transaction] = []
         for core, effect in mem_queue:
-            effects[core.core_id] = effect
-            location = self.translation.translate(core.core_id,
-                                                  effect.address)
-            word = location.bank * xbar.words_per_bank + location.index
+            port = core.core_id
+            effects[port] = effect
+            key = effect.address * self.num_cores + port
+            word = words.get(key)
+            if word is None:
+                location = self.translation.translate(port, effect.address)
+                word = words[key] = (location.bank * xbar.words_per_bank
+                                     + location.index)
             if effect.kind is _STORE or not xbar.broadcast:
-                transactions.append((word, [core.core_id]))
+                transactions.append((word, [port]))
             elif word in reads:
-                reads[word].append(core.core_id)
+                reads[word].append(port)
             else:
-                reads[word] = [core.core_id]
+                reads[word] = [port]
                 transactions.append((word, reads[word]))
         if len(mem_queue) == 1:  # one access: granted without arbitration
             granted, stalled = transactions, []
@@ -424,7 +473,8 @@ class System:
             else:
                 value = banks[bank].read(index)
                 for port in ports:
-                    self.cores[port].complete_load(effects[port], value)
+                    if effects[port].rd:
+                        self.cores[port].regs[effects[port].rd] = value
             for port in ports:
                 self._pending[port] = None
 
@@ -492,17 +542,8 @@ class System:
         no core is clocked.  Counters are settled on return or raise.
         """
         start = self.cycle
-        end = start + max_cycles
         try:
-            while self.cycle < end:
-                if not self._clocked:
-                    if stop_on_halt and self.all_halted:
-                        break
-                    if self.deadlocked():
-                        raise SimulationError(
-                            "deadlock: all cores clock-gated with no event "
-                            "source")
-                self.step()
+            self._cycles(start + max_cycles, stop_on_halt, checked=True)
         finally:
             self._settle()
         return self.cycle - start

@@ -18,6 +18,8 @@ grounds the constants used by the system-level model:
   pipeline built from the paper's primitives only (two alternating
   sync points as a reusable barrier), validating multi-round operation
   of the protocol on real hardware semantics.
+* :func:`running_max_kernel` — ADC-driven: one core per ECG lead
+  sleeps until each sample and keeps a running maximum.
 
 All kernels derive per-core data from the ``REG_CORE_ID`` register and
 a small LCG, so replicated cores run identical code on distinct
@@ -26,7 +28,7 @@ streams — exactly the paper's SIMD-style setting.
 
 from __future__ import annotations
 
-from ..isa.layout import REG_CORE_ID
+from ..isa.layout import REG_ADC_DATA0, REG_CORE_ID, REG_INT_SUBSCRIBE
 
 #: Shared-memory base where kernels deposit per-core results.
 RESULT_BASE = 0x900
@@ -252,4 +254,45 @@ odd_epoch:
     sleep
     addi r2, zero, 0
     ret
+"""
+
+
+def running_max_kernel(leads: int = 3, samples: int = 250) -> str:
+    """ADC-driven running maximum, one core per lead.
+
+    Core ``c`` subscribes to ADC channel ``c``'s data-ready line and is
+    clock-gated between samples; it keeps the unsigned maximum of
+    ``samples`` samples and stores it to ``RESULT_BASE + c``.
+    """
+    if not 1 <= leads <= 3:
+        raise ValueError("leads must be in [1, 3]")
+    entries = "\n".join(f".entry {core}, main" for core in range(leads))
+    return f"""
+; ADC-driven running maximum ({leads} leads, {samples} samples each)
+.equ RESULT, {RESULT_BASE:#x}
+{entries}
+
+main:
+    li   r5, {REG_CORE_ID:#x}
+    lw   r6, 0(r5)          ; my lead index
+    addi r1, zero, 1
+    sll  r1, r1, r6         ; subscription mask = 1 << id
+    li   r5, {REG_INT_SUBSCRIBE:#x}
+    sw   r1, 0(r5)
+    li   r3, {samples}      ; samples to consume
+    addi r2, zero, 0        ; running maximum (unsigned)
+wait:
+    sleep                   ; gate until my channel raises data-ready
+    li   r5, {REG_ADC_DATA0:#x}
+    add  r5, r5, r6         ; my channel's data register
+    lw   r4, 0(r5)
+    bgeu r2, r4, not_bigger ; data-dependent branch
+    mv   r2, r4
+not_bigger:
+    addi r3, r3, -1
+    bnez r3, wait
+    li   r5, RESULT
+    add  r5, r5, r6
+    sw   r2, 0(r5)
+    halt
 """

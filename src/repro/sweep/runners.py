@@ -34,6 +34,9 @@ Families:
   ``fleet`` metrics.
 * ``platform`` — the cycle-accurate :class:`repro.hw.system.System`
   running a spin kernel; axes reach core count and cycle budget.
+* ``platform-adc`` — ECG leads streamed through the ADC into a kernel
+  whose cores sleep between samples; axes reach leads, ADC period and
+  duration.
 * ``ablation`` — one mechanism ablation from
   :mod:`repro.eval.ablations`.
 * ``gen`` — one generated application under one mapping policy
@@ -54,7 +57,7 @@ Families:
 Every metric mapping carries ``simulated_s``: the simulated seconds
 the point covered, the numerator of the benchmark schema's
 simulated-seconds-per-second throughput figure.  The ``platform``
-family counts cycles, reported as seconds at the 1 MHz platform floor
+families count cycles, reported as seconds at the 1 MHz platform floor
 clock.
 """
 
@@ -73,6 +76,7 @@ from ..gen.explorer import EXPLORE_DURATION_S, evaluate_token
 from ..gen.generator import app_from_token
 from ..hw.system import System
 from ..isa.assembler import assemble
+from ..kernels.sources import running_max_kernel
 from ..net.fleet import run_fleet
 from ..net.node import APPS
 from ..net.scenarios import generated_scenario
@@ -81,6 +85,7 @@ from ..net.streaming import run_streaming
 from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ
 from ..search.anneal import SEARCH_ITERATIONS, search_token
 from ..search.cost import ORACLE_DURATION_S
+from ..signals import cse_like_record
 from ..sysc.engine import Mode, simulate, uniform_schedule
 from .spec import Value, stable_seed
 
@@ -130,6 +135,7 @@ HEADLINE_METRICS: dict[str, tuple[str, ...]] = {
         "tiers",
     ),
     "platform": ("cycles", "im_broadcast", "active_cycles"),
+    "platform-adc": ("cycles", "im_broadcast", "active_cycles"),
     "ablation": ("with_uw", "without_uw", "penalty"),
     "gen": (
         "status",
@@ -357,6 +363,26 @@ def run_platform_point(point: dict[str, Value]) -> dict[str, Value]:
         image = assemble(entries + _SPIN_SOURCE)
     system.load(image)
     system.run(cycles)
+    return _platform_metrics(system)
+
+
+def run_platform_adc_point(point: dict[str, Value]) -> dict[str, Value]:
+    """Stream ECG leads through the ADC into the running-max kernel."""
+    leads = int(_param(point, "leads", 3))
+    period = int(_param(point, "period_cycles", 4000))
+    duration_s = float(_param(point, "duration_s", 1.0))
+    record = cse_like_record(duration_s=duration_s, num_leads=leads)
+    streams = [[abs(int(value)) for value in lead] for lead in record.leads]
+    system = System.multicore(num_cores=8)
+    system.load(assemble(running_max_kernel(leads, record.num_samples)))
+    system.attach_adc(streams, period)
+    system.run(period * (record.num_samples + 4))
+    if not system.all_halted:
+        raise RunnerError("running-max kernel did not halt")
+    return _platform_metrics(system)
+
+
+def _platform_metrics(system: System) -> dict[str, Value]:
     activity = system.activity()
     return {
         # Cycle count rendered as seconds at the 1 MHz platform floor.
@@ -546,6 +572,7 @@ RUNNERS: dict[str, Callable[[dict], dict]] = {
     "fleet-gen": run_fleet_gen_point,
     "fleet-tiers": run_fleet_tiers_point,
     "platform": run_platform_point,
+    "platform-adc": run_platform_adc_point,
     "ablation": run_ablation_point,
     "gen": run_gen_point,
     "cover": run_cover_point,

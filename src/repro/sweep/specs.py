@@ -156,6 +156,14 @@ PLATFORM = SweepSpec(
     base=(("cycles", 20_000),),
 )
 
+PLATFORM_ADC = SweepSpec(
+    name="platform-adc",
+    runner="platform-adc",
+    description="ADC-driven running maximum over 1 s of 3-lead ECG",
+    axes=(("period_cycles", (1000, 4000)),),
+    base=(("leads", 3), ("duration_s", 1.0)),
+)
+
 
 def generated_app_axis(
     seed: int,
@@ -238,6 +246,7 @@ SPECS: dict[str, SweepSpec] = {
         FLEET_GEN,
         FLEET_TIERS,
         PLATFORM,
+        PLATFORM_ADC,
         GEN,
         COVER,
         SEARCH,
@@ -256,6 +265,7 @@ BENCH_SPECS: dict[str, SweepSpec] = {
         FLEET_GEN,
         FLEET_TIERS,
         PLATFORM,
+        PLATFORM_ADC,
         GEN,
         COVER,
         SEARCH,

@@ -16,6 +16,7 @@ from repro.gen import (
     repair_app,
     suite_tokens,
 )
+from repro.gen import explorer
 from repro.gen.explorer import (
     STATUS_OK,
     STATUS_REJECTED,
@@ -224,6 +225,24 @@ def test_screen_policies_keeps_first_policy_on_a_tie():
         assert first.power_uw == second.power_uw
         assert (first.status, second.status) == (STATUS_OK,
                                                   STATUS_SCREENED)
+
+
+def test_screen_policies_simulates_an_equal_plan_once(monkeypatch):
+    """``paper`` and ``critical-path`` place 3L-MF alike: one simulation
+    serves both records, which still differ only in policy and status."""
+    calls, measure = [], explorer.measure
+
+    def counting(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(explorer, "measure", counting)
+    first, second = screen_policies(three_lead_mf(),
+                                    ("paper", "critical-path"),
+                                    duration_s=1.0)
+    assert len(calls) == 1
+    assert dataclasses.replace(second, policy="paper",
+                               status=first.status) == first
 
 
 def test_screen_policies_validates_policies():

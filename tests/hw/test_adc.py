@@ -87,3 +87,23 @@ def test_negative_samples_wrap_to_u16():
 def test_zero_period_rejected():
     with pytest.raises(ValueError):
         Adc([[1]], period_cycles=0, raise_irq=lambda line: None)
+
+
+@pytest.mark.parametrize("cycles", [0, 1, 2, 3, 4, 5, 11, 12, 13])
+def test_advance_equals_ticks(cycles):
+    """``advance(k)`` is ``k`` ticks, within a gap and across boundaries;
+    ``cycles_to_next`` counts the ticks up to the next delivery."""
+    stepped, stepped_raised = _make([[1, 2, 3], [4, 5]], period=4)
+    jumped, jumped_raised = _make([[1, 2, 3], [4, 5]], period=4)
+    for _ in range(cycles):
+        stepped.tick()
+    jumped.advance(cycles)
+    assert jumped_raised == stepped_raised
+    assert jumped.cycles_to_next() == stepped.cycles_to_next()
+    assert [(c.value, c.ready, c.stats) for c in jumped.channels] == \
+        [(c.value, c.ready, c.stats) for c in stepped.channels]
+    for _ in range(jumped.cycles_to_next() - 1):
+        jumped.tick()
+    assert len(jumped_raised) == len(stepped_raised)
+    jumped.tick()
+    assert len(jumped_raised) > len(stepped_raised) or jumped.all_exhausted

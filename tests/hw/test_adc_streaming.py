@@ -13,48 +13,14 @@ import numpy as np
 
 from repro.hw.system import System
 from repro.isa.assembler import assemble
-from repro.isa.layout import (
-    REG_ADC_DATA0,
-    REG_CORE_ID,
-    REG_INT_SUBSCRIBE,
-)
+from repro.kernels import running_max_kernel
 from repro.signals import cse_like_record
 
 SAMPLES = 40
 
 
 def _streaming_source() -> str:
-    return f"""
-    .equ RESULT, 0x900
-    .equ NSAMP, {SAMPLES}
-    .entry 0, main
-    .entry 1, main
-    .entry 2, main
-
-main:
-    li   r5, {REG_CORE_ID}
-    lw   r6, 0(r5)           ; my lead index
-    addi r1, zero, 1
-    sll  r1, r1, r6          ; subscription mask = 1 << id
-    li   r5, {REG_INT_SUBSCRIBE}
-    sw   r1, 0(r5)
-    li   r3, NSAMP           ; samples to consume
-    addi r2, zero, 0         ; running maximum (unsigned)
-wait:
-    sleep                    ; gate until my channel raises data-ready
-    li   r5, {REG_ADC_DATA0}
-    add  r5, r5, r6          ; my channel's data register
-    lw   r4, 0(r5)
-    bgeu r2, r4, not_bigger  ; data-dependent branch
-    mv   r2, r4
-not_bigger:
-    addi r3, r3, -1
-    bnez r3, wait
-    li   r5, RESULT
-    add  r5, r5, r6
-    sw   r2, 0(r5)
-    halt
-"""
+    return running_max_kernel(leads=3, samples=SAMPLES)
 
 
 def test_three_leads_streamed_through_adc():

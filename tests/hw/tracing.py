@@ -14,9 +14,11 @@ Usage::
     system.run(1000)
     print(tracer.render(limit=50))
 
-Attaching wraps ``RiscCore.execute`` and the synchronizer's wake path;
-``detach`` restores them.  Tracing costs simulation speed and is meant
-for short diagnostic runs.
+Attaching wraps every instruction the system has bound at load (and,
+through ``System.load``, those of each later load), the synchronizer's
+``sleep`` and its wake path; ``detach`` restores them.  An untraced
+system runs its bound instructions directly, so tracing costs nothing
+until attached; attached, it is meant for short diagnostic runs.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class Tracer:
     system: System
     cores: set[int]
     events: list[TraceEvent] = field(default_factory=list)
-    _originals: dict[int, object] = field(default_factory=dict)
+    _untraced: dict[int, tuple] = field(default_factory=dict)
+    _original_sleep: object = None
     _original_on_wake: object = None
     _attached: bool = False
 
@@ -71,26 +74,18 @@ class Tracer:
     def _hook(self) -> None:
         if self._attached:
             return
-        for core in self.system.cores:
-            if core.core_id not in self.cores:
-                continue
-            original = core.execute
-            self._originals[core.core_id] = original
+        system = self.system
+        original_load = system.load
 
-            def traced_execute(instr, _core=core, _orig=original):
-                pc = _core.pc
-                effect = _orig(instr)
-                self.events.append(TraceEvent(
-                    cycle=self.system.cycle, core=_core.core_id,
-                    kind="exec", pc=pc,
-                    text=format_instruction(instr)))
-                return effect
+        def traced_load(*args, **kwargs) -> None:
+            original_load(*args, **kwargs)
+            self._wrap_program()
 
-            core.execute = traced_execute  # type: ignore[method-assign]
+        system.load = traced_load  # type: ignore[method-assign]
+        self._wrap_program()
 
         synchronizer = self.system.synchronizer
-        original_sleep = synchronizer.sleep
-        self._originals[-1] = original_sleep
+        original_sleep = self._original_sleep = synchronizer.sleep
 
         def traced_sleep(core_id: int) -> bool:
             gated = original_sleep(core_id)
@@ -116,18 +111,35 @@ class Tracer:
         self.system.synchronizer.on_wake = traced_wake
         self._attached = True
 
+    def _wrap_program(self) -> None:
+        """Record every execution of a bound instruction by a traced core.
+
+        ``_untraced`` keeps the current program's own entries, so that
+        ``detach`` can put them back.
+        """
+        system = self.system
+        program = system._program
+        self._untraced = dict(program)
+        for pc, (op, bank) in self._untraced.items():
+            def traced(core, _op=op, _pc=pc,
+                       _text=format_instruction(system._decoded[pc])):
+                effect = _op(core)
+                if core.core_id in self.cores:
+                    self.events.append(TraceEvent(
+                        cycle=system.cycle, core=core.core_id, kind="exec",
+                        pc=_pc, text=_text))
+                return effect
+
+            program[pc] = (traced, bank)
+
     def detach(self) -> None:
         """Restore the un-traced execution paths."""
         if not self._attached:
             return
-        for core_id, original in self._originals.items():
-            if core_id == -1:
-                self.system.synchronizer.sleep = original  # type: ignore
-            else:
-                self.system.cores[core_id].execute = \
-                    original  # type: ignore[method-assign]
+        self.system._program.update(self._untraced)
+        del self.system.load  # back to the class's method
+        self.system.synchronizer.sleep = self._original_sleep  # type: ignore
         self.system.synchronizer.on_wake = self._original_on_wake
-        self._originals.clear()
         self._attached = False
 
     def of_core(self, core: int) -> list[TraceEvent]:

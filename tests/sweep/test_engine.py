@@ -135,6 +135,18 @@ def test_fleet_and_platform_and_ablation_points(tmp_path):
     result = run_sweep(platform, use_cache=False)
     assert [p.metrics["cycles"] for p in result.results] == [2000, 2000]
 
+    adc = SweepSpec(
+        name="pa",
+        runner="platform-adc",
+        axes=(("period_cycles", (1000,)),),
+        base=(("duration_s", 0.1),),
+    )
+    (point,) = run_sweep(adc, use_cache=False).results
+    # 25 samples a lead, each its own 1,000-cycle gap; the cores are
+    # clocked for a small share of the run.
+    assert 25_000 < point.metrics["cycles"] < 26_000
+    assert point.metrics["active_cycles"] < 0.05 * 3 * 25_000
+
     ablation = SweepSpec(
         name="a",
         runner="ablation",
