@@ -20,7 +20,6 @@ from repro.kernels import (
 )
 from repro.dsp import MorphologicalFilter
 from repro.signals import cse_like_record
-from repro.sweep.runners import run_platform_adc_point
 
 _SPIN = """
 main:
@@ -59,13 +58,6 @@ def test_multicore_sim_throughput(benchmark):
 
     activity = benchmark(run)
     assert activity.im_broadcast_fraction > 0.8
-
-
-def test_adc_streaming_throughput(benchmark):
-    """1 s of 3-lead ECG at 4,000 cycles per sample: the cores sleep
-    between samples, so nearly every cycle is an all-gated gap."""
-    metrics = benchmark(run_platform_adc_point, {"period_cycles": 4000})
-    assert metrics["cycles"] == 1_000_014
 
 
 def test_assembler_throughput(benchmark):

@@ -188,6 +188,41 @@ class FireResult:
     word: int
 
 
+class SyncPoint:
+    """Mutable state of one synchronization point.
+
+    This is a convenience wrapper for protocol-level code and tests;
+    the cycle-level platform stores points directly in shared data
+    memory and uses :func:`apply_update` on raw words.
+    """
+
+    def __init__(self, layout: SyncPointLayout, strict: bool = True) -> None:
+        self.layout = layout
+        self.strict = strict
+        self.flags = 0
+        self.counter = 0
+
+    @property
+    def word(self) -> int:
+        """Current memory-word value of the point."""
+        return self.layout.encode(self.flags, self.counter)
+
+    def load(self, word: int) -> None:
+        """Overwrite the point from a raw memory word."""
+        self.flags, self.counter = self.layout.decode(word)
+
+    def apply(self, update: MergedUpdate) -> FireResult:
+        """Apply a merged update; fire and clear flags if satisfied."""
+        word, result = apply_update(self.layout, self.word, update,
+                                    strict=self.strict)
+        self.load(word)
+        return result
+
+    def registered_cores(self) -> tuple[int, ...]:
+        """Cores currently registered (flagged) at this point."""
+        return self.layout.cores_of(self.flags)
+
+
 def apply_update(layout: SyncPointLayout, word: int, update: MergedUpdate,
                  strict: bool = True) -> tuple[int, FireResult]:
     """Apply a merged update to a raw point word.

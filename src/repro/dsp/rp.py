@@ -157,3 +157,14 @@ class RandomProjectionClassifier:
         matrix = self.projection.size
         prototypes = self.prototype_count * self.params.projected_dims
         return matrix + prototypes
+
+
+def classification_accuracy(predicted: list[BeatLabel],
+                            truth: list[BeatLabel]) -> float:
+    """Fraction of beats with the correct label."""
+    if len(predicted) != len(truth):
+        raise ValueError("length mismatch")
+    if not truth:
+        return 1.0
+    correct = sum(1 for a, b in zip(predicted, truth) if a is b)
+    return correct / len(truth)

@@ -114,12 +114,10 @@ class Adc:
         return self._countdown
 
     def advance(self, cycles: int) -> None:
-        """The same as ``cycles`` calls of :meth:`tick`."""
-        if cycles < self._countdown:
-            self._countdown -= cycles
-            return
-        for _ in range(cycles):
-            self.tick()
+        """``cycles`` ticks that end before the next period boundary."""
+        if not 0 <= cycles < self._countdown:
+            raise ValueError("advance must stop before the next delivery")
+        self._countdown -= cycles
 
     def read_data(self, channel: int) -> int:
         """Memory-mapped data-register read."""

@@ -26,7 +26,7 @@ The same class models the paper's two configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..core.synchronizer import Synchronizer, SynchronizerStats
 from ..isa.encoding import Instruction, decode
@@ -125,23 +125,14 @@ class _SyncDmPort:
                  dm: BankedMemory) -> None:
         self._translation = translation
         self._dm = dm
-        self._cells: dict[int, tuple[MemoryBank, int]] = {}
-
-    def _cell(self, address: int) -> tuple[MemoryBank, int]:
-        cell = self._cells.get(address)
-        if cell is None:
-            location = self._translation.shared_location(address)
-            cell = self._cells[address] = (self._dm.banks[location.bank],
-                                           location.index)
-        return cell
 
     def read(self, address: int) -> int:
-        bank, index = self._cell(address)
-        return bank.read(index)
+        location = self._translation.shared_location(address)
+        return self._dm.read(location.bank, location.index)
 
     def write(self, address: int, value: int) -> None:
-        bank, index = self._cell(address)
-        bank.write(index, value)
+        location = self._translation.shared_location(address)
+        self._dm.write(location.bank, location.index, value)
 
 
 class System:
@@ -179,10 +170,9 @@ class System:
             strict=strict_sync)
         self.adc: Adc | None = None
         self._decoded: dict[int, Instruction] = {}
-        # Physical DM word of each (address, core) accessed so far.
-        self._dm_words: dict[int, int] = {}
-        # Per IM address: its bound instruction (``core.bind``) and bank.
-        self._program: dict[int, tuple] = {}
+        # Per IM address: its bound instruction (``core.bind``), bank
+        # and index in the bank.
+        self._program: dict[int, tuple[Callable, MemoryBank, int]] = {}
         self._pending: list[Effect | None] = [None] * num_cores
         self._halted_at_load: set[int] = set(range(num_cores))
         # The cores neither halted nor gated, in id order, and the cycle
@@ -247,7 +237,8 @@ class System:
             except EncodingError:
                 continue  # raw data words are not executable
             self._program[address] = (bind(instr, address),
-                                      self.im.banks[bank])
+                                      self.im.banks[bank],
+                                      address % geom.words_per_bank)
         self.im.power_off_unused(used_im_banks)
 
         for address, value in image.dm_init.items():
@@ -385,14 +376,13 @@ class System:
                         cores[port].stats.fetch_stalls += 1
                 for pc, ports in granted:
                     bound = program.get(pc)
-                    if bound is None or not bound[1].powered:
-                        bank, index = divmod(pc, xbar.words_per_bank)
-                        self.im.banks[bank].read(index)  # faults if off
+                    if bound is None:
+                        self.im.read(*divmod(pc, xbar.words_per_bank))
                         raise SimulationError(
                             f"core {ports[0]}: fetch from uninitialised "
                             f"IM address {pc:#06x}")
-                    op, bank = bound
-                    bank.reads += 1
+                    op, bank, index = bound
+                    bank.read(index)
                     for port in ports:
                         core = cores[port]
                         effect = op(core)
@@ -436,25 +426,21 @@ class System:
         Reads of one word merge while broadcasting is on; each write,
         and each read without broadcasting, is its own transaction.
         """
-        xbar, banks, words = self.dm_xbar, self.dm.banks, self._dm_words
+        xbar, banks = self.dm_xbar, self.dm.banks
         effects: dict[int, Effect] = {}
         reads: dict[int, list[int]] = {}
         transactions: list[Transaction] = []
         for core, effect in mem_queue:
-            port = core.core_id
-            effects[port] = effect
-            key = effect.address * self.num_cores + port
-            word = words.get(key)
-            if word is None:
-                location = self.translation.translate(port, effect.address)
-                word = words[key] = (location.bank * xbar.words_per_bank
-                                     + location.index)
+            effects[core.core_id] = effect
+            location = self.translation.translate(core.core_id,
+                                                  effect.address)
+            word = location.bank * xbar.words_per_bank + location.index
             if effect.kind is _STORE or not xbar.broadcast:
-                transactions.append((word, [port]))
+                transactions.append((word, [core.core_id]))
             elif word in reads:
-                reads[word].append(port)
+                reads[word].append(core.core_id)
             else:
-                reads[word] = [port]
+                reads[word] = [core.core_id]
                 transactions.append((word, reads[word]))
         if len(mem_queue) == 1:  # one access: granted without arbitration
             granted, stalled = transactions, []
@@ -473,8 +459,7 @@ class System:
             else:
                 value = banks[bank].read(index)
                 for port in ports:
-                    if effects[port].rd:
-                        self.cores[port].regs[effects[port].rd] = value
+                    self.cores[port].complete_load(effects[port], value)
             for port in ports:
                 self._pending[port] = None
 

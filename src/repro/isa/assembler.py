@@ -73,6 +73,29 @@ _TOKEN_RE = re.compile(
 
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:")
 
+#: The pseudo-instructions that stand for one real instruction: name ->
+#: (operand count, real mnemonic, its operands, where an int ``i`` is
+#: the pseudo's operand ``i``).  ``li`` is two words, built apart.
+_PSEUDO: dict[str, tuple[int, str, tuple[int | str, ...]]] = {
+    "mv": (2, "addi", (0, 1, "0")),
+    "j": (1, "jal", ("zero", 0)),
+    "jr": (1, "jalr", ("zero", 0, "0")),
+    "call": (1, "jal", ("ra", 0)),
+    "ret": (0, "jalr", ("zero", "ra", "0")),
+    "beqz": (2, "beq", (0, "zero", 1)),
+    "bnez": (2, "bne", (0, "zero", 1)),
+    "bltz": (2, "blt", (0, "zero", 1)),
+    "bgez": (2, "bge", (0, "zero", 1)),
+    "bgt": (3, "blt", (1, 0, 2)),
+    "ble": (3, "bge", (1, 0, 2)),
+    "bgtu": (3, "bltu", (1, 0, 2)),
+    "bleu": (3, "bgeu", (1, 0, 2)),
+    "inc": (1, "addi", (0, 0, "1")),
+    "dec": (1, "addi", (0, 0, "-1")),
+    "not": (2, "xori", (0, 1, "-1")),
+    "neg": (2, "sub", (0, "zero", 1)),
+}
+
 
 @dataclass
 class _Section:
@@ -485,16 +508,20 @@ class Assembler:
 
     def _expand(self, mnemonic: str, ops: list[str]) -> list[object]:
         """Expand one statement into encoded or pending words."""
-        pseudo = getattr(self, f"_pseudo_{mnemonic}", None)
-        if pseudo is not None:
-            return pseudo(ops)
+        if mnemonic == "li":
+            return self._pseudo_li(ops)
+        if mnemonic in _PSEUDO:
+            count, real, operands = _PSEUDO[mnemonic]
+            self._expect_pseudo(ops, count, mnemonic)
+            return self._expand(real, [ops[o] if isinstance(o, int) else o
+                                       for o in operands])
         info = MNEMONIC_TABLE.get(mnemonic)
         if info is None:
             raise AssemblerError(f"unknown mnemonic {mnemonic!r}",
                                  self._line, self._source_name)
         handler = {
             "R": self._emit_r, "I": self._emit_i, "S": self._emit_s,
-            "B": self._emit_b, "J": self._emit_j, "U": self._emit_u,
+            "B": self._emit_b, "J": self._emit_ju, "U": self._emit_ju,
             "Y": self._emit_y, "N": self._emit_n,
         }[info.fmt.value]
         return handler(info.op, ops)
@@ -514,14 +541,8 @@ class Assembler:
             return [self._pending_instr(
                 lambda r, o=offset: Instruction(op, rd=rd, ra=base,
                                                 imm=self._to_int(o, r)))]
-        if op is Op.JALR:
-            if len(ops) == 2:
-                ops = [*ops, "0"]
-            self._expect(ops, 3, op)
-            rd, ra = self._reg(ops[0]), self._reg(ops[1])
-            return [self._pending_instr(
-                lambda r, o=ops[2]: Instruction(op, rd=rd, ra=ra,
-                                                imm=self._to_int(o, r)))]
+        if op is Op.JALR and len(ops) == 2:
+            ops = [*ops, "0"]
         self._expect(ops, 3, op)
         rd, ra = self._reg(ops[0]), self._reg(ops[1])
         return [self._pending_instr(
@@ -550,14 +571,7 @@ class Assembler:
 
         return [self._pending_instr(build)]
 
-    def _emit_j(self, op: Op, ops: list[str]) -> list[object]:
-        self._expect(ops, 2, op)
-        rd = self._reg(ops[0])
-        return [self._pending_instr(
-            lambda r, t=ops[1]: Instruction(op, rd=rd,
-                                            imm=self._to_int(t, r)))]
-
-    def _emit_u(self, op: Op, ops: list[str]) -> list[object]:
+    def _emit_ju(self, op: Op, ops: list[str]) -> list[object]:
         self._expect(ops, 2, op)
         rd = self._reg(ops[0])
         return [self._pending_instr(
@@ -586,74 +600,6 @@ class Assembler:
             lambda r: Instruction(Op.ORI, rd=rd, ra=rd,
                                   imm=self._to_int(expr, r) & 0xFF))
         return [hi, lo]
-
-    def _pseudo_mv(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "mv")
-        return self._expand("addi", [ops[0], ops[1], "0"])
-
-    def _pseudo_j(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 1, "j")
-        return self._expand("jal", ["zero", ops[0]])
-
-    def _pseudo_jr(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 1, "jr")
-        return self._expand("jalr", ["zero", ops[0], "0"])
-
-    def _pseudo_call(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 1, "call")
-        return self._expand("jal", ["ra", ops[0]])
-
-    def _pseudo_ret(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 0, "ret")
-        return self._expand("jalr", ["zero", "ra", "0"])
-
-    def _pseudo_beqz(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "beqz")
-        return self._expand("beq", [ops[0], "zero", ops[1]])
-
-    def _pseudo_bnez(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "bnez")
-        return self._expand("bne", [ops[0], "zero", ops[1]])
-
-    def _pseudo_bltz(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "bltz")
-        return self._expand("blt", [ops[0], "zero", ops[1]])
-
-    def _pseudo_bgez(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "bgez")
-        return self._expand("bge", [ops[0], "zero", ops[1]])
-
-    def _pseudo_bgt(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 3, "bgt")
-        return self._expand("blt", [ops[1], ops[0], ops[2]])
-
-    def _pseudo_ble(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 3, "ble")
-        return self._expand("bge", [ops[1], ops[0], ops[2]])
-
-    def _pseudo_bgtu(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 3, "bgtu")
-        return self._expand("bltu", [ops[1], ops[0], ops[2]])
-
-    def _pseudo_bleu(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 3, "bleu")
-        return self._expand("bgeu", [ops[1], ops[0], ops[2]])
-
-    def _pseudo_inc(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 1, "inc")
-        return self._expand("addi", [ops[0], ops[0], "1"])
-
-    def _pseudo_dec(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 1, "dec")
-        return self._expand("addi", [ops[0], ops[0], "-1"])
-
-    def _pseudo_not(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "not")
-        return self._expand("xori", [ops[0], ops[1], "-1"])
-
-    def _pseudo_neg(self, ops: list[str]) -> list[object]:
-        self._expect_pseudo(ops, 2, "neg")
-        return self._expand("sub", [ops[0], "zero", ops[1]])
 
     # ------------------------------------------------------------------
     # Helpers

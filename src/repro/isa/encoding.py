@@ -29,13 +29,26 @@ _OPCODE_SHIFT = 18
 _RD_SHIFT = 15
 _RA_SHIFT = 12
 _RB_SHIFT = 9
-_FIELD3_MASK = 0x7
-_IMM12_MASK = (1 << IMM_BITS) - 1
-_ADDR15_MASK = (1 << JUMP_ADDR_BITS) - 1
-_LIT16_SHIFT = 2
-_LIT16_MASK = (1 << SYNC_LIT_BITS) - 1
-_IMM8_SHIFT = 7
-_IMM8_MASK = 0xFF
+
+#: Per format: the register fields as ``(name, shift)``, in the order
+#: they are checked, and the immediate as ``(shift, bits, signed,
+#: what)`` (``what`` names it in errors), or None.
+_LAYOUT: dict[Format, tuple[tuple[tuple[str, int], ...],
+                            tuple[int, int, bool, str] | None]] = {
+    Format.R: ((("rd", _RD_SHIFT), ("ra", _RA_SHIFT), ("rb", _RB_SHIFT)),
+               None),
+    Format.I: ((("rd", _RD_SHIFT), ("ra", _RA_SHIFT)),
+               (0, IMM_BITS, True, "immediate {}")),
+    Format.S: ((("rb", _RD_SHIFT), ("ra", _RA_SHIFT)),
+               (0, IMM_BITS, True, "immediate {}")),
+    Format.B: ((("ra", _RD_SHIFT), ("rb", _RA_SHIFT)),
+               (0, IMM_BITS, True, "branch offset {}")),
+    Format.J: ((("rd", _RD_SHIFT),),
+               (0, JUMP_ADDR_BITS, False, "target address {:#x}")),
+    Format.U: ((("rd", _RD_SHIFT),), (7, 8, False, "immediate {}")),
+    Format.Y: ((), (2, SYNC_LIT_BITS, False, "sync point literal {}")),
+    Format.N: ((), None),
+}
 
 
 @dataclass(frozen=True)
@@ -76,83 +89,25 @@ class Instruction:
         return format_instruction(self)
 
 
-def _check_reg(name: str, value: int) -> None:
-    if not 0 <= value < NUM_REGS:
-        raise EncodingError(f"register field {name}={value} out of range")
-
-
 def encode(instr: Instruction) -> int:
     """Encode an :class:`Instruction` into a 24-bit word."""
     info = OP_TABLE.get(instr.op)
     if info is None:
         raise EncodingError(f"unknown opcode {instr.op!r}")
     word = int(instr.op) << _OPCODE_SHIFT
-    fmt = info.fmt
-
-    if fmt is Format.R:
-        _check_reg("rd", instr.rd)
-        _check_reg("ra", instr.ra)
-        _check_reg("rb", instr.rb)
-        word |= instr.rd << _RD_SHIFT
-        word |= instr.ra << _RA_SHIFT
-        word |= instr.rb << _RB_SHIFT
-    elif fmt is Format.I:
-        _check_reg("rd", instr.rd)
-        _check_reg("ra", instr.ra)
-        if not fits_signed(instr.imm, IMM_BITS):
+    registers, immediate = _LAYOUT[info.fmt]
+    for name, shift in registers:
+        value = getattr(instr, name)
+        if not 0 <= value < NUM_REGS:
+            raise EncodingError(f"register field {name}={value} out of range")
+        word |= value << shift
+    if immediate is not None:
+        shift, bits, is_signed, what = immediate
+        if not (fits_signed if is_signed else fits_unsigned)(instr.imm, bits):
             raise EncodingError(
-                f"{info.mnemonic}: immediate {instr.imm} does not fit "
-                f"signed {IMM_BITS}-bit field")
-        word |= instr.rd << _RD_SHIFT
-        word |= instr.ra << _RA_SHIFT
-        word |= instr.imm & _IMM12_MASK
-    elif fmt is Format.S:
-        _check_reg("rb", instr.rb)
-        _check_reg("ra", instr.ra)
-        if not fits_signed(instr.imm, IMM_BITS):
-            raise EncodingError(
-                f"{info.mnemonic}: immediate {instr.imm} does not fit "
-                f"signed {IMM_BITS}-bit field")
-        word |= instr.rb << _RD_SHIFT
-        word |= instr.ra << _RA_SHIFT
-        word |= instr.imm & _IMM12_MASK
-    elif fmt is Format.B:
-        _check_reg("ra", instr.ra)
-        _check_reg("rb", instr.rb)
-        if not fits_signed(instr.imm, IMM_BITS):
-            raise EncodingError(
-                f"{info.mnemonic}: branch offset {instr.imm} does not fit "
-                f"signed {IMM_BITS}-bit field")
-        word |= instr.ra << _RD_SHIFT
-        word |= instr.rb << _RA_SHIFT
-        word |= instr.imm & _IMM12_MASK
-    elif fmt is Format.J:
-        _check_reg("rd", instr.rd)
-        if not fits_unsigned(instr.imm, JUMP_ADDR_BITS):
-            raise EncodingError(
-                f"{info.mnemonic}: target address {instr.imm:#x} does not "
-                f"fit unsigned {JUMP_ADDR_BITS}-bit field")
-        word |= instr.rd << _RD_SHIFT
-        word |= instr.imm & _ADDR15_MASK
-    elif fmt is Format.U:
-        _check_reg("rd", instr.rd)
-        if not fits_unsigned(instr.imm, 8):
-            raise EncodingError(
-                f"{info.mnemonic}: immediate {instr.imm} does not fit "
-                f"unsigned 8-bit field")
-        word |= instr.rd << _RD_SHIFT
-        word |= (instr.imm & _IMM8_MASK) << _IMM8_SHIFT
-    elif fmt is Format.Y:
-        if not fits_unsigned(instr.imm, SYNC_LIT_BITS):
-            raise EncodingError(
-                f"{info.mnemonic}: sync point literal {instr.imm} does not "
-                f"fit unsigned {SYNC_LIT_BITS}-bit field")
-        word |= (instr.imm & _LIT16_MASK) << _LIT16_SHIFT
-    elif fmt is Format.N:
-        pass
-    else:  # pragma: no cover - enum is exhaustive
-        raise EncodingError(f"unhandled format {fmt!r}")
-
+                f"{info.mnemonic}: {what.format(instr.imm)} does not fit "
+                f"{'signed' if is_signed else 'unsigned'} {bits}-bit field")
+        word |= (instr.imm & ((1 << bits) - 1)) << shift
     return word & INSTR_MASK
 
 
@@ -165,48 +120,10 @@ def decode(word: int) -> Instruction:
         op = Op(opcode)
     except ValueError as exc:
         raise EncodingError(f"illegal opcode {opcode:#04x}") from exc
-    fmt = OP_TABLE[op].fmt
-
-    if fmt is Format.R:
-        return Instruction(
-            op,
-            rd=(word >> _RD_SHIFT) & _FIELD3_MASK,
-            ra=(word >> _RA_SHIFT) & _FIELD3_MASK,
-            rb=(word >> _RB_SHIFT) & _FIELD3_MASK,
-        )
-    if fmt is Format.I:
-        return Instruction(
-            op,
-            rd=(word >> _RD_SHIFT) & _FIELD3_MASK,
-            ra=(word >> _RA_SHIFT) & _FIELD3_MASK,
-            imm=signed(word & _IMM12_MASK, IMM_BITS),
-        )
-    if fmt is Format.S:
-        return Instruction(
-            op,
-            rb=(word >> _RD_SHIFT) & _FIELD3_MASK,
-            ra=(word >> _RA_SHIFT) & _FIELD3_MASK,
-            imm=signed(word & _IMM12_MASK, IMM_BITS),
-        )
-    if fmt is Format.B:
-        return Instruction(
-            op,
-            ra=(word >> _RD_SHIFT) & _FIELD3_MASK,
-            rb=(word >> _RA_SHIFT) & _FIELD3_MASK,
-            imm=signed(word & _IMM12_MASK, IMM_BITS),
-        )
-    if fmt is Format.J:
-        return Instruction(
-            op,
-            rd=(word >> _RD_SHIFT) & _FIELD3_MASK,
-            imm=word & _ADDR15_MASK,
-        )
-    if fmt is Format.U:
-        return Instruction(
-            op,
-            rd=(word >> _RD_SHIFT) & _FIELD3_MASK,
-            imm=(word >> _IMM8_SHIFT) & _IMM8_MASK,
-        )
-    if fmt is Format.Y:
-        return Instruction(op, imm=(word >> _LIT16_SHIFT) & _LIT16_MASK)
-    return Instruction(op)
+    registers, immediate = _LAYOUT[OP_TABLE[op].fmt]
+    fields = {name: (word >> shift) & 0x7 for name, shift in registers}
+    if immediate is not None:
+        shift, bits, is_signed, _ = immediate
+        value = (word >> shift) & ((1 << bits) - 1)
+        fields["imm"] = signed(value, bits) if is_signed else value
+    return Instruction(op, **fields)

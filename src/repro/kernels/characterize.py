@@ -7,6 +7,7 @@ with.  The headline outputs are:
 
 * cycles per window element of the morphological inner loop (used to
   sanity-check the calibrated ``MF_CYCLES`` budget);
+* cycles per multiply-accumulate (the RP projection cost);
 * the **measured instruction-broadcast fraction** of replicated cores
   with and without the SINC/SDEC lock-step recovery — the empirical
   basis of the ``lockstep_alignment`` constants.
@@ -18,7 +19,12 @@ from dataclasses import dataclass
 
 from ..hw.system import System
 from ..isa.assembler import assemble
-from .sources import RESULT_BASE, barrier_pipeline_kernel, window_min_kernel
+from .sources import (
+    RESULT_BASE,
+    barrier_pipeline_kernel,
+    mac_kernel,
+    window_min_kernel,
+)
 
 #: Safety bound for kernel runs (they halt long before this).
 _MAX_CYCLES = 2_000_000
@@ -80,6 +86,43 @@ def characterize_window_min(cores: int = 3, window: int = 8,
         / activity.instructions,
         results=tuple(system.dm_peek(RESULT_BASE + core)
                       for core in range(cores)),
+    )
+
+
+@dataclass(frozen=True)
+class MacReport:
+    """Characterisation of the MAC kernel.
+
+    Attributes:
+        taps: dot-product length.
+        cycles_per_mac: core cycles per multiply-accumulate.
+        result: functional dot-product output (low 16 bits).
+        expected: reference value computed in Python.
+    """
+
+    taps: int
+    cycles_per_mac: float
+    result: int
+    expected: int
+
+
+def characterize_mac(taps: int = 64) -> MacReport:
+    """Run the MAC kernel and extract cycles-per-MAC."""
+    system = System.singlecore()
+    system.load(assemble(mac_kernel(taps=taps)))
+    system.run(_MAX_CYCLES)
+    if not system.all_halted:
+        raise RuntimeError("MAC kernel did not halt")
+    expected = sum((i + 1) * (2 * i + 1) for i in range(taps)) & 0xFFFF
+    # Subtract the init loop (~9 instructions per tap) from the core's
+    # active cycles to isolate the MAC loop cost.
+    active = system.cores[0].stats.active_cycles
+    init_cost = 11 * taps
+    return MacReport(
+        taps=taps,
+        cycles_per_mac=max(0.0, active - init_cost) / taps,
+        result=system.dm_peek(RESULT_BASE),
+        expected=expected,
     )
 
 

@@ -257,20 +257,19 @@ odd_epoch:
 """
 
 
-def running_max_kernel(leads: int = 3, samples: int = 250) -> str:
-    """ADC-driven running maximum, one core per lead.
+def running_max_kernel(samples: int) -> str:
+    """ADC-driven running maximum, one core per lead of 3-lead ECG.
 
     Core ``c`` subscribes to ADC channel ``c``'s data-ready line and is
     clock-gated between samples; it keeps the unsigned maximum of
     ``samples`` samples and stores it to ``RESULT_BASE + c``.
     """
-    if not 1 <= leads <= 3:
-        raise ValueError("leads must be in [1, 3]")
-    entries = "\n".join(f".entry {core}, main" for core in range(leads))
     return f"""
-; ADC-driven running maximum ({leads} leads, {samples} samples each)
+; ADC-driven running maximum (3 leads, {samples} samples each)
 .equ RESULT, {RESULT_BASE:#x}
-{entries}
+.entry 0, main
+.entry 1, main
+.entry 2, main
 
 main:
     li   r5, {REG_CORE_ID:#x}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .. import obs
 from ..apps.mapping import MappingError, MappingPlan
@@ -131,31 +131,11 @@ class SearchOutcome:
 
 def outcome_to_mapping(outcome: SearchOutcome) -> dict:
     """JSON-ready form of an outcome (``best_plan`` excluded)."""
-    return {
-        "app": outcome.app,
-        "token": outcome.token,
-        "family": outcome.family,
-        "algorithm": outcome.algorithm,
-        "cost_kind": outcome.cost_kind,
-        "seed": outcome.seed,
-        "iterations": outcome.iterations,
-        "num_cores": outcome.num_cores,
-        "duration_s": outcome.duration_s,
-        "status": outcome.status,
-        "repairs": outcome.repairs,
-        "error": outcome.error,
-        "start_policy": outcome.start_policy,
-        "paper_feasible": outcome.paper_feasible,
-        "paper_cost": outcome.paper_cost,
-        "start_cost": outcome.start_cost,
-        "best_cost": outcome.best_cost,
-        "gap": outcome.gap,
-        "evaluations": outcome.evaluations,
-        "accepted": outcome.accepted,
-        "infeasible": outcome.infeasible,
-        "best_metrics": dict(outcome.best_metrics),
-        "best_candidate": dict(outcome.best_candidate),
-    }
+    mapping = {item.name: getattr(outcome, item.name)
+               for item in fields(outcome) if item.name != "best_plan"}
+    mapping["best_metrics"] = dict(outcome.best_metrics)
+    mapping["best_candidate"] = dict(outcome.best_candidate)
+    return mapping
 
 
 def search_mapping(app: AppSpec, num_cores: int = 8,

@@ -34,9 +34,9 @@ Families:
   ``fleet`` metrics.
 * ``platform`` — the cycle-accurate :class:`repro.hw.system.System`
   running a spin kernel; axes reach core count and cycle budget.
-* ``platform-adc`` — ECG leads streamed through the ADC into a kernel
-  whose cores sleep between samples; axes reach leads, ADC period and
-  duration.
+* ``platform-adc`` — 1 s of 3-lead ECG streamed through the ADC into
+  a kernel whose cores sleep between samples; axes reach the ADC
+  period.
 * ``ablation`` — one mechanism ablation from
   :mod:`repro.eval.ablations`.
 * ``gen`` — one generated application under one mapping policy
@@ -367,14 +367,15 @@ def run_platform_point(point: dict[str, Value]) -> dict[str, Value]:
 
 
 def run_platform_adc_point(point: dict[str, Value]) -> dict[str, Value]:
-    """Stream ECG leads through the ADC into the running-max kernel."""
-    leads = int(_param(point, "leads", 3))
+    """Stream 1 s of 3-lead ECG through the ADC into the running-max
+    kernel."""
     period = int(_param(point, "period_cycles", 4000))
-    duration_s = float(_param(point, "duration_s", 1.0))
-    record = cse_like_record(duration_s=duration_s, num_leads=leads)
+    if period < 1:
+        raise RunnerError("the ADC period must be at least one cycle")
+    record = cse_like_record(duration_s=1.0, num_leads=3)
     streams = [[abs(int(value)) for value in lead] for lead in record.leads]
     system = System.multicore(num_cores=8)
-    system.load(assemble(running_max_kernel(leads, record.num_samples)))
+    system.load(assemble(running_max_kernel(record.num_samples)))
     system.attach_adc(streams, period)
     system.run(period * (record.num_samples + 4))
     if not system.all_halted:

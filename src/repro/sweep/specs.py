@@ -161,7 +161,6 @@ PLATFORM_ADC = SweepSpec(
     runner="platform-adc",
     description="ADC-driven running maximum over 1 s of 3-lead ECG",
     axes=(("period_cycles", (1000, 4000)),),
-    base=(("leads", 3), ("duration_s", 1.0)),
 )
 
 

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.syncpoint import (
-    FireResult,
-    MergedUpdate,
     SyncOp,
+    SyncPoint,
     SyncPointLayout,
     SyncProtocolError,
     SyncRequest,
@@ -15,41 +14,6 @@ from repro.core.syncpoint import (
 )
 
 LAYOUT = SyncPointLayout(num_cores=8, word_bits=16)
-
-
-class SyncPoint:
-    """Mutable state of one synchronization point.
-
-    The platform keeps points as raw words in shared data memory and
-    applies :func:`apply_update` to them; this wrapper holds one point
-    as (flags, counter) for the protocol-level tests below.
-    """
-
-    def __init__(self, layout: SyncPointLayout, strict: bool = True) -> None:
-        self.layout = layout
-        self.strict = strict
-        self.flags = 0
-        self.counter = 0
-
-    @property
-    def word(self) -> int:
-        """Current memory-word value of the point."""
-        return self.layout.encode(self.flags, self.counter)
-
-    def load(self, word: int) -> None:
-        """Overwrite the point from a raw memory word."""
-        self.flags, self.counter = self.layout.decode(word)
-
-    def apply(self, update: MergedUpdate) -> FireResult:
-        """Apply a merged update; fire and clear flags if satisfied."""
-        word, result = apply_update(self.layout, self.word, update,
-                                    strict=self.strict)
-        self.load(word)
-        return result
-
-    def registered_cores(self) -> tuple[int, ...]:
-        """Cores currently registered (flagged) at this point."""
-        return self.layout.cores_of(self.flags)
 
 
 def _requests(ops):

@@ -5,10 +5,12 @@ import pytest
 
 from repro.dsp.beatdet import detect_r_peaks
 from repro.dsp.morphology import MorphologicalFilter
-from repro.dsp.rp import RandomProjectionClassifier, RpParams
+from repro.dsp.rp import (
+    RandomProjectionClassifier,
+    RpParams,
+    classification_accuracy,
+)
 from repro.signals import BeatLabel, EcgConfig, synthesize_ecg
-
-from .scores import classification_accuracy
 
 FS = 250.0
 

@@ -20,7 +20,7 @@ SAMPLES = 40
 
 
 def _streaming_source() -> str:
-    return running_max_kernel(leads=3, samples=SAMPLES)
+    return running_max_kernel(samples=SAMPLES)
 
 
 def test_three_leads_streamed_through_adc():

@@ -38,7 +38,7 @@ def _streams(samples: int) -> list[list[int]]:
 
 def _loaded(period: int, samples: int = _SAMPLES) -> System:
     system = System.multicore(num_cores=8)
-    system.load(assemble(running_max_kernel(3, samples)))
+    system.load(assemble(running_max_kernel(samples)))
     system.attach_adc(_streams(samples), period)
     return system
 
@@ -56,7 +56,7 @@ def test_run_spends_exactly_its_budget(budget):
 def test_running_max_runs_to_halt(period):
     """Every sample consumed, then the cores halt while the ADC idles."""
     error, state = run_both(
-        _multicore(), running_max_kernel(3, _SAMPLES),
+        _multicore(), running_max_kernel(_SAMPLES),
         max_cycles=period * (_SAMPLES + 4),
         adc=(_streams(_SAMPLES), period), chunks=_CHUNKS)
     assert error is None
@@ -68,7 +68,7 @@ def test_running_max_outlives_its_input():
     """The cores wait for samples that never come: the same deadlock at
     the same cycle, after skipping the last gaps."""
     error, _ = run_both(
-        _multicore(), running_max_kernel(3, _SAMPLES + 2),
+        _multicore(), running_max_kernel(_SAMPLES + 2),
         max_cycles=1_000 * (_SAMPLES + 8),
         adc=(_streams(_SAMPLES), 1_000), chunks=_CHUNKS)
     assert error is not None and "deadlock" in error[1]
@@ -77,7 +77,7 @@ def test_running_max_outlives_its_input():
 def test_running_max_stops_at_the_budget_mid_gap():
     """A budget that ends inside a gap stops there, not at the delivery."""
     error, state = run_both(
-        _multicore(), running_max_kernel(3, _SAMPLES),
+        _multicore(), running_max_kernel(_SAMPLES),
         max_cycles=2_500 * 3 + 1_234,
         adc=(_streams(_SAMPLES), 2_500), chunks=_CHUNKS)
     assert error is None

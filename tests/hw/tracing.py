@@ -120,7 +120,7 @@ class Tracer:
         system = self.system
         program = system._program
         self._untraced = dict(program)
-        for pc, (op, bank) in self._untraced.items():
+        for pc, (op, bank, index) in self._untraced.items():
             def traced(core, _op=op, _pc=pc,
                        _text=format_instruction(system._decoded[pc])):
                 effect = _op(core)
@@ -130,7 +130,7 @@ class Tracer:
                         pc=_pc, text=_text))
                 return effect
 
-            program[pc] = (traced, bank)
+            program[pc] = (traced, bank, index)
 
     def detach(self) -> None:
         """Restore the un-traced execution paths."""

@@ -4,12 +4,11 @@ import pytest
 
 from repro.kernels import (
     characterize_barrier_pipeline,
+    characterize_mac,
     characterize_window_min,
     mac_kernel,
     window_min_kernel,
 )
-
-from .mac import characterize_mac
 
 
 def test_window_min_functional_output_matches_python():

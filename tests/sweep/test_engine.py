@@ -139,13 +139,15 @@ def test_fleet_and_platform_and_ablation_points(tmp_path):
         name="pa",
         runner="platform-adc",
         axes=(("period_cycles", (1000,)),),
-        base=(("duration_s", 0.1),),
     )
     (point,) = run_sweep(adc, use_cache=False).results
-    # 25 samples a lead, each its own 1,000-cycle gap; the cores are
-    # clocked for a small share of the run.
-    assert 25_000 < point.metrics["cycles"] < 26_000
-    assert point.metrics["active_cycles"] < 0.05 * 3 * 25_000
+    # 1 s of ECG: 250 samples a lead, each its own 1,000-cycle gap; the
+    # cores are clocked for a small share of the run.
+    assert 250_000 < point.metrics["cycles"] < 251_000
+    assert point.metrics["active_cycles"] < 0.05 * 3 * 250_000
+    with pytest.raises(RunnerError):
+        run_sweep(SweepSpec(name="pa0", runner="platform-adc",
+                            base=(("period_cycles", 0),)), use_cache=False)
 
     ablation = SweepSpec(
         name="a",
