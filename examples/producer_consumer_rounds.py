@@ -8,8 +8,9 @@ epoch before waiting on the current one (a sense-reversing barrier).
 
 Both levels of the reproduction run the same protocol:
 
-1. behavioural level — :class:`repro.core.SenseBarrier` over the
-   synchronizer model;
+1. behavioural level — the synchronizer model
+   (:class:`repro.core.synchronizer.Synchronizer`), fed the
+   instructions directly, one per cycle;
 2. machine level — the ``barrier_pipeline_kernel`` assembly program on
    the cycle-accurate platform, with three producers feeding a
    consumer for several rounds.
@@ -19,23 +20,44 @@ Run with::
     python examples/producer_consumer_rounds.py
 """
 
-from repro.core.primitives import SenseBarrier, SyncDomain
+from repro.core.synchronizer import SyncOp, Synchronizer
 from repro.kernels import characterize_barrier_pipeline
+
+POINTS = (0, 1)  # the barrier's two sync points, used in alternation
+
+
+def issue(sync: Synchronizer, core: int, op: SyncOp, point: int) -> None:
+    """One cycle in which ``core`` issues ``op`` on ``point``."""
+    sync.submit(core, op, point)
+    sync.end_cycle()
+
+
+def arrive(sync: Synchronizer, core: int, epoch: int) -> bool:
+    """One barrier arrival; returns True if the core had to sleep.
+
+    The core pre-registers on the next epoch's point (``SINC``), then
+    waits on the current one (``SDEC`` + ``SLEEP``).  The last arrival
+    zeroes the counter and wakes everyone.
+    """
+    issue(sync, core, SyncOp.SINC, POINTS[(epoch + 1) % 2])
+    issue(sync, core, SyncOp.SDEC, POINTS[epoch % 2])
+    return sync.sleep(core)
 
 
 def behavioural_demo() -> None:
     """Drive the synchronizer model through three barrier epochs."""
-    domain = SyncDomain(num_cores=4)
-    barrier = SenseBarrier(domain, point_even=0, point_odd=1,
-                           parties=[0, 1, 2, 3])
-    barrier.prime()
+    parties = [0, 1, 2, 3]
+    sync = Synchronizer(num_cores=4)
+    for core in parties:  # every party registers on the first point
+        sync.submit(core, SyncOp.SINC, POINTS[0])
+    sync.end_cycle()
     print("behavioural sense barrier, 4 cores, 3 epochs:")
     for epoch in range(3):
-        slept = [barrier.arrive(core) for core in (0, 1, 2)]
-        last = barrier.arrive(3)
+        slept = [arrive(sync, core, epoch) for core in (0, 1, 2)]
+        last = arrive(sync, 3, epoch)
         print(f"  epoch {epoch}: cores 0-2 gated={slept}, "
               f"last arrival gated={last} (latch fall-through)")
-        assert barrier.everyone_released()
+        assert not any(sync.is_gated(core) for core in parties)
 
 
 def machine_demo() -> None:

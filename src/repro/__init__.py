@@ -9,8 +9,8 @@ ECG applications.
 Package map (``docs/architecture.md`` has the layer diagram and the
 import layering):
 
-* :mod:`repro.core` — synchronization points, synchronizer unit,
-  protocol primitives (the paper's contribution).
+* :mod:`repro.core` — the synchronizer unit and its sync-point words
+  (the paper's contribution).
 * :mod:`repro.isa` — 16-bit RISC ISA with the sync ISE; assembler,
   disassembler, builder/linker.
 * :mod:`repro.hw` — cycle-level platform: cores, banked memories,

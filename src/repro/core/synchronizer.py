@@ -1,55 +1,115 @@
 """The synchronizer unit — the paper's central hardware contribution.
 
+A synchronization point is one 16-bit word of shared data memory (Sec.
+III-B, Fig. 3): the most significant bits hold 1-bit *identification
+flags*, one per core, and the least significant bits form an *up/down
+counter*.  The three synchronization instructions modify a point:
+
+* ``SNOP(#lit)`` sets the issuing core's flag and leaves the counter;
+* ``SINC(#lit)`` sets the issuing core's flag and increments the counter;
+* ``SDEC(#lit)`` decrements the counter and leaves the flags.
+
 The synchronizer (Sec. III-A) is a lightweight block that:
 
 * collects the synchronization instructions issued by all cores in a
-  cycle, **merges** same-point requests into "a single and consistent
-  memory modification", and applies them to the synchronization points
-  stored in shared data memory;
-* watches for points whose counter reaches zero and generates
-  *synchronization events* toward every core registered in the flags;
+  cycle and **merges** same-point requests into "a single and
+  consistent memory modification": flags are OR-ed, counter deltas
+  summed, and each touched point is read and written once;
+* **fires** a point whose counter is zero after the update while at
+  least one flag is set, generating a *synchronization event* toward
+  every flagged core and clearing the flags;
 * **clock-gates** cores that execute ``SLEEP`` and resumes them on the
-  next synchronization event (point firing or subscribed interrupt);
-* forwards peripheral interrupts (e.g. ADC data-ready) to cores that
-  subscribed through a memory-mapped register.
+  next synchronization event;
+* forwards peripheral interrupts (e.g. ADC data-ready) to the cores
+  that subscribed through a memory-mapped register.
 
-The class is deliberately independent of the cycle-level platform: it
-only needs a word-storage object for the shared-memory-resident points,
-so the same unit drives both the cycle-accurate simulator
-(:mod:`repro.hw.system`) and the system-level behavioral simulator
-(:mod:`repro.sysc.engine`).
+The fire rule covers both protocols of the paper.  In a
+producer-consumer exchange (Fig. 3-a) producers ``SINC`` when they
+begin and ``SDEC`` when their data is ready, and consumers ``SNOP`` +
+``SLEEP``: the last ``SDEC`` wakes everybody registered.  In lock-step
+recovery (Fig. 3-b) cores entering a data-dependent branch ``SINC`` and
+at the join ``SDEC`` + ``SLEEP``: the last to leave resumes them all
+together.  A registration that leaves the counter at zero (a consumer
+that ``SNOP``-s after the data is ready) fires at once.
+
+Each core owns a one-slot event latch.  An event toward a running core
+sets its latch, and that core's next ``SLEEP`` consumes the latch
+instead of gating.  This closes the race in which the last core of a
+lock-step region fires the event toward itself with ``SDEC`` and only
+then executes ``SLEEP``.
+
+The unit needs only a word storage (``read(address)`` and
+``write(address, value)``) for the points, so it runs on its own over
+a :class:`DictStorage` or inside the cycle-level platform
+(:mod:`repro.hw.system`), which stores the points in shared DM.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
-
-from .events import EventLatch, InterruptController
-from .syncpoint import (
-    MergedUpdate,
-    SyncOp,
-    SyncPointLayout,
-    SyncRequest,
-    apply_update,
-    merge_requests,
-)
+from typing import Callable
 
 
-class WordStorage(Protocol):
-    """Minimal word-addressed storage interface for sync points."""
+class SyncProtocolError(Exception):
+    """A synchronization point's counter underflowed or overflowed."""
 
-    def read(self, address: int) -> int:
-        """Return the 16-bit word at ``address``."""
-        ...  # pragma: no cover - protocol
 
-    def write(self, address: int, value: int) -> None:
-        """Store a 16-bit word at ``address``."""
-        ...  # pragma: no cover - protocol
+class SyncOp(enum.Enum):
+    """The three point-modifying synchronization operations."""
+
+    SINC = "sinc"
+    SDEC = "sdec"
+    SNOP = "snop"
+
+
+class SyncPointLayout:
+    """Bit layout of a 16-bit synchronization point word.
+
+    With ``num_cores`` cores the top ``num_cores`` bits are flags (bit
+    ``15 - c`` is core ``c``'s flag, so core 0 owns the MSB as in Fig.
+    3) and the low ``16 - num_cores`` bits are the counter.
+    """
+
+    def __init__(self, num_cores: int = 8) -> None:
+        if num_cores < 1:
+            raise ValueError("need at least one core")
+        if num_cores >= 16:
+            raise ValueError(
+                f"{num_cores} flag bits leave no counter in a 16-bit word")
+        self.num_cores = num_cores
+        self.counter_mask = self.max_counter = (1 << (16 - num_cores)) - 1
+        self.flags_mask = 0xFFFF ^ self.counter_mask
+        self._flag_bits = tuple(1 << (15 - core) for core in range(num_cores))
+
+    def flag_bit(self, core: int) -> int:
+        """Mask with only ``core``'s identification flag set."""
+        if not 0 <= core < self.num_cores:
+            raise ValueError(
+                f"core {core} out of range [0, {self.num_cores})")
+        return self._flag_bits[core]
+
+    def encode(self, flags: int, counter: int) -> int:
+        """Pack a (flags, counter) pair into a memory word."""
+        if not 0 <= counter <= self.max_counter:
+            raise SyncProtocolError(
+                f"counter {counter} outside [0, {self.max_counter}]")
+        if flags & ~self.flags_mask:
+            raise ValueError("flag bits outside the flags field")
+        return flags | counter
+
+    def decode(self, word: int) -> tuple[int, int]:
+        """Unpack a memory word into (flags, counter)."""
+        return word & self.flags_mask, word & self.counter_mask
+
+    def cores_of(self, flags: int) -> tuple[int, ...]:
+        """Core ids whose identification flags are set in ``flags``."""
+        return tuple(core for core, bit in enumerate(self._flag_bits)
+                     if flags & bit)
 
 
 class DictStorage:
-    """Dictionary-backed :class:`WordStorage` (zero-initialised)."""
+    """Dictionary-backed word storage for the points (zero-initialised)."""
 
     def __init__(self) -> None:
         self.words: dict[int, int] = {}
@@ -63,6 +123,51 @@ class DictStorage:
     def write(self, address: int, value: int) -> None:
         self.writes += 1
         self.words[address] = value & 0xFFFF
+
+
+class InterruptController:
+    """Interrupt subscriptions and the lines raised this cycle.
+
+    Subscription is a per-core bitmask written through the memory-mapped
+    ``REG_INT_SUBSCRIBE`` register; it is sticky, so a streaming
+    consumer is woken for every new sample until it unsubscribes.
+    ``pending_lines`` is the bitmask of lines raised since the last
+    :meth:`collect`.
+    """
+
+    def __init__(self, num_cores: int, num_lines: int = 16) -> None:
+        self.num_cores = num_cores
+        self.num_lines = num_lines
+        self.pending_lines = 0
+        self._subscriptions = [0] * num_cores
+
+    def subscribe(self, core: int, mask: int) -> None:
+        """Set ``core``'s subscription bitmask (overwrites)."""
+        self._check_core(core)
+        self._subscriptions[core] = mask & ((1 << self.num_lines) - 1)
+
+    def subscription(self, core: int) -> int:
+        """Current subscription bitmask of ``core``."""
+        self._check_core(core)
+        return self._subscriptions[core]
+
+    def raise_line(self, line: int) -> None:
+        """Signal interrupt ``line`` (latched until collected)."""
+        if not 0 <= line < self.num_lines:
+            raise ValueError(f"interrupt line {line} out of range")
+        self.pending_lines |= 1 << line
+
+    def collect(self) -> tuple[int, ...]:
+        """Cores subscribed to a pending line; clears the lines."""
+        lines, self.pending_lines = self.pending_lines, 0
+        if not lines:
+            return ()
+        return tuple(core for core in range(self.num_cores)
+                     if self._subscriptions[core] & lines)
+
+    def _check_core(self, core: int) -> None:
+        if not 0 <= core < self.num_cores:
+            raise ValueError(f"core {core} out of range")
 
 
 @dataclass
@@ -109,47 +214,62 @@ class Synchronizer:
     Args:
         num_cores: number of cores attached to the unit.
         num_points: number of synchronization points served.
-        point_base: shared-memory address of point 0.
-        storage: word storage holding the points (defaults to an
-            internal :class:`DictStorage`).
-        layout: flag/counter packing (defaults to ``num_cores`` flags in
-            a 16-bit word).
-        strict: raise :class:`~repro.core.syncpoint.SyncProtocolError`
-            on counter underflow/overflow instead of saturating.
+        point_base: storage address of point 0.
+        storage: the word storage holding the points, any object with
+            ``read(address)`` and ``write(address, value)`` (defaults
+            to an internal :class:`DictStorage`).
         on_wake: optional callback invoked with a core id whenever that
             core is resumed from clock-gating.
     """
 
     def __init__(self, num_cores: int, num_points: int = 64,
-                 point_base: int = 0, storage: WordStorage | None = None,
-                 layout: SyncPointLayout | None = None, strict: bool = True,
+                 point_base: int = 0, storage=None,
                  on_wake: Callable[[int], None] | None = None) -> None:
         self.num_cores = num_cores
         self.num_points = num_points
         self.point_base = point_base
-        self.layout = layout or SyncPointLayout(num_cores=num_cores)
-        self.storage: WordStorage = storage if storage is not None \
-            else DictStorage()
-        self.strict = strict
+        self.layout = SyncPointLayout(num_cores)
+        self.storage = storage if storage is not None else DictStorage()
         self.on_wake = on_wake
+        self._clear()
+
+    def _clear(self) -> None:
+        """Clear the stats, interrupts, latches, gating and requests."""
         self.stats = SynchronizerStats()
-        self._latches = [EventLatch() for _ in range(num_cores)]
-        self._gated = [False] * num_cores
-        self.interrupts = InterruptController(num_cores=num_cores)
-        self._pending: list[SyncRequest] = []
+        self.interrupts = InterruptController(self.num_cores)
+        self._latched = [False] * self.num_cores
+        self._gated = [False] * self.num_cores
+        # Per point touched this cycle: [flag mask, counter delta,
+        # requests merged].
+        self._updates: dict[int, list[int]] = {}
+
+    def reset(self) -> None:
+        """Power-on reset: zero every point, then clear the unit."""
+        for point in range(self.num_points):
+            self.storage.write(self.point_address(point), 0)
+        self._clear()
 
     # ------------------------------------------------------------------
     # Core-side interface (instruction semantics)
     # ------------------------------------------------------------------
 
     def submit(self, core: int, op: SyncOp, point: int) -> None:
-        """Record a SINC/SDEC/SNOP issued by ``core`` this cycle."""
+        """Fold a SINC/SDEC/SNOP issued by ``core`` into its point."""
         self._check_core(core)
         if not 0 <= point < self.num_points:
             raise ValueError(
                 f"sync point {point} out of range [0, {self.num_points})")
         self.stats.op_counts[op.value] += 1
-        self._pending.append(SyncRequest(core=core, op=op, point=point))
+        update = self._updates.get(point)
+        if update is None:
+            update = self._updates[point] = [0, 0, 0]
+        if op is SyncOp.SDEC:
+            update[1] -= 1
+        else:
+            update[0] |= self.layout.flag_bit(core)
+            if op is SyncOp.SINC:
+                update[1] += 1
+        update[2] += 1
 
     def sleep(self, core: int) -> bool:
         """Apply ``SLEEP`` semantics; True if the core is now gated.
@@ -160,7 +280,8 @@ class Synchronizer:
         """
         self._check_core(core)
         self.stats.op_counts["sleep"] += 1
-        if self._latches[core].consume():
+        if self._latched[core]:
+            self._latched[core] = False
             self.stats.fall_through_sleeps += 1
             return False
         self._gated[core] = True
@@ -175,10 +296,6 @@ class Synchronizer:
         """Read ``core``'s interrupt subscription register."""
         return self.interrupts.subscription(core)
 
-    # ------------------------------------------------------------------
-    # Peripheral-side interface
-    # ------------------------------------------------------------------
-
     def raise_interrupt(self, line: int) -> None:
         """Signal a peripheral interrupt line (e.g. ADC data-ready)."""
         self.interrupts.raise_line(line)
@@ -188,31 +305,47 @@ class Synchronizer:
     # ------------------------------------------------------------------
 
     def end_cycle(self) -> tuple[int, ...]:
-        """Merge and apply this cycle's requests; returns resumed cores.
+        """Apply this cycle's merged updates; returns resumed cores.
 
-        Order of operations mirrors the hardware: (1) per-point merge
-        and single memory modification, (2) zero-crossing detection and
-        event generation, (3) interrupt forwarding.  Cores returned
-        here were clock-gated and must resume on the next cycle.
+        Order of operations mirrors the hardware: (1) each touched
+        point, in point order, is read, updated, fired and written
+        once; (2) interrupts are forwarded.  Cores returned here were
+        clock-gated and must resume on the next cycle.
+
+        Raises :class:`SyncProtocolError` if a counter would leave
+        ``[0, max_counter]``; that point is left unwritten.
         """
-        if not self._pending and not self.interrupts.pending_lines:
+        updates = self._updates
+        if not updates and not self.interrupts.pending_lines:
             return ()
+        self._updates = {}
         woken: list[int] = []
-        by_point: dict[int, list[SyncRequest]] = {}
-        for request in self._pending:
-            by_point.setdefault(request.point, []).append(request)
-        self._pending.clear()
-
-        for point in sorted(by_point):
-            update = merge_requests(self.layout, by_point[point])
-            self.stats.merged_writes_saved += update.merged_away
-            self._apply(point, update, woken)
+        layout, storage, stats = self.layout, self.storage, self.stats
+        for point in sorted(updates):
+            flag_mask, delta, requests = updates[point]
+            stats.merged_writes_saved += requests - 1
+            address = self.point_address(point)
+            word = storage.read(address)
+            flags = (word & layout.flags_mask) | flag_mask
+            counter = (word & layout.counter_mask) + delta
+            if counter < 0:
+                raise SyncProtocolError(
+                    "sync point counter underflow (more SDECs than SINCs)")
+            if counter > layout.max_counter:
+                raise SyncProtocolError(
+                    f"sync point counter overflow (> {layout.max_counter})")
+            if counter == 0 and flags:
+                stats.point_fires += 1
+                for core in layout.cores_of(flags):
+                    self._deliver(core, woken)
+                flags = 0
+            storage.write(address, flags | counter)
 
         for core in self.interrupts.collect():
-            self._deliver_event(core, woken)
+            self._deliver(core, woken)
 
         if woken:
-            self.stats.wakes += len(woken)
+            stats.wakes += len(woken)
             if self.on_wake is not None:
                 for core in woken:
                     self.on_wake(core)
@@ -230,10 +363,10 @@ class Synchronizer:
     def has_pending_event(self, core: int) -> bool:
         """True if ``core``'s event latch is set."""
         self._check_core(core)
-        return self._latches[core].pending
+        return self._latched[core]
 
     def point_address(self, point: int) -> int:
-        """Shared-memory address of synchronization point ``point``."""
+        """Storage address of synchronization point ``point``."""
         return self.point_base + point
 
     def point_word(self, point: int) -> int:
@@ -249,40 +382,17 @@ class Synchronizer:
         flags, _ = self.point_state(point)
         return self.layout.cores_of(flags)
 
-    def reset(self) -> None:
-        """Power-on reset: clear points, latches, gating and stats."""
-        for point in range(self.num_points):
-            self.storage.write(self.point_address(point), 0)
-        for latch in self._latches:
-            latch.reset()
-        self._gated = [False] * self.num_cores
-        self._pending.clear()
-        self.stats = SynchronizerStats()
-        self.interrupts = InterruptController(num_cores=self.num_cores)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _apply(self, point: int, update: MergedUpdate,
-               woken: list[int]) -> None:
-        address = self.point_address(point)
-        word = self.storage.read(address)
-        new_word, result = apply_update(self.layout, word, update,
-                                        strict=self.strict)
-        self.storage.write(address, new_word)
-        if result.fired:
-            self.stats.point_fires += 1
-            for core in result.woken_cores:
-                self._deliver_event(core, woken)
-
-    def _deliver_event(self, core: int, woken: list[int]) -> None:
+    def _deliver(self, core: int, woken: list[int]) -> None:
         """Wake a gated core, or latch the event for a running one."""
         if self._gated[core]:
             self._gated[core] = False
             woken.append(core)
         else:
-            self._latches[core].set()
+            self._latched[core] = True
 
     def _check_core(self, core: int) -> None:
         if not 0 <= core < self.num_cores:

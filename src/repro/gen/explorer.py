@@ -262,6 +262,8 @@ def screen_policies(app: AppSpec,
                 token=token, family=family)
             continue
         obs.add("gen.points")
+        if repairs:
+            obs.add("gen.repairs", repairs)
         try:
             plan = policy.map(repaired, num_cores)
         except MappingError as exc:
@@ -284,8 +286,6 @@ def screen_policies(app: AppSpec,
             status = STATUS_SCREENED
             if index == kept:
                 status = STATUS_REPAIRED if repairs else STATUS_OK
-                if repairs:
-                    obs.add("gen.repairs", repairs)
             obs.add(f"gen.status.{status}")
             records[name] = ExplorationRecord(
                 **base, policy=name, status=status, repairs=repairs,

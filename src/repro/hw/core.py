@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from operator import add, and_, eq, ge, lt, ne, or_, sub, xor
 
-from ..core.syncpoint import SyncOp
+from ..core.synchronizer import SyncOp
 from ..isa.encoding import Instruction
 from ..isa.spec import Op
 

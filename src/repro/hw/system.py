@@ -140,8 +140,7 @@ class System:
 
     def __init__(self, num_cores: int,
                  geometry: PlatformGeometry = DEFAULT_GEOMETRY,
-                 multicore_dm: bool = True, broadcast: bool = True,
-                 strict_sync: bool = True) -> None:
+                 multicore_dm: bool = True, broadcast: bool = True) -> None:
         geometry.validate()
         self.geometry = geometry
         self.num_cores = num_cores
@@ -166,8 +165,7 @@ class System:
             num_cores=num_cores,
             num_points=geometry.memory_map.sync_points,
             point_base=geometry.memory_map.sync_point_base,
-            storage=_SyncDmPort(self.translation, self.dm),
-            strict=strict_sync)
+            storage=_SyncDmPort(self.translation, self.dm))
         self.adc: Adc | None = None
         self._decoded: dict[int, Instruction] = {}
         # Per IM address: its bound instruction (``core.bind``), bank
@@ -187,19 +185,17 @@ class System:
     @classmethod
     def multicore(cls, num_cores: int = 8,
                   geometry: PlatformGeometry = DEFAULT_GEOMETRY,
-                  broadcast: bool = True,
-                  strict_sync: bool = True) -> "System":
+                  broadcast: bool = True) -> "System":
         """The paper's target system (Sec. IV-B)."""
         return cls(num_cores=num_cores, geometry=geometry,
-                   multicore_dm=True, broadcast=broadcast,
-                   strict_sync=strict_sync)
+                   multicore_dm=True, broadcast=broadcast)
 
     @classmethod
-    def singlecore(cls, geometry: PlatformGeometry = DEFAULT_GEOMETRY,
-                   strict_sync: bool = True) -> "System":
+    def singlecore(cls,
+                   geometry: PlatformGeometry = DEFAULT_GEOMETRY) -> "System":
         """The paper's baseline system (Sec. IV-B)."""
         return cls(num_cores=1, geometry=geometry, multicore_dm=False,
-                   broadcast=False, strict_sync=strict_sync)
+                   broadcast=False)
 
     # ------------------------------------------------------------------
     # Loading

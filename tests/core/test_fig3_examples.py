@@ -7,14 +7,13 @@ Fig. 3-b: "cores 0, 1 and 2 have entered a data-dependent branch,
 core 0 has finished executing it" -> flags {0,1,2}, counter = 2.
 """
 
-from repro.core.syncpoint import SyncOp, SyncPointLayout
-from repro.core.synchronizer import Synchronizer
+from repro.core.synchronizer import SyncOp, SyncPointLayout, Synchronizer
 
-LAYOUT = SyncPointLayout(num_cores=8, word_bits=16)
+LAYOUT = SyncPointLayout(num_cores=8)
 
 
 def test_figure_3a_producer_consumer_snapshot():
-    sync = Synchronizer(num_cores=8, num_points=1, layout=LAYOUT)
+    sync = Synchronizer(num_cores=8, num_points=1)
     sync.submit(0, SyncOp.SINC, 0)
     sync.submit(1, SyncOp.SINC, 0)
     sync.submit(2, SyncOp.SINC, 0)
@@ -29,7 +28,7 @@ def test_figure_3a_producer_consumer_snapshot():
 
 
 def test_figure_3b_lockstep_snapshot():
-    sync = Synchronizer(num_cores=8, num_points=1, layout=LAYOUT)
+    sync = Synchronizer(num_cores=8, num_points=1)
     sync.submit(0, SyncOp.SINC, 0)
     sync.submit(1, SyncOp.SINC, 0)
     sync.submit(2, SyncOp.SINC, 0)
@@ -45,7 +44,7 @@ def test_figure_3b_lockstep_snapshot():
 
 def test_figure_3a_completion_wakes_consumer():
     """Continue Fig. 3-a until the data is ready."""
-    sync = Synchronizer(num_cores=8, num_points=1, layout=LAYOUT)
+    sync = Synchronizer(num_cores=8, num_points=1)
     for core in (0, 1, 2):
         sync.submit(core, SyncOp.SINC, 0)
     sync.submit(4, SyncOp.SNOP, 0)
@@ -61,7 +60,7 @@ def test_figure_3a_completion_wakes_consumer():
 
 def test_figure_3b_completion_restores_lockstep():
     """Continue Fig. 3-b until all three cores resume together."""
-    sync = Synchronizer(num_cores=8, num_points=1, layout=LAYOUT)
+    sync = Synchronizer(num_cores=8, num_points=1)
     for core in (0, 1, 2):
         sync.submit(core, SyncOp.SINC, 0)
     sync.end_cycle()

@@ -1,102 +1,105 @@
-"""Tests for the protocol recipes (producer-consumer, lock-step, barrier)."""
+"""The paper's protocols, written as its instructions on the unit.
 
-import pytest
+Fig. 3-a's producer-consumer exchange, Fig. 3-b's lock-step region and
+a reusable sense barrier, each as the ``SINC``/``SDEC``/``SNOP``/
+``SLEEP`` sequence a program issues.  Every instruction takes a cycle
+of its own unless a test issues several in one cycle to see them
+merge.
+"""
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.primitives import (
-    LockstepRegion,
-    ProducerConsumerChannel,
-    SenseBarrier,
-    SyncDomain,
-)
-from repro.core.syncpoint import SyncOp
+from repro.core.synchronizer import SyncOp, Synchronizer
+
+
+def _issue(sync: Synchronizer, core: int, op: SyncOp,
+           point: int) -> tuple[int, ...]:
+    """One cycle in which ``core`` issues ``op`` on ``point``."""
+    sync.submit(core, op, point)
+    return sync.end_cycle()
+
+
+def _enter(sync: Synchronizer, cores, point: int) -> None:
+    """One cycle in which every core of ``cores`` issues ``SINC``."""
+    for core in cores:
+        sync.submit(core, SyncOp.SINC, point)
+    sync.end_cycle()
+
+
+def _leave(sync: Synchronizer, core: int, point: int) -> bool:
+    """``SDEC`` then ``SLEEP``; True if the core gated."""
+    _issue(sync, core, SyncOp.SDEC, point)
+    return sync.sleep(core)
+
+
+def _arrive(sync: Synchronizer, core: int, epoch: int) -> bool:
+    """One arrival at a sense barrier over points 0 and 1.
+
+    The core pre-registers on the next epoch's point, then leaves the
+    current one; True if it had to sleep.
+    """
+    _issue(sync, core, SyncOp.SINC, (epoch + 1) % 2)
+    return _leave(sync, core, epoch % 2)
 
 
 def test_producer_consumer_channel_happy_path():
-    domain = SyncDomain(num_cores=8)
-    channel = ProducerConsumerChannel(domain, point=0)
-
+    sync = Synchronizer(num_cores=8)
     for producer in (0, 1, 2):
-        channel.begin_production(producer)
-    channel.register(4)
-    assert channel.wait(4) is True
-    assert domain.is_gated(4)
+        _issue(sync, producer, SyncOp.SINC, 0)
+    _issue(sync, 4, SyncOp.SNOP, 0)
+    assert sync.sleep(4) is True
+    assert sync.is_gated(4)
 
     for producer in (0, 1):
-        channel.complete_production(producer)
-        assert domain.is_gated(4)
-    result = channel.complete_production(2)
-    assert 4 in result.woken
-    assert not domain.is_gated(4)
+        _issue(sync, producer, SyncOp.SDEC, 0)
+        assert sync.is_gated(4)
+    assert 4 in _issue(sync, 2, SyncOp.SDEC, 0)
+    assert not sync.is_gated(4)
 
 
 def test_consumer_registering_after_data_ready_does_not_hang():
-    domain = SyncDomain(num_cores=8)
-    channel = ProducerConsumerChannel(domain, point=0)
-    channel.begin_production(0)
-    channel.complete_production(0)  # data ready before consumer arrives
-    channel.register(4)             # fires immediately (counter == 0)
-    assert channel.wait(4) is False
-    assert not domain.is_gated(4)
+    sync = Synchronizer(num_cores=8)
+    _issue(sync, 0, SyncOp.SINC, 0)
+    _issue(sync, 0, SyncOp.SDEC, 0)  # data ready before consumer arrives
+    _issue(sync, 4, SyncOp.SNOP, 0)  # fires immediately (counter == 0)
+    assert sync.sleep(4) is False
+    assert not sync.is_gated(4)
 
 
 def test_lockstep_region_releases_all_cores_together():
-    domain = SyncDomain(num_cores=8)
-    region = LockstepRegion(domain, point=1)
-    region.enter([0, 1, 2])
-
-    _, gated = region.leave(1)
-    assert gated
-    _, gated = region.leave(0)
-    assert gated
-    result, gated = region.leave(2)
-    assert not gated  # last core's SLEEP falls through via the latch
-    assert not any(domain.is_gated(core) for core in (0, 1, 2))
+    sync = Synchronizer(num_cores=8)
+    _enter(sync, [0, 1, 2], point=1)
+    assert _leave(sync, 1, 1)
+    assert _leave(sync, 0, 1)
+    # The last core's SLEEP falls through via the latch.
+    assert not _leave(sync, 2, 1)
+    assert not any(sync.is_gated(core) for core in (0, 1, 2))
 
 
 def test_lockstep_single_core_region_is_transparent():
-    domain = SyncDomain(num_cores=4)
-    region = LockstepRegion(domain, point=0)
-    region.enter([2])
-    _, gated = region.leave(2)
-    assert not gated
+    sync = Synchronizer(num_cores=4)
+    _enter(sync, [2], point=0)
+    assert not _leave(sync, 2, 0)
 
 
 def test_sense_barrier_single_epoch():
-    domain = SyncDomain(num_cores=4)
-    barrier = SenseBarrier(domain, point_even=0, point_odd=1,
-                           parties=[0, 1, 2, 3])
-    barrier.prime()
-    assert barrier.arrive(0) is True
-    assert barrier.arrive(1) is True
-    assert barrier.arrive(2) is True
-    assert barrier.arrive(3) is False  # last arrival falls through
-    assert barrier.everyone_released()
+    sync = Synchronizer(num_cores=4)
+    _enter(sync, [0, 1, 2, 3], point=0)
+    assert _arrive(sync, 0, 0) is True
+    assert _arrive(sync, 1, 0) is True
+    assert _arrive(sync, 2, 0) is True
+    assert _arrive(sync, 3, 0) is False  # last arrival falls through
+    assert not any(sync.is_gated(core) for core in range(4))
 
 
 def test_sense_barrier_is_reusable_across_epochs():
-    domain = SyncDomain(num_cores=3)
-    barrier = SenseBarrier(domain, point_even=0, point_odd=1,
-                           parties=[0, 1, 2])
-    barrier.prime()
-    for _ in range(4):  # four consecutive epochs
+    sync = Synchronizer(num_cores=3)
+    _enter(sync, [0, 1, 2], point=0)
+    for epoch in range(4):  # four consecutive epochs
         for core in (0, 1):
-            assert barrier.arrive(core) is True
-        assert barrier.arrive(2) is False
-        assert barrier.everyone_released()
-
-
-def test_sense_barrier_rejects_duplicate_points():
-    domain = SyncDomain(num_cores=2)
-    with pytest.raises(ValueError):
-        SenseBarrier(domain, point_even=3, point_odd=3, parties=[0, 1])
-
-
-def test_sense_barrier_rejects_non_party():
-    domain = SyncDomain(num_cores=4)
-    barrier = SenseBarrier(domain, point_even=0, point_odd=1, parties=[0, 1])
-    with pytest.raises(ValueError):
-        barrier.arrive(3)
+            assert _arrive(sync, core, epoch) is True
+        assert _arrive(sync, 2, epoch) is False
+        assert not any(sync.is_gated(core) for core in range(3))
 
 
 @settings(max_examples=30)
@@ -104,27 +107,25 @@ def test_sense_barrier_rejects_non_party():
 def test_sense_barrier_any_arrival_order(order, parties_count):
     """No arrival order may deadlock or double-release the barrier."""
     parties = list(range(parties_count))
-    domain = SyncDomain(num_cores=5)
-    barrier = SenseBarrier(domain, point_even=0, point_odd=1,
-                           parties=parties)
-    barrier.prime()
+    sync = Synchronizer(num_cores=5)
+    _enter(sync, parties, point=0)
     arrival_order = [core for core in order if core in parties]
-    for index, core in enumerate(arrival_order):
-        slept = barrier.arrive(core)
-        is_last = index == len(arrival_order) - 1
-        assert slept != is_last
-    assert barrier.everyone_released()
+    for epoch in range(2):
+        for index, core in enumerate(arrival_order):
+            slept = _arrive(sync, core, epoch)
+            is_last = index == len(arrival_order) - 1
+            assert slept != is_last
+        assert not any(sync.is_gated(core) for core in parties)
 
 
 def test_step_merges_same_cycle_requests():
-    domain = SyncDomain(num_cores=8)
-    result = domain.step([
-        (0, SyncOp.SINC, 0),
-        (1, SyncOp.SINC, 0),
-        (1, SyncOp.SDEC, 0),
-        (0, SyncOp.SDEC, 0),
-    ])
-    # net delta zero with flags set -> fires immediately, nobody gated
-    assert set(result.woken) == set()  # both running -> latched
-    assert domain.synchronizer.has_pending_event(0)
-    assert domain.synchronizer.has_pending_event(1)
+    sync = Synchronizer(num_cores=8)
+    sync.submit(0, SyncOp.SINC, 0)
+    sync.submit(1, SyncOp.SINC, 0)
+    sync.submit(1, SyncOp.SDEC, 0)
+    sync.submit(0, SyncOp.SDEC, 0)
+    # net delta zero with flags set -> fires at once; both cores are
+    # running, so nobody is woken and both get a latched event
+    assert sync.end_cycle() == ()
+    assert sync.has_pending_event(0)
+    assert sync.has_pending_event(1)

@@ -14,11 +14,7 @@ hold for *any* schedule:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.syncpoint import SyncOp, SyncPointLayout, SyncRequest, \
-    apply_update, merge_requests
-from repro.core.synchronizer import Synchronizer
-
-LAYOUT = SyncPointLayout(num_cores=8)
+from repro.core.synchronizer import SyncOp, Synchronizer
 
 
 @st.composite
@@ -86,27 +82,27 @@ def test_split_batches_reach_same_point_value(ops, data):
     """Applying requests in any batching yields the same final word
     when no firing occurs in between (counter kept positive)."""
     # Prefix with enough SINCs that no intermediate batch can fire.
-    guard = [(0, SyncOp.SINC)] * (len(ops) + 1)
-    requests = [SyncRequest(core=c, op=o, point=0)
-                for c, o in guard + ops]
+    requests = [(0, SyncOp.SINC)] * (len(ops) + 1) + ops
 
     # one big batch
-    word_a, _ = apply_update(LAYOUT, 0,
-                             merge_requests(LAYOUT, requests))
+    whole = Synchronizer(num_cores=8, num_points=1)
+    for core, op in requests:
+        whole.submit(core, op, 0)
+    whole.end_cycle()
 
-    # random split into consecutive batches
-    word_b = 0
+    # random split into consecutive batches, one cycle each
+    split = Synchronizer(num_cores=8, num_points=1)
     index = 0
     while index < len(requests):
         size = data.draw(st.integers(min_value=1,
                                      max_value=len(requests) - index))
-        batch = requests[index:index + size]
-        word_b, result = apply_update(LAYOUT, word_b,
-                                      merge_requests(LAYOUT, batch))
-        assert not result.fired  # the guard keeps the counter positive
+        for core, op in requests[index:index + size]:
+            split.submit(core, op, 0)
+        split.end_cycle()
+        assert split.stats.point_fires == 0  # the guard keeps it positive
         index += size
 
-    assert word_a == word_b
+    assert whole.point_word(0) == split.point_word(0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.syncpoint import SyncOp
-from repro.core.synchronizer import DictStorage, Synchronizer
+from repro.core.synchronizer import DictStorage, SyncOp, Synchronizer
 
 
 def _make(num_cores=8, **kwargs):

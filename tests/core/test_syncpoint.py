@@ -1,23 +1,48 @@
-"""Unit + property tests for synchronization point semantics."""
+"""Unit + property tests for synchronization point semantics.
+
+Every merge and fire property goes through :class:`Synchronizer`: the
+requests of one cycle are submitted, ``end_cycle`` applies them, and
+the point word, the event latches and the stats show the outcome.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.syncpoint import (
+from repro.core.synchronizer import (
+    DictStorage,
     SyncOp,
-    SyncPoint,
     SyncPointLayout,
     SyncProtocolError,
-    SyncRequest,
-    apply_update,
-    merge_requests,
+    Synchronizer,
 )
 
-LAYOUT = SyncPointLayout(num_cores=8, word_bits=16)
+LAYOUT = SyncPointLayout(num_cores=8)
+
+#: A starting counter no batch below can take to zero, so the point
+#: never fires and its word shows the merged flags and delta.
+GUARD = 13
 
 
-def _requests(ops):
-    return [SyncRequest(core=c, op=o, point=0) for c, o in ops]
+def _unit(word: int = 0) -> tuple[Synchronizer, DictStorage]:
+    """An 8-core unit whose point 0 starts at ``word``."""
+    storage = DictStorage()
+    storage.words[0] = word
+    return Synchronizer(num_cores=8, num_points=1, storage=storage), storage
+
+
+def _cycle(sync: Synchronizer, ops) -> tuple[int, ...]:
+    """One cycle issuing every ``(core, op)`` on point 0; returns woken."""
+    for core, op in ops:
+        sync.submit(core, op, 0)
+    return sync.end_cycle()
+
+
+def _merged(ops) -> tuple[int, int]:
+    """The (flags, counter delta) one cycle of ``ops`` leaves on point 0."""
+    sync, _ = _unit(GUARD)
+    _cycle(sync, ops)
+    flags, counter = sync.point_state(0)
+    return flags, counter - GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +66,7 @@ def test_encode_decode_round_trip():
 
 def test_layout_rejects_too_many_cores():
     with pytest.raises(ValueError):
-        SyncPointLayout(num_cores=16, word_bits=16)
+        SyncPointLayout(num_cores=16)
 
 
 def test_flag_bit_range_checked():
@@ -61,69 +86,59 @@ def test_decode_encode_round_trip_any_word(word):
 
 def test_merge_matches_fig3a():
     # cores 0,1,2 SINC; core 4 SNOP -> flags {0,1,2,4}, counter 3
-    update = merge_requests(LAYOUT, _requests([
-        (0, SyncOp.SINC), (1, SyncOp.SINC), (2, SyncOp.SINC),
-        (4, SyncOp.SNOP),
-    ]))
-    assert LAYOUT.cores_of(update.flag_mask) == (0, 1, 2, 4)
-    assert update.counter_delta == 3
-    assert update.merged_away == 3
+    sync, storage = _unit()
+    _cycle(sync, [(0, SyncOp.SINC), (1, SyncOp.SINC), (2, SyncOp.SINC),
+                  (4, SyncOp.SNOP)])
+    flags, counter = sync.point_state(0)
+    assert LAYOUT.cores_of(flags) == (0, 1, 2, 4)
+    assert counter == 3
+    assert sync.stats.merged_writes_saved == 3
+    assert storage.writes == 1
 
 
 def test_merge_matches_fig3b():
     # cores 0,1,2 SINC then core 0 SDEC -> flags {0,1,2}, counter 2
-    update = merge_requests(LAYOUT, _requests([
-        (0, SyncOp.SINC), (1, SyncOp.SINC), (2, SyncOp.SINC),
-        (0, SyncOp.SDEC),
-    ]))
-    assert LAYOUT.cores_of(update.flag_mask) == (0, 1, 2)
-    assert update.counter_delta == 2
-
-
-def test_merge_rejects_mixed_points():
-    batch = [SyncRequest(0, SyncOp.SINC, 0), SyncRequest(1, SyncOp.SINC, 1)]
-    with pytest.raises(ValueError):
-        merge_requests(LAYOUT, batch)
+    sync, _ = _unit()
+    _cycle(sync, [(0, SyncOp.SINC), (1, SyncOp.SINC), (2, SyncOp.SINC),
+                  (0, SyncOp.SDEC)])
+    flags, counter = sync.point_state(0)
+    assert LAYOUT.cores_of(flags) == (0, 1, 2)
+    assert counter == 2
 
 
 def test_empty_merge_is_identity():
-    update = merge_requests(LAYOUT, [])
-    assert update.flag_mask == 0
-    assert update.counter_delta == 0
-    assert update.requests == 0
+    """A cycle without requests touches no point."""
+    sync, storage = _unit(GUARD)
+    assert sync.end_cycle() == ()
+    assert (storage.reads, storage.writes) == (0, 0)
+    assert sync.point_word(0) == GUARD
 
 
 _OPS = st.sampled_from([SyncOp.SINC, SyncOp.SDEC, SyncOp.SNOP])
 _BATCH = st.lists(
     st.tuples(st.integers(min_value=0, max_value=7), _OPS),
-    min_size=1, max_size=12)
+    min_size=1, max_size=GUARD - 1)
 
 
 @given(_BATCH, st.randoms())
 def test_merge_is_order_independent(ops, rng):
     """The hardware merge must not depend on arbitration order."""
-    batch = _requests(ops)
-    shuffled = list(batch)
+    shuffled = list(ops)
     rng.shuffle(shuffled)
-    merged_a = merge_requests(LAYOUT, batch)
-    merged_b = merge_requests(LAYOUT, shuffled)
-    assert merged_a.flag_mask == merged_b.flag_mask
-    assert merged_a.counter_delta == merged_b.counter_delta
+    assert _merged(ops) == _merged(shuffled)
 
 
 @given(_BATCH)
 def test_merge_counter_delta_is_sinc_minus_sdec(ops):
-    update = merge_requests(LAYOUT, _requests(ops))
     sincs = sum(1 for _, op in ops if op is SyncOp.SINC)
     sdecs = sum(1 for _, op in ops if op is SyncOp.SDEC)
-    assert update.counter_delta == sincs - sdecs
+    assert _merged(ops)[1] == sincs - sdecs
 
 
 @given(_BATCH)
 def test_merged_flags_cover_exactly_registering_cores(ops):
-    update = merge_requests(LAYOUT, _requests(ops))
     registering = {c for c, op in ops if op is not SyncOp.SDEC}
-    assert set(LAYOUT.cores_of(update.flag_mask)) == registering
+    assert set(LAYOUT.cores_of(_merged(ops)[0])) == registering
 
 
 # ---------------------------------------------------------------------------
@@ -131,70 +146,79 @@ def test_merged_flags_cover_exactly_registering_cores(ops):
 # ---------------------------------------------------------------------------
 
 def test_point_fires_when_counter_returns_to_zero():
-    point = SyncPoint(LAYOUT)
-    point.apply(merge_requests(LAYOUT, _requests(
-        [(0, SyncOp.SINC), (1, SyncOp.SINC), (4, SyncOp.SNOP)])))
-    assert point.counter == 2
-    result = point.apply(merge_requests(LAYOUT, _requests(
-        [(0, SyncOp.SDEC)])))
-    assert not result.fired
-    result = point.apply(merge_requests(LAYOUT, _requests(
-        [(1, SyncOp.SDEC)])))
-    assert result.fired
-    assert result.woken_cores == (0, 1, 4)
-    assert point.flags == 0
-    assert point.counter == 0
+    sync, _ = _unit()
+    _cycle(sync, [(0, SyncOp.SINC), (1, SyncOp.SINC), (4, SyncOp.SNOP)])
+    assert sync.point_state(0)[1] == 2
+    assert sync.sleep(4)
+    assert _cycle(sync, [(0, SyncOp.SDEC)]) == ()
+    assert sync.stats.point_fires == 0
+    assert sync.sleep(0)
+    # The last SDEC wakes every flagged core: the gated ones resume and
+    # the running one gets a latched event.
+    assert _cycle(sync, [(1, SyncOp.SDEC)]) == (0, 4)
+    assert sync.stats.point_fires == 1
+    assert sync.has_pending_event(1)
+    assert sync.point_state(0) == (0, 0)
 
 
 def test_registration_at_zero_counter_fires_immediately():
     """A consumer that registers after data is ready must not hang."""
-    point = SyncPoint(LAYOUT)
-    result = point.apply(merge_requests(LAYOUT, _requests(
-        [(3, SyncOp.SNOP)])))
-    assert result.fired
-    assert result.woken_cores == (3,)
+    sync, _ = _unit()
+    _cycle(sync, [(3, SyncOp.SNOP)])
+    assert sync.stats.point_fires == 1
+    assert sync.has_pending_event(3)
+    assert sync.sleep(3) is False
 
 
 def test_no_fire_without_requests():
-    point = SyncPoint(LAYOUT)
-    result = point.apply(merge_requests(LAYOUT, []))
-    assert not result.fired
+    """A point fires only in a cycle that touches it, even when its
+    word (say, one a program stored) has flags and a zero counter."""
+    word = LAYOUT.flag_bit(2)
+    sync, _ = _unit(word)
+    sync.raise_interrupt(0)
+    sync.end_cycle()
+    assert sync.stats.point_fires == 0
+    assert not sync.has_pending_event(2)
+    assert sync.point_word(0) == word
 
 
 def test_strict_underflow_raises():
-    point = SyncPoint(LAYOUT, strict=True)
-    with pytest.raises(SyncProtocolError):
-        point.apply(merge_requests(LAYOUT, _requests([(0, SyncOp.SDEC)])))
-
-
-def test_permissive_underflow_saturates():
-    point = SyncPoint(LAYOUT, strict=False)
-    point.apply(merge_requests(LAYOUT, _requests([(0, SyncOp.SDEC)])))
-    assert point.counter == 0
+    sync, _ = _unit()
+    with pytest.raises(SyncProtocolError, match="underflow"):
+        _cycle(sync, [(0, SyncOp.SDEC)])
+    assert sync.point_word(0) == 0
 
 
 def test_strict_overflow_raises():
-    layout = SyncPointLayout(num_cores=8, word_bits=16)
-    word = layout.encode(0, layout.max_counter)
-    update = merge_requests(layout, _requests([(0, SyncOp.SINC)]))
-    with pytest.raises(SyncProtocolError):
-        apply_update(layout, word, update, strict=True)
+    word = LAYOUT.encode(0, LAYOUT.max_counter)
+    sync, _ = _unit(word)
+    with pytest.raises(SyncProtocolError, match="overflow"):
+        _cycle(sync, [(0, SyncOp.SINC)])
+    assert sync.point_word(0) == word
 
 
 def test_registered_cores_reflect_flags():
-    point = SyncPoint(LAYOUT)
-    point.apply(merge_requests(LAYOUT, _requests(
-        [(2, SyncOp.SINC), (6, SyncOp.SNOP), (2, SyncOp.SINC)])))
-    assert point.registered_cores() == (2, 6)
+    sync, _ = _unit()
+    _cycle(sync, [(2, SyncOp.SINC), (6, SyncOp.SNOP), (2, SyncOp.SINC)])
+    assert sync.registered_cores(0) == (2, 6)
 
 
 @given(_BATCH)
 def test_fire_always_clears_flags_and_zero_counter(ops):
-    point = SyncPoint(LAYOUT, strict=False)
-    result = point.apply(merge_requests(LAYOUT, _requests(ops)))
-    if result.fired:
-        assert point.flags == 0
-        assert point.counter == 0
-    word_flags, word_counter = LAYOUT.decode(point.word)
-    assert word_flags == point.flags
-    assert word_counter == point.counter
+    sync, _ = _unit()
+    delta = (sum(op is SyncOp.SINC for _, op in ops)
+             - sum(op is SyncOp.SDEC for _, op in ops))
+    if delta < 0:
+        with pytest.raises(SyncProtocolError):
+            _cycle(sync, ops)
+        return
+    _cycle(sync, ops)
+    registering = {c for c, op in ops if op is not SyncOp.SDEC}
+    flags, counter = sync.point_state(0)
+    assert sync.stats.point_fires == (delta == 0 and bool(registering))
+    if sync.stats.point_fires:
+        assert (flags, counter) == (0, 0)
+        assert all(sync.has_pending_event(c) for c in registering)
+    else:
+        assert set(LAYOUT.cores_of(flags)) == registering
+        assert counter == delta

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.apps import three_lead_mf
 from repro.apps.phases import AppSpec, PhaseSpec, SectionSpec
 from repro.gen import (
@@ -243,6 +244,19 @@ def test_screen_policies_simulates_an_equal_plan_once(monkeypatch):
     assert len(calls) == 1
     assert dataclasses.replace(second, policy="paper",
                                status=first.status) == first
+
+
+def test_screen_policies_counts_repairs_like_evaluate_app():
+    """``gen.repairs`` adds the replicas trimmed for every multi-core
+    point, kept or not, whichever path evaluates it."""
+    app, policies = _wide_app(12), ("paper", "balanced")
+    with obs.collecting() as screened:
+        screen_policies(app, policies, duration_s=1.0)
+    with obs.collecting() as evaluated:
+        for policy in policies:
+            evaluate_app(app, policy, duration_s=1.0)
+    assert screened.counters["gen.repairs"] == 4 * len(policies)
+    assert evaluated.counters["gen.repairs"] == 4 * len(policies)
 
 
 def test_screen_policies_validates_policies():

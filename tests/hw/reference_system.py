@@ -9,21 +9,24 @@ kept verbatim so the loop in ``src/`` can be held to it bit for bit:
   with its ``read_reg``/``write_reg``/``_take_branch`` helpers;
 * ``Crossbar.arbitrate``, ``_group`` and ``_pick``, which group and
   round-robin every bank, and the frozen-dataclass records they build;
-* ``Synchronizer.end_cycle`` without its early return;
+* the synchronizer's sync-point rule as it was before ``submit``
+  folded each request into its point: one record per request, one
+  merge per point, then decode, apply and encode; its ``end_cycle``
+  has no early return;
 * ``System.step``, ``_dispatch``, ``_serve_memory`` and ``run``, which
   test for "all halted" and for deadlock on every cycle.
 
-Everything else (loading, peripherals, memories, the ATU, the sync-point
-protocol) is shared with ``src/``: :class:`ReferenceSystem` swaps only
-the cycle loop in.  It is slow and exists for tests only.
+Everything else (loading, peripherals, memories, the ATU, the unit's
+event latches and interrupts) is shared with ``src/``:
+:class:`ReferenceSystem` swaps only the cycle loop and the sync-point
+rule in.  It is slow and exists for tests only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.synchronizer import Synchronizer
-from repro.core.syncpoint import SyncOp, SyncRequest, merge_requests
+from repro.core.synchronizer import SyncOp, SyncProtocolError, Synchronizer
 from repro.hw.core import EffectKind, RiscCore
 from repro.hw.interconnect import Crossbar
 from repro.hw.system import SimulationError, System
@@ -352,8 +355,91 @@ class ReferenceCrossbar(Crossbar):
         return best
 
 
+@dataclass(frozen=True)
+class SyncRequest:
+    """One synchronization instruction issued by one core."""
+
+    core: int
+    op: SyncOp
+    point: int
+
+
+@dataclass(frozen=True)
+class MergedUpdate:
+    """The single consistent modification for one point and one cycle.
+
+    Attributes:
+        flag_mask: OR of the identification flags to set.
+        counter_delta: net counter change (#SINC - #SDEC).
+        requests: how many individual requests were merged.
+    """
+
+    flag_mask: int
+    counter_delta: int
+    requests: int
+
+
+def _flag_bit(core: int) -> int:
+    """Core ``core``'s identification flag (core 0 owns the MSB)."""
+    return 1 << (15 - core)
+
+
+def merge_requests(requests: list[SyncRequest]) -> MergedUpdate:
+    """Reduce one point's same-cycle requests into a single update."""
+    flag_mask = 0
+    delta = 0
+    for request in requests:
+        if request.op is SyncOp.SINC:
+            flag_mask |= _flag_bit(request.core)
+            delta += 1
+        elif request.op is SyncOp.SNOP:
+            flag_mask |= _flag_bit(request.core)
+        else:  # SDEC leaves the flags untouched
+            delta -= 1
+    return MergedUpdate(flag_mask=flag_mask, counter_delta=delta,
+                        requests=len(requests))
+
+
+def apply_update(num_cores: int, word: int,
+                 update: MergedUpdate) -> tuple[int, tuple[int, ...]]:
+    """Apply a merged update to a raw point word.
+
+    Returns the new word and the cores woken: every flagged core if the
+    point fired (counter zero with a flag set), which clears the flags.
+    """
+    counter_mask = (1 << (16 - num_cores)) - 1
+    flags, counter = word & 0xFFFF & ~counter_mask, word & counter_mask
+    flags |= update.flag_mask
+    counter += update.counter_delta
+    if counter < 0:
+        raise SyncProtocolError(
+            "sync point counter underflow (more SDECs than SINCs)")
+    if counter > counter_mask:
+        raise SyncProtocolError(
+            f"sync point counter overflow (> {counter_mask})")
+    woken: tuple[int, ...] = ()
+    if counter == 0 and flags != 0 and update.requests > 0:
+        woken = tuple(core for core in range(num_cores)
+                      if flags & _flag_bit(core))
+        flags = 0
+    return flags | counter, woken
+
+
 class ReferenceSynchronizer(Synchronizer):
-    """A synchronizer whose ``end_cycle`` always merges and collects."""
+    """The unit with the sync-point rule above in place of its own."""
+
+    def _clear(self) -> None:
+        super()._clear()
+        self._requests: list[SyncRequest] = []
+
+    def submit(self, core: int, op: SyncOp, point: int) -> None:
+        """Record a SINC/SDEC/SNOP issued by ``core`` this cycle."""
+        self._check_core(core)
+        if not 0 <= point < self.num_points:
+            raise ValueError(
+                f"sync point {point} out of range [0, {self.num_points})")
+        self.stats.op_counts[op.value] += 1
+        self._requests.append(SyncRequest(core=core, op=op, point=point))
 
     def end_cycle(self) -> tuple[int, ...]:
         """Merge and apply this cycle's requests; returns resumed cores.
@@ -365,17 +451,24 @@ class ReferenceSynchronizer(Synchronizer):
         """
         woken: list[int] = []
         by_point: dict[int, list[SyncRequest]] = {}
-        for request in self._pending:
+        for request in self._requests:
             by_point.setdefault(request.point, []).append(request)
-        self._pending.clear()
+        self._requests.clear()
 
         for point in sorted(by_point):
-            update = merge_requests(self.layout, by_point[point])
-            self.stats.merged_writes_saved += update.merged_away
-            self._apply(point, update, woken)
+            update = merge_requests(by_point[point])
+            self.stats.merged_writes_saved += max(0, update.requests - 1)
+            address = self.point_address(point)
+            word, fired = apply_update(self.num_cores,
+                                       self.storage.read(address), update)
+            self.storage.write(address, word)
+            if fired:
+                self.stats.point_fires += 1
+                for core in fired:
+                    self._deliver(core, woken)
 
         for core in self.interrupts.collect():
-            self._deliver_event(core, woken)
+            self._deliver(core, woken)
 
         if woken:
             self.stats.wakes += len(woken)
@@ -407,8 +500,7 @@ class ReferenceSystem(System):
         sync = self.synchronizer
         self.synchronizer = ReferenceSynchronizer(
             num_cores=sync.num_cores, num_points=sync.num_points,
-            point_base=sync.point_base, storage=sync.storage,
-            strict=sync.strict)
+            point_base=sync.point_base, storage=sync.storage)
 
     def step(self) -> None:
         """Advance the platform by one clock cycle."""

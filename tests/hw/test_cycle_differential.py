@@ -21,7 +21,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.syncpoint import SyncProtocolError
+from repro.core.synchronizer import SyncProtocolError
 from repro.hw.core import RiscCore
 from repro.hw.interconnect import Crossbar
 from repro.hw.memory import MemoryFault
@@ -92,6 +92,7 @@ def _run(cls, make, source: str, max_cycles: int, adc=None,
          chunk: int | None = None):
     """Load ``source`` and run ``max_cycles`` in one ``run``, or in
     ``run(chunk)`` calls until the system halts or the budget is spent.
+    A call that runs more cycles than it was given fails at once.
     """
     system = make(cls)
     system.load(assemble(source))
@@ -100,9 +101,10 @@ def _run(cls, make, source: str, max_cycles: int, adc=None,
         system.attach_adc(*adc)
     budget = max_cycles
     try:
-        while budget:
+        while budget > 0:
             cycles = min(budget, chunk or budget)
             ran = system.run(cycles)
+            assert ran <= cycles, f"run({cycles}) ran {ran} cycles"
             _check_accounting(system, loaded_at)
             budget -= ran
             if ran < cycles:
