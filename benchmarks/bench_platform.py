@@ -15,7 +15,6 @@ from repro.isa.assembler import assemble
 from repro.kernels import (
     characterize_barrier_pipeline,
     characterize_window_min,
-    mac_kernel,
     window_min_kernel,
 )
 from repro.dsp import MorphologicalFilter
@@ -81,7 +80,6 @@ def test_kernel_barrier_pipeline(benchmark):
 def test_kernel_sources_build(benchmark):
     source = benchmark(window_min_kernel, 3, 32, 64, True)
     assert "sinc" in source
-    assert "mul" in mac_kernel()
 
 
 def test_dsp_filter_throughput(benchmark):

@@ -1,10 +1,11 @@
-"""Functional runners: the three benchmarks' real DSP over a record.
+"""Functional runners: 3L-MMD's and RP-CLASS's real DSP over a record.
 
 The behavioural model (:mod:`repro.apps.benchmarks`) only needs each
 application's phase graph and cycle budgets; these runners execute the
 actual ECG pipelines of :mod:`repro.dsp`, so examples and tests can
-check application outputs, not just performance numbers.  They are a
-module of their own because they load numpy and the DSP stack.
+check application outputs, not just performance numbers.  Both start
+with 3L-MF's morphological filter.  They are a module of their own
+because they load numpy and the DSP stack.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from ..dsp.mmd import DelineatedBeat, MmdDelineator, combine_leads
 from ..dsp.morphology import MorphologicalFilter
 from ..dsp.rp import RandomProjectionClassifier
 from ..signals.records import BeatLabel, EcgRecord
-
-@dataclass
-class MfOutput:
-    """Functional output of 3L-MF: the conditioned leads."""
-
-    filtered_leads: list[np.ndarray]
-
 
 @dataclass
 class MmdOutput:
@@ -49,13 +43,6 @@ class RpClassOutput:
     detected_peaks: list[int]
     labels: list[BeatLabel]
     delineated: list[DelineatedBeat]
-
-
-def run_three_lead_mf(record: EcgRecord) -> MfOutput:
-    """Run the 3L-MF pipeline functionally."""
-    mf = MorphologicalFilter(fs=record.fs)
-    return MfOutput(filtered_leads=[mf.process(lead)
-                                    for lead in record.leads[:3]])
 
 
 def run_three_lead_mmd(record: EcgRecord) -> MmdOutput:

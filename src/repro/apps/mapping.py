@@ -132,11 +132,6 @@ class MappingPlan:
             return 0.0
         return self.sync_code_words / self.total_code_words
 
-    def cores_of_phase(self, phase: str) -> list[int]:
-        """Cores running replicas of ``phase``."""
-        return [assignment.core for assignment in self.assignments
-                if assignment.phase == phase]
-
 
 def distinct_sections(app: AppSpec) -> list[SectionSpec]:
     """Sections de-duplicated by name, in phase order."""

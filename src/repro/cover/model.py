@@ -228,26 +228,6 @@ def bin_key(labels: tuple[str, ...]) -> str:
     return "/".join(labels)
 
 
-def parse_bin(key: str) -> tuple[str, ...]:
-    """Invert :func:`bin_key`, validating every label.
-
-    Raises:
-        ValueError: wrong arity or a label outside its dimension's
-            vocabulary (the message names the dimension).
-    """
-    labels = tuple(key.split("/"))
-    if len(labels) != len(DIMENSIONS):
-        raise ValueError(
-            f"malformed bin key {key!r}; expected "
-            f"{len(DIMENSIONS)} '/'-separated labels")
-    for label, dimension in zip(labels, DIMENSIONS):
-        if label not in dimension.labels:
-            raise ValueError(
-                f"bin key {key!r}: {label!r} is not a "
-                f"{dimension.name} label {list(dimension.labels)}")
-    return labels
-
-
 def all_bins() -> tuple[str, ...]:
     """Every declared bin key, in deterministic declaration order."""
     keys: list[str] = []

@@ -79,27 +79,3 @@ def detect_r_peaks(lead: np.ndarray, fs: float,
             peak_estimate = max(1.0, peak_estimate * (1.0 - decay))
             index += 1
     return peaks
-
-
-def detection_f1(detected: list[int], truth: list[int], fs: float,
-                 tolerance_s: float = 0.08) -> float:
-    """F1 score of detections against ground-truth annotations."""
-    if not truth:
-        return 1.0 if not detected else 0.0
-    tolerance = int(tolerance_s * fs)
-    truth_left = list(truth)
-    true_positive = 0
-    for peak in detected:
-        best = None
-        for candidate in truth_left:
-            if abs(candidate - peak) <= tolerance:
-                if best is None or abs(candidate - peak) < abs(best - peak):
-                    best = candidate
-        if best is not None:
-            true_positive += 1
-            truth_left.remove(best)
-    precision = true_positive / len(detected) if detected else 0.0
-    recall = true_positive / len(truth)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)

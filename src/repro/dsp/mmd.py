@@ -188,19 +188,3 @@ class MmdDelineator:
         if window[apex] < min_amplitude:
             return None
         return lo + apex
-
-
-def delineation_sensitivity(beats: list[DelineatedBeat],
-                            truth_peaks: list[int], fs: float,
-                            tolerance_s: float = 0.08) -> float:
-    """Fraction of ground-truth beats with a matching delineation."""
-    if not truth_peaks:
-        return 1.0
-    tolerance = int(tolerance_s * fs)
-    found = 0
-    detected = [beat.r_peak for beat in beats]
-    for peak in truth_peaks:
-        if any(abs(candidate - peak) <= tolerance
-               for candidate in detected):
-            found += 1
-    return found / len(truth_peaks)

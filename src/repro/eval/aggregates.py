@@ -9,7 +9,10 @@ safe inside the byte-identical artifact guarantee.
 
 from __future__ import annotations
 
-__all__ = ["percentile", "summary_stats"]
+__all__ = ["MAX_ROWS", "percentile", "summary_stats"]
+
+#: Per-point rows a population report shows before eliding the rest.
+MAX_ROWS = 48
 
 
 def percentile(values: list[float], q: float) -> float:

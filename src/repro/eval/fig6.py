@@ -39,21 +39,6 @@ class Fig6Group:
         return (self.multi_no_sync.total_uw - self.single.total_uw) \
             / self.single.total_uw
 
-    @property
-    def multicore_overhead_fraction(self) -> float:
-        """Share of MC-sync power spent on multi-core-only components.
-
-        Crossbars, synchronizer and the larger clock tree — the paper
-        quotes "up to 34 % of the total energy in 3L-MF".
-        """
-        total = self.multi_sync.total_uw
-        if total == 0:
-            return 0.0
-        overhead = (self.multi_sync.categories["interconnect"]
-                    + self.multi_sync.categories["synchronizer"]
-                    + self.multi_sync.categories["clock_tree"])
-        return overhead / total
-
 
 def run_group(case: BenchmarkCase,
               duration_s: float = DURATION_S) -> Fig6Group:

@@ -37,7 +37,7 @@ from ..gen.generator import (
 from ..gen.policies import POLICIES
 from ..gen.topology import FAMILY_ORDER
 from ..store import write_json
-from .aggregates import summary_stats
+from .aggregates import MAX_ROWS, summary_stats
 from .cli import add_duration, add_metrics, positive_int
 from .table1 import format_cell
 
@@ -186,14 +186,12 @@ def _policy_power_summary(report: GenReport) -> list[str]:
     return lines
 
 
-def render_gen(report: GenReport, max_rows: int = 48) -> str:
+def render_gen(report: GenReport) -> str:
     """Render a generated-workload exploration as a fixed table.
 
-    Args:
-        report: the exploration to render.
-        max_rows: per-record rows shown before eliding (population
-            sweeps run to hundreds of apps; the per-policy percentile
-            summary below the table always covers every record).
+    Rows past :data:`MAX_ROWS` are elided (population sweeps run to
+    hundreds of apps); the per-policy percentile summary below the
+    table always covers every record.
     """
     lines = [
         f"Generated workloads: seed {report.seed}, "
@@ -205,7 +203,7 @@ def render_gen(report: GenReport, max_rows: int = 48) -> str:
         for title, width, _, kind in _GEN_COLUMNS)
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for record in report.records[:max_rows]:
+    for record in report.records[:MAX_ROWS]:
         cells = []
         for _, width, attr, kind in _GEN_COLUMNS:
             value = getattr(record, attr)
@@ -216,7 +214,7 @@ def render_gen(report: GenReport, max_rows: int = 48) -> str:
             else:
                 cells.append(format_cell(value, kind).rjust(width))
         lines.append("  " + "".join(cells).rstrip())
-    elided = len(report.records) - max_rows
+    elided = len(report.records) - MAX_ROWS
     if elided > 0:
         lines.append(f"  ... {elided} more record(s) elided")
     counts = report.counts()

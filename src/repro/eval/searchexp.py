@@ -30,7 +30,7 @@ from ..search.anneal import (
 )
 from ..search.cost import ORACLE_DURATION_S, ORACLE_KINDS
 from ..store import write_json
-from .aggregates import summary_stats
+from .aggregates import MAX_ROWS, summary_stats
 from .cli import add_duration, add_metrics, positive_int
 from .table1 import format_cell
 
@@ -166,14 +166,14 @@ _SEARCH_COLUMNS: tuple[tuple[str, int, str, str], ...] = (
 )
 
 
-def render_search(report: SearchReport, max_rows: int = 48) -> str:
+def render_search(report: SearchReport) -> str:
     """Render a placement-search campaign as a fixed table.
 
     One row per application: the paper-policy cost, the best-found
     cost and the gap between them, plus the search effort (oracle
     evaluations actually paid) and the footprint of the best
-    placement.  A gap percentile summary covers every outcome even
-    when rows are elided.
+    placement.  Rows past :data:`MAX_ROWS` are elided; a gap
+    percentile summary covers every outcome.
     """
     lines = [
         f"Placement search: seed {report.seed}, "
@@ -186,7 +186,7 @@ def render_search(report: SearchReport, max_rows: int = 48) -> str:
         for title, width, _, kind in _SEARCH_COLUMNS)
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
-    for outcome in report.outcomes[:max_rows]:
+    for outcome in report.outcomes[:MAX_ROWS]:
         cells = []
         for _, width, attr, kind in _SEARCH_COLUMNS:
             if attr in ("im_banks", "active_cores"):
@@ -202,7 +202,7 @@ def render_search(report: SearchReport, max_rows: int = 48) -> str:
             else:
                 cells.append(format_cell(value, kind).rjust(width))
         lines.append("  " + "".join(cells).rstrip())
-    elided = len(report.outcomes) - max_rows
+    elided = len(report.outcomes) - MAX_ROWS
     if elided > 0:
         lines.append(f"  ... {elided} more outcome(s) elided")
     counts = report.counts()

@@ -20,6 +20,7 @@ from ..sweep import (
 )
 from ..sweep.engine import SweepResult
 from ..sweep.runners import HEADLINE_METRICS
+from .aggregates import MAX_ROWS
 from .cli import add_metrics, positive_int
 
 
@@ -32,13 +33,13 @@ def _sweep_cell(value) -> str:
     return str(value)
 
 
-def render_sweep(result: SweepResult, max_rows: int = 48) -> str:
+def render_sweep(result: SweepResult) -> str:
     """Render a sweep as a compact table: axes, headline metrics, cache.
 
     Columns are the spec's axes plus the run family's headline
     metrics (see :data:`repro.sweep.runners.HEADLINE_METRICS`) plus
     per-point wall time and cache status.  Long sweeps are elided
-    after ``max_rows`` rows.
+    after :data:`MAX_ROWS` rows.
     """
     spec = result.spec
     axes = list(spec.axis_names)
@@ -49,7 +50,7 @@ def render_sweep(result: SweepResult, max_rows: int = 48) -> str:
     ]
     header = axes + metrics + ["wall_s", "cached"]
     table: list[list[str]] = [header]
-    for point in result.results[:max_rows]:
+    for point in result.results[:MAX_ROWS]:
         row = [_sweep_cell(point.point.get(axis, "")) for axis in axes]
         row.extend(
             _sweep_cell(point.metrics.get(key, "")) for key in metrics

@@ -122,8 +122,7 @@ def format_cell(value: float, kind: str) -> str:
     return f"{value:.2f}"
 
 
-def render_table1(columns: list[Table1Column],
-                  include_paper: bool = True) -> str:
+def render_table1(columns: list[Table1Column]) -> str:
     """Render Table I in the paper's layout (SC and MC per benchmark)."""
     header = ["Metric".ljust(24)]
     for column in columns:
@@ -146,12 +145,11 @@ def render_table1(columns: list[Table1Column],
                 row.append(shared[0].rjust(12))
                 row.append(shared[1].rjust(12))
         lines.append("  ".join(row))
-    if include_paper:
-        lines.append("")
-        lines.append("Paper Table I (MC power / saving): " + ", ".join(
-            f"{name}: {vals['mc_power']:.1f} uW / "
-            f"{vals['saving'] * 100:.1f}%"
-            for name, vals in PAPER_TABLE1.items()))
+    lines.append("")
+    lines.append("Paper Table I (MC power / saving): " + ", ".join(
+        f"{name}: {vals['mc_power']:.1f} uW / "
+        f"{vals['saving'] * 100:.1f}%"
+        for name, vals in PAPER_TABLE1.items()))
     return "\n".join(lines)
 
 

@@ -19,7 +19,6 @@ benchmark harness exactly like the paper's fixed benchmarks.
 from .explorer import evaluate_app, evaluate_token, explore, repair_app
 from .generator import (
     app_fingerprint,
-    app_from_mapping,
     app_from_token,
     app_to_mapping,
     app_token,
@@ -41,7 +40,6 @@ __all__ = [
     "FAMILY_ORDER",
     "POLICIES",
     "app_fingerprint",
-    "app_from_mapping",
     "app_from_token",
     "app_to_mapping",
     "app_token",

@@ -111,11 +111,6 @@ class MulticoreAtu:
             offset % self.geometry.banks,
             self.private_slice + offset // self.geometry.banks)
 
-    def banks_for_core_private(self, core: int) -> set[int]:
-        """Banks whose private slices belong to ``core``."""
-        first = core * self.banks_per_core
-        return set(range(first, first + self.banks_per_core))
-
 
 class SingleCoreTranslation:
     """The baseline's decoder: linear logical-to-physical mapping.

@@ -287,10 +287,6 @@ class RiscCore:
         self.core_id = core_id
         self.reset(0)
 
-    def read_reg(self, index: int) -> int:
-        """Read a register (r0 reads as zero)."""
-        return self.regs[index]
-
     def execute(self, instr: Instruction) -> Effect:
         """Execute ``instr`` at ``pc`` as the platform does (:func:`bind`);
         a load/store effect must be granted before the next fetch."""

@@ -299,9 +299,9 @@ class System:
 
         Counters are settled only when :meth:`run` ends.
         """
-        self._cycles(self.cycle + 1, stop_on_halt=False, checked=False)
+        self._cycles(self.cycle + 1, checked=False)
 
-    def _cycles(self, end: int, stop_on_halt: bool, checked: bool) -> None:
+    def _cycles(self, end: int, checked: bool) -> None:
         """The cycle loop of :meth:`run` and :meth:`step`, up to ``end``.
 
         Clocked cores burn a busy cycle, retry a waiting DM access or
@@ -321,7 +321,7 @@ class System:
         while cycle < end:
             if not clocked:
                 if checked:
-                    if stop_on_halt and self.all_halted:
+                    if self.all_halted:
                         break
                     if self.deadlocked():
                         raise SimulationError(
@@ -514,8 +514,9 @@ class System:
                 and not self.synchronizer.interrupts.pending_lines
                 and (self.adc is None or self.adc.all_exhausted))
 
-    def run(self, max_cycles: int, stop_on_halt: bool = True) -> int:
-        """Run up to ``max_cycles``; returns cycles actually simulated.
+    def run(self, max_cycles: int) -> int:
+        """Run up to ``max_cycles``, or until every core has halted;
+        returns cycles actually simulated.
 
         Raises :class:`SimulationError` on deadlock (all cores gated
         with no wake source left).  Both stop conditions need every
@@ -524,7 +525,7 @@ class System:
         """
         start = self.cycle
         try:
-            self._cycles(start + max_cycles, stop_on_halt, checked=True)
+            self._cycles(start + max_cycles, checked=True)
         finally:
             self._settle()
         return self.cycle - start

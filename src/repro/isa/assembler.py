@@ -739,12 +739,3 @@ def assemble(source: str, name: str = "<asm>",
              geometry: PlatformGeometry | None = None) -> ProgramImage:
     """Assemble a single source text into a :class:`ProgramImage`."""
     return Assembler(geometry).add_source(source, name).build()
-
-
-def assemble_many(sources: dict[str, str],
-                  geometry: PlatformGeometry | None = None) -> ProgramImage:
-    """Assemble several named sources into one linked image."""
-    assembler = Assembler(geometry)
-    for name, text in sources.items():
-        assembler.add_source(text, name)
-    return assembler.build()

@@ -107,14 +107,6 @@ class MemoryMap:
         """One past the last logical shared address."""
         return self.shared_base + self.shared_words
 
-    def sync_point_address(self, index: int) -> int:
-        """Logical DM address of synchronization point ``index``."""
-        if not 0 <= index < self.sync_points:
-            raise ValueError(
-                f"sync point index {index} out of range "
-                f"[0, {self.sync_points})")
-        return self.sync_point_base + index
-
     def is_peripheral(self, address: int) -> bool:
         """True if ``address`` falls inside the peripheral window."""
         return address >= PERIPH_BASE

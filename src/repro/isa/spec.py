@@ -229,16 +229,6 @@ def signed(value: int, bits: int) -> int:
     return value
 
 
-def to_signed16(value: int) -> int:
-    """Interpret a 16-bit data word as a signed integer."""
-    return signed(value, DATA_BITS)
-
-
-def to_u16(value: int) -> int:
-    """Wrap an integer into a 16-bit data word."""
-    return value & WORD_MASK
-
-
 def fits_signed(value: int, bits: int) -> bool:
     """True if ``value`` is representable as a signed ``bits``-bit field."""
     half = 1 << (bits - 1)

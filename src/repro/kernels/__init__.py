@@ -7,16 +7,13 @@ these kernels loads the ECG DSP stack, so it lives beside its test in
 
 from .characterize import (
     characterize_barrier_pipeline,
-    characterize_mac,
     characterize_window_min,
 )
-from .sources import mac_kernel, running_max_kernel, window_min_kernel
+from .sources import running_max_kernel, window_min_kernel
 
 __all__ = [
     "characterize_barrier_pipeline",
-    "characterize_mac",
     "characterize_window_min",
-    "mac_kernel",
     "running_max_kernel",
     "window_min_kernel",
 ]

@@ -12,8 +12,6 @@ grounds the constants used by the system-level model:
   data with SINC/SDEC regions, it measures how much instruction
   broadcast the lock-step recovery sustains (the ``lockstep_alignment``
   constants of :mod:`repro.apps.benchmarks`).
-* :func:`mac_kernel` — the multiply-accumulate loop of the random
-  projection, for cycles-per-MAC.
 * :func:`barrier_pipeline_kernel` — a full producer-consumer round
   pipeline built from the paper's primitives only (two alternating
   sync points as a reusable barrier), validating multi-round operation
@@ -113,59 +111,6 @@ no_update:
     li   r4, RESULT
     add  r4, r4, r6
     sw   r1, 0(r4)
-    halt
-"""
-
-
-def mac_kernel(taps: int = 64) -> str:
-    """Multiply-accumulate kernel (random-projection inner loop).
-
-    One core computes a ``taps``-long dot product of two private
-    vectors and stores the low word at ``RESULT_BASE``.
-    """
-    if taps < 1:
-        raise ValueError("taps must be positive")
-    return f"""
-; MAC characterisation kernel ({taps} taps)
-.equ A, 0
-.equ B, {taps}
-.equ RESULT, {RESULT_BASE:#x}
-.equ N, {taps}
-.dmfootprint RESULT
-
-main:
-    ; fill a[i] = i + 1, b[i] = 2*i + 1
-    addi r1, zero, 0
-initloop:
-    addi r2, r1, 1
-    addi r4, zero, A
-    add  r4, r4, r1
-    sw   r2, 0(r4)
-    slli r2, r1, 1
-    addi r2, r2, 1
-    addi r4, zero, B
-    add  r4, r4, r1
-    sw   r2, 0(r4)
-    addi r1, r1, 1
-    li   r2, N
-    blt  r1, r2, initloop
-    ; dot product
-    addi r1, zero, 0        ; index
-    addi r3, zero, 0        ; accumulator
-macloop:
-    addi r4, zero, A
-    add  r4, r4, r1
-    lw   r2, 0(r4)
-    addi r4, zero, B
-    add  r4, r4, r1
-    lw   r5, 0(r4)
-    mul  r2, r2, r5
-    add  r3, r3, r2
-    addi r1, r1, 1
-    li   r2, N
-    blt  r1, r2, macloop
-    li   r4, RESULT
-    sw   r3, 0(r4)
     halt
 """
 

@@ -29,10 +29,10 @@ token, topology family, mapping policy, the simulator-ready
 :class:`~repro.apps.mapping.MappingPlan` and the per-app clock floor
 from :func:`repro.apps.mapping.plan_required_mhz` — so heterogeneous
 fleets pay the *correct per-node* power instead of a fleet-wide
-average.  Sources are frozen dataclasses: hashable, picklable (they
-ride inside :class:`~repro.net.fleet.FleetConfig` to worker
-processes) and serialisable through :meth:`to_mapping` /
-:func:`source_from_mapping`.
+average.  Sources are frozen dataclasses: hashable and picklable
+(they ride inside :class:`~repro.net.fleet.FleetConfig` to worker
+processes).  Preset and suite-backed scenarios carry their source by
+name through :func:`repro.net.scenarios.scenario_token`.
 """
 
 from __future__ import annotations
@@ -209,13 +209,6 @@ class BenchmarkSource:
         """One-line human summary."""
         return "benchmarks " + "+".join(name for name, _ in self.mix)
 
-    def to_mapping(self) -> dict:
-        """JSON-ready form (inverse of :func:`source_from_mapping`)."""
-        return {
-            "kind": self.kind,
-            "mix": [[name, weight] for name, weight in self.mix],
-        }
-
 
 @lru_cache(maxsize=512)
 def _resolve_generated(
@@ -386,17 +379,6 @@ class GeneratedSuiteSource:
             f"({families}) via {self.policy}"
         )
 
-    def to_mapping(self) -> dict:
-        """JSON-ready form (inverse of :func:`source_from_mapping`)."""
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "count": self.count,
-            "families": list(self.families),
-            "policy": self.policy,
-            "num_cores": self.num_cores,
-        }
-
 
 @dataclass(frozen=True)
 class MixedSource:
@@ -447,53 +429,9 @@ class MixedSource:
         """One-line human summary."""
         return " | ".join(source.describe() for source, _ in self.parts)
 
-    def to_mapping(self) -> dict:
-        """JSON-ready form (inverse of :func:`source_from_mapping`)."""
-        return {
-            "kind": self.kind,
-            "parts": [
-                [source.to_mapping(), weight]
-                for source, weight in self.parts
-            ],
-        }
-
 
 #: Union type of every source implementation.
 AppSource = BenchmarkSource | GeneratedSuiteSource | MixedSource
-
-
-def source_from_mapping(data: dict) -> AppSource:
-    """Rebuild an app source from its :meth:`to_mapping` form.
-
-    Raises:
-        ValueError: unknown kind or malformed mapping.
-    """
-    kind = data.get("kind")
-    if kind == BENCHMARK_KIND:
-        return BenchmarkSource(
-            mix=tuple(
-                (str(name), float(weight)) for name, weight in data["mix"]
-            )
-        )
-    if kind == GENERATED_KIND:
-        return GeneratedSuiteSource(
-            seed=int(data["seed"]),
-            count=int(data["count"]),
-            families=tuple(data.get("families", ())),
-            policy=str(data.get("policy", "balanced")),
-            num_cores=int(data.get("num_cores", 8)),
-        )
-    if kind == MIXED_KIND:
-        return MixedSource(
-            parts=tuple(
-                (source_from_mapping(part), float(weight))
-                for part, weight in data["parts"]
-            )
-        )
-    raise ValueError(
-        f"unknown app-source kind {kind!r}; choose from "
-        f"{[BENCHMARK_KIND, GENERATED_KIND, MIXED_KIND]}"
-    )
 
 
 __all__ = [
@@ -506,5 +444,4 @@ __all__ = [
     "GeneratedSuiteSource",
     "MIXED_KIND",
     "MixedSource",
-    "source_from_mapping",
 ]

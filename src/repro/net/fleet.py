@@ -156,26 +156,21 @@ class FleetRunner:
         ref_readings = [reference.clock.read(t) for t in sample_times]
         return beacons, sample_times, ref_readings
 
-    def run(
-        self, workers: int = 1, shard_size: int | None = None
-    ) -> FleetResult:
+    def run(self, workers: int = 1) -> FleetResult:
         """Simulate the whole fleet.
 
         Args:
             workers: processes that run shards, the caller
-                included; 1 executes inline.  More workers than
-                shards is allowed (the extras are never forked).
-            shard_size: nodes per batch; defaults to an even split
-                across workers.  The node count need not divide
-                evenly — the last shard is simply shorter.
+                included; 1 executes inline.  Nodes split into
+                contiguous shards of ``ceil(n_nodes / workers)``; the
+                last shard may be shorter, and workers left without a
+                shard are never forked.
         """
         if workers < 1:
             raise ValueError("need at least one worker")
         config = self.config
         node_ids = list(range(config.n_nodes))
-        if shard_size is None:
-            shard_size = even_shard_size(len(node_ids), workers)
-        shards = shard(node_ids, shard_size)
+        shards = shard(node_ids, even_shard_size(len(node_ids), workers))
         beacons, sample_times, ref_readings = self._schedule()
         parallel = workers > 1 and len(shards) > 1
         workers_used = min(workers, len(shards)) if parallel else 1
@@ -278,7 +273,6 @@ def run_fleet(
     seed: int = DEFAULT_SEED,
     protocol: str | None = None,
     workers: int = 1,
-    shard_size: int | None = None,
     compute: str | ComputeSettings | None = None,
     compute_cache: str | None = None,
 ) -> FleetResult:
@@ -294,7 +288,6 @@ def run_fleet(
         protocol: override the scenario's sync protocol (e.g.
             ``"none"`` for the unsynchronized baseline).
         workers: processes, the caller included (1 = serial).
-        shard_size: explicit batch size (defaults to an even split).
         compute: ``"exact"`` or a
             :class:`~repro.net.compute.ComputeSettings` to resolve
             app compute through the fleet fast path (None = inline
@@ -324,4 +317,4 @@ def run_fleet(
         seed=seed,
         compute=compute_settings(compute, compute_cache),
     )
-    return FleetRunner(config).run(workers=workers, shard_size=shard_size)
+    return FleetRunner(config).run(workers=workers)

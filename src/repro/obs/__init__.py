@@ -14,9 +14,7 @@ layer may instrument itself without dependency cycles.
 
 from .artifact import (
     METRICS_SCHEMA,
-    dumps_metrics,
     metrics_payload,
-    strip_timings,
     write_metrics_json,
 )
 from .registry import (
@@ -29,7 +27,6 @@ from .registry import (
     counter_delta,
     deactivate,
     gauge,
-    is_active,
     observe,
     span,
     suspended,
@@ -46,14 +43,11 @@ __all__ = [
     "collecting",
     "counter_delta",
     "deactivate",
-    "dumps_metrics",
     "gauge",
-    "is_active",
     "metrics_payload",
     "observe",
     "render_metrics",
     "span",
-    "strip_timings",
     "suspended",
     "write_metrics_json",
 ]

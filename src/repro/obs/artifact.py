@@ -16,13 +16,12 @@ Schema::
 
 ``counters`` and ``gauges`` are byte-deterministic across
 PYTHONHASHSEED values, worker counts and resume points; ``timings``
-are machine noise by definition.  :func:`strip_timings` produces the
-comparable form the CI determinism step ``cmp``\\ s.
+are machine noise by definition.  ``tools/metrics_report.py strip``
+writes the comparable form the CI determinism step ``cmp``\\ s.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..store import write_json
@@ -44,18 +43,6 @@ def metrics_payload(
         "gauges": snapshot["gauges"],
         "timings": snapshot["timings"],
     }
-
-
-def strip_timings(payload: dict) -> dict:
-    """The deterministic portion of a payload (timings dropped)."""
-    return {
-        key: value for key, value in payload.items() if key != "timings"
-    }
-
-
-def dumps_metrics(payload: dict) -> str:
-    """Canonical serialisation (sorted keys, 2-space indent, LF)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_metrics_json(

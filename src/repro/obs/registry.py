@@ -149,11 +149,6 @@ def active() -> MetricsRegistry | None:
     return _active
 
 
-def is_active() -> bool:
-    """Whether a registry is currently collecting."""
-    return _active is not None
-
-
 def activate(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Install (and return) the active registry.
 

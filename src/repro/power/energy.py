@@ -16,8 +16,8 @@ from functools import reduce
 from operator import add
 from typing import Callable
 
-from .components import DEFAULT_ENERGY, EnergyParams
-from .process import DEFAULT_PROCESS, ProcessModel
+from .components import DEFAULT_ENERGY
+from .process import DEFAULT_PROCESS
 from .vfs import OperatingPoint
 
 def sum_left(values) -> float:
@@ -131,10 +131,12 @@ class PowerReport:
 
 
 def compute_power(activity: ActivityVector, point: OperatingPoint,
-                  multicore: bool,
-                  params: EnergyParams = DEFAULT_ENERGY,
-                  process: ProcessModel = DEFAULT_PROCESS) -> PowerReport:
+                  multicore: bool) -> PowerReport:
     """Turn activity counters into an average-power decomposition.
+
+    The component energies are
+    :data:`~repro.power.components.DEFAULT_ENERGY`, scaled to the
+    operating voltage by :data:`~repro.power.process.DEFAULT_PROCESS`.
 
     Args:
         activity: counters gathered over one simulated interval.
@@ -143,19 +145,15 @@ def compute_power(activity: ActivityVector, point: OperatingPoint,
         multicore: True for the crossbar-based platform, False for the
             decoder-based single-core baseline (selects interconnect
             energy, synchronizer idle power and crossbar leakage).
-        params: per-component energies at the reference voltage.
-        process: voltage scaling model.
     """
     return power_model(point, multicore, activity.cycles, activity.cores_on,
                        activity.im_banks_on, activity.dm_banks_on,
-                       activity.platform_cores, params, process)(activity)
+                       activity.platform_cores)(activity)
 
 
 def power_model(point: OperatingPoint, multicore: bool, cycles: float,
                 cores_on: int, im_banks_on: int, dm_banks_on: int,
-                platform_cores: int,
-                params: EnergyParams = DEFAULT_ENERGY,
-                process: ProcessModel = DEFAULT_PROCESS
+                platform_cores: int
                 ) -> Callable[[ActivityVector], PowerReport]:
     """:func:`compute_power` of activities with these fields: duration,
     voltage scales, leakage and the clock root's and synchronizer's
@@ -163,9 +161,10 @@ def power_model(point: OperatingPoint, multicore: bool, cycles: float,
     activity's own terms."""
     if cycles <= 0:
         raise ValueError("activity must span at least one cycle")
+    params = DEFAULT_ENERGY
     duration_s = cycles / point.cycles_per_second
-    dyn = process.dynamic_scale(point.voltage)
-    leak = process.leakage_scale(point.voltage)
+    dyn = DEFAULT_PROCESS.dynamic_scale(point.voltage)
+    leak = DEFAULT_PROCESS.leakage_scale(point.voltage)
     clock_root_pj = cycles * (params.clock_root_base_pj
                               + params.clock_root_per_core_pj * platform_cores)
     grant_pj = params.xbar_grant_pj if multicore else params.decoder_access_pj

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .process import DEFAULT_PROCESS, ProcessModel
+from .process import DEFAULT_PROCESS
 
 #: Platform minimum system clock in MHz (ADC and peripheral timing).
 MIN_SYSTEM_CLOCK_MHZ = 1.0
@@ -50,16 +50,15 @@ class OperatingPoint:
 
 
 def plan_operating_point(required_mhz: float,
-                         process: ProcessModel = DEFAULT_PROCESS,
                          single_core: bool = False,
                          floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ
                          ) -> OperatingPoint:
-    """Choose the minimum (frequency, voltage) meeting a throughput need.
+    """Choose the minimum (frequency, voltage) meeting a throughput need
+    on :data:`~repro.power.process.DEFAULT_PROCESS`.
 
     Args:
         required_mhz: worst-case required clock in MHz (work cycles per
             second / 1e6, already including stall and overhead cycles).
-        process: silicon process model.
         single_core: apply the decoder fmax boost of the baseline.
         floor_mhz: minimum system clock the platform supports.
 
@@ -72,5 +71,5 @@ def plan_operating_point(required_mhz: float,
         raise ValueError("required frequency cannot be negative")
     frequency = max(required_mhz, floor_mhz)
     boost = SINGLE_CORE_FMAX_BOOST if single_core else 1.0
-    voltage = process.min_voltage(frequency, frequency_boost=boost)
+    voltage = DEFAULT_PROCESS.min_voltage(frequency, frequency_boost=boost)
     return OperatingPoint(frequency_mhz=frequency, voltage=voltage)

@@ -9,17 +9,12 @@ short of a cost:
 * :func:`candidate_from_plan` / :func:`plan_from_candidate` convert to
   and from the :class:`~repro.apps.mapping.MappingPlan` the simulator
   consumes, so every mapping policy's output is a legal start point;
-* :func:`violations` is the cheap analytic pre-filter — bank
-  capacities, core ranges and replica-collision rules checked without
-  touching the simulator;
 * :func:`repair` applies the deterministic repair moves (IM-overflow
   sections migrate to the least-filled fitting bank, colliding
   replicas move to the lowest free core) that turn most infeasible
   mutations back into legal candidates;
 * :func:`propose` draws one mutated, repaired, normalised neighbour
-  from a seeded RNG;
-* :func:`candidate_required_mhz` is the analytic per-core clock bound
-  (mapping-aware: coalesced cores pay the *sum* of their loads).
+  from a seeded RNG.
 
 Unlike the paper's one-replica-per-core policies, candidates may
 coalesce several phases onto one core — trading core leakage against
@@ -37,7 +32,6 @@ from ..apps.mapping import (
     MappingPlan,
     distinct_sections,
     dm_footprint,
-    plan_required_mhz,
     sync_points,
 )
 from ..apps.phases import AppSpec
@@ -160,68 +154,6 @@ def candidate_to_mapping(candidate: Candidate) -> dict:
     }
 
 
-def _bank_fill(app: AppSpec, banks: dict[str, int],
-               geometry: ImGeometry) -> list[int]:
-    """Words per bank under a section->bank map (runtime in bank 0)."""
-    fill = [0] * geometry.banks
-    fill[0] = app.runtime_words
-    for section in distinct_sections(app):
-        bank = banks.get(section.name)
-        if bank is not None and 0 <= bank < geometry.banks:
-            fill[bank] += section.words
-    return fill
-
-
-def violations(app: AppSpec, candidate: Candidate, num_cores: int = 8,
-               geometry: ImGeometry | None = None) -> list[str]:
-    """The analytic pre-filter: every constraint a candidate breaks.
-
-    Checks (no simulation): slot count, core ranges, same-phase
-    replicas on distinct cores, the section set, bank ranges and bank
-    capacities.  An empty list means the candidate is feasible and
-    worth a full simulation.
-
-    Returns:
-        Human-readable violation messages (empty when feasible).
-    """
-    geom = geometry or ImGeometry()
-    problems: list[str] = []
-    phases = slot_phases(app)
-    if len(candidate.cores) != len(phases):
-        problems.append(
-            f"{len(candidate.cores)} core slots for {len(phases)} "
-            f"phase replicas")
-        return problems
-    used: dict[str, set[int]] = {}
-    for name, core in zip(phases, candidate.cores):
-        if not 0 <= core < num_cores:
-            problems.append(f"core {core} outside 0..{num_cores - 1}")
-        if core in used.setdefault(name, set()):
-            problems.append(
-                f"phase {name!r} has two replicas on core {core}")
-        used[name].add(core)
-    wanted = {section.name for section in distinct_sections(app)}
-    got = {name for name, _ in candidate.section_banks}
-    if wanted != got:
-        problems.append(
-            f"section set mismatch: missing {sorted(wanted - got)}, "
-            f"extra {sorted(got - wanted)}")
-        return problems
-    for name, bank in candidate.section_banks:
-        if not 0 <= bank < geom.banks:
-            problems.append(
-                f"section {name!r} on bank {bank} outside "
-                f"0..{geom.banks - 1}")
-            return problems
-    fill = _bank_fill(app, candidate.bank_of(), geom)
-    for bank, words in enumerate(fill):
-        if words > geom.words_per_bank:
-            problems.append(
-                f"bank {bank} holds {words} words "
-                f"(> {geom.words_per_bank})")
-    return problems
-
-
 def repair(app: AppSpec, candidate: Candidate, num_cores: int = 8,
            geometry: ImGeometry | None = None) -> Candidate | None:
     """Apply the deterministic repair moves to a broken candidate.
@@ -304,19 +236,6 @@ def _least_filled_fit(fill: list[int], words: int, capacity: int,
         if best is None or current < fill[best]:
             best = bank
     return best
-
-
-def candidate_required_mhz(app: AppSpec, candidate: Candidate,
-                           with_sync: bool = True) -> float:
-    """Analytic per-core clock bound of a candidate, in MHz.
-
-    Delegates to :func:`repro.apps.mapping.plan_required_mhz` — the
-    exact sizing rule the simulator applies — so the analytic bound
-    can never drift from what a full evaluation would charge.  No
-    simulation is run.
-    """
-    return plan_required_mhz(plan_from_candidate(app, candidate),
-                             with_sync=with_sync)
 
 
 def propose(app: AppSpec, candidate: Candidate, rng,

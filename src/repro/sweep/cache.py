@@ -11,7 +11,7 @@ A cached entry is addressed by two coordinates:
 Entries live at ``<root>/<fingerprint>/<key[:2]>/<key>.json``
 (:func:`repro.store.entry_path`, shared with the fleet compute cache);
 a new fingerprint simply opens a fresh namespace (old entries stay behind
-for rollbacks and can be garbage-collected with :meth:`ResultCache.prune`).
+for rollbacks until the directory is removed).
 Writes go through :func:`repro.store.write_json` (atomic), so a sweep
 killed mid-write never leaves a corrupt entry, and concurrent workers
 racing on the same point both land a complete file.
@@ -23,7 +23,6 @@ to ``~/.cache/repro-sweep``.
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from pathlib import Path
 
@@ -123,22 +122,3 @@ class ResultCache:
         if not namespace.is_dir():
             return 0
         return sum(1 for _ in namespace.rglob("*.json"))
-
-    def prune(self, keep_current: bool = True) -> int:
-        """Delete stale fingerprint namespaces; return how many.
-
-        Args:
-            keep_current: keep the namespace of this cache's own
-                fingerprint (pass ``False`` to clear everything).
-        """
-        if not self.root.is_dir():
-            return 0
-        removed = 0
-        for child in self.root.iterdir():
-            if not child.is_dir():
-                continue
-            if keep_current and child.name == self.fingerprint:
-                continue
-            shutil.rmtree(child)
-            removed += 1
-        return removed

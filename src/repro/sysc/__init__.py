@@ -3,6 +3,6 @@
 See ``docs/architecture.md``, section "`repro.hw` → `repro.sysc`".
 """
 
-from .engine import Mode, schedule_from_record, simulate, uniform_schedule
+from .engine import Mode, simulate, uniform_schedule
 
-__all__ = ["Mode", "schedule_from_record", "simulate", "uniform_schedule"]
+__all__ = ["Mode", "simulate", "uniform_schedule"]

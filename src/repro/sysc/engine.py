@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .. import obs
 from ..apps.mapping import (
@@ -45,17 +45,12 @@ from ..apps.mapping import (
     plan_required_mhz,
 )
 from ..apps.phases import AppSpec, Trigger
-from ..power.components import DEFAULT_ENERGY, EnergyParams
 from ..power.energy import ActivityVector, PowerReport, power_model
-from ..power.process import DEFAULT_PROCESS, ProcessModel
 from ..power.vfs import (
     MIN_SYSTEM_CLOCK_MHZ,
     OperatingPoint,
     plan_operating_point,
 )
-
-if TYPE_CHECKING:  # only read as a type: numpy stays unloaded
-    from ..signals.records import EcgRecord
 
 #: Data accesses per cycle of a busy-wait polling loop (one flag load
 #: every ~3 instructions).
@@ -86,12 +81,6 @@ class BeatEvent:
 
     sample: int
     abnormal: bool
-
-
-def schedule_from_record(record: EcgRecord) -> list[BeatEvent]:
-    """Extract the beat schedule of a synthesised record."""
-    return [BeatEvent(sample=beat.sample, abnormal=beat.is_pathological)
-            for beat in record.annotations]
 
 
 def _uniform_beats(duration_s: float, fs: float, bpm: float,
@@ -281,8 +270,6 @@ def _required_clock_mhz(app: AppSpec, mode: Mode, abnormal: int,
 
 def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
              duration_s: float = 60.0, num_cores: int = 8,
-             energy: EnergyParams = DEFAULT_ENERGY,
-             process: ProcessModel = DEFAULT_PROCESS,
              floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
              mapping: MappingPlan | None = None) -> SimulationResult:
     """Simulate one application in one configuration: the one-row
@@ -294,8 +281,6 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         schedule: input beat schedule (drives the on-demand phases).
         duration_s: simulated time span (the paper uses 60 s).
         num_cores: cores of the multi-core platform.
-        energy: component-energy calibration.
-        process: VFS process model.
         floor_mhz: minimum system clock the VFS planner may choose
             (the paper's platform floor is 1 MHz; sweeps raise it to
             probe VFS sensitivity).
@@ -309,13 +294,11 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
     """
     signature = schedule_signature(schedule, int(round(duration_s * app.fs)))
     return simulate_batch(app, mode, [signature], duration_s, num_cores,
-                          energy, process, floor_mhz, mapping)[0]
+                          floor_mhz, mapping)[0]
 
 
 def simulate_batch(app: AppSpec, mode: Mode, signatures: Sequence[list],
                    duration_s: float = 60.0, num_cores: int = 8,
-                   energy: EnergyParams = DEFAULT_ENERGY,
-                   process: ProcessModel = DEFAULT_PROCESS,
                    floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
                    mapping: MappingPlan | None = None
                    ) -> list[SimulationResult]:
@@ -406,14 +389,13 @@ def simulate_batch(app: AppSpec, mode: Mode, signatures: Sequence[list],
         if key not in sized:
             required = _required_clock_mhz(app, mode, abnormal,
                                            duration_s, mapping)
-            point = plan_operating_point(required, process=process,
+            point = plan_operating_point(required,
                                          single_core=not multicore,
                                          floor_mhz=floor_mhz)
             capacity = point.cycles_per_second / fs  # cycles per tick
             wall_cycles = ticks * capacity
             sized[key] = (required, point, capacity, wall_cycles, power_model(
-                point, multicore, wall_cycles, **shape, params=energy,
-                process=process))
+                point, multicore, wall_cycles, **shape))
         required, point, capacity, wall_cycles, power_of = sized[key]
         beats_by_tick: dict[int, int] = {}
         for tick in clipped:

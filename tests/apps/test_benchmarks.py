@@ -5,7 +5,6 @@ import pytest
 from repro.apps import rp_class, three_lead_mf, three_lead_mmd
 from repro.apps.functional import (
     run_rp_class,
-    run_three_lead_mf,
     run_three_lead_mmd,
 )
 from repro.dsp.morphology import MorphologicalFilter
@@ -60,11 +59,12 @@ def test_rp_class_ratio_knob():
 # ---------------------------------------------------------------------------
 
 def test_run_three_lead_mf_functional():
+    """3L-MF runs the morphological filter on each of three leads."""
     record = cse_like_record(duration_s=10.0)
-    output = run_three_lead_mf(record)
-    assert len(output.filtered_leads) == 3
-    assert all(len(lead) == record.num_samples
-               for lead in output.filtered_leads)
+    mf = MorphologicalFilter(fs=record.fs)
+    filtered = [mf.process(lead) for lead in record.leads[:3]]
+    assert len(filtered) == 3
+    assert all(len(lead) == record.num_samples for lead in filtered)
 
 
 def test_run_three_lead_mmd_functional():

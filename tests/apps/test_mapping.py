@@ -68,7 +68,8 @@ def test_rp_class_filters_share_code_bank():
 
 def test_replicas_on_distinct_cores():
     plan = map_multicore(three_lead_mf())
-    cores = plan.cores_of_phase("filter")
+    cores = [assignment.core for assignment in plan.assignments
+             if assignment.phase == "filter"]
     assert len(cores) == 3
     assert len(set(cores)) == 3
 

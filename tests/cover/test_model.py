@@ -1,7 +1,5 @@
 """Tests for the declarative coverage model."""
 
-import pytest
-
 from repro.cover.model import (
     ADVERSARIAL_POINTS,
     DIMENSIONS,
@@ -15,7 +13,6 @@ from repro.cover.model import (
     app_shares_sections,
     bin_key,
     classify,
-    parse_bin,
 )
 from repro.gen.explorer import evaluate_token
 from repro.gen.generator import app_from_token, suite_tokens
@@ -47,7 +44,10 @@ def test_all_bins_deterministic_and_valid():
     assert bins == all_bins()
     assert len(bins) == len(set(bins))
     for key in bins:
-        parse_bin(key)  # no exception
+        labels = key.split("/")
+        assert len(labels) == len(DIMENSIONS), key
+        assert all(label in dimension.labels
+                   for label, dimension in zip(labels, DIMENSIONS)), key
     # the pruned space is dramatically smaller than the raw product
     raw = 1
     for dimension in DIMENSIONS:
@@ -61,15 +61,6 @@ def test_excluded_combos_absent_from_space():
             labels = key.split("/")
             assert not (labels[0] == family and labels[1] == depth
                         and labels[2] == fan_in), key
-
-
-def test_parse_bin_rejects_malformed_keys():
-    with pytest.raises(ValueError, match="labels"):
-        parse_bin("pipeline/d2-4")
-    with pytest.raises(ValueError, match="depth"):
-        parse_bin("pipeline/bogus/f1/private/ok/r1")
-    with pytest.raises(ValueError, match="outcome"):
-        parse_bin("pipeline/d2-4/f1/private/maybe/r1")
 
 
 def test_classify_every_generated_family_lands_in_space():

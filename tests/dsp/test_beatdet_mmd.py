@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dsp.beatdet import detect_r_peaks, detection_f1
-from repro.dsp.mmd import (
-    MmdDelineator,
-    combine_leads,
-    delineation_sensitivity,
-    mmd_transform,
-)
+from repro.dsp.beatdet import detect_r_peaks
+from repro.dsp.mmd import MmdDelineator, combine_leads, mmd_transform
 from repro.dsp.morphology import MorphologicalFilter
 from repro.signals import EcgConfig, synthesize_ecg
+
+from .scores import delineation_sensitivity, detection_f1
 
 FS = 250.0
 

@@ -5,12 +5,10 @@ import pytest
 
 from repro.dsp.beatdet import detect_r_peaks
 from repro.dsp.morphology import MorphologicalFilter
-from repro.dsp.rp import (
-    RandomProjectionClassifier,
-    RpParams,
-    classification_accuracy,
-)
+from repro.dsp.rp import RandomProjectionClassifier, RpParams
 from repro.signals import BeatLabel, EcgConfig, synthesize_ecg
+
+from .scores import classification_accuracy
 
 FS = 250.0
 

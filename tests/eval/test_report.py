@@ -225,9 +225,10 @@ def test_render_gen_elides_population_scale_tables():
                 active_cores=ok.active_cores, im_banks=ok.im_banks,
                 simulated_s=1.0)
             for index in range(100)))
-    text = render_gen(many, max_rows=10)
-    assert "... 90 more record(s) elided" in text
-    assert text.count("G0") <= 11  # only the first rows render
+    text = render_gen(many)
+    assert "... 52 more record(s) elided" in text
+    # only the first 48 rows render
+    assert "G47-pipeline" in text and "G48-pipeline" not in text
     # the percentile summary still covers every record
     assert "p50 89.5  p90 129.1  max 139.0" in text
 
@@ -293,8 +294,9 @@ def test_render_search_elides_population_scale_tables():
                 evaluations=10, accepted=5, infeasible=0,
                 best_metrics=dict(ok.best_metrics))
             for index in range(60)))
-    text = render_search(many, max_rows=8)
-    assert "... 52 more outcome(s) elided" in text
+    text = render_search(many)
+    assert "... 12 more outcome(s) elided" in text
+    assert "G47-pipeline" in text and "G48-pipeline" not in text
     assert "gap over 60 placed app(s)" in text
 
 

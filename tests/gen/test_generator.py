@@ -6,7 +6,6 @@ from repro.apps.phases import Trigger
 from repro.gen import (
     FAMILY_ORDER,
     app_fingerprint,
-    app_from_mapping,
     app_from_token,
     app_to_mapping,
     app_token,
@@ -21,6 +20,8 @@ from repro.gen.distributions import (
     DM_RATE_RANGE,
     SYNC_RATE_RANGE,
 )
+
+from .rebuild import app_from_mapping
 
 
 @pytest.mark.parametrize("family", FAMILY_ORDER)

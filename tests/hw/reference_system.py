@@ -31,7 +31,7 @@ from repro.hw.core import EffectKind, RiscCore
 from repro.hw.interconnect import Crossbar
 from repro.hw.system import SimulationError, System
 from repro.isa.encoding import Instruction
-from repro.isa.spec import Op, to_signed16, to_u16
+from repro.isa.spec import DATA_BITS, WORD_MASK, Op, signed
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class ReferenceCore(RiscCore):
     def write_reg(self, index: int, value: int) -> None:
         """Write a register (writes to r0 are discarded)."""
         if index != 0:
-            self.regs[index] = to_u16(value)
+            self.regs[index] = value & WORD_MASK
 
     def execute(self, instr: Instruction) -> Effect:
         """Execute one fetched instruction; returns its platform effect.
@@ -112,36 +112,36 @@ class ReferenceCore(RiscCore):
         elif op is Op.SRA:
             shift = self.read_reg(instr.rb) & 0xF
             self.write_reg(instr.rd,
-                           to_signed16(self.read_reg(instr.ra)) >> shift)
+                           signed(self.read_reg(instr.ra), DATA_BITS) >> shift)
         elif op is Op.SLT:
             self.write_reg(instr.rd,
-                           int(to_signed16(self.read_reg(instr.ra))
-                               < to_signed16(self.read_reg(instr.rb))))
+                           int(signed(self.read_reg(instr.ra), DATA_BITS)
+                               < signed(self.read_reg(instr.rb), DATA_BITS)))
         elif op is Op.SLTU:
             self.write_reg(instr.rd,
                            int(self.read_reg(instr.ra)
                                < self.read_reg(instr.rb)))
         elif op is Op.MUL:
-            product = (to_signed16(self.read_reg(instr.ra))
-                       * to_signed16(self.read_reg(instr.rb)))
+            product = (signed(self.read_reg(instr.ra), DATA_BITS)
+                       * signed(self.read_reg(instr.rb), DATA_BITS))
             self.write_reg(instr.rd, product)
             self.busy_cycles_left += 1
         elif op is Op.MULH:
-            product = (to_signed16(self.read_reg(instr.ra))
-                       * to_signed16(self.read_reg(instr.rb)))
+            product = (signed(self.read_reg(instr.ra), DATA_BITS)
+                       * signed(self.read_reg(instr.rb), DATA_BITS))
             self.write_reg(instr.rd, product >> 16)
             self.busy_cycles_left += 1
         elif op is Op.ADDI:
             self.write_reg(instr.rd, self.read_reg(instr.ra) + instr.imm)
         elif op is Op.ANDI:
             self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) & to_u16(instr.imm))
+                           self.read_reg(instr.ra) & (instr.imm & WORD_MASK))
         elif op is Op.ORI:
             self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) | to_u16(instr.imm))
+                           self.read_reg(instr.ra) | (instr.imm & WORD_MASK))
         elif op is Op.XORI:
             self.write_reg(instr.rd,
-                           self.read_reg(instr.ra) ^ to_u16(instr.imm))
+                           self.read_reg(instr.ra) ^ (instr.imm & WORD_MASK))
         elif op is Op.SLLI:
             self.write_reg(instr.rd,
                            self.read_reg(instr.ra) << (instr.imm & 0xF))
@@ -150,20 +150,20 @@ class ReferenceCore(RiscCore):
                            self.read_reg(instr.ra) >> (instr.imm & 0xF))
         elif op is Op.SRAI:
             self.write_reg(instr.rd,
-                           to_signed16(self.read_reg(instr.ra))
+                           signed(self.read_reg(instr.ra), DATA_BITS)
                            >> (instr.imm & 0xF))
         elif op is Op.SLTI:
             self.write_reg(instr.rd,
-                           int(to_signed16(self.read_reg(instr.ra))
+                           int(signed(self.read_reg(instr.ra), DATA_BITS)
                                < instr.imm))
         elif op is Op.LUI:
             self.write_reg(instr.rd, (instr.imm & 0xFF) << 8)
         elif op is Op.LW:
-            address = to_u16(self.read_reg(instr.ra) + instr.imm)
+            address = (self.read_reg(instr.ra) + instr.imm) & WORD_MASK
             effect = Effect(EffectKind.LOAD, address=address, rd=instr.rd)
             self.stats.loads += 1
         elif op is Op.SW:
-            address = to_u16(self.read_reg(instr.ra) + instr.imm)
+            address = (self.read_reg(instr.ra) + instr.imm) & WORD_MASK
             effect = Effect(EffectKind.STORE, address=address,
                             value=self.read_reg(instr.rb))
             self.stats.stores += 1
@@ -174,12 +174,12 @@ class ReferenceCore(RiscCore):
             if self.read_reg(instr.ra) != self.read_reg(instr.rb):
                 next_pc = self._take_branch(instr)
         elif op is Op.BLT:
-            if (to_signed16(self.read_reg(instr.ra))
-                    < to_signed16(self.read_reg(instr.rb))):
+            if (signed(self.read_reg(instr.ra), DATA_BITS)
+                    < signed(self.read_reg(instr.rb), DATA_BITS)):
                 next_pc = self._take_branch(instr)
         elif op is Op.BGE:
-            if (to_signed16(self.read_reg(instr.ra))
-                    >= to_signed16(self.read_reg(instr.rb))):
+            if (signed(self.read_reg(instr.ra), DATA_BITS)
+                    >= signed(self.read_reg(instr.rb), DATA_BITS)):
                 next_pc = self._take_branch(instr)
         elif op is Op.BLTU:
             if self.read_reg(instr.ra) < self.read_reg(instr.rb):
@@ -193,7 +193,7 @@ class ReferenceCore(RiscCore):
             self.busy_cycles_left += 1
             self.stats.taken_branches += 1
         elif op is Op.JALR:
-            target = to_u16(self.read_reg(instr.ra) + instr.imm)
+            target = (self.read_reg(instr.ra) + instr.imm) & WORD_MASK
             self.write_reg(instr.rd, self.pc + 1)
             next_pc = target
             self.busy_cycles_left += 1
@@ -606,15 +606,16 @@ class ReferenceSystem(System):
                     core.complete_load(effects[request.port], value)
                     self._pending[request.port] = None
 
-    def run(self, max_cycles: int, stop_on_halt: bool = True) -> int:
-        """Run up to ``max_cycles``; returns cycles actually simulated.
+    def run(self, max_cycles: int) -> int:
+        """Run up to ``max_cycles``, or until every core has halted;
+        returns cycles actually simulated.
 
         Raises :class:`SimulationError` on deadlock (all cores gated
         with no wake source left).
         """
         start = self.cycle
         while self.cycle - start < max_cycles:
-            if stop_on_halt and self.all_halted:
+            if self.all_halted:
                 break
             if self.deadlocked():
                 raise SimulationError(

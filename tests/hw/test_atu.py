@@ -21,8 +21,8 @@ def test_private_addresses_get_per_core_tag(atu):
     loc0 = atu.translate(0, 100)
     loc1 = atu.translate(1, 100)
     assert loc0 != loc1
-    assert loc0.bank in atu.banks_for_core_private(0)
-    assert loc1.bank in atu.banks_for_core_private(1)
+    assert loc0.bank // atu.banks_per_core == 0
+    assert loc1.bank // atu.banks_per_core == 1
 
 
 def test_shared_addresses_are_core_independent(atu):
@@ -53,9 +53,9 @@ def test_unmapped_hole_rejected(atu):
 
 
 def test_sync_points_translate_through_shared_path(atu):
-    location = atu.shared_location(MMAP.sync_point_address(5))
+    location = atu.shared_location(MMAP.sync_point_base + 5)
     assert 0 <= location.bank < GEOM.banks
-    assert atu.translate(3, MMAP.sync_point_address(5)) == location
+    assert atu.translate(3, MMAP.sync_point_base + 5) == location
 
 
 def test_shared_location_rejects_private(atu):

@@ -116,5 +116,5 @@ def test_core_matches_golden_model(instructions):
     assert system.all_halted
 
     expected = _golden(instructions)
-    actual = [system.cores[0].read_reg(index) for index in range(8)]
+    actual = system.cores[0].regs[:8]
     assert actual == expected

@@ -5,12 +5,12 @@ before execution went through a handler table and crossbar arbitration
 got its single-transaction shortcut.  Every run here goes through both
 loops and must leave the same cycle count, core state and counters,
 memory words and access counts, crossbar counters and round-robin
-pointers, synchronizer counters and point words, and ADC counters; a
-run that raises must raise the same exception at the same cycle in
-both.  The inputs are the repository's kernels and random multi-core
-programs.  The fast loop books idle cores' cycles lazily, so it is
-also run in chunks of ``run(k)``, which must add up to one ``run``,
-and after every run the counters must satisfy the accounting
+pointers, synchronizer counters, point words and event latches, and ADC
+counters; a run that raises must raise the same exception at the same
+cycle in both.  The inputs are the repository's kernels and random
+multi-core programs.  The fast loop books idle cores' cycles lazily,
+so it is also run in chunks of ``run(k)``, which must add up to one
+``run``, and after every run the counters must satisfy the accounting
 invariants of :func:`_check_accounting`.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.core.synchronizer import SyncProtocolError
 from repro.hw.core import RiscCore
@@ -40,8 +40,8 @@ from repro.isa.layout import (
 )
 from repro.isa.spec import Op
 from repro.kernels.sources import (
+    RESULT_BASE,
     barrier_pipeline_kernel,
-    mac_kernel,
     window_min_kernel,
 )
 
@@ -69,6 +69,8 @@ def _state(system: System) -> dict:
         "sync": (dataclasses.asdict(sync.stats),
                  [system.dm_peek(sync.point_address(point))
                   for point in range(sync.num_points)]),
+        "latches": [sync.has_pending_event(core)
+                    for core in range(sync.num_cores)],
         "adc": None if system.adc is None else [
             dataclasses.asdict(channel.stats)
             for channel in system.adc.channels],
@@ -241,9 +243,66 @@ def test_barrier_pipeline(producers, rounds):
     assert state["sync"][0]["point_fires"] > 0
 
 
+def mac_kernel(taps: int) -> str:
+    """Multiply-accumulate kernel (random-projection inner loop).
+
+    One core computes a ``taps``-long dot product of two private
+    vectors and stores the low word at ``RESULT_BASE``.
+    """
+    return f"""
+; MAC characterisation kernel ({taps} taps)
+.equ A, 0
+.equ B, {taps}
+.equ RESULT, {RESULT_BASE:#x}
+.equ N, {taps}
+.dmfootprint RESULT
+
+main:
+    ; fill a[i] = i + 1, b[i] = 2*i + 1
+    addi r1, zero, 0
+initloop:
+    addi r2, r1, 1
+    addi r4, zero, A
+    add  r4, r4, r1
+    sw   r2, 0(r4)
+    slli r2, r1, 1
+    addi r2, r2, 1
+    addi r4, zero, B
+    add  r4, r4, r1
+    sw   r2, 0(r4)
+    addi r1, r1, 1
+    li   r2, N
+    blt  r1, r2, initloop
+    ; dot product
+    addi r1, zero, 0        ; index
+    addi r3, zero, 0        ; accumulator
+macloop:
+    addi r4, zero, A
+    add  r4, r4, r1
+    lw   r2, 0(r4)
+    addi r4, zero, B
+    add  r4, r4, r1
+    lw   r5, 0(r4)
+    mul  r2, r2, r5
+    add  r3, r3, r2
+    addi r1, r1, 1
+    li   r2, N
+    blt  r1, r2, macloop
+    li   r4, RESULT
+    sw   r3, 0(r4)
+    halt
+"""
+
+
 def test_mac():
     error, _ = run_both(_singlecore, mac_kernel(taps=12))
     assert error is None
+    system = System.singlecore()
+    system.load(assemble(mac_kernel(taps=48)))
+    system.run(10_000)
+    assert system.all_halted
+    assert system.dm_peek(RESULT_BASE) == \
+        sum((i + 1) * (2 * i + 1) for i in range(48)) & 0xFFFF
 
 
 _SPIN = """
@@ -397,6 +456,15 @@ def _region(point: int, blocks):
                           f"sdec {point}", "sleep"]
 
 
+def _handoff(point: int):
+    """Core 0 registers at ``point`` and sleeps; core 1, which never
+    registers there, releases it with a bare ``sdec``."""
+    return lambda label: [
+        "li r3, 0", f"bne r6, r3, {label}other", f"sinc {point}", "sleep",
+        f"j {label}end", f"{label}other:", "li r3, 1",
+        f"bne r6, r3, {label}end", f"sdec {point}", f"{label}end:"]
+
+
 def _halt_if(core: int):
     return lambda label: [f"li r3, {core}", f"bne r6, r3, {label}", "halt",
                           f"{label}:"]
@@ -418,6 +486,7 @@ _SYNC = st.one_of(
                        max_size=4)),
     # A consumer's wait: falls through unless the point is counting.
     st.integers(0, 2).map(lambda point: [f"snop {point}", "sleep"]),
+    st.builds(_handoff, st.integers(0, 2)),
 )
 # Blocks that may hang a core or raise.
 _RISKY = st.one_of(
@@ -465,8 +534,12 @@ def programs(draw, max_cores: int = 8, adc: bool = False) -> str:
     return "\n".join(source) + "\n"
 
 
+# Without the explain phase, which reruns both loops for every
+# candidate, a failing program is reported in tens of seconds.
 _SETTINGS = settings(max_examples=100, deadline=None,
-                     suppress_health_check=[HealthCheck.too_slow])
+                     suppress_health_check=[HealthCheck.too_slow],
+                     phases=[phase for phase in Phase
+                             if phase is not Phase.explain])
 
 
 @_SETTINGS

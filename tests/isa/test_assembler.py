@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa.assembler import Assembler, assemble, assemble_many
+from repro.isa.assembler import Assembler, assemble
 from repro.isa.encoding import decode
 from repro.isa.errors import AssemblerError, LinkError
 from repro.isa.spec import Op
@@ -213,10 +213,11 @@ def test_bad_bank_rejected():
 
 
 def test_assemble_many_links_multiple_sources():
-    image = assemble_many({
-        "a.s": ".entry 0, main\nmain: call helper\nhalt_loop: j halt_loop",
-        "b.s": "helper: ret",
-    })
+    image = (Assembler()
+             .add_source(".entry 0, main\nmain: call helper\n"
+                         "halt_loop: j halt_loop", "a.s")
+             .add_source("helper: ret", "b.s")
+             .build())
     assert "helper" in image.symbols
     assert image.entries[0] == image.symbols["main"]
 

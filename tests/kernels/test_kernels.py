@@ -4,9 +4,7 @@ import pytest
 
 from repro.kernels import (
     characterize_barrier_pipeline,
-    characterize_mac,
     characterize_window_min,
-    mac_kernel,
     window_min_kernel,
 )
 
@@ -64,17 +62,6 @@ def test_window_min_parameter_validation():
         window_min_kernel(cores=0)
     with pytest.raises(ValueError):
         window_min_kernel(window=1)
-
-
-def test_mac_kernel_functional_and_timed():
-    report = characterize_mac(taps=48)
-    assert report.result == report.expected
-    assert 5.0 < report.cycles_per_mac < 25.0
-
-
-def test_mac_kernel_validation():
-    with pytest.raises(ValueError):
-        mac_kernel(taps=0)
 
 
 def test_barrier_pipeline_multi_round_correctness():

@@ -12,7 +12,6 @@ from repro.net.appsource import (
     BenchmarkSource,
     GeneratedSuiteSource,
     MixedSource,
-    source_from_mapping,
 )
 from repro.net.scenarios import (
     SCENARIOS,
@@ -159,30 +158,6 @@ def test_mixed_source_validates_parts():
     with pytest.raises(ValueError):
         MixedSource(parts=((BenchmarkSource(mix=(("3L-MF", 1.0),)),
                             0.0),))
-
-
-# ---------------------------------------------------------------------------
-# Serialisation
-# ---------------------------------------------------------------------------
-
-def test_sources_round_trip_through_mappings():
-    sources = [
-        BenchmarkSource(mix=(("3L-MF", 2.0), ("RP-CLASS", 1.0))),
-        GeneratedSuiteSource(seed=9, count=7,
-                             families=("pipeline", "fan-in"),
-                             policy="critical-path", num_cores=6),
-        MixedSource(parts=(
-            (BenchmarkSource(mix=(("3L-MMD", 1.0),)), 2.0),
-            (GeneratedSuiteSource(seed=2, count=3), 1.0),
-        )),
-    ]
-    for source in sources:
-        assert source_from_mapping(source.to_mapping()) == source
-
-
-def test_source_from_mapping_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown app-source kind"):
-        source_from_mapping({"kind": "martian"})
 
 
 def test_every_preset_source_describes_itself():

@@ -1,11 +1,17 @@
-"""Fleet runner tests: determinism, sharding edge cases, scale."""
+"""Fleet runner tests: determinism, sharding edge cases, scale.
+
+Every run's result is checked by :func:`check_invariants` before the
+test reads it.
+"""
 
 import pytest
 
-from repro.net.fleet import FleetConfig, FleetRunner, run_fleet
+from repro.net.fleet import FleetConfig, FleetRunner
 from repro.net.node import REFERENCE_NODE_ID
 from repro.net.scenarios import get_scenario
 from repro.net.stats import SyncError
+
+from .invariants import check_invariants, run_fleet
 
 
 def _config(n_nodes, scenario="dense-ward", duration_s=4.0, seed=3):
@@ -13,10 +19,15 @@ def _config(n_nodes, scenario="dense-ward", duration_s=4.0, seed=3):
                        duration_s=duration_s, seed=seed)
 
 
+def _run(config, workers=1):
+    """``FleetRunner(config).run(workers)``, invariants checked."""
+    return check_invariants(FleetRunner(config).run(workers=workers))
+
+
 def test_serial_and_parallel_are_bit_identical():
     config = _config(7)
-    serial = FleetRunner(config).run(workers=1)
-    parallel = FleetRunner(config).run(workers=3)
+    serial = _run(config, workers=1)
+    parallel = _run(config, workers=3)
     assert parallel.mode == "parallel"
     assert serial.mode == "serial"
     assert parallel.summary == serial.summary
@@ -24,18 +35,18 @@ def test_serial_and_parallel_are_bit_identical():
 
 
 def test_shard_count_not_dividing_node_count():
-    config = _config(7)
-    baseline = FleetRunner(config).run(workers=1)
-    # 7 nodes in shards of 3 -> shards of 3, 3, 1.
-    uneven = FleetRunner(config).run(workers=2, shard_size=3)
-    assert uneven.shards == 3
+    config = _config(10)
+    baseline = _run(config, workers=1)
+    # 10 nodes on 4 workers -> shards of 3, 3, 3, 1.
+    uneven = _run(config, workers=4)
+    assert uneven.shards == 4
     assert uneven.summary == baseline.summary
     assert uneven.nodes == baseline.nodes
 
 
 def test_zero_node_fleet_is_empty_but_valid():
     for workers in (1, 2):
-        result = FleetRunner(_config(0)).run(workers=workers)
+        result = _run(_config(0), workers=workers)
         assert result.nodes == ()
         assert result.summary.n_nodes == 0
         assert result.summary.total_power_uw == 0
@@ -43,7 +54,7 @@ def test_zero_node_fleet_is_empty_but_valid():
 
 
 def test_single_node_fleet_is_the_reference_alone():
-    result = FleetRunner(_config(1)).run(workers=2)
+    result = _run(_config(1), workers=2)
     assert len(result.nodes) == 1
     node = result.nodes[0]
     assert node.node_id == REFERENCE_NODE_ID
@@ -54,15 +65,15 @@ def test_single_node_fleet_is_the_reference_alone():
 
 
 def test_same_seed_reproduces_different_seed_differs():
-    a = FleetRunner(_config(5, seed=42)).run()
-    b = FleetRunner(_config(5, seed=42)).run()
-    c = FleetRunner(_config(5, seed=43)).run()
+    a = _run(_config(5, seed=42))
+    b = _run(_config(5, seed=42))
+    c = _run(_config(5, seed=43))
     assert a.summary == b.summary and a.nodes == b.nodes
     assert c.summary != a.summary
 
 
 def test_radio_energy_lands_in_the_power_report():
-    result = FleetRunner(_config(3)).run()
+    result = _run(_config(3))
     reference, *followers = result.nodes
     # The hub pays per-beacon TX energy on top of the listening floor.
     spec = get_scenario("dense-ward").radio
@@ -84,12 +95,10 @@ def test_runner_validates_arguments():
     runner = FleetRunner(_config(2))
     with pytest.raises(ValueError):
         runner.run(workers=0)
-    with pytest.raises(ValueError):
-        runner.run(workers=2, shard_size=0)
 
 
 def test_merged_sync_error_matches_global_statistics():
-    result = FleetRunner(_config(6, scenario="drifting-wearables")).run()
+    result = _run(_config(6, scenario="drifting-wearables"))
     followers = [n for n in result.nodes if n.node_id != 0]
     merged = SyncError.merged([n.sync for n in followers])
     assert merged.count == sum(n.sync.count for n in followers)

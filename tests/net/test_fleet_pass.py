@@ -4,7 +4,8 @@
 shard, resolves the shard's compute there, replays the shard's
 followers as the rows of one sync replay and folds each row's error
 moments.  ``reference_fleet`` runs the same fleet node by node; the two
-must agree ``==`` on every node and on the summary.
+must agree ``==`` on every node and on the summary.  Every run's result
+is also checked by :func:`check_invariants`.
 """
 
 import os
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.net import run_fleet
 from repro.net.compute import clear_process_caches, compute_settings
 from repro.net.fleet import FleetConfig, FleetRunner
 from repro.net.scenarios import get_scenario, with_protocol
 from repro.net.stats import Moments, SyncError
 from repro.sysc.engine import simulate_batch
 
+from .invariants import check_invariants, run_fleet
 from .reference_fleet import from_samples, reference_fleet
 
 PRESETS = ("dense-ward", "drifting-wearables", "intermittent-harvesting",
@@ -30,9 +31,9 @@ PRESETS = ("dense-ward", "drifting-wearables", "intermittent-harvesting",
 #: and more beacons than an FTSP window, with resets (20 s).
 DURATIONS = (0.1, 0.5, 4.0, 20.0)
 
-#: (workers, shard_size): serial, two shards, and four shards of
-#: seven nodes on three workers.
-SHAPES = ((1, None), (2, None), (3, 2))
+#: Workers: serial, two shards of 4 and 3, and three shards of 3, 3
+#: and 1 of the seven nodes.
+WORKERS = (1, 2, 3)
 
 
 @pytest.mark.parametrize("duration", DURATIONS)
@@ -45,9 +46,9 @@ def test_shard_pass_equals_the_per_node_path(preset, duration):
                 n_nodes=7, duration_s=duration, seed=11,
                 compute=compute_settings(compute))
             nodes, summary = reference_fleet(config)
-            for workers, shard_size in SHAPES:
-                result = FleetRunner(config).run(workers, shard_size)
-                case = (protocol, compute, workers, shard_size)
+            for workers in WORKERS:
+                result = check_invariants(FleetRunner(config).run(workers))
+                case = (protocol, compute, workers)
                 assert result.nodes == nodes, case
                 assert result.summary == summary, case
 
@@ -86,7 +87,7 @@ def test_one_row_fold_of_nothing_is_empty():
 def test_shard_spans_cover_the_fleet_run(compute):
     with obs.collecting() as registry:
         result = run_fleet("generated-swarm", n_nodes=48, duration_s=10.0,
-                           seed=3, compute=compute, shard_size=12)
+                           seed=3, compute=compute, workers=2)
     timings = registry.snapshot()["timings"]
     spans = ("net.fleet.build", "net.compute.resolve", "net.fleet.replay",
              "net.fleet.fold")
@@ -109,7 +110,7 @@ def test_flat_fleet_counters_match_across_workers_and_shards():
     # schedule build in the main process.
     assert serial["counters"]["net.apps.resolved"] == 25
     assert serial["counters"]["net.compute.requests"] == 24
-    for kwargs in ({"workers": 2}, {"workers": 3}, {"shard_size": 5}):
+    for kwargs in ({"workers": 2}, {"workers": 3}):
         assert _counters(**kwargs) == serial, kwargs
 
 

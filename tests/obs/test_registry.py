@@ -10,7 +10,6 @@ def test_default_is_noop_and_allocates_nothing():
     # Nothing active by default: module-level recording is a no-op
     # and leaves no collector state behind.
     assert obs.active() is None
-    assert not obs.is_active()
     obs.add("some.counter")
     obs.gauge("some.gauge", 3.0)
     obs.observe("some.timer", 0.5)

@@ -5,10 +5,8 @@ import json
 from repro import obs
 from repro.obs import (
     METRICS_SCHEMA,
-    dumps_metrics,
     metrics_payload,
     render_metrics,
-    strip_timings,
     write_metrics_json,
 )
 
@@ -55,16 +53,6 @@ def test_metrics_payload_shape():
     assert payload["experiment"] == "net"
     assert payload["counters"]["sweep.cache.hit"] == 1200
     assert payload["timings"]["net.stream.run"]["count"] == 1
-    stripped = strip_timings(payload)
-    assert "timings" not in stripped
-    assert stripped["counters"] == payload["counters"]
-
-
-def test_dumps_metrics_is_canonical():
-    payload = metrics_payload(_registry())
-    text = dumps_metrics(payload)
-    assert text.endswith("\n")
-    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_write_metrics_json_round_trips(tmp_path):

@@ -10,7 +10,6 @@ from repro.gen import generate_app
 from repro.isa.layout import ImGeometry
 from repro.search.space import (
     candidate_from_plan,
-    candidate_required_mhz,
     candidate_to_mapping,
     make_candidate,
     normalize_cores,
@@ -18,9 +17,10 @@ from repro.search.space import (
     propose,
     repair,
     slot_phases,
-    violations,
 )
 from repro.sysc import Mode, simulate, uniform_schedule
+
+from .feasibility import violations
 
 
 def _app():
@@ -150,7 +150,7 @@ def test_coalesced_cores_pay_their_summed_clock():
     assert coalesced_mhz == pytest.approx(1600.0 * 250.0 / 1e6)
     # the analytic bound matches the simulator's sizing exactly
     candidate = candidate_from_plan(coalesced)
-    assert candidate_required_mhz(app, candidate) == \
+    assert plan_required_mhz(plan_from_candidate(app, candidate)) == \
         pytest.approx(coalesced_mhz)
     schedule = uniform_schedule(2.0, app.fs)
     result = simulate(app, Mode.MULTI_CORE, schedule, duration_s=2.0,

@@ -30,10 +30,8 @@ def test_fingerprint_change_invalidates(tmp_path):
     old.put("app", {"a": 1}, {"m": 1.0}, wall_s=0.0)
     new = ResultCache(root=tmp_path, fingerprint="new-code")
     assert new.get("app", {"a": 1}) is None
-    # the old namespace is untouched until pruned
+    # the old namespace is untouched
     assert old.get("app", {"a": 1}) is not None
-    assert new.prune() == 1
-    assert old.get("app", {"a": 1}) is None
 
 
 def test_corrupt_entry_counts_as_miss(tmp_path):

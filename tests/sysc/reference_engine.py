@@ -16,9 +16,7 @@ from typing import Sequence
 from repro import obs
 from repro.apps.mapping import MappingPlan, map_multicore, map_singlecore
 from repro.apps.phases import AppSpec, Trigger
-from repro.power.components import DEFAULT_ENERGY, EnergyParams
 from repro.power.energy import ActivityVector, compute_power
-from repro.power.process import DEFAULT_PROCESS, ProcessModel
 from repro.power.vfs import MIN_SYSTEM_CLOCK_MHZ, plan_operating_point
 from repro.sysc.engine import (
     SPIN_DM_RATE,
@@ -51,8 +49,6 @@ class _CoreState:
 
 def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
              duration_s: float = 60.0, num_cores: int = 8,
-             energy: EnergyParams = DEFAULT_ENERGY,
-             process: ProcessModel = DEFAULT_PROCESS,
              floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
              mapping: MappingPlan | None = None) -> SimulationResult:
     """Simulate one application in one configuration, tick by tick.
@@ -72,7 +68,7 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
     required = _required_clock_mhz(
         app, mode, sum(1 for event in schedule if event.abnormal),
         duration_s, mapping)
-    point = plan_operating_point(required, process=process,
+    point = plan_operating_point(required,
                                  single_core=not multicore,
                                  floor_mhz=floor_mhz)
 
@@ -210,8 +206,7 @@ def simulate(app: AppSpec, mode: Mode, schedule: Sequence[BeatEvent],
         dm_banks_on=mapping.dm_banks_active,
         platform_cores=num_cores if multicore else 1,
     )
-    power = compute_power(activity, point, multicore=multicore,
-                          params=energy, process=process)
+    power = compute_power(activity, point, multicore=multicore)
     return SimulationResult(
         mode=mode,
         mapping=mapping,

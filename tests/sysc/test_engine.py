@@ -3,13 +3,7 @@
 import pytest
 
 from repro.apps import rp_class, three_lead_mf, three_lead_mmd
-from repro.sysc import (
-    Mode,
-    schedule_from_record,
-    simulate,
-    uniform_schedule,
-)
-from repro.signals import rp_class_record
+from repro.sysc import Mode, simulate, uniform_schedule
 
 FS = 250.0
 
@@ -37,15 +31,6 @@ def test_uniform_schedule_extremes():
     assert all(e.abnormal
                for e in uniform_schedule(30.0, FS, abnormal_ratio=1.0))
     assert uniform_schedule(0.0, FS) == []
-
-
-def test_schedule_from_record_matches_annotations():
-    record = rp_class_record(duration_s=30.0, pathological_ratio=0.3)
-    schedule = schedule_from_record(record)
-    assert len(schedule) == len(record.annotations)
-    abnormal = sum(1 for e in schedule if e.abnormal)
-    assert abnormal == sum(1 for b in record.annotations
-                           if b.is_pathological)
 
 
 # ---------------------------------------------------------------------------
