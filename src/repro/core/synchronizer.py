@@ -63,6 +63,10 @@ class SyncOp(enum.Enum):
     SNOP = "snop"
 
 
+# Members read once: an enum class attribute costs a metaclass lookup.
+_SINC, _SDEC = SyncOp.SINC, SyncOp.SDEC
+
+
 class SyncPointLayout:
     """Bit layout of a 16-bit synchronization point word.
 
@@ -259,15 +263,15 @@ class Synchronizer:
         if not 0 <= point < self.num_points:
             raise ValueError(
                 f"sync point {point} out of range [0, {self.num_points})")
-        self.stats.op_counts[op.value] += 1
+        self.stats.op_counts[op._value_] += 1  # ``value`` is a property
         update = self._updates.get(point)
         if update is None:
             update = self._updates[point] = [0, 0, 0]
-        if op is SyncOp.SDEC:
+        if op is _SDEC:
             update[1] -= 1
         else:
-            update[0] |= self.layout.flag_bit(core)
-            if op is SyncOp.SINC:
+            update[0] |= 0x8000 >> core  # ``layout.flag_bit(core)``
+            if op is _SINC:
                 update[1] += 1
         update[2] += 1
 

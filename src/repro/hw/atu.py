@@ -18,22 +18,15 @@ Two translators are provided:
 * :class:`SingleCoreTranslation` — the baseline's simple decoder:
   linear logical-to-physical mapping, so unused trailing banks can be
   powered off (Sec. IV-B).
+
+Both return a physical location as a ``(bank, index)`` pair: the bank
+number and the word's index within that bank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..isa.layout import DmGeometry, MemoryMap
+from ..isa.layout import PERIPH_BASE, DmGeometry, MemoryMap
 from .memory import MemoryFault
-
-
-@dataclass(slots=True)
-class PhysicalLocation:
-    """A physical (bank, index) data-memory location."""
-
-    bank: int
-    index: int
 
 
 class MulticoreAtu:
@@ -62,7 +55,6 @@ class MulticoreAtu:
                 f"{num_cores} cores")
         self.num_cores = num_cores
         self.geometry = geometry
-        self.memory_map = memory_map
         self.banks_per_core = geometry.banks // num_cores
         if memory_map.private_words % self.banks_per_core:
             raise ValueError("private_words must split evenly over the "
@@ -76,40 +68,35 @@ class MulticoreAtu:
             raise ValueError(
                 f"shared section ({memory_map.shared_words} words) exceeds "
                 f"remaining physical capacity ({shared_capacity} words)")
+        self._shared = memory_map.shared_base, memory_map.shared_limit
 
-    def translate(self, core: int, address: int) -> PhysicalLocation:
+    def translate(self, core: int, address: int) -> tuple[int, int]:
         """Translate a logical address issued by ``core``."""
-        mmap = self.memory_map
-        if mmap.is_peripheral(address):
+        if address >= PERIPH_BASE:
             raise MemoryFault(
                 f"address {address:#06x} is memory-mapped I/O, not DM")
-        if address < mmap.private_words:
-            bank = (core * self.banks_per_core
-                    + address // self.private_slice)
-            return PhysicalLocation(bank, address % self.private_slice)
-        if address < mmap.shared_limit:
-            offset = address - mmap.shared_base
-            bank = offset % self.geometry.banks
-            index = self.private_slice + offset // self.geometry.banks
-            return PhysicalLocation(bank, index)
+        base, limit = self._shared
+        if address < base:
+            bank, index = divmod(address, self.private_slice)
+            return core * self.banks_per_core + bank, index
+        if address < limit:
+            index, bank = divmod(address - base, self.geometry.banks)
+            return bank, self.private_slice + index
         raise MemoryFault(
             f"core {core}: logical address {address:#06x} is unmapped "
-            f"(shared section ends at {mmap.shared_limit:#06x})")
+            f"(shared section ends at {limit:#06x})")
 
-    def shared_location(self, address: int) -> PhysicalLocation:
+    def shared_location(self, address: int) -> tuple[int, int]:
         """Translate a shared address without a core tag.
 
         Used by the synchronizer unit, whose port only ever touches the
         shared section (synchronization points).
         """
-        mmap = self.memory_map
-        if not mmap.shared_base <= address < mmap.shared_limit:
+        base, limit = self._shared
+        if not base <= address < limit:
             raise MemoryFault(
                 f"address {address:#06x} is outside the shared section")
-        offset = address - mmap.shared_base
-        return PhysicalLocation(
-            offset % self.geometry.banks,
-            self.private_slice + offset // self.geometry.banks)
+        return self.translate(0, address)
 
 
 class SingleCoreTranslation:
@@ -124,18 +111,16 @@ class SingleCoreTranslation:
         self.geometry = geometry
         self.memory_map = memory_map
 
-    def translate(self, core: int, address: int) -> PhysicalLocation:
+    def translate(self, core: int, address: int) -> tuple[int, int]:
         """Translate a logical address (``core`` accepted for symmetry)."""
-        mmap = self.memory_map
-        if mmap.is_peripheral(address):
+        if address >= PERIPH_BASE:
             raise MemoryFault(
                 f"address {address:#06x} is memory-mapped I/O, not DM")
         if address >= self.geometry.total_words:
             raise MemoryFault(f"address {address:#06x} beyond physical DM")
-        return PhysicalLocation(address // self.geometry.words_per_bank,
-                                address % self.geometry.words_per_bank)
+        return divmod(address, self.geometry.words_per_bank)
 
-    def shared_location(self, address: int) -> PhysicalLocation:
+    def shared_location(self, address: int) -> tuple[int, int]:
         """Synchronizer-port translation (same linear mapping)."""
         return self.translate(0, address)
 

@@ -129,14 +129,6 @@ class BankedMemory:
         """Bank object at ``index``."""
         return self.banks[index]
 
-    def read(self, bank: int, index: int) -> int:
-        """Counted read of ``index`` within ``bank``."""
-        return self.banks[bank].read(index)
-
-    def write(self, bank: int, index: int, value: int) -> None:
-        """Counted write of ``index`` within ``bank``."""
-        self.banks[bank].write(index, value)
-
     def power_off_unused(self, used_banks: set[int]) -> None:
         """Power off every bank not listed in ``used_banks``."""
         for number, bank in enumerate(self.banks):

@@ -117,22 +117,26 @@ class _SyncDmPort:
 
     The synchronizer performs its merged sync-point modifications
     through a dedicated port; accesses are counted by the banks like
-    any other DM traffic.  It holds no reference to the system, so a
-    dropped system is freed at once.
+    any other DM traffic.  The bank and index of every point's address
+    are tabled once, at construction, through the translation's shared
+    path.  It holds no reference to the system, so a dropped system is
+    freed at once.
     """
 
     def __init__(self, translation: MulticoreAtu | SingleCoreTranslation,
-                 dm: BankedMemory) -> None:
-        self._translation = translation
-        self._dm = dm
+                 dm: BankedMemory, addresses: range) -> None:
+        self._cells: dict[int, tuple[MemoryBank, int]] = {}
+        for address in addresses:
+            bank, index = translation.shared_location(address)
+            self._cells[address] = dm.banks[bank], index
 
     def read(self, address: int) -> int:
-        location = self._translation.shared_location(address)
-        return self._dm.read(location.bank, location.index)
+        bank, index = self._cells[address]
+        return bank.read(index)
 
     def write(self, address: int, value: int) -> None:
-        location = self._translation.shared_location(address)
-        self._dm.write(location.bank, location.index, value)
+        bank, index = self._cells[address]
+        bank.write(index, value)
 
 
 class System:
@@ -161,11 +165,13 @@ class System:
         else:
             self.translation = SingleCoreTranslation(geometry.dm,
                                                      geometry.memory_map)
+        mmap = geometry.memory_map
         self.synchronizer = Synchronizer(
-            num_cores=num_cores,
-            num_points=geometry.memory_map.sync_points,
-            point_base=geometry.memory_map.sync_point_base,
-            storage=_SyncDmPort(self.translation, self.dm))
+            num_cores=num_cores, num_points=mmap.sync_points,
+            point_base=mmap.sync_point_base,
+            storage=_SyncDmPort(self.translation, self.dm, range(
+                mmap.sync_point_base,
+                mmap.sync_point_base + mmap.sync_points)))
         self.adc: Adc | None = None
         self._decoded: dict[int, Instruction] = {}
         # Per IM address: its bound instruction (``core.bind``), bank
@@ -238,8 +244,14 @@ class System:
         self.im.power_off_unused(used_im_banks)
 
         for address, value in image.dm_init.items():
-            location = self._dm_init_location(address)
-            self.dm.bank(location.bank).poke(location.index, value)
+            if self.multicore_dm and \
+                    address < self.geometry.memory_map.shared_base:
+                raise LoadError(
+                    f".dm address {address:#06x} is core-private; only "
+                    f"shared addresses can be statically initialised on "
+                    f"the multi-core platform")
+            bank, index = self.translation.shared_location(address)
+            self.dm.bank(bank).poke(index, value)
 
         if dm_banks_on is None:
             if self.multicore_dm:
@@ -269,19 +281,6 @@ class System:
         self.im_xbar.reset()
         self.dm_xbar.reset()
 
-    def _dm_init_location(self, address: int):
-        if self.multicore_dm:
-            translation = self.translation
-            assert isinstance(translation, MulticoreAtu)
-            mmap = self.geometry.memory_map
-            if address < mmap.shared_base:
-                raise LoadError(
-                    f".dm address {address:#06x} is core-private; only "
-                    f"shared addresses can be statically initialised on "
-                    f"the multi-core platform")
-            return translation.shared_location(address)
-        return self.translation.translate(0, address)
-
     def attach_adc(self, streams: Sequence[Sequence[int]],
                    period_cycles: int) -> Adc:
         """Attach the ADC front-end and wire its IRQs to the synchronizer."""
@@ -294,15 +293,8 @@ class System:
     # Simulation
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance one clock cycle, with no halt or deadlock check.
-
-        Counters are settled only when :meth:`run` ends.
-        """
-        self._cycles(self.cycle + 1, checked=False)
-
-    def _cycles(self, end: int, checked: bool) -> None:
-        """The cycle loop of :meth:`run` and :meth:`step`, up to ``end``.
+    def _cycles(self, end: int) -> None:
+        """The cycle loop of :meth:`run`, up to ``end``.
 
         Clocked cores burn a busy cycle, retry a waiting DM access or
         fetch, one transaction per word; a granted fetch calls the
@@ -320,13 +312,12 @@ class System:
         last_pc = xbar.num_banks * xbar.words_per_bank - 1
         while cycle < end:
             if not clocked:
-                if checked:
-                    if self.all_halted:
-                        break
-                    if self.deadlocked():
-                        raise SimulationError(
-                            "deadlock: all cores clock-gated with no event "
-                            "source")
+                if self.all_halted:
+                    break
+                if self.deadlocked():
+                    raise SimulationError(
+                        "deadlock: all cores clock-gated with no event "
+                        "source")
                 if adc is not None and not interrupts.pending_lines:
                     skip = min(adc.cycles_to_next(), end - cycle) - 1
                     if skip > 0:
@@ -373,12 +364,16 @@ class System:
                 for pc, ports in granted:
                     bound = program.get(pc)
                     if bound is None:
-                        self.im.read(*divmod(pc, xbar.words_per_bank))
+                        bank, index = divmod(pc, xbar.words_per_bank)
+                        self.im.banks[bank].read(index)
                         raise SimulationError(
                             f"core {ports[0]}: fetch from uninitialised "
                             f"IM address {pc:#06x}")
                     op, bank, index = bound
-                    bank.read(index)
+                    if bank.powered:  # ``read``'s count, without its checks
+                        bank.reads += 1
+                    else:
+                        bank.read(index)
                     for port in ports:
                         core = cores[port]
                         effect = op(core)
@@ -417,37 +412,49 @@ class System:
         self._clocked = clocked
 
     def _serve_memory(self, mem_queue: list[tuple[RiscCore, Effect]]) -> None:
-        """Arbitrate the cycle's DM accesses and perform the granted.
+        """Perform the cycle's DM accesses, arbitrating if they contend.
 
-        Reads of one word merge while broadcasting is on; each write,
-        and each read without broadcasting, is its own transaction.
+        Accesses to pairwise distinct banks neither merge nor conflict:
+        all are granted, in queue order, and booked as
+        :meth:`Crossbar.arbitrate` would book them.  Otherwise reads of
+        one word merge while broadcasting is on, each write and each
+        read without broadcasting is its own transaction, and the
+        crossbar arbitrates.
         """
-        xbar, banks = self.dm_xbar, self.dm.banks
+        xbar, banks, pending = self.dm_xbar, self.dm.banks, self._pending
+        translate = self.translation.translate
+        cells = [translate(core.core_id, effect.address)
+                 for core, effect in mem_queue]
+        if len({bank for bank, _ in cells}) == len(cells):
+            stats = xbar.stats
+            stats.requests += len(cells)
+            stats.grants += len(cells)
+            stats.accesses += len(cells)
+            for (core, effect), (bank, index) in zip(mem_queue, cells):
+                if effect.kind is _STORE:
+                    banks[bank].write(index, effect.value)
+                else:
+                    core.complete_load(effect, banks[bank].read(index))
+                pending[core.core_id] = None
+            return
         effects: dict[int, Effect] = {}
         reads: dict[int, list[int]] = {}
         transactions: list[Transaction] = []
-        for core, effect in mem_queue:
-            effects[core.core_id] = effect
-            location = self.translation.translate(core.core_id,
-                                                  effect.address)
-            word = location.bank * xbar.words_per_bank + location.index
+        for (core, effect), (bank, index) in zip(mem_queue, cells):
+            port = core.core_id
+            effects[port] = effect
+            word = bank * xbar.words_per_bank + index
             if effect.kind is _STORE or not xbar.broadcast:
-                transactions.append((word, [core.core_id]))
+                transactions.append((word, [port]))
             elif word in reads:
-                reads[word].append(core.core_id)
+                reads[word].append(port)
             else:
-                reads[word] = [core.core_id]
+                reads[word] = [port]
                 transactions.append((word, reads[word]))
-        if len(mem_queue) == 1:  # one access: granted without arbitration
-            granted, stalled = transactions, []
-            xbar.stats.requests += 1
-            xbar.stats.grants += 1
-            xbar.stats.accesses += 1
-        else:
-            granted, stalled = xbar.arbitrate(transactions)
+        granted, stalled = xbar.arbitrate(transactions)
         for port in stalled:
             self.cores[port].stats.mem_stalls += 1
-            self._pending[port] = effects[port]
+            pending[port] = effects[port]
         for word, ports in granted:
             bank, index = divmod(word, xbar.words_per_bank)
             if effects[ports[0]].kind is _STORE:
@@ -457,7 +464,7 @@ class System:
                 for port in ports:
                     self.cores[port].complete_load(effects[port], value)
             for port in ports:
-                self._pending[port] = None
+                pending[port] = None
 
     def _peripheral_access(self, core: RiscCore, effect: Effect) -> None:
         """Serve a memory-mapped register access (combinational)."""
@@ -525,7 +532,7 @@ class System:
         """
         start = self.cycle
         try:
-            self._cycles(start + max_cycles, checked=True)
+            self._cycles(start + max_cycles)
         finally:
             self._settle()
         return self.cycle - start
@@ -558,8 +565,8 @@ class System:
 
     def dm_peek(self, address: int, core: int = 0) -> int:
         """Debug read of logical DM ``address`` as seen by ``core``."""
-        location = self.translation.translate(core, address)
-        return self.dm.bank(location.bank).peek(location.index)
+        bank, index = self.translation.translate(core, address)
+        return self.dm.bank(bank).peek(index)
 
     def activity(self) -> SystemActivity:
         """Snapshot of all counters (the power model's input)."""

@@ -142,7 +142,6 @@ def run_sweep(
     cache: ResultCache | None = None,
     use_cache: bool = True,
     force: bool = False,
-    shard_size: int | None = None,
 ) -> SweepResult:
     """Execute a sweep campaign.
 
@@ -155,8 +154,8 @@ def run_sweep(
         use_cache: disable all cache reads *and* writes when false.
         force: ignore cached entries (results are still written back,
             refreshing the cache).
-        shard_size: points per worker batch; defaults to an even split
-            of the misses across workers.
+
+    The misses are split evenly across the workers.
 
     Raises:
         repro.sweep.runners.RunnerError: unknown run family.
@@ -191,9 +190,7 @@ def run_sweep(
                 cached=True,
             )
 
-    if shard_size is None:
-        shard_size = even_shard_size(len(misses), workers)
-    shards = shard(misses, shard_size)
+    shards = shard(misses, even_shard_size(len(misses), workers))
     payloads = [(spec.runner, batch) for batch in shards]
 
     parallel = workers > 1 and len(shards) > 1

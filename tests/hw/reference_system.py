@@ -14,12 +14,15 @@ kept verbatim so the loop in ``src/`` can be held to it bit for bit:
   merge per point, then decode, apply and encode; its ``end_cycle``
   has no early return;
 * ``System.step``, ``_dispatch``, ``_serve_memory`` and ``run``, which
-  test for "all halted" and for deadlock on every cycle.
+  test for "all halted" and for deadlock on every cycle;
+* the ATU's translation, a private tag plus a shared interleave (or the
+  single-core baseline's linear map), computed anew for every DM
+  access, the synchronizer's included.
 
-Everything else (loading, peripherals, memories, the ATU, the unit's
-event latches and interrupts) is shared with ``src/``:
-:class:`ReferenceSystem` swaps only the cycle loop and the sync-point
-rule in.  It is slow and exists for tests only.
+Everything else (loading, peripherals, memories, the unit's event
+latches and interrupts) is shared with ``src/``: :class:`ReferenceSystem`
+swaps only the cycle loop, the translation and the sync-point rule in.
+It is slow and exists for tests only.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from dataclasses import dataclass, field
 from repro.core.synchronizer import SyncOp, SyncProtocolError, Synchronizer
 from repro.hw.core import EffectKind, RiscCore
 from repro.hw.interconnect import Crossbar
+from repro.hw.memory import BankedMemory, MemoryFault
 from repro.hw.system import SimulationError, System
 from repro.isa.encoding import Instruction
+from repro.isa.layout import PlatformGeometry
 from repro.isa.spec import DATA_BITS, WORD_MASK, Op, signed
 
 
@@ -478,6 +483,59 @@ class ReferenceSynchronizer(Synchronizer):
         return tuple(woken)
 
 
+class ReferenceAtu:
+    """The DM translation of Sec. IV-A, apart from ``repro.hw.atu``.
+
+    Multi-core: core ``c``'s private address ``a`` lies in bank
+    ``c * banks_per_core + a // private_slice`` at index
+    ``a % private_slice`` (the core's tag), and shared offset ``s``
+    in bank ``s % banks`` at index ``private_slice + s // banks``.
+    Single-core: address ``a`` lies in bank ``a // words_per_bank``.
+    """
+
+    def __init__(self, geometry: PlatformGeometry, num_cores: int,
+                 multicore: bool) -> None:
+        self.dm, self.mmap = geometry.dm, geometry.memory_map
+        self.multicore = multicore
+        self.banks_per_core = self.dm.banks // num_cores
+        self.private_slice = self.mmap.private_words // self.banks_per_core
+
+    def translate(self, core: int, address: int) -> tuple[int, int]:
+        """``(bank, index)`` of a non-peripheral ``address`` of ``core``."""
+        dm, mmap = self.dm, self.mmap
+        if not self.multicore:
+            if address >= dm.total_words:
+                raise MemoryFault(
+                    f"address {address:#06x} beyond physical DM")
+            return address // dm.words_per_bank, address % dm.words_per_bank
+        if address < mmap.private_words:
+            return (core * self.banks_per_core
+                    + address // self.private_slice,
+                    address % self.private_slice)
+        if address < mmap.shared_limit:
+            offset = address - mmap.shared_base
+            return (offset % dm.banks,
+                    self.private_slice + offset // dm.banks)
+        raise MemoryFault(
+            f"core {core}: logical address {address:#06x} is unmapped "
+            f"(shared section ends at {mmap.shared_limit:#06x})")
+
+
+class ReferenceSyncPort:
+    """The synchronizer's DM port, translating every access anew."""
+
+    def __init__(self, atu: ReferenceAtu, dm: BankedMemory) -> None:
+        self.atu, self.dm = atu, dm
+
+    def read(self, address: int) -> int:
+        bank, index = self.atu.translate(0, address)
+        return self.dm.banks[bank].read(index)
+
+    def write(self, address: int, value: int) -> None:
+        bank, index = self.atu.translate(0, address)
+        self.dm.banks[bank].write(index, value)
+
+
 @dataclass
 class _Pending:
     """A memory effect waiting for a DM grant."""
@@ -497,10 +555,13 @@ class ReferenceSystem(System):
         self.dm_xbar = ReferenceCrossbar(
             self.num_cores, self.geometry.dm.banks,
             broadcast=self.dm_xbar.broadcast, name="dm_xbar")
+        self.atu = ReferenceAtu(self.geometry, self.num_cores,
+                                self.multicore_dm)
         sync = self.synchronizer
         self.synchronizer = ReferenceSynchronizer(
             num_cores=sync.num_cores, num_points=sync.num_points,
-            point_base=sync.point_base, storage=sync.storage)
+            point_base=sync.point_base,
+            storage=ReferenceSyncPort(self.atu, self.dm))
 
     def step(self) -> None:
         """Advance the platform by one clock cycle."""
@@ -533,7 +594,7 @@ class ReferenceSystem(System):
         for request in fetch_result.stalled:
             self.cores[request.port].stats.fetch_stalls += 1
         for group in fetch_result.granted:
-            self.im.read(group.bank, group.index)
+            self.im.banks[group.bank].read(group.index)
             address = group.bank * geom.words_per_bank + group.index
             instr = self._decoded.get(address)
             if instr is None:
@@ -582,11 +643,10 @@ class ReferenceSystem(System):
         requests = []
         effects: dict[int, Effect] = {}
         for core, effect in mem_queue:
-            location = self.translation.translate(core.core_id,
-                                                  effect.address)
+            bank, index = self.atu.translate(core.core_id, effect.address)
             effects[core.core_id] = effect
             requests.append(MemRequest(
-                port=core.core_id, bank=location.bank, index=location.index,
+                port=core.core_id, bank=bank, index=index,
                 is_write=effect.kind is EffectKind.STORE,
                 value=effect.value))
         result = self.dm_xbar.arbitrate(requests)
@@ -597,10 +657,10 @@ class ReferenceSystem(System):
         for group in result.granted:
             if group.is_write:
                 request = group.requests[0]
-                self.dm.write(group.bank, group.index, request.value)
+                self.dm.banks[group.bank].write(group.index, request.value)
                 self._pending[request.port] = None
             else:
-                value = self.dm.read(group.bank, group.index)
+                value = self.dm.banks[group.bank].read(group.index)
                 for request in group.requests:
                     core = self.cores[request.port]
                     core.complete_load(effects[request.port], value)

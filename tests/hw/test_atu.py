@@ -1,4 +1,7 @@
-"""Tests for the Address Translation Units (private/shared DM split)."""
+"""Tests for the Address Translation Units (private/shared DM split).
+
+A translation is a physical ``(bank, index)`` pair.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,8 +24,8 @@ def test_private_addresses_get_per_core_tag(atu):
     loc0 = atu.translate(0, 100)
     loc1 = atu.translate(1, 100)
     assert loc0 != loc1
-    assert loc0.bank // atu.banks_per_core == 0
-    assert loc1.bank // atu.banks_per_core == 1
+    assert loc0[0] // atu.banks_per_core == 0
+    assert loc1[0] // atu.banks_per_core == 1
 
 
 def test_shared_addresses_are_core_independent(atu):
@@ -31,15 +34,15 @@ def test_shared_addresses_are_core_independent(atu):
 
 
 def test_shared_section_interleaves_across_all_banks(atu):
-    banks = {atu.translate(0, MMAP.shared_base + offset).bank
+    banks = {atu.translate(0, MMAP.shared_base + offset)[0]
              for offset in range(GEOM.banks)}
     assert banks == set(range(GEOM.banks))
 
 
 def test_consecutive_shared_words_land_in_consecutive_banks(atu):
-    first = atu.translate(0, MMAP.shared_base)
-    second = atu.translate(0, MMAP.shared_base + 1)
-    assert second.bank == (first.bank + 1) % GEOM.banks
+    first_bank, _ = atu.translate(0, MMAP.shared_base)
+    second_bank, _ = atu.translate(0, MMAP.shared_base + 1)
+    assert second_bank == (first_bank + 1) % GEOM.banks
 
 
 def test_peripheral_addresses_rejected(atu):
@@ -54,7 +57,7 @@ def test_unmapped_hole_rejected(atu):
 
 def test_sync_points_translate_through_shared_path(atu):
     location = atu.shared_location(MMAP.sync_point_base + 5)
-    assert 0 <= location.bank < GEOM.banks
+    assert 0 <= location[0] < GEOM.banks
     assert atu.translate(3, MMAP.sync_point_base + 5) == location
 
 
@@ -70,9 +73,9 @@ _MAPPED = st.integers(min_value=0, max_value=MMAP.shared_limit - 1)
 @given(_CORES, _MAPPED)
 def test_translation_targets_valid_physical_locations(core, address):
     atu = MulticoreAtu(num_cores=8, geometry=GEOM, memory_map=MMAP)
-    location = atu.translate(core, address)
-    assert 0 <= location.bank < GEOM.banks
-    assert 0 <= location.index < GEOM.words_per_bank
+    bank, index = atu.translate(core, address)
+    assert 0 <= bank < GEOM.banks
+    assert 0 <= index < GEOM.words_per_bank
 
 
 @given(_CORES, _CORES,
@@ -121,9 +124,9 @@ def test_atu_rejects_indivisible_bank_count():
 
 def test_single_core_translation_is_linear():
     translation = SingleCoreTranslation(GEOM, MMAP)
-    location = translation.translate(0, 5000)
-    assert location.bank == 5000 // 2048
-    assert location.index == 5000 % 2048
+    bank, index = translation.translate(0, 5000)
+    assert bank == 5000 // 2048
+    assert index == 5000 % 2048
 
 
 def test_single_core_footprint_banks():

@@ -85,12 +85,11 @@ def test_running_max_stops_at_the_budget_mid_gap():
 
 
 def test_step_never_skips():
-    """``step()`` advances one cycle; the same cycles in one ``run``
-    leave the same state."""
+    """``run(1)`` advances one cycle, so it never skips inside it; the
+    same cycles in one ``run`` leave the same state."""
     stepped, ran = _loaded(1_000), _loaded(1_000)
     for _ in range(3_456):
-        stepped.step()
-    stepped.run(0)  # settles the counters
+        assert stepped.run(1) == 1
     ran.run(3_456)
     assert stepped.cycle == 3_456
     assert _state(stepped) == _state(ran)

@@ -64,9 +64,9 @@ def test_banked_memory_power_off_unused():
 
 def test_banked_memory_activity_snapshot():
     memory = BankedMemory(banks=2, words_per_bank=4, word_mask=0xFFFF)
-    memory.write(0, 1, 5)
-    memory.read(0, 1)
-    memory.read(1, 0)
+    memory.bank(0).write(1, 5)
+    memory.bank(0).read(1)
+    memory.bank(1).read(0)
     activity = memory.activity()
     assert activity.reads == 2
     assert activity.writes == 1
@@ -77,7 +77,7 @@ def test_banked_memory_activity_snapshot():
 
 def test_reset_counters_keeps_power_state():
     memory = BankedMemory(banks=2, words_per_bank=4, word_mask=0xFFFF)
-    memory.read(0, 0)
+    memory.bank(0).read(0)
     memory.power_off_unused({0})
     memory.reset_counters()
     assert memory.activity().accesses == 0
