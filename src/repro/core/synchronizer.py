@@ -86,13 +86,6 @@ class SyncPointLayout:
         self.flags_mask = 0xFFFF ^ self.counter_mask
         self._flag_bits = tuple(1 << (15 - core) for core in range(num_cores))
 
-    def flag_bit(self, core: int) -> int:
-        """Mask with only ``core``'s identification flag set."""
-        if not 0 <= core < self.num_cores:
-            raise ValueError(
-                f"core {core} out of range [0, {self.num_cores})")
-        return self._flag_bits[core]
-
     def encode(self, flags: int, counter: int) -> int:
         """Pack a (flags, counter) pair into a memory word."""
         if not 0 <= counter <= self.max_counter:
@@ -233,6 +226,7 @@ class Synchronizer:
         self.num_points = num_points
         self.point_base = point_base
         self.layout = SyncPointLayout(num_cores)
+        self._flag_bits = self.layout._flag_bits
         self.storage = storage if storage is not None else DictStorage()
         self.on_wake = on_wake
         self._clear()
@@ -270,7 +264,7 @@ class Synchronizer:
         if op is _SDEC:
             update[1] -= 1
         else:
-            update[0] |= 0x8000 >> core  # ``layout.flag_bit(core)``
+            update[0] |= self._flag_bits[core]
             if op is _SINC:
                 update[1] += 1
         update[2] += 1

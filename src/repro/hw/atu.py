@@ -107,9 +107,8 @@ class SingleCoreTranslation:
     powered off when the application footprint is small.
     """
 
-    def __init__(self, geometry: DmGeometry, memory_map: MemoryMap) -> None:
+    def __init__(self, geometry: DmGeometry) -> None:
         self.geometry = geometry
-        self.memory_map = memory_map
 
     def translate(self, core: int, address: int) -> tuple[int, int]:
         """Translate a logical address (``core`` accepted for symmetry)."""

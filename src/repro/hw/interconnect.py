@@ -100,32 +100,41 @@ class Crossbar:
         the rest stall, and only then does the priority move on by one
         port.  Granted transactions come back in the order their banks
         were first presented, stalled ports in transaction order.
-        Transactions that all fall in one bank, as fetches from one IM
-        bank do, skip the grouping by bank.
         """
-        stats, words_per_bank = self.stats, self.words_per_bank
-        transactions = list(transactions)
+        stats = self.stats
+        words_per_bank = self.words_per_bank
+        requests = 0
+        by_bank: dict[int, list[Transaction]] = {}
+        for transaction in transactions:
+            requests += len(transaction[1])
+            bank = transaction[0] // words_per_bank
+            contenders = by_bank.get(bank)
+            if contenders is None:
+                by_bank[bank] = [transaction]
+            else:
+                contenders.append(transaction)
+        stats.requests += requests
+        for bank in by_bank:
+            if bank >= self.num_banks:
+                raise ValueError(f"{self.name}: bank {bank} out of range")
+        ports, priorities = self.ports, self._rr_priority
+        granted: list[Transaction] = []
         stalled: list[int] = []
-        bank = transactions[0][0] // words_per_bank if transactions else -1
-        for word, _ in transactions:
-            if word // words_per_bank != bank:
-                bank = -1
-                break
-        if 0 <= bank < self.num_banks:
-            granted = [self._winner(bank, transactions, stalled)]
-            requests = len(granted[0][1]) + len(stalled)
-            stats.requests += requests
-        else:
-            requests = sum(len(ports) for _, ports in transactions)
-            stats.requests += requests
-            by_bank: dict[int, list[Transaction]] = {}
-            for transaction in transactions:
-                bank = transaction[0] // words_per_bank
-                if bank >= self.num_banks:
-                    raise ValueError(f"{self.name}: bank {bank} out of range")
-                by_bank.setdefault(bank, []).append(transaction)
-            granted = [self._winner(bank, contenders, stalled)
-                       for bank, contenders in by_bank.items()]
+        for bank, contenders in by_bank.items():
+            winner = contenders[0]
+            if len(contenders) > 1:
+                priority = priorities[bank]
+                priorities[bank] = (priority + 1) % ports
+                nearest = ports
+                for transaction in contenders:
+                    for port in transaction[1]:
+                        distance = (port - priority) % ports
+                        if distance < nearest:
+                            winner, nearest = transaction, distance
+                for transaction in contenders:
+                    if transaction is not winner:
+                        stalled.extend(transaction[1])
+            granted.append(winner)
         # Every request is granted or stalled, and each granted
         # transaction is one access: its other ports were merged in.
         grants = requests - len(stalled)
@@ -137,25 +146,18 @@ class Crossbar:
             stats.broadcast_cycles += 1
         return granted, stalled
 
-    def _winner(self, bank: int, contenders: list[Transaction],
-                stalled: list[int]) -> Transaction:
-        """The round-robin rule for one bank's transactions: the one to
-        grant; the others' ports are added to ``stalled``."""
-        if len(contenders) == 1:
-            return contenders[0]
-        ports, priorities = self.ports, self._rr_priority
-        priority = priorities[bank]
-        priorities[bank] = (priority + 1) % ports
-        nearest = ports
-        for transaction in contenders:
-            for port in transaction[1]:
-                distance = (port - priority) % ports
-                if distance < nearest:
-                    winner, nearest = transaction, distance
-        for transaction in contenders:
-            if transaction is not winner:
-                stalled.extend(transaction[1])
-        return winner
+    def grant_uncontended(self, requests: int, accesses: int) -> None:
+        """Book a cycle in which no transaction contends for a bank, as
+        :meth:`arbitrate` would book it: all ``requests`` requests are
+        granted, ``accesses`` accesses serve them, and the requests
+        beyond one per access were merged in."""
+        stats = self.stats
+        stats.requests += requests
+        stats.grants += requests
+        stats.accesses += accesses
+        if requests > accesses:
+            stats.broadcast_merged += requests - accesses
+            stats.broadcast_cycles += 1
 
     def reset(self) -> None:
         """Zero the cumulative counters and every bank's priority."""

@@ -163,8 +163,7 @@ class System:
             self.translation: MulticoreAtu | SingleCoreTranslation = \
                 MulticoreAtu(num_cores, geometry.dm, geometry.memory_map)
         else:
-            self.translation = SingleCoreTranslation(geometry.dm,
-                                                     geometry.memory_map)
+            self.translation = SingleCoreTranslation(geometry.dm)
         mmap = geometry.memory_map
         self.synchronizer = Synchronizer(
             num_cores=num_cores, num_points=mmap.sync_points,
@@ -308,7 +307,8 @@ class System:
         clocked, xbar, sync, adc = (
             self._clocked, self.im_xbar, self.synchronizer, self.adc)
         interrupts, submit, sleep = sync.interrupts, sync.submit, sync.sleep
-        book, stats, broadcast = self._book, xbar.stats, xbar.broadcast
+        book, broadcast = self._book, xbar.broadcast
+        grant_uncontended = xbar.grant_uncontended
         last_pc = xbar.num_banks * xbar.words_per_bank - 1
         while cycle < end:
             if not clocked:
@@ -347,12 +347,7 @@ class System:
                     requests = len(ports)
                     alone = broadcast or requests == 1
                 if alone and pc <= last_pc:  # one transaction: no arbitration
-                    stats.requests += requests
-                    stats.grants += requests
-                    stats.accesses += 1
-                    if requests > 1:
-                        stats.broadcast_merged += requests - 1
-                        stats.broadcast_cycles += 1
+                    grant_uncontended(requests, 1)
                     granted: list[Transaction] = [(pc, ports)]
                 else:  # arbitration also faults a word beyond the banks
                     granted, stalled = xbar.arbitrate(
@@ -415,10 +410,9 @@ class System:
         """Perform the cycle's DM accesses, arbitrating if they contend.
 
         Accesses to pairwise distinct banks neither merge nor conflict:
-        all are granted, in queue order, and booked as
-        :meth:`Crossbar.arbitrate` would book them.  Otherwise reads of
-        one word merge while broadcasting is on, each write and each
-        read without broadcasting is its own transaction, and the
+        all are granted, in queue order, without arbitration.  Otherwise
+        reads of one word merge while broadcasting is on, each write and
+        each read without broadcasting is its own transaction, and the
         crossbar arbitrates.
         """
         xbar, banks, pending = self.dm_xbar, self.dm.banks, self._pending
@@ -426,10 +420,7 @@ class System:
         cells = [translate(core.core_id, effect.address)
                  for core, effect in mem_queue]
         if len({bank for bank, _ in cells}) == len(cells):
-            stats = xbar.stats
-            stats.requests += len(cells)
-            stats.grants += len(cells)
-            stats.accesses += len(cells)
+            xbar.grant_uncontended(len(cells), len(cells))
             for (core, effect), (bank, index) in zip(mem_queue, cells):
                 if effect.kind is _STORE:
                     banks[bank].write(index, effect.value)

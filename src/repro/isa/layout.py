@@ -107,10 +107,6 @@ class MemoryMap:
         """One past the last logical shared address."""
         return self.shared_base + self.shared_words
 
-    def is_peripheral(self, address: int) -> bool:
-        """True if ``address`` falls inside the peripheral window."""
-        return address >= PERIPH_BASE
-
     def validate(self) -> None:
         """Raise ``ValueError`` on an inconsistent map."""
         if self.private_words < 0:

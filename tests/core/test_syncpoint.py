@@ -51,14 +51,14 @@ def _merged(ops) -> tuple[int, int]:
 
 def test_flags_occupy_msbs_counter_lsbs():
     # Fig. 3: core 0's flag is the most significant bit.
-    assert LAYOUT.flag_bit(0) == 0x8000
-    assert LAYOUT.flag_bit(7) == 0x0100
+    assert LAYOUT.cores_of(0x8000) == (0,)
+    assert LAYOUT.cores_of(0x0100) == (7,)
     assert LAYOUT.counter_mask == 0x00FF
     assert LAYOUT.max_counter == 255
 
 
 def test_encode_decode_round_trip():
-    word = LAYOUT.encode(LAYOUT.flag_bit(2) | LAYOUT.flag_bit(5), 9)
+    word = LAYOUT.encode(0x2000 | 0x0400, 9)  # cores 2 and 5
     flags, counter = LAYOUT.decode(word)
     assert LAYOUT.cores_of(flags) == (2, 5)
     assert counter == 9
@@ -70,8 +70,12 @@ def test_layout_rejects_too_many_cores():
 
 
 def test_flag_bit_range_checked():
+    # Bit 7 would be core 8's flag; with 8 cores it is a counter bit.
     with pytest.raises(ValueError):
-        LAYOUT.flag_bit(8)
+        LAYOUT.encode(0x0080, 0)
+    sync, _ = _unit()
+    with pytest.raises(ValueError):
+        sync.submit(8, SyncOp.SINC, 0)
 
 
 @given(st.integers(min_value=0, max_value=0xFFFF))
@@ -173,7 +177,7 @@ def test_registration_at_zero_counter_fires_immediately():
 def test_no_fire_without_requests():
     """A point fires only in a cycle that touches it, even when its
     word (say, one a program stored) has flags and a zero counter."""
-    word = LAYOUT.flag_bit(2)
+    word = 0x2000  # core 2's flag
     sync, _ = _unit(word)
     sync.raise_interrupt(0)
     sync.end_cycle()

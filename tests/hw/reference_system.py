@@ -35,7 +35,7 @@ from repro.hw.interconnect import Crossbar
 from repro.hw.memory import BankedMemory, MemoryFault
 from repro.hw.system import SimulationError, System
 from repro.isa.encoding import Instruction
-from repro.isa.layout import PlatformGeometry
+from repro.isa.layout import PERIPH_BASE, PlatformGeometry
 from repro.isa.spec import DATA_BITS, WORD_MASK, Op, signed
 
 
@@ -632,7 +632,7 @@ class ReferenceSystem(System):
                 core.gated = True
             return
         # LOAD / STORE
-        if self.geometry.memory_map.is_peripheral(effect.address):
+        if effect.address >= PERIPH_BASE:
             self._peripheral_access(core, effect)
             return
         mem_queue.append((core, effect))

@@ -123,20 +123,20 @@ def test_atu_rejects_indivisible_bank_count():
 
 
 def test_single_core_translation_is_linear():
-    translation = SingleCoreTranslation(GEOM, MMAP)
+    translation = SingleCoreTranslation(GEOM)
     bank, index = translation.translate(0, 5000)
     assert bank == 5000 // 2048
     assert index == 5000 % 2048
 
 
 def test_single_core_footprint_banks():
-    translation = SingleCoreTranslation(GEOM, MMAP)
+    translation = SingleCoreTranslation(GEOM)
     assert translation.banks_for_footprint(100) == {0}
     assert translation.banks_for_footprint(2048) == {0, 1}
     assert translation.banks_for_footprint(3 * 2048) == {0, 1, 2, 3}
 
 
 def test_single_core_rejects_peripheral_and_overflow():
-    translation = SingleCoreTranslation(GEOM, MMAP)
+    translation = SingleCoreTranslation(GEOM)
     with pytest.raises(MemoryFault):
         translation.translate(0, 0x7F10)
