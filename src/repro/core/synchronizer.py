@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 
 class SyncProtocolError(Exception):
@@ -215,20 +214,16 @@ class Synchronizer:
         storage: the word storage holding the points, any object with
             ``read(address)`` and ``write(address, value)`` (defaults
             to an internal :class:`DictStorage`).
-        on_wake: optional callback invoked with a core id whenever that
-            core is resumed from clock-gating.
     """
 
     def __init__(self, num_cores: int, num_points: int = 64,
-                 point_base: int = 0, storage=None,
-                 on_wake: Callable[[int], None] | None = None) -> None:
+                 point_base: int = 0, storage=None) -> None:
         self.num_cores = num_cores
         self.num_points = num_points
         self.point_base = point_base
         self.layout = SyncPointLayout(num_cores)
         self._flag_bits = self.layout._flag_bits
         self.storage = storage if storage is not None else DictStorage()
-        self.on_wake = on_wake
         self._clear()
 
     def _clear(self) -> None:
@@ -342,11 +337,7 @@ class Synchronizer:
         for core in self.interrupts.collect():
             self._deliver(core, woken)
 
-        if woken:
-            stats.wakes += len(woken)
-            if self.on_wake is not None:
-                for core in woken:
-                    self.on_wake(core)
+        stats.wakes += len(woken)
         return tuple(woken)
 
     # ------------------------------------------------------------------
@@ -374,11 +365,6 @@ class Synchronizer:
     def point_state(self, point: int) -> tuple[int, int]:
         """(flags, counter) of a point."""
         return self.layout.decode(self.point_word(point))
-
-    def registered_cores(self, point: int) -> tuple[int, ...]:
-        """Cores whose identification flag is set at ``point``."""
-        flags, _ = self.point_state(point)
-        return self.layout.cores_of(flags)
 
     # ------------------------------------------------------------------
     # Internals

@@ -125,11 +125,8 @@ class Adc:
 
     def status_mask(self) -> int:
         """Memory-mapped status read: data-ready bitmask."""
-        mask = 0
-        for number, channel in enumerate(self.channels):
-            if channel.ready:
-                mask |= 1 << number
-        return mask
+        return sum(channel.ready << number
+                   for number, channel in enumerate(self.channels))
 
     def write_ctrl(self, mask: int) -> None:
         """Memory-mapped control write: per-channel enable bits."""

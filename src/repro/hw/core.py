@@ -62,7 +62,6 @@ class Effect:
 
 
 #: The effects that carry no operands, shared by every execution.
-_NO_EFFECT = Effect(EffectKind.NONE)
 _SLEEP = Effect(EffectKind.SLEEP)
 _HALT = Effect(EffectKind.HALT)
 
@@ -280,17 +279,12 @@ class RiscCore:
     2. if ``busy_cycles_left`` — burn one busy cycle;
     3. if a load/store is pending — re-present it to the crossbar;
     4. otherwise fetch at ``pc`` (subject to IM arbitration) and run
-       the instruction bound there (see :meth:`execute`).
+       the instruction bound there (:func:`bind`).
     """
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
         self.reset(0)
-
-    def execute(self, instr: Instruction) -> Effect:
-        """Execute ``instr`` at ``pc`` as the platform does (:func:`bind`);
-        a load/store effect must be granted before the next fetch."""
-        return bind(instr, self.pc)(self) or _NO_EFFECT
 
     def complete_load(self, effect: Effect, value: int) -> None:
         """Deliver granted load data to the destination register."""

@@ -16,6 +16,11 @@ uses the same class with one port (where neither broadcasting nor
 arbitration can occur), matching the paper's remark that a simple
 decoder suffices — the energy model, not the timing model, captures the
 decoder-vs-crossbar cost difference.
+
+Ports are bits of a mask, as cores are flags of a sync point word.  The
+round-robin rule (:meth:`Crossbar.pick`) and the counter rule
+(:meth:`Crossbar.book`) each have one copy, which callers that grant a
+cycle themselves share with :meth:`Crossbar.arbitrate`.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from typing import Iterable
 
 #: One access presented to a crossbar: ``(word, ports)``.  ``word`` is
 #: the physical word it touches, in bank ``word // words_per_bank``;
-#: ``ports`` are the requesting ports that share the access (several
-#: for a broadcast read, one otherwise).
-Transaction = tuple[int, list[int]]
+#: ``ports`` is the mask of the requesting ports that share the access,
+#: bit ``p`` for port ``p`` (several for a broadcast read, one otherwise).
+Transaction = tuple[int, int]
 
 
 @dataclass
@@ -86,78 +91,71 @@ class Crossbar:
         self.words_per_bank = words_per_bank
         self.stats = CrossbarStats()
         self._rr_priority = [0] * banks  # per-bank round-robin pointer
+        # The ports of every mask, in id order, indexed by the mask.
+        self.port_sets: list[tuple[int, ...]] = [()]
+        for port in range(ports):
+            self.port_sets += [group + (port,) for group in self.port_sets]
+
+    def pick(self, bank: int, ports: int) -> int:
+        """The port of mask ``ports`` that wins ``bank``: the first at or
+        after the bank's round-robin pointer (the lowest set bit once the
+        mask is rotated right by it), which then moves on by one."""
+        count, priority = self.ports, self._rr_priority[bank]
+        self._rr_priority[bank] = (priority + 1) % count
+        rotated = ports >> priority | ports << count - priority
+        return ((rotated & -rotated).bit_length() - 1 + priority) % count
+
+    def book(self, grants: int, accesses: int, conflicts: int = 0,
+             cycles: int = 1) -> None:
+        """Count ``cycles`` like cycles, in each of which ``accesses``
+        accesses served ``grants`` requests and ``conflicts`` requests
+        stalled; the grants beyond one per access were merged in."""
+        stats = self.stats
+        stats.requests += (grants + conflicts) * cycles
+        stats.grants += grants * cycles
+        stats.accesses += accesses * cycles
+        stats.conflicts += conflicts * cycles
+        if grants > accesses:
+            stats.broadcast_merged += (grants - accesses) * cycles
+            stats.broadcast_cycles += cycles
 
     def arbitrate(self, transactions: Iterable[Transaction]
-                  ) -> tuple[list[Transaction], list[int]]:
+                  ) -> tuple[list[Transaction], int]:
         """Resolve one cycle's transactions; returns (granted, stalled).
 
         The caller groups requests into transactions (reads of one word
         merge while ``broadcast`` is on; each write, and each read
         without broadcasting, is its own) and presents them in the
         order of their first ports.  A bank with one transaction grants
-        it.  When several compete, the one holding the bank's
-        round-robin priority port, or the port nearest after it, wins;
-        the rest stall, and only then does the priority move on by one
-        port.  Granted transactions come back in the order their banks
-        were first presented, stalled ports in transaction order.
+        it.  When several compete, :meth:`pick` names a port of their
+        union and the transaction holding it wins; the rest stall.
+        Granted transactions come back in the order their banks were
+        first presented, the stalled ports as one mask.
         """
-        stats = self.stats
-        words_per_bank = self.words_per_bank
-        requests = 0
+        presented = stalled = 0
         by_bank: dict[int, list[Transaction]] = {}
         for transaction in transactions:
-            requests += len(transaction[1])
-            bank = transaction[0] // words_per_bank
-            contenders = by_bank.get(bank)
-            if contenders is None:
-                by_bank[bank] = [transaction]
-            else:
-                contenders.append(transaction)
-        stats.requests += requests
+            presented |= transaction[1]
+            by_bank.setdefault(transaction[0] // self.words_per_bank,
+                               []).append(transaction)
         for bank in by_bank:
             if bank >= self.num_banks:
+                self.stats.requests += presented.bit_count()  # then refused
                 raise ValueError(f"{self.name}: bank {bank} out of range")
-        ports, priorities = self.ports, self._rr_priority
         granted: list[Transaction] = []
-        stalled: list[int] = []
         for bank, contenders in by_bank.items():
             winner = contenders[0]
             if len(contenders) > 1:
-                priority = priorities[bank]
-                priorities[bank] = (priority + 1) % ports
-                nearest = ports
-                for transaction in contenders:
-                    for port in transaction[1]:
-                        distance = (port - priority) % ports
-                        if distance < nearest:
-                            winner, nearest = transaction, distance
-                for transaction in contenders:
-                    if transaction is not winner:
-                        stalled.extend(transaction[1])
+                union = 0
+                for _, ports in contenders:
+                    union |= ports
+                port = 1 << self.pick(bank, union)
+                winner = next(t for t in contenders if t[1] & port)
+                stalled |= union ^ winner[1]
             granted.append(winner)
-        # Every request is granted or stalled, and each granted
-        # transaction is one access: its other ports were merged in.
-        grants = requests - len(stalled)
-        stats.grants += grants
-        stats.accesses += len(granted)
-        stats.conflicts += len(stalled)
-        if grants > len(granted):
-            stats.broadcast_merged += grants - len(granted)
-            stats.broadcast_cycles += 1
+        self.book((presented ^ stalled).bit_count(), len(granted),
+                  stalled.bit_count())
         return granted, stalled
-
-    def grant_uncontended(self, requests: int, accesses: int) -> None:
-        """Book a cycle in which no transaction contends for a bank, as
-        :meth:`arbitrate` would book it: all ``requests`` requests are
-        granted, ``accesses`` accesses serve them, and the requests
-        beyond one per access were merged in."""
-        stats = self.stats
-        stats.requests += requests
-        stats.grants += requests
-        stats.accesses += accesses
-        if requests > accesses:
-            stats.broadcast_merged += requests - accesses
-            stats.broadcast_cycles += 1
 
     def reset(self) -> None:
         """Zero the cumulative counters and every bank's priority."""

@@ -31,6 +31,8 @@ class MemoryBank:
         self.word_mask = word_mask
         self.name = name
         self.data = [0] * words
+        # A powered-off bank keeps its contents, but every access faults
+        # (the paper gates only unused banks, so retention never matters).
         self.powered = True
         self.reads = 0
         self.writes = 0
@@ -61,19 +63,6 @@ class MemoryBank:
     def accesses(self) -> int:
         """Total dynamic accesses (reads + writes)."""
         return self.reads + self.writes
-
-    def power_off(self) -> None:
-        """Gate the bank; later accesses fault, contents are retained.
-
-        (A real SRAM would lose or retain contents depending on the
-        retention mode; the paper powers off only *unused* banks, so
-        content semantics never matter.)
-        """
-        self.powered = False
-
-    def power_on(self) -> None:
-        """Un-gate the bank."""
-        self.powered = True
 
     def _check(self, index: int) -> None:
         if not self.powered:
@@ -122,32 +111,17 @@ class BankedMemory:
             for i in range(banks)
         ]
 
-    def __len__(self) -> int:
-        return len(self.banks)
-
-    def bank(self, index: int) -> MemoryBank:
-        """Bank object at ``index``."""
-        return self.banks[index]
-
     def power_off_unused(self, used_banks: set[int]) -> None:
-        """Power off every bank not listed in ``used_banks``."""
+        """Power on the banks in ``used_banks`` and off every other."""
         for number, bank in enumerate(self.banks):
-            if number in used_banks:
-                bank.power_on()
-            else:
-                bank.power_off()
-
-    @property
-    def powered_banks(self) -> int:
-        """Number of banks currently powered."""
-        return sum(1 for bank in self.banks if bank.powered)
+            bank.powered = number in used_banks
 
     def activity(self) -> MemoryActivity:
         """Aggregate activity snapshot (for the power model)."""
         return MemoryActivity(
             reads=sum(bank.reads for bank in self.banks),
             writes=sum(bank.writes for bank in self.banks),
-            powered_banks=self.powered_banks,
+            powered_banks=sum(bank.powered for bank in self.banks),
             per_bank_accesses=tuple(bank.accesses for bank in self.banks),
         )
 

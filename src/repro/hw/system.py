@@ -231,7 +231,7 @@ class System:
             bank = geom.bank_of(address)
             if bank >= geom.banks:
                 raise LoadError(f"IM address {address:#06x} beyond memory")
-            self.im.bank(bank).poke(address % geom.words_per_bank, word)
+            self.im.banks[bank].poke(address % geom.words_per_bank, word)
             used_im_banks.add(bank)
             try:
                 instr = self._decoded[address] = decode(word)
@@ -250,7 +250,7 @@ class System:
                     f"shared addresses can be statically initialised on "
                     f"the multi-core platform")
             bank, index = self.translation.shared_location(address)
-            self.dm.bank(bank).poke(index, value)
+            self.dm.banks[bank].poke(index, value)
 
         if dm_banks_on is None:
             if self.multicore_dm:
@@ -296,8 +296,11 @@ class System:
         """The cycle loop of :meth:`run`, up to ``end``.
 
         Clocked cores burn a busy cycle, retry a waiting DM access or
-        fetch, one transaction per word; a granted fetch calls the
-        word's bound instruction for every port sharing it.  A cycle
+        fetch; a word's fetches are one transaction.  Fetches in one IM
+        bank are granted here (several words by :meth:`Crossbar.pick`),
+        tallied by port mask and booked once, on return or raise; the
+        rest go to :meth:`Crossbar.arbitrate`.  A granted fetch calls
+        the word's bound instruction for every port sharing it.  A cycle
         with no core clocked (first checked for halt and deadlock) and
         no interrupt line pending changes nothing until the ADC's next
         delivery, so the cycles before that are skipped.
@@ -307,104 +310,123 @@ class System:
         clocked, xbar, sync, adc = (
             self._clocked, self.im_xbar, self.synchronizer, self.adc)
         interrupts, submit, sleep = sync.interrupts, sync.submit, sync.sleep
-        book, broadcast = self._book, xbar.broadcast
-        grant_uncontended = xbar.grant_uncontended
-        last_pc = xbar.num_banks * xbar.words_per_bank - 1
-        while cycle < end:
-            if not clocked:
-                if self.all_halted:
-                    break
-                if self.deadlocked():
-                    raise SimulationError(
-                        "deadlock: all cores clock-gated with no event "
-                        "source")
-                if adc is not None and not interrupts.pending_lines:
-                    skip = min(adc.cycles_to_next(), end - cycle) - 1
-                    if skip > 0:
-                        cycle += skip
-                        adc.advance(skip)
-            cycle = self.cycle = cycle + 1
-            mem_queue: list[tuple[RiscCore, Effect]] = []
-            fetches: dict[int, list[int]] = {}  # word -> ports fetching it
-            for core in clocked:
-                if core.busy_cycles_left:
-                    core.busy_cycles_left -= 1
-                    core.stats.busy_cycles += 1
-                    continue
-                port = core.core_id
-                if pending[port] is not None:
-                    mem_queue.append((core, pending[port]))
-                elif (pc := core.pc) in fetches:
-                    fetches[pc].append(port)
-                else:
-                    fetches[pc] = [port]
-
-            changed = synced = False
-            if fetches:
-                alone = len(fetches) == 1
-                if alone:
-                    (pc, ports), = fetches.items()
-                    requests = len(ports)
-                    alone = broadcast or requests == 1
-                if alone and pc <= last_pc:  # one transaction: no arbitration
-                    grant_uncontended(requests, 1)
-                    granted: list[Transaction] = [(pc, ports)]
-                else:  # arbitration also faults a word beyond the banks
-                    granted, stalled = xbar.arbitrate(
-                        fetches.items() if broadcast else
-                        [(pc, [port]) for pc, ports in fetches.items()
-                         for port in ports])
-                    for port in stalled:
-                        cores[port].stats.fetch_stalls += 1
-                for pc, ports in granted:
-                    bound = program.get(pc)
-                    if bound is None:
-                        bank, index = divmod(pc, xbar.words_per_bank)
-                        self.im.banks[bank].read(index)
-                        raise SimulationError(
-                            f"core {ports[0]}: fetch from uninitialised "
-                            f"IM address {pc:#06x}")
-                    op, bank, index = bound
-                    if bank.powered:  # ``read``'s count, without its checks
-                        bank.reads += 1
+        book, broadcast, pick = self._book, xbar.broadcast, xbar.pick
+        port_sets, words_per_bank = xbar.port_sets, xbar.words_per_bank
+        last_pc = xbar.num_banks * words_per_bank - 1
+        granted_by_mask = [0] * len(port_sets)
+        stalled_by_mask = [0] * len(port_sets)
+        try:
+            while cycle < end:
+                if not clocked:
+                    if self.all_halted:
+                        break
+                    if self.deadlocked():
+                        raise self._deadlock_error()
+                    if adc is not None and not interrupts.pending_lines:
+                        skip = min(adc.cycles_to_next(), end - cycle) - 1
+                        if skip > 0:
+                            cycle += skip
+                            adc.advance(skip)
+                cycle = self.cycle = cycle + 1
+                mem_queue: list[tuple[RiscCore, Effect]] = []
+                fetches: dict[int, int] = {}  # word -> mask of its ports
+                for core in clocked:
+                    if core.busy_cycles_left:
+                        core.busy_cycles_left -= 1
+                        core.stats.busy_cycles += 1
+                        continue
+                    port = core.core_id
+                    if pending[port] is not None:
+                        mem_queue.append((core, pending[port]))
+                    elif (pc := core.pc) in fetches:
+                        fetches[pc] |= 1 << port
                     else:
-                        bank.read(index)
-                    for port in ports:
-                        core = cores[port]
-                        effect = op(core)
-                        if effect is None:
-                            continue
-                        kind = effect.kind
-                        if kind is _LOAD or kind is _STORE:
-                            if effect.address >= PERIPH_BASE:
-                                self._peripheral_access(core, effect)
-                            else:
-                                mem_queue.append((core, effect))
-                        elif kind is _SYNC:
-                            submit(port, effect.sync_op, effect.sync_point)
-                            synced = True
-                        elif kind is _SLEEP:
-                            if sleep(port):
-                                book(core, cycle)
-                                core.gated = changed = True
-                        else:
-                            book(core, cycle)
-                            core.halted = changed = True
+                        fetches[pc] = 1 << port
 
-            if mem_queue:
-                self._serve_memory(mem_queue)
-            if synced or interrupts.pending_lines:
-                for port in sync.end_cycle():
-                    book(cores[port], cycle)
-                    cores[port].gated = False
-                    changed = True
-            if adc is not None:
-                adc.tick()
-            if changed:
-                clocked = [core for core in cores
-                           if not (core.halted or core.gated)]
-        self.cycle = cycle
-        self._clocked = clocked
+                changed = synced = False
+                if fetches:  # ``pc`` is the last word fetched
+                    ports, in_place = fetches[pc], pc <= last_pc
+                    if len(fetches) > 1 or not broadcast and ports & ports - 1:
+                        # Contenders, granted here if all in one bank.
+                        bank, union = pc // words_per_bank, 0
+                        for word, mask in fetches.items():
+                            union |= mask
+                            if word // words_per_bank != bank:
+                                in_place = False
+                        if in_place:
+                            port = pick(bank, union)
+                            pc = cores[port].pc
+                            ports = fetches[pc] if broadcast else 1 << port
+                            stalled_by_mask[union ^ ports] += 1
+                    if in_place:
+                        granted_by_mask[ports] += 1
+                        granted: list[Transaction] = [(pc, ports)]
+                    else:  # arbitration also faults a word beyond the banks
+                        granted, stalled = xbar.arbitrate(
+                            fetches.items() if broadcast else
+                            [(pc, 1 << port) for pc, ports in fetches.items()
+                             for port in port_sets[ports]])
+                        for port in port_sets[stalled]:
+                            cores[port].stats.fetch_stalls += 1
+                    for pc, ports in granted:
+                        bound = program.get(pc)
+                        if bound is None:
+                            bank, index = divmod(pc, words_per_bank)
+                            self.im.banks[bank].read(index)
+                            raise SimulationError(
+                                f"core {port_sets[ports][0]}: fetch from "
+                                f"uninitialised IM address {pc:#06x}")
+                        op, bank, index = bound
+                        if bank.powered:  # ``read``'s count, without checks
+                            bank.reads += 1
+                        else:
+                            bank.read(index)
+                        for port in port_sets[ports]:
+                            core = cores[port]
+                            effect = op(core)
+                            if effect is None:
+                                continue
+                            kind = effect.kind
+                            if kind is _LOAD or kind is _STORE:
+                                if effect.address >= PERIPH_BASE:
+                                    self._peripheral_access(core, effect)
+                                else:
+                                    mem_queue.append((core, effect))
+                            elif kind is _SYNC:
+                                submit(port, effect.sync_op,
+                                       effect.sync_point)
+                                synced = True
+                            elif kind is _SLEEP:
+                                if sleep(port):
+                                    book(core, cycle)
+                                    core.gated = changed = True
+                            else:
+                                book(core, cycle)
+                                core.halted = changed = True
+
+                if mem_queue:
+                    self._serve_memory(mem_queue)
+                if synced or interrupts.pending_lines:
+                    for port in sync.end_cycle():
+                        book(cores[port], cycle)
+                        cores[port].gated = False
+                        changed = True
+                if adc is not None:
+                    adc.tick()
+                if changed:
+                    clocked = [core for core in cores
+                               if not (core.halted or core.gated)]
+            self.cycle = cycle
+            self._clocked = clocked
+        finally:
+            for ports, cycles in enumerate(granted_by_mask):
+                if cycles:
+                    xbar.book(ports.bit_count(), 1, 0, cycles)
+            for ports, cycles in enumerate(stalled_by_mask):
+                if cycles:
+                    xbar.book(0, 0, ports.bit_count(), cycles)
+                    for port in port_sets[ports]:
+                        cores[port].stats.fetch_stalls += cycles
 
     def _serve_memory(self, mem_queue: list[tuple[RiscCore, Effect]]) -> None:
         """Perform the cycle's DM accesses, arbitrating if they contend.
@@ -420,7 +442,7 @@ class System:
         cells = [translate(core.core_id, effect.address)
                  for core, effect in mem_queue]
         if len({bank for bank, _ in cells}) == len(cells):
-            xbar.grant_uncontended(len(cells), len(cells))
+            xbar.book(len(cells), len(cells))
             for (core, effect), (bank, index) in zip(mem_queue, cells):
                 if effect.kind is _STORE:
                     banks[bank].write(index, effect.value)
@@ -429,32 +451,31 @@ class System:
                 pending[core.core_id] = None
             return
         effects: dict[int, Effect] = {}
-        reads: dict[int, list[int]] = {}
-        transactions: list[Transaction] = []
+        # (word, port) for a transaction of its own, (word, -1) for the
+        # shared read of a word -> the mask of its ports.
+        masks: dict[tuple[int, int], int] = {}
         for (core, effect), (bank, index) in zip(mem_queue, cells):
             port = core.core_id
             effects[port] = effect
-            word = bank * xbar.words_per_bank + index
-            if effect.kind is _STORE or not xbar.broadcast:
-                transactions.append((word, [port]))
-            elif word in reads:
-                reads[word].append(port)
-            else:
-                reads[word] = [port]
-                transactions.append((word, reads[word]))
-        granted, stalled = xbar.arbitrate(transactions)
-        for port in stalled:
+            alone = effect.kind is _STORE or not xbar.broadcast
+            key = (bank * xbar.words_per_bank + index, port if alone else -1)
+            masks[key] = masks.get(key, 0) | 1 << port
+        granted, stalled = xbar.arbitrate(
+            [(word, ports) for (word, _), ports in masks.items()])
+        port_sets = xbar.port_sets
+        for port in port_sets[stalled]:
             self.cores[port].stats.mem_stalls += 1
             pending[port] = effects[port]
         for word, ports in granted:
             bank, index = divmod(word, xbar.words_per_bank)
-            if effects[ports[0]].kind is _STORE:
-                banks[bank].write(index, effects[ports[0]].value)
+            members = port_sets[ports]
+            if effects[members[0]].kind is _STORE:
+                banks[bank].write(index, effects[members[0]].value)
             else:
                 value = banks[bank].read(index)
-                for port in ports:
+                for port in members:
                     self.cores[port].complete_load(effects[port], value)
-            for port in ports:
+            for port in members:
                 pending[port] = None
 
     def _peripheral_access(self, core: RiscCore, effect: Effect) -> None:
@@ -512,12 +533,33 @@ class System:
                 and not self.synchronizer.interrupts.pending_lines
                 and (self.adc is None or self.adc.all_exhausted))
 
+    def _deadlock_error(self) -> SimulationError:
+        """Name each sync point holding a flag or a count (read by peek,
+        so no counter moves) and its cores, gated or halted; with no
+        such point, the gated cores."""
+        sync, layout, parts = self.synchronizer, self.synchronizer.layout, []
+        state = {core.core_id: "halted" if core.halted else "gated"
+                 for core in self.cores}
+        for point in range(sync.num_points):
+            flags, counter = layout.decode(
+                self.dm_peek(sync.point_address(point)))
+            if flags or counter:
+                cores = [f"core {core} {state[core]}"
+                         for core in layout.cores_of(flags)]
+                parts.append(f"point {point} (counter {counter}): "
+                             + (", ".join(cores) or "none registered"))
+        gated = [str(core) for core, name in state.items() if name == "gated"]
+        return SimulationError(
+            "deadlock: all cores clock-gated with no event source; "
+            + ("; ".join(parts) or f"cores {', '.join(gated)} gated"))
+
     def run(self, max_cycles: int) -> int:
         """Run up to ``max_cycles``, or until every core has halted;
         returns cycles actually simulated.
 
         Raises :class:`SimulationError` on deadlock (all cores gated
-        with no wake source left).  Both stop conditions need every
+        with no wake source left), naming the sync points and cores it
+        waits on.  Both stop conditions need every
         core halted or gated, so they are checked only on cycles when
         no core is clocked.  Counters are settled on return or raise.
         """
@@ -557,7 +599,7 @@ class System:
     def dm_peek(self, address: int, core: int = 0) -> int:
         """Debug read of logical DM ``address`` as seen by ``core``."""
         bank, index = self.translation.translate(core, address)
-        return self.dm.bank(bank).peek(index)
+        return self.dm.banks[bank].peek(index)
 
     def activity(self) -> SystemActivity:
         """Snapshot of all counters (the power model's input)."""

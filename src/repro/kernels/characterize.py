@@ -16,12 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hw.system import System
+from ..hw.system import SimulationError, System
 from ..isa.assembler import assemble
 from .sources import RESULT_BASE, barrier_pipeline_kernel, window_min_kernel
 
 #: Safety bound for kernel runs (they halt long before this).
 _MAX_CYCLES = 2_000_000
+
+
+def _run_to_halt(system: System, kernel: str) -> None:
+    """Run ``system``; raise naming the cores still running if it does
+    not halt within :data:`_MAX_CYCLES`."""
+    system.run(_MAX_CYCLES)
+    running = [str(core.core_id) for core in system.cores if not core.halted]
+    if running:
+        raise SimulationError(
+            f"{kernel} kernel did not halt by cycle {system.cycle}: "
+            f"cores {', '.join(running)} not halted")
 
 
 @dataclass(frozen=True)
@@ -62,9 +73,7 @@ def characterize_window_min(cores: int = 3, window: int = 8,
                                outputs=outputs, with_sync=with_sync)
     system = System.multicore(num_cores=8)
     system.load(assemble(source))
-    system.run(_MAX_CYCLES)
-    if not system.all_halted:
-        raise RuntimeError("window-min kernel did not halt")
+    _run_to_halt(system, "window-min")
     activity = system.activity()
     elements = cores * outputs * (window - 1)
     busy = sum(core.stats.instructions for core in system.cores)
@@ -112,9 +121,7 @@ def characterize_barrier_pipeline(producers: int = 3, rounds: int = 8
     system = System.multicore(num_cores=8)
     system.load(assemble(barrier_pipeline_kernel(producers=producers,
                                                  rounds=rounds)))
-    system.run(_MAX_CYCLES)
-    if not system.all_halted:
-        raise RuntimeError("barrier pipeline did not halt")
+    _run_to_halt(system, "barrier pipeline")
     expected = sum(4 * core + r
                    for r in range(1, rounds + 1)
                    for core in range(producers)) & 0xFFFF

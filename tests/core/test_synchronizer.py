@@ -37,7 +37,7 @@ def test_same_cycle_requests_are_merged_into_one_write():
     assert sync.stats.merged_writes_saved == 2
     flags, counter = sync.point_state(3)
     assert counter == 3
-    assert sync.registered_cores(3) == (0, 1, 2)
+    assert sync.layout.cores_of(sync.point_state(3)[0]) == (0, 1, 2)
 
 
 def test_sdec_then_sleep_race_is_absorbed_by_latch():
@@ -127,15 +127,14 @@ def test_stats_count_ops_and_overhead_numerator():
     assert sync.stats.total_sync_instructions == 4
 
 
-def test_on_wake_callback_invoked():
-    woken = []
-    sync = Synchronizer(num_cores=2, num_points=2, on_wake=woken.append)
+def test_end_cycle_returns_woken_cores():
+    sync = Synchronizer(num_cores=2, num_points=2)
     sync.submit(0, SyncOp.SINC, 0)
-    sync.end_cycle()
+    assert sync.end_cycle() == ()
     sync.sleep(0)
     sync.submit(1, SyncOp.SDEC, 0)
-    sync.end_cycle()
-    assert woken == [0]
+    assert sync.end_cycle() == (0,)
+    assert sync.stats.wakes == 1
 
 
 def test_reset_clears_everything():

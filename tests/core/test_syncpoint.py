@@ -204,7 +204,7 @@ def test_strict_overflow_raises():
 def test_registered_cores_reflect_flags():
     sync, _ = _unit()
     _cycle(sync, [(2, SyncOp.SINC), (6, SyncOp.SNOP), (2, SyncOp.SINC)])
-    assert sync.registered_cores(0) == (2, 6)
+    assert sync.layout.cores_of(sync.point_state(0)[0]) == (2, 6)
 
 
 @given(_BATCH)

@@ -5,16 +5,19 @@ code of the platform from before execution went through a handler
 table and crossbar arbitration got its single-transaction shortcut,
 kept verbatim so the loop in ``src/`` can be held to it bit for bit:
 
-* ``RiscCore.execute`` as one ``if``/``elif`` chain over the opcodes,
+* the core's ``execute`` as one ``if``/``elif`` chain over the opcodes,
   with its ``read_reg``/``write_reg``/``_take_branch`` helpers;
-* ``Crossbar.arbitrate``, ``_group`` and ``_pick``, which group and
-  round-robin every bank, and the frozen-dataclass records they build;
+* ``Crossbar.arbitrate``, ``_group`` and ``_pick``, which group
+  requests by port list and round-robin every bank by distance from
+  its pointer, and the frozen-dataclass records they build;
 * the synchronizer's sync-point rule as it was before ``submit``
   folded each request into its point: one record per request, one
   merge per point, then decode, apply and encode; its ``end_cycle``
   has no early return;
 * ``System.step``, ``_dispatch``, ``_serve_memory`` and ``run``, which
-  test for "all halted" and for deadlock on every cycle;
+  test for "all halted" and for deadlock on every cycle; the deadlock
+  message is built from the point words by the oracle's own reading of
+  the point layout;
 * the ATU's translation, a private tag plus a shared interleave (or the
   single-core baseline's linear map), computed anew for every DM
   access, the synchronizer's included.
@@ -475,11 +478,7 @@ class ReferenceSynchronizer(Synchronizer):
         for core in self.interrupts.collect():
             self._deliver(core, woken)
 
-        if woken:
-            self.stats.wakes += len(woken)
-            if self.on_wake is not None:
-                for core in woken:
-                    self.on_wake(core)
+        self.stats.wakes += len(woken)
         return tuple(woken)
 
 
@@ -678,7 +677,30 @@ class ReferenceSystem(System):
             if self.all_halted:
                 break
             if self.deadlocked():
-                raise SimulationError(
-                    "deadlock: all cores clock-gated with no event source")
+                raise SimulationError(self.deadlock_message())
             self.step()
         return self.cycle - start
+
+    def deadlock_message(self) -> str:
+        """Name every point whose word is not zero, with its flagged
+        cores, gated or halted, or else the gated cores; each point word
+        is peeked through the oracle's own translation."""
+        counter_mask = (1 << (16 - self.num_cores)) - 1
+        parts = []
+        for point in range(self.synchronizer.num_points):
+            bank, index = self.atu.translate(
+                0, self.synchronizer.point_address(point))
+            word = self.dm.banks[bank].peek(index)
+            if word == 0:
+                continue
+            cores = [f"core {core} "
+                     + ("halted" if self.cores[core].halted else "gated")
+                     for core in range(self.num_cores)
+                     if word & _flag_bit(core)]
+            parts.append(f"point {point} (counter {word & counter_mask}): "
+                         + (", ".join(cores) or "none registered"))
+        if not parts:
+            gated = [str(core.core_id) for core in self.cores if core.gated]
+            parts = [f"cores {', '.join(gated)} gated"]
+        return ("deadlock: all cores clock-gated with no event source; "
+                + "; ".join(parts))

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.core.synchronizer import SyncProtocolError
-from repro.hw.core import RiscCore
+from repro.hw.core import Effect, EffectKind, RiscCore, bind
 from repro.hw.interconnect import Crossbar
 from repro.hw.memory import MemoryFault
 from repro.hw.system import SimulationError, System
@@ -46,6 +46,7 @@ from repro.kernels.sources import (
 )
 
 from .reference_system import (
+    GrantGroup,
     MemRequest,
     ReferenceCore,
     ReferenceCrossbar,
@@ -154,12 +155,14 @@ def _singlecore(cls):
        st.one_of(st.integers(0, 0x7FFF), st.just(0x7FFF)))
 def test_execute_matches_reference(instr, regs, pc):
     """Every opcode with any fields, any register state, any ``pc`` (the
-    last IM word included: its ``jal`` links 0x8000)."""
+    last IM word included: its ``jal`` links 0x8000): the call bound at
+    ``pc`` does what the oracle's ``execute`` does."""
     outcomes = []
     for cls in (RiscCore, ReferenceCore):
         core = cls(3)
         core.regs, core.pc = [0, *regs], pc
-        effect = core.execute(instr)
+        effect = (core.execute(instr) if cls is ReferenceCore
+                  else bind(instr, pc)(core) or Effect(EffectKind.NONE))
         outcomes.append((
             [getattr(effect, name) for name in
              ("kind", "address", "value", "rd", "sync_op", "sync_point")],
@@ -181,26 +184,19 @@ def _transactions(requests, broadcast: bool) -> list:
     """One cycle's ``(port, bank, index, is_write, value)`` requests as
     crossbar transactions, grouped as ``System`` groups DM accesses:
     reads of one word merge while broadcasting, each write is its own."""
-    transactions, reads = [], {}
+    masks = {}
     for port, bank, index, is_write, _ in requests:
         word = bank * _WORDS_PER_BANK + index
-        if broadcast and not is_write:
-            ports = reads.get(word)
-            if ports is not None:
-                ports.append(port)
-                continue
-            ports = reads[word] = [port]
-        else:
-            ports = [port]
-        transactions.append((word, ports))
-    return transactions
+        key = (word, -1 if broadcast and not is_write else port)
+        masks[key] = masks.get(key, 0) | 1 << port
+    return [(word, ports) for (word, _), ports in masks.items()]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_REQUESTS, min_size=1, max_size=6), st.booleans())
 def test_arbitrate_matches_reference(cycles, broadcast):
-    """Per cycle: the same grants, in order, the same stalls, in order,
-    and the same counters and round-robin pointers."""
+    """Per cycle: the same grants, in order, the same stalls, and the
+    same counters and round-robin pointers."""
     fast = Crossbar(8, 4, broadcast=broadcast,
                     words_per_bank=_WORDS_PER_BANK)
     reference = ReferenceCrossbar(8, 4, broadcast=broadcast)
@@ -208,15 +204,39 @@ def test_arbitrate_matches_reference(cycles, broadcast):
         writes = {port: is_write for port, _, _, is_write, _ in cycle}
         granted, stalled = fast.arbitrate(_transactions(cycle, broadcast))
         result = reference.arbitrate([MemRequest(*spec) for spec in cycle])
-        assert [(*divmod(word, _WORDS_PER_BANK), writes[ports[0]], ports)
+        assert [(*divmod(word, _WORDS_PER_BANK),
+                 writes[fast.port_sets[ports][0]], list(fast.port_sets[ports]))
                 for word, ports in granted] == \
             [(group.bank, group.index, group.is_write,
-              [request.port for request in group.requests])
+              sorted(request.port for request in group.requests))
              for group in result.granted]
-        assert stalled == [request.port for request in result.stalled]
+        assert stalled == sum(1 << request.port
+                              for request in result.stalled)
         assert dataclasses.asdict(fast.stats) == \
             dataclasses.asdict(reference.stats)
         assert fast._rr_priority == reference._rr_priority
+
+
+@pytest.mark.parametrize("ports", range(1, 9))
+def test_pick_matches_reference(ports):
+    """Every pointer and every non-empty mask: ``pick`` names the port
+    of the group the oracle's round-robin grants when each port of the
+    mask contends alone.  Contended (two or more ports), both move the
+    pointer on by one; a lone port never contends, so the oracle leaves
+    the pointer, and ``pick`` still moves it on by one."""
+    for priority in range(ports):
+        for mask in range(1, 1 << ports):
+            fast = Crossbar(ports, 1)
+            reference = ReferenceCrossbar(ports, 1)
+            fast._rr_priority[0] = reference._rr_priority[0] = priority
+            groups = [GrantGroup(0, port, False, [MemRequest(port, 0, port)])
+                      for port in fast.port_sets[mask]]
+            winner = reference._pick(0, groups)
+            assert fast.pick(0, mask) == winner.requests[0].port
+            moved = (priority + 1) % ports
+            assert fast._rr_priority[0] == moved
+            assert reference._rr_priority[0] == \
+                (moved if len(groups) > 1 else priority)
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +365,47 @@ def test_window_min_without_broadcast():
 def test_errors_match(source, error):
     outcome, _ = run_both(_multicore(), source, max_cycles=100)
     assert outcome is not None and error in outcome[1]
+
+
+def _two_banks(cores: int) -> str:
+    """Cores in pairs, the even ones in IM bank 0 and the odd ones in
+    bank 1, spinning for a count set by their id: the two banks are
+    fetched in the same cycles, and each bank's pair parts ways."""
+    entries = "".join(f".entry {core}, {'alt' if core % 2 else 'main'}\n"
+                      for core in range(cores))
+    spin = [f"li r5, {REG_CORE_ID}", "lw r6, 0(r5)", "addi r1, r6, 3",
+            "{0}loop:", "addi r1, r1, -1", "bnez r1, {0}loop", "halt"]
+    return (entries + "main:\n" + "\n".join(spin).format("main")
+            + "\n.section alt, bank=1\nalt:\n"
+            + "\n".join(spin).format("alt") + "\n")
+
+
+@pytest.mark.parametrize("broadcast", [True, False])
+@pytest.mark.parametrize("cores", [2, 4])
+def test_fetches_in_two_banks(cores, broadcast):
+    """Cores fetching from IM banks 0 and 1 in the same cycles take the
+    route to ``Crossbar.arbitrate``, and the loop agrees with the oracle
+    there, in one ``run`` and in ``run(1)`` chunks."""
+    error, state = run_both(_multicore(8, broadcast), _two_banks(cores),
+                            chunks=(1,))
+    assert error is None
+    im_reads = [reads for _, reads, _ in state["banks"][:2]]
+    assert all(im_reads)
+
+
+def test_deadlock_names_point_and_cores():
+    """Window-min on three replicas whose core 2 halts where it should
+    ``sdec``: the error names point 0, the cores registered there and
+    which are gated or halted, at the cycle it happens."""
+    source = window_min_kernel(cores=3, window=8, outputs=64).replace(
+        "sdec SP\n    sleep",
+        "li r5, 2\n    bne r6, r5, go\n    halt\ngo:\n    sdec SP\n"
+        "    sleep")
+    error, _ = run_both(_multicore(), source)
+    assert error == (
+        SimulationError,
+        "deadlock: all cores clock-gated with no event source; point 0 "
+        "(counter 1): core 0 gated, core 1 gated, core 2 halted", 940)
 
 
 _CHUNKS = (1, 7, 97)

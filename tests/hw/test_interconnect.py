@@ -1,11 +1,12 @@
 """Tests for the broadcasting crossbar and its arbitration.
 
 A crossbar arbitrates transactions ``(word, ports)``: the ports of one
-transaction share one access to one word.  Which requests share one
-is the platform's rule (``System`` merges reads of one word while
-broadcasting, and gives each write its own), so the merge rules are
-checked on a ``System`` whose cores fetch from separate IM banks and
-so reach the DM crossbar in the same cycle.
+transaction, a mask with bit ``p`` for port ``p``, share one access to
+one word, and the stalled ports come back as one mask.  Which requests
+share one is the platform's rule (``System`` merges reads of one word
+while broadcasting, and gives each write its own), so the merge rules
+are checked on a ``System`` whose cores fetch from separate IM banks
+and so reach the DM crossbar in the same cycle.
 """
 
 from hypothesis import given, strategies as st
@@ -47,15 +48,16 @@ def test_same_address_reads_merge_into_one_access():
 
 def test_different_addresses_same_bank_conflict():
     xbar = Crossbar(ports=4, banks=2, words_per_bank=16)
-    granted, stalled = xbar.arbitrate([(5, [0]), (6, [1])])
-    assert granted == [(5, [0])]
-    assert stalled == [1]
+    granted, stalled = xbar.arbitrate([(5, 0b01), (6, 0b10)])
+    assert granted == [(5, 0b01)]
+    assert stalled == 0b10
     assert xbar.stats.conflicts == 1
 
 
 def test_different_banks_do_not_conflict():
     xbar = Crossbar(ports=4, banks=4, words_per_bank=16)
-    granted, stalled = xbar.arbitrate([(5, [0]), (21, [1]), (41, [2])])
+    granted, stalled = xbar.arbitrate([(5, 0b001), (21, 0b010),
+                                       (41, 0b100)])
     assert len(granted) == 3
     assert not stalled
 
@@ -92,8 +94,8 @@ def test_round_robin_is_fair_over_time():
     xbar = Crossbar(ports=2, banks=1, words_per_bank=16)
     winners = []
     for _ in range(10):
-        granted, _ = xbar.arbitrate([(1, [0]), (2, [1])])
-        winners.append(granted[0][1][0])
+        granted, _ = xbar.arbitrate([(1, 0b01), (2, 0b10)])
+        winners.append(xbar.port_sets[granted[0][1]][0])
     assert winners.count(0) == 5
     assert winners.count(1) == 5
 
@@ -101,7 +103,7 @@ def test_round_robin_is_fair_over_time():
 def test_single_port_never_conflicts():
     xbar = Crossbar(ports=1, banks=4, words_per_bank=16)
     for word in range(20):
-        _, stalled = xbar.arbitrate([(word, [0])])
+        _, stalled = xbar.arbitrate([(word, 0b1)])
         assert not stalled
     assert xbar.stats.conflicts == 0
     assert xbar.stats.broadcast_fraction == 0.0
@@ -110,19 +112,14 @@ def test_single_port_never_conflicts():
 def _transactions(spec):
     """Random transactions, at most one per port per cycle like real
     cores: reads of one word share one, each write is its own."""
-    transactions, reads, seen_ports = [], {}, set()
+    masks, seen_ports = {}, set()
     for port, word, is_write in spec:
         if port in seen_ports:
             continue
         seen_ports.add(port)
-        if not is_write and word in reads:
-            reads[word].append(port)
-            continue
-        ports = [port]
-        if not is_write:
-            reads[word] = ports
-        transactions.append((word, ports))
-    return transactions
+        key = (word, port if is_write else -1)
+        masks[key] = masks.get(key, 0) | 1 << port
+    return [(word, ports) for (word, _), ports in masks.items()]
 
 
 # Words 0..23: four banks of six.
@@ -136,10 +133,13 @@ def test_every_request_is_granted_or_stalled_exactly_once(transactions):
     """Conservation: requests are never lost or duplicated."""
     xbar = Crossbar(ports=8, banks=4, words_per_bank=6)
     granted, stalled = xbar.arbitrate(transactions)
-    granted_ports = [port for _, ports in granted for port in ports]
-    assert sorted(granted_ports + stalled) == \
-        sorted(port for _, ports in transactions for port in ports)
-    assert len(set(granted_ports) & set(stalled)) == 0
+    granted_ports = [port for _, ports in granted
+                     for port in xbar.port_sets[ports]]
+    stalled_ports = list(xbar.port_sets[stalled])
+    assert sorted(granted_ports + stalled_ports) == \
+        sorted(port for _, ports in transactions
+               for port in xbar.port_sets[ports])
+    assert len(set(granted_ports) & set(stalled_ports)) == 0
     stats = xbar.stats
     assert stats.grants + stats.conflicts == stats.requests
     assert stats.accesses + stats.broadcast_merged == stats.grants
@@ -156,11 +156,12 @@ def test_at_most_one_access_per_bank_per_cycle(transactions):
 def test_stalled_requests_eventually_complete():
     """Replaying stalled requests drains any backlog."""
     xbar = Crossbar(ports=4, banks=1, words_per_bank=4)
-    outstanding = [(port, [port]) for port in range(4)]  # all conflict
+    outstanding = [(port, 1 << port) for port in range(4)]  # all conflict
     rounds = 0
     while outstanding:
         _, stalled = xbar.arbitrate(outstanding)
-        outstanding = [(port, [port]) for port in stalled]
+        outstanding = [(port, 1 << port)
+                       for port in xbar.port_sets[stalled]]
         rounds += 1
         assert rounds <= 4
     assert rounds == 4

@@ -22,12 +22,12 @@ def test_bank_masks_stored_words():
 
 def test_powered_off_bank_faults():
     bank = MemoryBank(words=4, word_mask=0xFFFF)
-    bank.power_off()
+    bank.powered = False
     with pytest.raises(MemoryFault, match="powered off"):
         bank.read(0)
     with pytest.raises(MemoryFault, match="powered off"):
         bank.write(0, 1)
-    bank.power_on()
+    bank.powered = True
     bank.write(0, 1)  # works again
 
 
@@ -46,7 +46,7 @@ def test_peek_poke_do_not_count():
 
 def test_poke_requires_power():
     bank = MemoryBank(words=4, word_mask=0xFFFF)
-    bank.power_off()
+    bank.powered = False
     with pytest.raises(MemoryFault):
         bank.poke(0, 1)
 
@@ -54,19 +54,19 @@ def test_poke_requires_power():
 def test_banked_memory_power_off_unused():
     memory = BankedMemory(banks=8, words_per_bank=4, word_mask=0xFFFF)
     memory.power_off_unused({0, 3})
-    assert memory.powered_banks == 2
-    assert memory.bank(0).powered
-    assert not memory.bank(1).powered
+    assert memory.activity().powered_banks == 2
+    assert memory.banks[0].powered
+    assert not memory.banks[1].powered
     memory.power_off_unused({1})
-    assert memory.bank(1).powered
-    assert not memory.bank(0).powered
+    assert memory.banks[1].powered
+    assert not memory.banks[0].powered
 
 
 def test_banked_memory_activity_snapshot():
     memory = BankedMemory(banks=2, words_per_bank=4, word_mask=0xFFFF)
-    memory.bank(0).write(1, 5)
-    memory.bank(0).read(1)
-    memory.bank(1).read(0)
+    memory.banks[0].write(1, 5)
+    memory.banks[0].read(1)
+    memory.banks[1].read(0)
     activity = memory.activity()
     assert activity.reads == 2
     assert activity.writes == 1
@@ -77,8 +77,8 @@ def test_banked_memory_activity_snapshot():
 
 def test_reset_counters_keeps_power_state():
     memory = BankedMemory(banks=2, words_per_bank=4, word_mask=0xFFFF)
-    memory.bank(0).read(0)
+    memory.banks[0].read(0)
     memory.power_off_unused({0})
     memory.reset_counters()
     assert memory.activity().accesses == 0
-    assert memory.powered_banks == 1
+    assert memory.activity().powered_banks == 1

@@ -135,9 +135,9 @@ def test_single_core_powers_off_unused_dm_banks():
         main: halt
     """)
     # Footprint is tiny -> only bank 0 stays on.
-    assert system.dm.powered_banks == 1
+    assert system.dm.activity().powered_banks == 1
     # IM: one bank used.
-    assert system.im.powered_banks == 1
+    assert system.im.activity().powered_banks == 1
 
 
 def test_adc_driven_consumer():

@@ -16,7 +16,7 @@ Usage::
 
 Attaching wraps every instruction the system has bound at load (and,
 through ``System.load``, those of each later load), the synchronizer's
-``sleep`` and its wake path; ``detach`` restores them.  An untraced
+``sleep`` and ``end_cycle``; ``detach`` restores them.  An untraced
 system runs its bound instructions directly, so tracing costs nothing
 until attached; attached, it is meant for short diagnostic runs.
 """
@@ -58,7 +58,6 @@ class Tracer:
     events: list[TraceEvent] = field(default_factory=list)
     _untraced: dict[int, tuple] = field(default_factory=dict)
     _original_sleep: object = None
-    _original_on_wake: object = None
     _attached: bool = False
 
     @classmethod
@@ -98,17 +97,18 @@ class Tracer:
 
         synchronizer.sleep = traced_sleep  # type: ignore[method-assign]
 
-        self._original_on_wake = self.system.synchronizer.on_wake
+        original_end_cycle = synchronizer.end_cycle
 
-        def traced_wake(core_id: int) -> None:
-            if core_id in self.cores:
-                self.events.append(TraceEvent(
-                    cycle=self.system.cycle, core=core_id, kind="wake",
-                    pc=self.system.cores[core_id].pc, text="resumed"))
-            if callable(self._original_on_wake):
-                self._original_on_wake(core_id)
+        def traced_end_cycle() -> tuple[int, ...]:
+            woken = original_end_cycle()
+            for core_id in woken:
+                if core_id in self.cores:
+                    self.events.append(TraceEvent(
+                        cycle=self.system.cycle, core=core_id, kind="wake",
+                        pc=self.system.cores[core_id].pc, text="resumed"))
+            return woken
 
-        self.system.synchronizer.on_wake = traced_wake
+        synchronizer.end_cycle = traced_end_cycle  # type: ignore
         self._attached = True
 
     def _wrap_program(self) -> None:
@@ -139,7 +139,7 @@ class Tracer:
         self.system._program.update(self._untraced)
         del self.system.load  # back to the class's method
         self.system.synchronizer.sleep = self._original_sleep  # type: ignore
-        self.system.synchronizer.on_wake = self._original_on_wake
+        del self.system.synchronizer.end_cycle  # back to the class's method
         self._attached = False
 
     def of_core(self, core: int) -> list[TraceEvent]:

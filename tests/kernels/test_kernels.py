@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.hw.system import SimulationError
 from repro.kernels import (
+    characterize,
     characterize_barrier_pipeline,
     characterize_window_min,
     window_min_kernel,
@@ -83,3 +85,16 @@ def test_barrier_pipeline_validation():
     import repro.kernels.sources as sources
     with pytest.raises(ValueError):
         sources.barrier_pipeline_kernel(producers=0)
+
+
+def test_kernel_that_does_not_halt_raises_a_typed_error(monkeypatch):
+    """Cut off by the cycle bound, a run raises ``SimulationError``
+    naming the kernel, the cycle and the cores that have not halted."""
+    monkeypatch.setattr(characterize, "_MAX_CYCLES", 50)
+    with pytest.raises(SimulationError, match=r"^window-min kernel did not "
+                       r"halt by cycle 50: cores 0, 1, 2 not halted$"):
+        characterize_window_min(cores=3, window=8, outputs=4)
+    with pytest.raises(SimulationError, match=r"^barrier pipeline kernel "
+                       r"did not halt by cycle 50: cores 0, 1, 2, 3 not "
+                       r"halted$"):
+        characterize_barrier_pipeline(producers=3, rounds=2)

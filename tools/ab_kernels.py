@@ -4,13 +4,15 @@ Times the cycle-level part of perfbench's ``paper-kernels`` workload
 (four window-min runs and two barrier pipelines, their shapes drawn by
 ``cycle_inputs`` in ``perfbench/workloads.py``) on several trees of the
 ``repro`` package in one interpreter.  Each tree is copied under a
-package name of its own, so the trees load side by side, and every
-tree's reports must equal the first tree's.  Each round runs one pass
-of every tree, and the tree that goes first rotates from round to
-round, so a swing in host speed falls on all trees alike.  Printed per
-tree: the median pass in ms, the median of the per-round ratios of the
-first tree's time to this tree's (above 1 is faster than the first
-tree), and the rounds in which this tree beat the first.
+package name of its own, so the trees load side by side.  An untimed
+pass checks every tree against the first: the same reports, and for
+each run the same ``System.activity()`` and per-core ``CoreStats``,
+since no report shows the stall and crossbar counters.  Each round
+runs one pass of every tree, and the tree that goes first rotates from
+round to round, so a swing in host speed falls on all trees alike.
+Printed per tree: the median pass in ms, the median of the per-round
+ratios of the first tree's time to this tree's (above 1 is faster than
+the first tree), and the rounds in which this tree beat the first.
 
 Run from the repository root, for instance against a copy of the
 parent commit::
@@ -63,6 +65,26 @@ def kernel_pass(characterize, inputs: dict) -> list:
     return [dataclasses.asdict(report) for report in reports]
 
 
+def checked_pass(characterize, inputs: dict) -> tuple[list, list]:
+    """One kernel pass; its reports, and the counters of every run."""
+    systems = []
+    base = characterize.System
+
+    class Recorded(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    characterize.System = Recorded
+    try:
+        reports = kernel_pass(characterize, inputs)
+    finally:
+        characterize.System = base
+    return reports, [(dataclasses.asdict(system.activity()),
+                      [dataclasses.asdict(core.stats)
+                       for core in system.cores]) for system in systems]
+
+
 def parse_tree(text: str) -> tuple[str, Path]:
     name, sep, path = text.partition("=")
     if not sep or not name or not path:
@@ -95,10 +117,13 @@ def main(argv=None) -> int:
         modules = [load_tree(tree, f"ab_tree{number}", Path(tmp))
                    for number, (_, tree) in enumerate(args.trees)]
         # An untimed pass of each tree warms it up and checks its output.
-        base = kernel_pass(modules[0], inputs)
+        base = checked_pass(modules[0], inputs)
         for name, module in zip(names[1:], modules[1:]):
-            if kernel_pass(module, inputs) != base:
+            reports, counters = checked_pass(module, inputs)
+            if reports != base[0]:
                 raise SystemExit(f"{name}: reports differ from {names[0]}")
+            if counters != base[1]:
+                raise SystemExit(f"{name}: counters differ from {names[0]}")
         times = [[] for _ in modules]
         for round_ in range(args.rounds):
             for step in range(len(modules)):
