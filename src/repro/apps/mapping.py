@@ -25,9 +25,14 @@ points the application needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..isa.layout import DmGeometry, ImGeometry
+from ..isa.layout import (
+    DM_BANKS,
+    DM_WORDS_PER_BANK,
+    IM_BANKS,
+    IM_WORDS_PER_BANK,
+)
 from .phases import AppSpec, PhaseSpec, SectionSpec, Trigger
 
 
@@ -70,7 +75,6 @@ class MappingPlan:
     section_banks: dict[str, int]
     sync_points_used: int
     dm_footprint_words: int
-    _geometry_dm: DmGeometry = field(default_factory=DmGeometry)
 
     @property
     def active_cores(self) -> int:
@@ -93,9 +97,9 @@ class MappingPlan:
         on the baseline.
         """
         if self.multicore:
-            return self._geometry_dm.banks
+            return DM_BANKS
         return max(1, math.ceil(self.dm_footprint_words
-                                / self._geometry_dm.words_per_bank))
+                                / DM_WORDS_PER_BANK))
 
     @property
     def total_code_words(self) -> int:
@@ -159,11 +163,9 @@ def sync_points(app: AppSpec) -> int:
     return groups + len(app.channels)
 
 
-def map_multicore(app: AppSpec, num_cores: int = 8,
-                  geometry: ImGeometry | None = None) -> MappingPlan:
+def map_multicore(app: AppSpec, num_cores: int = 8) -> MappingPlan:
     """Map an application onto the multi-core platform."""
     app.validate()
-    geom = geometry or ImGeometry()
     assignments: list[CoreAssignment] = []
     next_core = 0
     for phase in app.phases:
@@ -187,11 +189,11 @@ def map_multicore(app: AppSpec, num_cores: int = 8,
             else:
                 next_bank += 1
                 bank = next_bank
-            if bank >= geom.banks:
+            if bank >= IM_BANKS:
                 raise MappingError(
                     f"{app.name}: out of IM banks at {section.name!r}")
             fill = bank_fill.get(bank, 0) + section.words
-            if fill > geom.words_per_bank:
+            if fill > IM_WORDS_PER_BANK:
                 raise MappingError(
                     f"{app.name}: section {section.name!r} overflows "
                     f"bank {bank}")
@@ -204,20 +206,18 @@ def map_multicore(app: AppSpec, num_cores: int = 8,
         dm_footprint_words=dm_footprint(app))
 
 
-def map_singlecore(app: AppSpec,
-                   geometry: ImGeometry | None = None) -> MappingPlan:
+def map_singlecore(app: AppSpec) -> MappingPlan:
     """Map an application onto the single-core baseline."""
     app.validate()
-    geom = geometry or ImGeometry()
     assignments = [CoreAssignment(core=0, phase=phase.name, replica=replica)
                    for phase in app.phases
                    for replica in range(phase.replicas)]
 
     section_banks: dict[str, int] = {}
-    bank_fill = [app.runtime_words] + [0] * (geom.banks - 1)
+    bank_fill = [app.runtime_words] + [0] * (IM_BANKS - 1)
     for section in distinct_sections(app):
         for bank, fill in enumerate(bank_fill):
-            if fill + section.words <= geom.words_per_bank:
+            if fill + section.words <= IM_WORDS_PER_BANK:
                 bank_fill[bank] = fill + section.words
                 section_banks[section.name] = bank
                 break

@@ -358,14 +358,6 @@ class Synchronizer:
         """Storage address of synchronization point ``point``."""
         return self.point_base + point
 
-    def point_word(self, point: int) -> int:
-        """Raw word value of a point (as visible to ``lw``)."""
-        return self.storage.read(self.point_address(point))
-
-    def point_state(self, point: int) -> tuple[int, int]:
-        """(flags, counter) of a point."""
-        return self.layout.decode(self.point_word(point))
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

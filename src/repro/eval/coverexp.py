@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import asdict
-from pathlib import Path
 
 from ..cover.fuzz import (
     COVER_BUDGET,
@@ -91,12 +90,6 @@ def cover_payload(report: FuzzReport) -> dict:
         },
         "saturated": report.saturated,
     }
-
-
-def write_cover_json(report: FuzzReport, path: str | Path) -> Path:
-    """Write the coverage artifact; returns its path."""
-    return write_json(path, cover_payload(report))
-
 
 
 def render_cover(report: FuzzReport) -> str:
@@ -192,7 +185,7 @@ def run_command(args: argparse.Namespace,
         else COVER_DURATION_S,
         targeted=not args.random)
     if args.json is not None:
-        write_cover_json(report, args.json)
+        write_json(args.json, cover_payload(report))
     return render_cover(report)
 
 __all__ = [
@@ -205,5 +198,4 @@ __all__ = [
     "cover_payload",
     "render_cover",
     "run_cover",
-    "write_cover_json",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from ..gen.explorer import (
     EXPLORE_DURATION_S,
@@ -131,12 +130,6 @@ def gen_payload(report: GenReport) -> dict:
         "apps": apps,
         "records": [asdict(record) for record in report.records],
     }
-
-
-def write_gen_json(report: GenReport, path: str | Path) -> Path:
-    """Write the exploration artifact; returns its path."""
-    return write_json(path, gen_payload(report))
-
 
 
 #: Fixed column layout of the generated-workload table: (header,
@@ -271,7 +264,7 @@ def run_command(args: argparse.Namespace,
         duration_s=args.duration if args.duration is not None
         else GEN_DURATION_S)
     if args.json is not None:
-        write_gen_json(report, args.json)
+        write_json(args.json, gen_payload(report))
     return render_gen(report)
 
 __all__ = [
@@ -284,5 +277,4 @@ __all__ = [
     "gen_payload",
     "render_gen",
     "run_gen",
-    "write_gen_json",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..gen.explorer import STATUS_OK, STATUS_REJECTED, STATUS_REPAIRED
 from ..gen.generator import derive_seed, suite_tokens
@@ -144,12 +143,6 @@ def search_payload(report: SearchReport) -> dict:
     }
 
 
-def write_search_json(report: SearchReport, path: str | Path) -> Path:
-    """Write the search artifact; returns its path."""
-    return write_json(path, search_payload(report))
-
-
-
 #: Fixed column layout of the placement-search table: (header, width,
 #: value picker kind, format kind).  Golden tests pin this set.
 _SEARCH_COLUMNS: tuple[tuple[str, int, str, str], ...] = (
@@ -266,7 +259,7 @@ def run_command(args: argparse.Namespace,
         duration_s=args.duration if args.duration is not None
         else SEARCH_DURATION_S)
     if args.json is not None:
-        write_search_json(report, args.json)
+        write_json(args.json, search_payload(report))
     return render_search(report)
 
 __all__ = [
@@ -281,5 +274,4 @@ __all__ = [
     "render_search",
     "run_search",
     "search_payload",
-    "write_search_json",
 ]

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 
+from ..store import write_json
 from ..sweep import (
     SPECS,
     ResultCache,
+    bench_payload,
     get_spec,
     run_sweep,
     spec_from_mapping,
-    write_bench_json,
     write_csv,
 )
 from ..sweep.engine import SweepResult
@@ -152,7 +153,7 @@ def run_command(args: argparse.Namespace,
     result = run_sweep(spec, workers=args.workers, cache=cache,
                        use_cache=not args.no_cache, force=args.force)
     if args.json is not None:
-        write_bench_json(result, args.json)
+        write_json(args.json, bench_payload(result))
     if args.csv is not None:
         write_csv(result, args.csv)
     return render_sweep(result)

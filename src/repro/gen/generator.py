@@ -21,7 +21,6 @@ the determinism tests pin.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 
 from ..apps.phases import (
@@ -30,6 +29,7 @@ from ..apps.phases import (
     PhaseSpec,
     Trigger,
 )
+from ..store import content_key
 from . import distributions as dist
 from .topology import (
     FAMILY_ORDER,
@@ -363,6 +363,4 @@ def app_to_mapping(app: AppSpec) -> dict:
 
 def app_fingerprint(app: AppSpec) -> str:
     """Stable content hash of an application's canonical form."""
-    canonical = json.dumps(app_to_mapping(app), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return content_key(app_to_mapping(app))[:16]

@@ -23,9 +23,9 @@ heuristics join the paper policy and the single-core baseline:
   the application; reports how much headroom the fixed heuristics
   leave on the table.
 
-Every policy is a pure ``(app, num_cores, geometry) -> MappingPlan``
-function; single-core is the odd one out (it ignores ``num_cores``
-and pairs with the baseline execution mode).
+Every policy is a pure ``(app, num_cores) -> MappingPlan`` function;
+single-core is the odd one out (it ignores ``num_cores`` and pairs
+with the baseline execution mode).
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from ..apps.mapping import (
     sync_points,
 )
 from ..apps.phases import AppSpec
-from ..isa.layout import ImGeometry
+from ..isa.layout import IM_BANKS, IM_WORDS_PER_BANK
 from .generator import app_fingerprint, derive_seed
 
 #: Signature every mapper implements.
-Mapper = Callable[[AppSpec, int, "ImGeometry | None"], MappingPlan]
+Mapper = Callable[[AppSpec, int], MappingPlan]
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,13 @@ class MappingPolicy:
     mapper: Mapper
     description: str
 
-    def map(self, app: AppSpec, num_cores: int = 8,
-            geometry: ImGeometry | None = None) -> MappingPlan:
+    def map(self, app: AppSpec, num_cores: int = 8) -> MappingPlan:
         """Apply the policy.
 
         Args:
             app: the application to place.
             num_cores: provisioned platform width (ignored by the
                 single-core baseline).
-            geometry: IM geometry (platform default when omitted).
 
         Returns:
             The placement as a simulator-ready mapping plan.
@@ -84,7 +82,7 @@ class MappingPolicy:
         Raises:
             repro.apps.mapping.MappingError: the app does not fit.
         """
-        return self.mapper(app, num_cores, geometry)
+        return self.mapper(app, num_cores)
 
 
 def _replica_assignments(app: AppSpec, num_cores: int,
@@ -107,31 +105,27 @@ def _replica_assignments(app: AppSpec, num_cores: int,
     return assignments
 
 
-def _best_fit_bank(bank_fill: list[int], words: int,
-                   capacity: int) -> int | None:
+def _best_fit_bank(bank_fill: list[int], words: int) -> int | None:
     """Least-filled bank that still fits ``words`` (ties: lowest id)."""
     best: int | None = None
     for bank, fill in enumerate(bank_fill):
-        if fill + words > capacity:
+        if fill + words > IM_WORDS_PER_BANK:
             continue
         if best is None or fill < bank_fill[best]:
             best = bank
     return best
 
 
-def map_balanced(app: AppSpec, num_cores: int = 8,
-                 geometry: ImGeometry | None = None) -> MappingPlan:
+def map_balanced(app: AppSpec, num_cores: int = 8) -> MappingPlan:
     """Load-levelled IM packing with one core per replica."""
     app.validate()
-    geom = geometry or ImGeometry()
     assignments = _replica_assignments(app, num_cores)
-    bank_fill = [app.runtime_words] + [0] * (geom.banks - 1)
+    bank_fill = [app.runtime_words] + [0] * (IM_BANKS - 1)
     section_banks: dict[str, int] = {}
     ordered = sorted(distinct_sections(app),
                      key=lambda section: (-section.words, section.name))
     for section in ordered:
-        bank = _best_fit_bank(bank_fill, section.words,
-                              geom.words_per_bank)
+        bank = _best_fit_bank(bank_fill, section.words)
         if bank is None:
             raise MappingError(
                 f"{app.name}: section {section.name!r} does not fit IM")
@@ -176,18 +170,16 @@ def critical_path_weights(app: AppSpec) -> dict[str, float]:
     return weights
 
 
-def map_critical_path(app: AppSpec, num_cores: int = 8,
-                      geometry: ImGeometry | None = None) -> MappingPlan:
+def map_critical_path(app: AppSpec, num_cores: int = 8) -> MappingPlan:
     """Critical-path-first placement with graceful bank fallback."""
     app.validate()
-    geom = geometry or ImGeometry()
     weights = critical_path_weights(app)
     order = sorted(
         range(len(app.phases)),
         key=lambda index: (-weights[app.phases[index].name], index))
     assignments = _replica_assignments(app, num_cores, phase_order=order)
 
-    bank_fill = [app.runtime_words] + [0] * (geom.banks - 1)
+    bank_fill = [app.runtime_words] + [0] * (IM_BANKS - 1)
     section_banks: dict[str, int] = {}
     next_bank = 0
     for position, phase_index in enumerate(order):
@@ -196,16 +188,14 @@ def map_critical_path(app: AppSpec, num_cores: int = 8,
                 continue
             if position == 0:
                 bank: int | None = 0  # hottest chain shares bank 0
-            elif next_bank + 1 < geom.banks:
+            elif next_bank + 1 < IM_BANKS:
                 next_bank += 1
                 bank = next_bank
             else:  # dedicated banks exhausted: pack instead of failing
-                bank = _best_fit_bank(bank_fill, section.words,
-                                      geom.words_per_bank)
+                bank = _best_fit_bank(bank_fill, section.words)
             if bank is None or (bank_fill[bank] + section.words
-                                > geom.words_per_bank):
-                bank = _best_fit_bank(bank_fill, section.words,
-                                      geom.words_per_bank)
+                                > IM_WORDS_PER_BANK):
+                bank = _best_fit_bank(bank_fill, section.words)
             if bank is None:
                 raise MappingError(
                     f"{app.name}: section {section.name!r} does not "
@@ -230,16 +220,14 @@ SEARCH_POLICY_DURATION_S = 1.0
 def _search_mapper(algorithm: str) -> Mapper:
     """A mapper that searches for its placement (seeded per app)."""
 
-    def mapper(app: AppSpec, num_cores: int = 8,
-               geometry: ImGeometry | None = None) -> MappingPlan:
+    def mapper(app: AppSpec, num_cores: int = 8) -> MappingPlan:
         # Deferred import: repro.search builds on this module.
         from ..search.anneal import search_mapping
 
         seed = derive_seed("search-policy", algorithm,
                            app_fingerprint(app), num_cores)
         outcome = search_mapping(
-            app, num_cores=num_cores, geometry=geometry,
-            algorithm=algorithm,
+            app, num_cores=num_cores, algorithm=algorithm,
             iterations=SEARCH_POLICY_ITERATIONS,
             duration_s=SEARCH_POLICY_DURATION_S, seed=seed)
         if outcome.best_plan is None:
@@ -251,20 +239,14 @@ def _search_mapper(algorithm: str) -> Mapper:
     return mapper
 
 
-def _paper_mapper(app: AppSpec, num_cores: int,
-                  geometry: ImGeometry | None) -> MappingPlan:
-    return map_multicore(app, num_cores, geometry)
-
-
-def _singlecore_mapper(app: AppSpec, num_cores: int,
-                       geometry: ImGeometry | None) -> MappingPlan:
-    return map_singlecore(app, geometry)
+def _singlecore_mapper(app: AppSpec, num_cores: int) -> MappingPlan:
+    return map_singlecore(app)
 
 
 #: Policy registry, in report order.
 POLICIES: dict[str, MappingPolicy] = {
     "paper": MappingPolicy(
-        name="paper", multicore=True, mapper=_paper_mapper,
+        name="paper", multicore=True, mapper=map_multicore,
         description="the paper's dedicated-bank multi-core placement"),
     "single-core": MappingPolicy(
         name="single-core", multicore=False, mapper=_singlecore_mapper,

@@ -9,7 +9,7 @@ the available memory banks."
 Two translators are provided:
 
 * :class:`MulticoreAtu` — the paper's ATU.  Private logical addresses
-  ``[0, private_words)`` are tagged with the issuing core's id and land
+  ``[0, PRIVATE_WORDS)`` are tagged with the issuing core's id and land
   in that core's slice of the banks (low indices of each bank group);
   shared addresses are interleaved modulo the number of banks (high
   indices).  Because of the interleaving, *every* DM bank backs part of
@@ -25,7 +25,15 @@ number and the word's index within that bank.
 
 from __future__ import annotations
 
-from ..isa.layout import PERIPH_BASE, DmGeometry, MemoryMap
+from ..isa.layout import (
+    DM_BANKS,
+    DM_WORDS_PER_BANK,
+    PERIPH_BASE,
+    PRIVATE_WORDS,
+    SHARED_BASE,
+    SHARED_LIMIT,
+    SHARED_WORDS,
+)
 from .memory import MemoryFault
 
 
@@ -41,50 +49,39 @@ class MulticoreAtu:
       ``c * banks_per_core + a // private_slice``, index
       ``a % private_slice``.  The bank number is precisely the paper's
       "unique tag appended per core".
-    * Shared: logical offset ``s = a - shared_base`` maps to bank
-      ``s % banks``, index ``private_slice + s // banks``.
+    * Shared: logical offset ``s = a - SHARED_BASE`` maps to bank
+      ``s % DM_BANKS``, index ``private_slice + s // DM_BANKS``.
     """
 
-    def __init__(self, num_cores: int, geometry: DmGeometry,
-                 memory_map: MemoryMap) -> None:
+    def __init__(self, num_cores: int) -> None:
         if num_cores < 1:
             raise ValueError("need at least one core")
-        if geometry.banks % num_cores:
+        if DM_BANKS % num_cores:
             raise ValueError(
-                f"{geometry.banks} banks not divisible by "
-                f"{num_cores} cores")
+                f"{DM_BANKS} banks not divisible by {num_cores} cores")
         self.num_cores = num_cores
-        self.geometry = geometry
-        self.banks_per_core = geometry.banks // num_cores
-        if memory_map.private_words % self.banks_per_core:
-            raise ValueError("private_words must split evenly over the "
-                             "banks of one core")
-        self.private_slice = memory_map.private_words // self.banks_per_core
-        if self.private_slice > geometry.words_per_bank:
-            raise ValueError("private section exceeds bank capacity")
-        shared_capacity = (geometry.words_per_bank - self.private_slice) \
-            * geometry.banks
-        if memory_map.shared_words > shared_capacity:
+        self.banks_per_core = DM_BANKS // num_cores
+        self.private_slice = PRIVATE_WORDS // self.banks_per_core
+        shared_capacity = (DM_WORDS_PER_BANK - self.private_slice) * DM_BANKS
+        if SHARED_WORDS > shared_capacity:
             raise ValueError(
-                f"shared section ({memory_map.shared_words} words) exceeds "
+                f"shared section ({SHARED_WORDS} words) exceeds "
                 f"remaining physical capacity ({shared_capacity} words)")
-        self._shared = memory_map.shared_base, memory_map.shared_limit
 
     def translate(self, core: int, address: int) -> tuple[int, int]:
         """Translate a logical address issued by ``core``."""
         if address >= PERIPH_BASE:
             raise MemoryFault(
                 f"address {address:#06x} is memory-mapped I/O, not DM")
-        base, limit = self._shared
-        if address < base:
+        if address < SHARED_BASE:
             bank, index = divmod(address, self.private_slice)
             return core * self.banks_per_core + bank, index
-        if address < limit:
-            index, bank = divmod(address - base, self.geometry.banks)
+        if address < SHARED_LIMIT:
+            index, bank = divmod(address - SHARED_BASE, DM_BANKS)
             return bank, self.private_slice + index
         raise MemoryFault(
             f"core {core}: logical address {address:#06x} is unmapped "
-            f"(shared section ends at {limit:#06x})")
+            f"(shared section ends at {SHARED_LIMIT:#06x})")
 
     def shared_location(self, address: int) -> tuple[int, int]:
         """Translate a shared address without a core tag.
@@ -92,8 +89,7 @@ class MulticoreAtu:
         Used by the synchronizer unit, whose port only ever touches the
         shared section (synchronization points).
         """
-        base, limit = self._shared
-        if not base <= address < limit:
+        if not SHARED_BASE <= address < SHARED_LIMIT:
             raise MemoryFault(
                 f"address {address:#06x} is outside the shared section")
         return self.translate(0, address)
@@ -107,17 +103,14 @@ class SingleCoreTranslation:
     powered off when the application footprint is small.
     """
 
-    def __init__(self, geometry: DmGeometry) -> None:
-        self.geometry = geometry
-
     def translate(self, core: int, address: int) -> tuple[int, int]:
         """Translate a logical address (``core`` accepted for symmetry)."""
         if address >= PERIPH_BASE:
             raise MemoryFault(
                 f"address {address:#06x} is memory-mapped I/O, not DM")
-        if address >= self.geometry.total_words:
+        if address >= DM_BANKS * DM_WORDS_PER_BANK:
             raise MemoryFault(f"address {address:#06x} beyond physical DM")
-        return divmod(address, self.geometry.words_per_bank)
+        return divmod(address, DM_WORDS_PER_BANK)
 
     def shared_location(self, address: int) -> tuple[int, int]:
         """Synchronizer-port translation (same linear mapping)."""
@@ -125,5 +118,5 @@ class SingleCoreTranslation:
 
     def banks_for_footprint(self, highest_address: int) -> set[int]:
         """Banks needed to cover addresses ``[0, highest_address]``."""
-        last_bank = highest_address // self.geometry.words_per_bank
+        last_bank = highest_address // DM_WORDS_PER_BANK
         return set(range(last_bank + 1))

@@ -32,10 +32,12 @@ from ..core.synchronizer import Synchronizer, SynchronizerStats
 from ..isa.encoding import Instruction, decode
 from ..isa.errors import EncodingError, LoadError
 from ..isa.layout import (
-    DEFAULT_GEOMETRY,
+    DM_BANKS,
+    DM_WORDS_PER_BANK,
+    IM_BANKS,
+    IM_WORDS_PER_BANK,
     IRQ_ADC_CH0,
     PERIPH_BASE,
-    PlatformGeometry,
     REG_ADC_CTRL,
     REG_ADC_DATA0,
     REG_ADC_STATUS,
@@ -44,6 +46,9 @@ from ..isa.layout import (
     REG_CYCLE_LO,
     REG_INT_STATUS,
     REG_INT_SUBSCRIBE,
+    SHARED_BASE,
+    SYNC_POINT_BASE,
+    SYNC_POINTS,
 )
 from ..isa.program import ProgramImage
 from ..isa.spec import INSTR_MASK, WORD_MASK
@@ -142,35 +147,30 @@ class _SyncDmPort:
 class System:
     """The cycle-level platform (multi-core or single-core baseline)."""
 
-    def __init__(self, num_cores: int,
-                 geometry: PlatformGeometry = DEFAULT_GEOMETRY,
-                 multicore_dm: bool = True, broadcast: bool = True) -> None:
-        geometry.validate()
-        self.geometry = geometry
+    def __init__(self, num_cores: int, multicore_dm: bool = True,
+                 broadcast: bool = True) -> None:
         self.num_cores = num_cores
         self.multicore_dm = multicore_dm
         self.cycle = 0
         self.cores = [RiscCore(core_id) for core_id in range(num_cores)]
-        self.im = BankedMemory(geometry.im.banks, geometry.im.words_per_bank,
-                               INSTR_MASK, name="im")
-        self.dm = BankedMemory(geometry.dm.banks, geometry.dm.words_per_bank,
-                               WORD_MASK, name="dm")
-        self.im_xbar = Crossbar(num_cores, geometry.im.banks, broadcast,
-                                "im_xbar", geometry.im.words_per_bank)
-        self.dm_xbar = Crossbar(num_cores, geometry.dm.banks, broadcast,
-                                "dm_xbar", geometry.dm.words_per_bank)
+        self.im = BankedMemory(IM_BANKS, IM_WORDS_PER_BANK, INSTR_MASK,
+                               name="im")
+        self.dm = BankedMemory(DM_BANKS, DM_WORDS_PER_BANK, WORD_MASK,
+                               name="dm")
+        self.im_xbar = Crossbar(num_cores, IM_BANKS, broadcast, "im_xbar",
+                                IM_WORDS_PER_BANK)
+        self.dm_xbar = Crossbar(num_cores, DM_BANKS, broadcast, "dm_xbar",
+                                DM_WORDS_PER_BANK)
         if multicore_dm:
             self.translation: MulticoreAtu | SingleCoreTranslation = \
-                MulticoreAtu(num_cores, geometry.dm, geometry.memory_map)
+                MulticoreAtu(num_cores)
         else:
-            self.translation = SingleCoreTranslation(geometry.dm)
-        mmap = geometry.memory_map
+            self.translation = SingleCoreTranslation()
         self.synchronizer = Synchronizer(
-            num_cores=num_cores, num_points=mmap.sync_points,
-            point_base=mmap.sync_point_base,
+            num_cores=num_cores, num_points=SYNC_POINTS,
+            point_base=SYNC_POINT_BASE,
             storage=_SyncDmPort(self.translation, self.dm, range(
-                mmap.sync_point_base,
-                mmap.sync_point_base + mmap.sync_points)))
+                SYNC_POINT_BASE, SYNC_POINT_BASE + SYNC_POINTS)))
         self.adc: Adc | None = None
         self._decoded: dict[int, Instruction] = {}
         # Per IM address: its bound instruction (``core.bind``), bank
@@ -189,18 +189,15 @@ class System:
 
     @classmethod
     def multicore(cls, num_cores: int = 8,
-                  geometry: PlatformGeometry = DEFAULT_GEOMETRY,
                   broadcast: bool = True) -> "System":
         """The paper's target system (Sec. IV-B)."""
-        return cls(num_cores=num_cores, geometry=geometry,
-                   multicore_dm=True, broadcast=broadcast)
+        return cls(num_cores=num_cores, multicore_dm=True,
+                   broadcast=broadcast)
 
     @classmethod
-    def singlecore(cls,
-                   geometry: PlatformGeometry = DEFAULT_GEOMETRY) -> "System":
+    def singlecore(cls) -> "System":
         """The paper's baseline system (Sec. IV-B)."""
-        return cls(num_cores=1, geometry=geometry, multicore_dm=False,
-                   broadcast=False)
+        return cls(num_cores=1, multicore_dm=False, broadcast=False)
 
     # ------------------------------------------------------------------
     # Loading
@@ -225,26 +222,23 @@ class System:
             bank.data = [0] * bank.words
         self._decoded, self._program = {}, {}
         self.synchronizer.reset()
-        geom = self.geometry.im
         used_im_banks: set[int] = set()
         for address, word in image.im.items():
-            bank = geom.bank_of(address)
-            if bank >= geom.banks:
+            bank, index = divmod(address, IM_WORDS_PER_BANK)
+            if bank >= IM_BANKS:
                 raise LoadError(f"IM address {address:#06x} beyond memory")
-            self.im.banks[bank].poke(address % geom.words_per_bank, word)
+            self.im.banks[bank].poke(index, word)
             used_im_banks.add(bank)
             try:
                 instr = self._decoded[address] = decode(word)
             except EncodingError:
                 continue  # raw data words are not executable
             self._program[address] = (bind(instr, address),
-                                      self.im.banks[bank],
-                                      address % geom.words_per_bank)
+                                      self.im.banks[bank], index)
         self.im.power_off_unused(used_im_banks)
 
         for address, value in image.dm_init.items():
-            if self.multicore_dm and \
-                    address < self.geometry.memory_map.shared_base:
+            if self.multicore_dm and address < SHARED_BASE:
                 raise LoadError(
                     f".dm address {address:#06x} is core-private; only "
                     f"shared addresses can be statically initialised on "
@@ -254,7 +248,7 @@ class System:
 
         if dm_banks_on is None:
             if self.multicore_dm:
-                dm_banks_on = set(range(self.geometry.dm.banks))
+                dm_banks_on = set(range(DM_BANKS))
             else:
                 translation = self.translation
                 assert isinstance(translation, SingleCoreTranslation)

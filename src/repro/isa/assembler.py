@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 from .encoding import Instruction, encode
 from .errors import AssemblerError, LinkError
-from .layout import PlatformGeometry, DEFAULT_GEOMETRY
+from .layout import IM_BANKS, IM_WORDS_PER_BANK
 from .program import ProgramImage, SectionInfo
 from .spec import MNEMONIC_TABLE, REG_ALIASES, Op
 
@@ -271,8 +271,7 @@ class Assembler:
     absolute address.
     """
 
-    def __init__(self, geometry: PlatformGeometry | None = None) -> None:
-        self._geometry = geometry or DEFAULT_GEOMETRY
+    def __init__(self) -> None:
         self._sections: dict[str, _Section] = {}
         self._order: list[str] = []
         self._symbols: dict[str, tuple[str, int]] = {}  # label -> (sec, off)
@@ -308,7 +307,7 @@ class Assembler:
         for name in self._order:
             section = self._sections[name]
             base = section.base
-            bank = self._geometry.im.bank_of(base)
+            bank = base // IM_WORDS_PER_BANK
             image.sections.append(
                 SectionInfo(name=name, bank=bank, base=base,
                             size=section.size))
@@ -678,17 +677,16 @@ class Assembler:
     # ------------------------------------------------------------------
 
     def _place_sections(self) -> None:
-        geom = self._geometry.im
-        cursors = {bank: 0 for bank in range(geom.banks)}
+        cursors = {bank: 0 for bank in range(IM_BANKS)}
         placed: list[tuple[int, int, str]] = []  # (base, end, name)
 
         def reserve(base: int, size: int, name: str) -> None:
             end = base + size
-            if end > geom.total_words:
+            if end > IM_BANKS * IM_WORDS_PER_BANK:
                 raise LinkError(
                     f"section {name!r} overflows instruction memory")
-            first_bank = geom.bank_of(base)
-            last_bank = geom.bank_of(max(base, end - 1))
+            first_bank = base // IM_WORDS_PER_BANK
+            last_bank = max(base, end - 1) // IM_WORDS_PER_BANK
             if size and first_bank != last_bank:
                 raise LinkError(
                     f"section {name!r} crosses an IM bank boundary "
@@ -699,7 +697,7 @@ class Assembler:
                         f"sections {name!r} and {other!r} overlap in IM")
             placed.append((base, end, name))
             cursors[first_bank] = max(
-                cursors[first_bank], end - first_bank * geom.words_per_bank)
+                cursors[first_bank], end - first_bank * IM_WORDS_PER_BANK)
 
         # Absolute sections first, then banked ones, then free ones.
         for name in self._order:
@@ -710,24 +708,24 @@ class Assembler:
         for name in self._order:
             section = self._sections[name]
             if section.org is None and section.bank is not None:
-                if not 0 <= section.bank < geom.banks:
+                if not 0 <= section.bank < IM_BANKS:
                     raise LinkError(
                         f"section {name!r} placed in bank {section.bank}, "
-                        f"but IM has {geom.banks} banks")
+                        f"but IM has {IM_BANKS} banks")
                 start = cursors[section.bank]
-                if start + section.size > geom.words_per_bank:
+                if start + section.size > IM_WORDS_PER_BANK:
                     raise LinkError(
                         f"section {name!r} does not fit in bank "
                         f"{section.bank}")
-                section.base = (section.bank * geom.words_per_bank + start)
+                section.base = section.bank * IM_WORDS_PER_BANK + start
                 reserve(section.base, section.size, name)
         for name in self._order:
             section = self._sections[name]
             if section.org is None and section.bank is None:
-                for bank in range(geom.banks):
+                for bank in range(IM_BANKS):
                     start = cursors[bank]
-                    if start + section.size <= geom.words_per_bank:
-                        section.base = bank * geom.words_per_bank + start
+                    if start + section.size <= IM_WORDS_PER_BANK:
+                        section.base = bank * IM_WORDS_PER_BANK + start
                         reserve(section.base, section.size, name)
                         break
                 else:
@@ -735,7 +733,6 @@ class Assembler:
                         f"no IM bank has room for section {name!r}")
 
 
-def assemble(source: str, name: str = "<asm>",
-             geometry: PlatformGeometry | None = None) -> ProgramImage:
+def assemble(source: str, name: str = "<asm>") -> ProgramImage:
     """Assemble a single source text into a :class:`ProgramImage`."""
-    return Assembler(geometry).add_source(source, name).build()
+    return Assembler().add_source(source, name).build()

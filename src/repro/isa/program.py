@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .encoding import decode
-from .layout import ImGeometry
+from .layout import IM_WORDS_PER_BANK
 from .spec import OP_TABLE
 
 
@@ -76,10 +76,9 @@ class ProgramImage:
         """Total number of occupied instruction words."""
         return len(self.im)
 
-    def banks_used(self, geometry: ImGeometry | None = None) -> set[int]:
+    def banks_used(self) -> set[int]:
         """IM banks containing at least one word of this image."""
-        geom = geometry or ImGeometry()
-        return {geom.bank_of(addr) for addr in self.im}
+        return {addr // IM_WORDS_PER_BANK for addr in self.im}
 
     def sync_instruction_count(self) -> int:
         """Number of synchronization-ISE words in the image.

@@ -30,8 +30,6 @@ worker counts and resume points.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -43,9 +41,15 @@ from ..apps.mapping import MappingPlan
 from ..apps.phases import AppSpec
 from ..gen.generator import app_fingerprint
 from ..power.energy import PowerReport
-from ..power.vfs import MIN_SYSTEM_CLOCK_MHZ, OperatingPoint
+from ..power.vfs import OperatingPoint
 from ..search.space import candidate_from_plan
-from ..store import code_fingerprint, entry_path, read_json, write_json
+from ..store import (
+    code_fingerprint,
+    content_key,
+    entry_path,
+    read_json,
+    write_json,
+)
 from ..sysc.engine import Mode, schedule_signature, simulate_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,9 +88,6 @@ COMPUTE_ENTRY_SCHEMA = "repro-compute-entry/1"
 #: Tier label recorded on resolved entries (every entry is a
 #: ``simulate()`` result).
 EXACT_TIER = "exact"
-
-#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Category insertion order of :func:`repro.power.energy.compute_power`
 #: — ``PowerReport.total_uw`` sums in this order, so cached payloads
@@ -222,35 +223,28 @@ def app_plan_key(
         plan_key = candidate_from_plan(plan).key()
     else:
         plan_key = "single-core"
-    blob = _CANONICAL_JSON.encode(
+    return content_key(
         {
             "app": app_fingerprint(app),
             "num_cores": num_cores,
             "plan": plan_key,
         }
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def compute_key(
-    app_key: str,
-    mode: Mode,
-    duration_s: float,
-    signature: list,
-    floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ,
+    app_key: str, mode: Mode, duration_s: float, signature: list
 ) -> str:
     """Content-addressed cache key of one compute unit."""
-    blob = _CANONICAL_JSON.encode(
+    return content_key(
         {
             "app": app_key,
             "duration_s": duration_s,
-            "floor_mhz": floor_mhz,
             "mode": mode.value,
             "schedule": signature,
             "schema": COMPUTE_ENTRY_SCHEMA,
         }
     )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:40]
 
 
 def build_request(

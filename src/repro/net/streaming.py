@@ -39,9 +39,7 @@ Checkpoint write/load bookkeeping itself is recorded as timings only
 
 from __future__ import annotations
 
-import hashlib
 import importlib
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -51,7 +49,7 @@ import numpy as np
 
 from .. import obs
 from ..parallel import even_shard_size, pool_map, shard, worker_pool
-from ..store import code_fingerprint, read_json, write_json
+from ..store import code_fingerprint, content_key, read_json, write_json
 from .clock import read_clocks
 from .compute import (
     ComputeResolver,
@@ -398,9 +396,8 @@ class StreamingRunner:
 
     def _checkpoint_path(self, identity: dict) -> Path:
         """Content-addressed state-file path under the directory."""
-        blob = json.dumps(identity, sort_keys=True)
-        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-        return Path(self.config.checkpoint_dir) / f"stream-{digest}.json"
+        name = f"stream-{content_key(identity)}.json"
+        return Path(self.config.checkpoint_dir) / name
 
     def _load(
         self, path: Path, identity: dict

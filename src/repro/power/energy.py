@@ -17,7 +17,7 @@ from operator import add
 from typing import Callable
 
 from .components import DEFAULT_ENERGY
-from .process import DEFAULT_PROCESS
+from .process import dynamic_scale, leakage_scale
 from .vfs import OperatingPoint
 
 def sum_left(values) -> float:
@@ -136,7 +136,7 @@ def compute_power(activity: ActivityVector, point: OperatingPoint,
 
     The component energies are
     :data:`~repro.power.components.DEFAULT_ENERGY`, scaled to the
-    operating voltage by :data:`~repro.power.process.DEFAULT_PROCESS`.
+    operating voltage by the process scales of :mod:`repro.power.process`.
 
     Args:
         activity: counters gathered over one simulated interval.
@@ -163,8 +163,8 @@ def power_model(point: OperatingPoint, multicore: bool, cycles: float,
         raise ValueError("activity must span at least one cycle")
     params = DEFAULT_ENERGY
     duration_s = cycles / point.cycles_per_second
-    dyn = DEFAULT_PROCESS.dynamic_scale(point.voltage)
-    leak = DEFAULT_PROCESS.leakage_scale(point.voltage)
+    dyn = dynamic_scale(point.voltage)
+    leak = leakage_scale(point.voltage)
     clock_root_pj = cycles * (params.clock_root_base_pj
                               + params.clock_root_per_core_pj * platform_cores)
     grant_pj = params.xbar_grant_pj if multicore else params.decoder_access_pj

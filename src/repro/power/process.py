@@ -9,10 +9,10 @@ lower supply voltage, which reduces both dynamic and leakage power
   grid (near-threshold operation is steep: each 50 mV step roughly
   doubles the achievable clock, consistent with published
   sub/near-threshold silicon [4][5][6]);
-* a **dynamic-energy scale** ``(V / V_ref) ** dynamic_exponent`` with
-  ``dynamic_exponent`` slightly above 2 (pure CV² plus the
+* a **dynamic-energy scale** ``(V / V_ref) ** DYNAMIC_EXPONENT`` with
+  ``DYNAMIC_EXPONENT`` slightly above 2 (pure CV² plus the
   short-circuit/glitch component that shrinks with voltage);
-* a **leakage-power scale** ``(V / V_ref) ** leakage_exponent`` with a
+* a **leakage-power scale** ``(V / V_ref) ** LEAKAGE_EXPONENT`` with a
   cubic-ish exponent (sub-threshold current shrinks super-linearly with
   V through DIBL).
 
@@ -31,11 +31,9 @@ are never fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-#: (voltage V, maximum clock frequency MHz) on the legal voltage grid.
-DEFAULT_FMAX_TABLE: tuple[tuple[float, float], ...] = (
+#: (voltage V, maximum clock frequency MHz) on the legal voltage grid,
+#: strictly ascending in voltage and in frequency.
+FMAX_TABLE: tuple[tuple[float, float], ...] = (
     (0.40, 0.12),
     (0.45, 0.40),
     (0.50, 1.00),
@@ -50,73 +48,42 @@ DEFAULT_FMAX_TABLE: tuple[tuple[float, float], ...] = (
     (1.20, 150.0),
 )
 
+#: Voltage at which the component energies of
+#: :class:`repro.power.components.EnergyParams` are specified.
+REFERENCE_VOLTAGE = 0.6
 
-@dataclass(frozen=True)
-class ProcessModel:
-    """Voltage/frequency/energy behaviour of the silicon process.
+#: Exponent of the dynamic-energy voltage scale.
+DYNAMIC_EXPONENT = 2.8
 
-    Attributes:
-        reference_voltage: voltage at which the component energies of
-            :class:`repro.power.components.EnergyParams` are specified.
-        dynamic_exponent: exponent of the dynamic-energy voltage scale.
-        leakage_exponent: exponent of the leakage-power voltage scale.
-        fmax_table: (voltage, MHz) pairs, ascending in voltage.
+#: Exponent of the leakage-power voltage scale.
+LEAKAGE_EXPONENT = 3.0
+
+
+def min_voltage(frequency_mhz: float, frequency_boost: float = 1.0) -> float:
+    """Smallest grid voltage able to clock at ``frequency_mhz``.
+
+    Args:
+        frequency_mhz: required clock frequency.
+        frequency_boost: multiplier on ``fmax`` for platforms with
+            shorter critical paths — the single-core baseline's
+            simple decoders "allow higher clock frequencies at the
+            same voltage level" (Sec. IV-B).
     """
-
-    reference_voltage: float = 0.6
-    dynamic_exponent: float = 2.8
-    leakage_exponent: float = 3.0
-    fmax_table: tuple[tuple[float, float], ...] = DEFAULT_FMAX_TABLE
-
-    def __post_init__(self) -> None:
-        voltages = [v for v, _ in self.fmax_table]
-        freqs = [f for _, f in self.fmax_table]
-        if voltages != sorted(voltages) or len(set(voltages)) != len(voltages):
-            raise ValueError("fmax table voltages must be strictly ascending")
-        if freqs != sorted(freqs):
-            raise ValueError("fmax must be monotonic in voltage")
-
-    @property
-    def voltage_grid(self) -> tuple[float, ...]:
-        """Legal supply voltages, ascending."""
-        return tuple(v for v, _ in self.fmax_table)
-
-    def fmax(self, voltage: float) -> float:
-        """Maximum clock frequency (MHz) at a grid voltage."""
-        for grid_voltage, frequency in self.fmax_table:
-            if abs(grid_voltage - voltage) < 1e-9:
-                return frequency
-        raise ValueError(f"voltage {voltage} V is not on the grid "
-                         f"{self.voltage_grid}")
-
-    def min_voltage(self, frequency_mhz: float,
-                    frequency_boost: float = 1.0) -> float:
-        """Smallest grid voltage able to clock at ``frequency_mhz``.
-
-        Args:
-            frequency_mhz: required clock frequency.
-            frequency_boost: multiplier on ``fmax`` for platforms with
-                shorter critical paths — the single-core baseline's
-                simple decoders "allow higher clock frequencies at the
-                same voltage level" (Sec. IV-B).
-        """
-        if frequency_mhz <= 0:
-            raise ValueError("frequency must be positive")
-        for grid_voltage, fmax in self.fmax_table:
-            if fmax * frequency_boost >= frequency_mhz - 1e-12:
-                return grid_voltage
-        raise ValueError(
-            f"no grid voltage reaches {frequency_mhz} MHz "
-            f"(max {self.fmax_table[-1][1] * frequency_boost} MHz)")
-
-    def dynamic_scale(self, voltage: float) -> float:
-        """Dynamic energy multiplier relative to the reference voltage."""
-        return (voltage / self.reference_voltage) ** self.dynamic_exponent
-
-    def leakage_scale(self, voltage: float) -> float:
-        """Leakage power multiplier relative to the reference voltage."""
-        return (voltage / self.reference_voltage) ** self.leakage_exponent
+    if frequency_mhz <= 0:
+        raise ValueError("frequency must be positive")
+    for grid_voltage, fmax in FMAX_TABLE:
+        if fmax * frequency_boost >= frequency_mhz - 1e-12:
+            return grid_voltage
+    raise ValueError(
+        f"no grid voltage reaches {frequency_mhz} MHz "
+        f"(max {FMAX_TABLE[-1][1] * frequency_boost} MHz)")
 
 
-#: Shared default process instance.
-DEFAULT_PROCESS = ProcessModel()
+def dynamic_scale(voltage: float) -> float:
+    """Dynamic energy multiplier relative to the reference voltage."""
+    return (voltage / REFERENCE_VOLTAGE) ** DYNAMIC_EXPONENT
+
+
+def leakage_scale(voltage: float) -> float:
+    """Leakage power multiplier relative to the reference voltage."""
+    return (voltage / REFERENCE_VOLTAGE) ** LEAKAGE_EXPONENT

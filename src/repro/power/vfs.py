@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .process import DEFAULT_PROCESS
+from .process import min_voltage
 
 #: Platform minimum system clock in MHz (ADC and peripheral timing).
 MIN_SYSTEM_CLOCK_MHZ = 1.0
@@ -54,7 +54,7 @@ def plan_operating_point(required_mhz: float,
                          floor_mhz: float = MIN_SYSTEM_CLOCK_MHZ
                          ) -> OperatingPoint:
     """Choose the minimum (frequency, voltage) meeting a throughput need
-    on :data:`~repro.power.process.DEFAULT_PROCESS`.
+    on the process table :data:`~repro.power.process.FMAX_TABLE`.
 
     Args:
         required_mhz: worst-case required clock in MHz (work cycles per
@@ -71,5 +71,5 @@ def plan_operating_point(required_mhz: float,
         raise ValueError("required frequency cannot be negative")
     frequency = max(required_mhz, floor_mhz)
     boost = SINGLE_CORE_FMAX_BOOST if single_core else 1.0
-    voltage = DEFAULT_PROCESS.min_voltage(frequency, frequency_boost=boost)
+    voltage = min_voltage(frequency, frequency_boost=boost)
     return OperatingPoint(frequency_mhz=frequency, voltage=voltage)

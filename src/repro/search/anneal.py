@@ -37,7 +37,6 @@ from ..gen.explorer import (
 )
 from ..gen.generator import app_from_token, parse_app_token
 from ..gen.policies import get_policy
-from ..isa.layout import ImGeometry
 from .cost import ORACLE_DURATION_S, get_oracle
 from .space import (
     Candidate,
@@ -139,7 +138,6 @@ def outcome_to_mapping(outcome: SearchOutcome) -> dict:
 
 
 def search_mapping(app: AppSpec, num_cores: int = 8,
-                   geometry: ImGeometry | None = None,
                    algorithm: str = "anneal", cost: str = "power",
                    iterations: int = SEARCH_ITERATIONS, seed: int = 0,
                    duration_s: float = ORACLE_DURATION_S,
@@ -151,7 +149,6 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
             :func:`repro.gen.explorer.repair_app` when it needs more
             cores than the platform has).
         num_cores: provisioned platform width.
-        geometry: IM geometry (platform default when omitted).
         algorithm: one of :data:`ALGORITHMS`.
         cost: cost-oracle kind (see :data:`repro.search.cost.ORACLE_KINDS`).
         iterations: proposal budget of the walk.
@@ -175,7 +172,6 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
     if iterations < 0:
         raise ValueError("iteration budget cannot be negative")
     oracle = get_oracle(cost, duration_s)
-    geom = geometry or ImGeometry()
     candidate_app, repairs = repair_app(app, num_cores)
     base = dict(app=app.name, token=token, family=family,
                 algorithm=algorithm, cost_kind=cost, seed=seed,
@@ -205,7 +201,7 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
     error = ""
     for name in START_POLICIES:
         try:
-            plan = get_policy(name).map(candidate_app, num_cores, geom)
+            plan = get_policy(name).map(candidate_app, num_cores)
         except MappingError as exc:
             error = str(exc)
             continue
@@ -231,8 +227,7 @@ def search_mapping(app: AppSpec, num_cores: int = 8,
     accepted = 0
     infeasible = 0
     for step in range(iterations):
-        neighbour = propose(candidate_app, current, rng, num_cores,
-                            geom)
+        neighbour = propose(candidate_app, current, rng, num_cores)
         if neighbour is None:
             infeasible += 1
             continue

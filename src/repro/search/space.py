@@ -35,7 +35,7 @@ from ..apps.mapping import (
     sync_points,
 )
 from ..apps.phases import AppSpec
-from ..isa.layout import ImGeometry
+from ..isa.layout import IM_BANKS, IM_WORDS_PER_BANK
 
 #: Mutation kinds, repeated to weight the draw (section moves dominate
 #: because the bank map is the larger sub-space).
@@ -154,8 +154,8 @@ def candidate_to_mapping(candidate: Candidate) -> dict:
     }
 
 
-def repair(app: AppSpec, candidate: Candidate, num_cores: int = 8,
-           geometry: ImGeometry | None = None) -> Candidate | None:
+def repair(app: AppSpec, candidate: Candidate,
+           num_cores: int = 8) -> Candidate | None:
     """Apply the deterministic repair moves to a broken candidate.
 
     Core repairs: out-of-range cores and same-phase collisions move to
@@ -169,7 +169,6 @@ def repair(app: AppSpec, candidate: Candidate, num_cores: int = 8,
         shed (the application genuinely does not fit the IM) or a
         phase has more replicas than cores.
     """
-    geom = geometry or ImGeometry()
     phases = slot_phases(app)
     if len(candidate.cores) != len(phases):
         return None
@@ -191,30 +190,29 @@ def repair(app: AppSpec, candidate: Candidate, num_cores: int = 8,
     banks = candidate.bank_of()
     if set(banks) != set(sizes):
         return None  # wrong section set: not a candidate for this app
-    fill = [0] * geom.banks
+    fill = [0] * IM_BANKS
     fill[0] = app.runtime_words
     for name in sorted(banks):
-        if not 0 <= banks[name] < geom.banks:
+        if not 0 <= banks[name] < IM_BANKS:
             banks[name] = -1  # re-place below
         else:
             fill[banks[name]] += sizes[name]
     for name in sorted(banks):
         if banks[name] >= 0:
             continue
-        bank = _least_filled_fit(fill, sizes[name], geom.words_per_bank)
+        bank = _least_filled_fit(fill, sizes[name])
         if bank is None:
             return None
         banks[name] = bank
         fill[bank] += sizes[name]
-    for bank in range(geom.banks):
-        while fill[bank] > geom.words_per_bank:
+    for bank in range(IM_BANKS):
+        while fill[bank] > IM_WORDS_PER_BANK:
             movable = sorted(
                 (sizes[name], name) for name, where in banks.items()
                 if where == bank)
             moved = False
             for words, name in movable:
-                target = _least_filled_fit(
-                    fill, words, geom.words_per_bank, exclude=bank)
+                target = _least_filled_fit(fill, words, exclude=bank)
                 if target is not None:
                     banks[name] = target
                     fill[bank] -= words
@@ -226,12 +224,12 @@ def repair(app: AppSpec, candidate: Candidate, num_cores: int = 8,
     return make_candidate(banks, cores)
 
 
-def _least_filled_fit(fill: list[int], words: int, capacity: int,
+def _least_filled_fit(fill: list[int], words: int,
                       exclude: int | None = None) -> int | None:
     """Least-filled bank with room for ``words`` (ties: lowest id)."""
     best: int | None = None
     for bank, current in enumerate(fill):
-        if bank == exclude or current + words > capacity:
+        if bank == exclude or current + words > IM_WORDS_PER_BANK:
             continue
         if best is None or current < fill[best]:
             best = bank
@@ -239,8 +237,7 @@ def _least_filled_fit(fill: list[int], words: int, capacity: int,
 
 
 def propose(app: AppSpec, candidate: Candidate, rng,
-            num_cores: int = 8,
-            geometry: ImGeometry | None = None) -> Candidate | None:
+            num_cores: int = 8) -> Candidate | None:
     """Draw one mutated, repaired, normalised neighbour.
 
     Moves: relocate a section to a random bank, swap two sections'
@@ -255,9 +252,7 @@ def propose(app: AppSpec, candidate: Candidate, rng,
         rng: a seeded ``random.Random`` (all stochastic choices draw
             from it, keeping the walk deterministic).
         num_cores: provisioned platform width.
-        geometry: IM geometry (platform default when omitted).
     """
-    geom = geometry or ImGeometry()
     banks = candidate.bank_of()
     cores = list(candidate.cores)
     sections = sorted(banks)
@@ -275,11 +270,11 @@ def propose(app: AppSpec, candidate: Candidate, rng,
             move = "core"
     if move == "section":
         name = rng.choice(sections)
-        banks[name] = rng.randrange(geom.banks)
+        banks[name] = rng.randrange(IM_BANKS)
     elif move == "swap":
         first, second = rng.sample(sections, 2)
         banks[first], banks[second] = banks[second], banks[first]
     elif move == "core":
         slot = rng.randrange(len(cores))
         cores[slot] = rng.randrange(num_cores)
-    return repair(app, make_candidate(banks, cores), num_cores, geom)
+    return repair(app, make_candidate(banks, cores), num_cores)

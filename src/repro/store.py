@@ -2,8 +2,9 @@
 
 Documents are written canonically (sorted keys, 2-space indent,
 trailing LF) and atomically, read tolerantly (a missing or corrupt
-file is ``None``; callers validate the shape), and namespaced by the
-:func:`code_fingerprint` of the code that produced them.
+file is ``None``; callers validate the shape), namespaced by the
+:func:`code_fingerprint` of the code that produced them, and addressed
+by the one :func:`content_key` of their identity.
 """
 
 from __future__ import annotations
@@ -12,6 +13,21 @@ import hashlib
 import json
 import os
 from pathlib import Path
+
+#: Compact canonical JSON (sorted keys, no whitespace), built once:
+#: :func:`content_key` runs once per fleet node.
+_COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def content_key(doc) -> str:
+    """Content address of a JSON-ready identity document.
+
+    The SHA-256 of the document's compact canonical JSON, first 40 hex
+    characters.  The sweep and compute cache keys, the app fingerprint
+    and the streaming checkpoint name all derive from it.
+    """
+    text = _COMPACT_JSON.encode(doc)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:40]
 
 
 def code_fingerprint(package_root: str | Path | None = None) -> str:
@@ -72,4 +88,5 @@ def write_json(path: str | Path, payload) -> Path:
     return path
 
 
-__all__ = ["code_fingerprint", "entry_path", "read_json", "write_json"]
+__all__ = ["code_fingerprint", "content_key", "entry_path", "read_json",
+           "write_json"]

@@ -16,7 +16,6 @@ from .artifacts import (
     merge_bench,
     percentile_axes,
     sweep_rows,
-    write_bench_json,
     write_csv,
 )
 from .bench import bench_main, run_all_benches, run_bench
@@ -64,6 +63,5 @@ __all__ = [
     "spec_from_mapping",
     "stable_seed",
     "sweep_rows",
-    "write_bench_json",
     "write_csv",
 ]

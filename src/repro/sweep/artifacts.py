@@ -43,7 +43,6 @@ import csv
 from pathlib import Path
 
 from ..eval.aggregates import summary_stats
-from ..store import write_json
 from .engine import SweepResult
 from .runners import HEADLINE_METRICS
 from .spec import Value
@@ -87,12 +86,12 @@ def percentile_axes(result: SweepResult) -> dict[str, dict]:
     return axes
 
 
-def bench_payload(result: SweepResult, name: str | None = None) -> dict:
+def bench_payload(result: SweepResult) -> dict:
     """The BENCH document of one sweep result."""
     return {
         "aggregates": percentile_axes(result),
         "schema": BENCH_SCHEMA,
-        "name": name or result.spec.name,
+        "name": result.spec.name,
         "spec": result.spec.as_dict(),
         "points": result.n_points,
         "cache": {
@@ -121,15 +120,6 @@ def bench_payload(result: SweepResult, name: str | None = None) -> dict:
             for point in result.results
         ],
     }
-
-
-def write_bench_json(
-    result: SweepResult,
-    path: str | Path,
-    name: str | None = None,
-) -> Path:
-    """Write one ``BENCH_<name>.json`` document; return its path."""
-    return write_json(path, bench_payload(result, name))
 
 
 def sweep_rows(

@@ -15,7 +15,7 @@ import argparse
 from pathlib import Path
 
 from ..store import write_json
-from .artifacts import bench_payload, merge_bench, write_bench_json
+from .artifacts import bench_payload, merge_bench
 from .cache import ResultCache
 from .engine import run_sweep
 from .specs import BENCH_SPECS
@@ -46,8 +46,8 @@ def run_bench(
     result = run_sweep(
         spec, workers=workers, cache=cache, use_cache=use_cache, force=force
     )
-    path = write_bench_json(result, Path(out_dir) / f"BENCH_{name}.json")
-    return bench_payload(result), path
+    payload = bench_payload(result)
+    return payload, write_json(Path(out_dir) / f"BENCH_{name}.json", payload)
 
 
 def run_all_benches(

@@ -24,6 +24,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from ..store import content_key
+
 #: JSON scalar types allowed as parameter values.
 Value = None | bool | int | float | str
 
@@ -168,19 +170,20 @@ def expand(spec: SweepSpec) -> list[dict[str, Value]]:
     return points
 
 
+def _point_identity(runner: str, point: dict[str, Value]) -> dict:
+    return {"schema": POINT_SCHEMA, "runner": runner, "point": point}
+
+
 def canonical_point(runner: str, point: dict[str, Value]) -> str:
     """The canonical JSON identity of one run point."""
     return json.dumps(
-        {"schema": POINT_SCHEMA, "runner": runner, "point": point},
-        sort_keys=True,
-        separators=(",", ":"),
+        _point_identity(runner, point), sort_keys=True, separators=(",", ":")
     )
 
 
 def point_key(runner: str, point: dict[str, Value]) -> str:
     """Stable content hash of a run point (cache address)."""
-    digest = hashlib.sha256(canonical_point(runner, point).encode("utf-8"))
-    return digest.hexdigest()[:40]
+    return content_key(_point_identity(runner, point))
 
 
 def stable_seed(runner: str, point: dict[str, Value]) -> int:

@@ -9,6 +9,8 @@ core 0 has finished executing it" -> flags {0,1,2}, counter = 2.
 
 from repro.core.synchronizer import SyncOp, SyncPointLayout, Synchronizer
 
+from .points import point_state, point_word
+
 LAYOUT = SyncPointLayout(num_cores=8)
 
 
@@ -20,11 +22,11 @@ def test_figure_3a_producer_consumer_snapshot():
     sync.submit(4, SyncOp.SNOP, 0)
     sync.end_cycle()
 
-    flags, counter = sync.point_state(0)
+    flags, counter = point_state(sync, 0)
     assert LAYOUT.cores_of(flags) == (0, 1, 2, 4)
     assert counter == 3
     # Bit pattern of Fig. 3-a: flags 1110 1000, counter 0000 0011.
-    assert sync.point_word(0) == 0b1110_1000_0000_0011
+    assert point_word(sync, 0) == 0b1110_1000_0000_0011
 
 
 def test_figure_3b_lockstep_snapshot():
@@ -35,11 +37,11 @@ def test_figure_3b_lockstep_snapshot():
     sync.submit(0, SyncOp.SDEC, 0)
     sync.end_cycle()
 
-    flags, counter = sync.point_state(0)
+    flags, counter = point_state(sync, 0)
     assert LAYOUT.cores_of(flags) == (0, 1, 2)
     assert counter == 2
     # Bit pattern of Fig. 3-b: flags 1110 0000, counter 0000 0010.
-    assert sync.point_word(0) == 0b1110_0000_0000_0010
+    assert point_word(sync, 0) == 0b1110_0000_0000_0010
 
 
 def test_figure_3a_completion_wakes_consumer():
@@ -55,7 +57,7 @@ def test_figure_3a_completion_wakes_consumer():
         sync.submit(core, SyncOp.SDEC, 0)
     woken = sync.end_cycle()
     assert 4 in woken
-    assert sync.point_state(0) == (0, 0)
+    assert point_state(sync, 0) == (0, 0)
 
 
 def test_figure_3b_completion_restores_lockstep():

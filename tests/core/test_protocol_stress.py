@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.synchronizer import SyncOp, Synchronizer
 
+from .points import point_state, point_word
+
 
 @st.composite
 def producer_consumer_scripts(draw):
@@ -68,7 +70,7 @@ def test_no_lost_wakeups_under_any_interleaving(script):
         sync.end_cycle()
     # Drained: every counter zero, nobody left gated.
     for point in range(8):
-        _, counter = sync.point_state(point)
+        _, counter = point_state(sync, point)
         assert counter == 0
     assert not any(sync.is_gated(core) for core in range(8))
 
@@ -102,7 +104,7 @@ def test_split_batches_reach_same_point_value(ops, data):
         assert split.stats.point_fires == 0  # the guard keeps it positive
         index += size
 
-    assert whole.point_word(0) == split.point_word(0)
+    assert point_word(whole, 0) == point_word(split, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,4 +126,4 @@ def test_lockstep_group_always_releases(cores, rng):
         is_last = index == len(order) - 1
         assert gated != is_last  # only the last falls through
     assert not any(sync.is_gated(core) for core in cores)
-    assert sync.point_state(0) == (0, 0)
+    assert point_state(sync, 0) == (0, 0)

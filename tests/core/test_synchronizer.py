@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.synchronizer import DictStorage, SyncOp, Synchronizer
 
+from .points import point_state, point_word
+
 
 def _make(num_cores=8, **kwargs):
     return Synchronizer(num_cores=num_cores, num_points=8, **kwargs)
@@ -35,9 +37,9 @@ def test_same_cycle_requests_are_merged_into_one_write():
     sync.end_cycle()
     assert storage.writes == baseline + 1
     assert sync.stats.merged_writes_saved == 2
-    flags, counter = sync.point_state(3)
+    flags, counter = point_state(sync, 3)
     assert counter == 3
-    assert sync.layout.cores_of(sync.point_state(3)[0]) == (0, 1, 2)
+    assert sync.layout.cores_of(point_state(sync, 3)[0]) == (0, 1, 2)
 
 
 def test_sdec_then_sleep_race_is_absorbed_by_latch():
@@ -100,7 +102,7 @@ def test_two_independent_points_fire_independently():
     woken = sync.end_cycle()
     assert woken == ()  # core 0 running -> latched, not woken
     assert sync.has_pending_event(0)
-    flags, counter = sync.point_state(1)
+    flags, counter = point_state(sync, 1)
     assert counter == 1  # point 1 untouched
 
 
@@ -111,7 +113,7 @@ def test_points_live_in_shared_storage():
     sync.submit(0, SyncOp.SINC, 2)
     sync.end_cycle()
     assert storage.words[0x4002] != 0
-    assert sync.point_word(2) == storage.words[0x4002]
+    assert point_word(sync, 2) == storage.words[0x4002]
 
 
 def test_stats_count_ops_and_overhead_numerator():
@@ -143,7 +145,7 @@ def test_reset_clears_everything():
     sync.end_cycle()
     sync.sleep(1)
     sync.reset()
-    assert sync.point_state(0) == (0, 0)
+    assert point_state(sync, 0) == (0, 0)
     assert not sync.is_gated(1)
     assert sync.stats.total_sync_instructions == 0
 

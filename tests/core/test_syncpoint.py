@@ -16,6 +16,8 @@ from repro.core.synchronizer import (
     Synchronizer,
 )
 
+from .points import point_state, point_word
+
 LAYOUT = SyncPointLayout(num_cores=8)
 
 #: A starting counter no batch below can take to zero, so the point
@@ -41,7 +43,7 @@ def _merged(ops) -> tuple[int, int]:
     """The (flags, counter delta) one cycle of ``ops`` leaves on point 0."""
     sync, _ = _unit(GUARD)
     _cycle(sync, ops)
-    flags, counter = sync.point_state(0)
+    flags, counter = point_state(sync, 0)
     return flags, counter - GUARD
 
 
@@ -93,7 +95,7 @@ def test_merge_matches_fig3a():
     sync, storage = _unit()
     _cycle(sync, [(0, SyncOp.SINC), (1, SyncOp.SINC), (2, SyncOp.SINC),
                   (4, SyncOp.SNOP)])
-    flags, counter = sync.point_state(0)
+    flags, counter = point_state(sync, 0)
     assert LAYOUT.cores_of(flags) == (0, 1, 2, 4)
     assert counter == 3
     assert sync.stats.merged_writes_saved == 3
@@ -105,7 +107,7 @@ def test_merge_matches_fig3b():
     sync, _ = _unit()
     _cycle(sync, [(0, SyncOp.SINC), (1, SyncOp.SINC), (2, SyncOp.SINC),
                   (0, SyncOp.SDEC)])
-    flags, counter = sync.point_state(0)
+    flags, counter = point_state(sync, 0)
     assert LAYOUT.cores_of(flags) == (0, 1, 2)
     assert counter == 2
 
@@ -115,7 +117,7 @@ def test_empty_merge_is_identity():
     sync, storage = _unit(GUARD)
     assert sync.end_cycle() == ()
     assert (storage.reads, storage.writes) == (0, 0)
-    assert sync.point_word(0) == GUARD
+    assert point_word(sync, 0) == GUARD
 
 
 _OPS = st.sampled_from([SyncOp.SINC, SyncOp.SDEC, SyncOp.SNOP])
@@ -152,7 +154,7 @@ def test_merged_flags_cover_exactly_registering_cores(ops):
 def test_point_fires_when_counter_returns_to_zero():
     sync, _ = _unit()
     _cycle(sync, [(0, SyncOp.SINC), (1, SyncOp.SINC), (4, SyncOp.SNOP)])
-    assert sync.point_state(0)[1] == 2
+    assert point_state(sync, 0)[1] == 2
     assert sync.sleep(4)
     assert _cycle(sync, [(0, SyncOp.SDEC)]) == ()
     assert sync.stats.point_fires == 0
@@ -162,7 +164,7 @@ def test_point_fires_when_counter_returns_to_zero():
     assert _cycle(sync, [(1, SyncOp.SDEC)]) == (0, 4)
     assert sync.stats.point_fires == 1
     assert sync.has_pending_event(1)
-    assert sync.point_state(0) == (0, 0)
+    assert point_state(sync, 0) == (0, 0)
 
 
 def test_registration_at_zero_counter_fires_immediately():
@@ -183,14 +185,14 @@ def test_no_fire_without_requests():
     sync.end_cycle()
     assert sync.stats.point_fires == 0
     assert not sync.has_pending_event(2)
-    assert sync.point_word(0) == word
+    assert point_word(sync, 0) == word
 
 
 def test_strict_underflow_raises():
     sync, _ = _unit()
     with pytest.raises(SyncProtocolError, match="underflow"):
         _cycle(sync, [(0, SyncOp.SDEC)])
-    assert sync.point_word(0) == 0
+    assert point_word(sync, 0) == 0
 
 
 def test_strict_overflow_raises():
@@ -198,13 +200,13 @@ def test_strict_overflow_raises():
     sync, _ = _unit(word)
     with pytest.raises(SyncProtocolError, match="overflow"):
         _cycle(sync, [(0, SyncOp.SINC)])
-    assert sync.point_word(0) == word
+    assert point_word(sync, 0) == word
 
 
 def test_registered_cores_reflect_flags():
     sync, _ = _unit()
     _cycle(sync, [(2, SyncOp.SINC), (6, SyncOp.SNOP), (2, SyncOp.SINC)])
-    assert sync.layout.cores_of(sync.point_state(0)[0]) == (2, 6)
+    assert sync.layout.cores_of(point_state(sync, 0)[0]) == (2, 6)
 
 
 @given(_BATCH)
@@ -218,7 +220,7 @@ def test_fire_always_clears_flags_and_zero_counter(ops):
         return
     _cycle(sync, ops)
     registering = {c for c, op in ops if op is not SyncOp.SDEC}
-    flags, counter = sync.point_state(0)
+    flags, counter = point_state(sync, 0)
     assert sync.stats.point_fires == (delta == 0 and bool(registering))
     if sync.stats.point_fires:
         assert (flags, counter) == (0, 0)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 from repro.cover import fuzz_campaign
 from repro.eval.__main__ import main
-from repro.eval.coverexp import cover_payload, write_cover_json
+from repro.eval.coverexp import cover_payload
+from repro.store import write_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -21,7 +22,7 @@ def test_payload_is_byte_identical_across_runs(tmp_path):
     a = fuzz_campaign(budget=12, saturation=12, duration_s=0.5)
     b = fuzz_campaign(budget=12, saturation=12, duration_s=0.5)
     assert _dumps(a) == _dumps(b)
-    path = write_cover_json(a, tmp_path / "cover.json")
+    path = write_json(tmp_path / "cover.json", cover_payload(a))
     assert path.read_text(encoding="utf-8") == _dumps(a) + "\n"
 
 

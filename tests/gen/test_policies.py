@@ -18,7 +18,7 @@ from repro.gen import (
     map_balanced,
     map_critical_path,
 )
-from repro.isa.layout import ImGeometry
+from repro.isa.layout import IM_BANKS, IM_WORDS_PER_BANK
 
 
 def _phase(name, cycles, sections, replicas=1):
@@ -103,13 +103,12 @@ def test_balanced_places_section_heavy_apps_paper_rejects():
         plan = mapper(app)
         assert set(plan.section_banks) == \
             {s.name for phase in app.phases for s in phase.sections}
-        geom = ImGeometry()
-        fills = [0] * geom.banks
+        fills = [0] * IM_BANKS
         fills[0] = app.runtime_words
         for phase in app.phases:
             for section in phase.sections:
                 fills[plan.section_banks[section.name]] += section.words
-        assert max(fills) <= geom.words_per_bank
+        assert max(fills) <= IM_WORDS_PER_BANK
 
 
 def test_balanced_levels_bank_fill():

@@ -38,7 +38,16 @@ from repro.hw.interconnect import Crossbar
 from repro.hw.memory import BankedMemory, MemoryFault
 from repro.hw.system import SimulationError, System
 from repro.isa.encoding import Instruction
-from repro.isa.layout import PERIPH_BASE, PlatformGeometry
+from repro.isa.layout import (
+    DM_BANKS,
+    DM_WORDS_PER_BANK,
+    IM_BANKS,
+    IM_WORDS_PER_BANK,
+    PERIPH_BASE,
+    PRIVATE_WORDS,
+    SHARED_BASE,
+    SHARED_LIMIT,
+)
 from repro.isa.spec import DATA_BITS, WORD_MASK, Op, signed
 
 
@@ -489,35 +498,33 @@ class ReferenceAtu:
     ``c * banks_per_core + a // private_slice`` at index
     ``a % private_slice`` (the core's tag), and shared offset ``s``
     in bank ``s % banks`` at index ``private_slice + s // banks``.
-    Single-core: address ``a`` lies in bank ``a // words_per_bank``.
+    Single-core: address ``a`` lies in bank ``a // DM_WORDS_PER_BANK``.
     """
 
-    def __init__(self, geometry: PlatformGeometry, num_cores: int,
-                 multicore: bool) -> None:
-        self.dm, self.mmap = geometry.dm, geometry.memory_map
+    def __init__(self, num_cores: int, multicore: bool) -> None:
         self.multicore = multicore
-        self.banks_per_core = self.dm.banks // num_cores
-        self.private_slice = self.mmap.private_words // self.banks_per_core
+        self.banks_per_core = DM_BANKS // num_cores
+        self.private_slice = PRIVATE_WORDS // self.banks_per_core
 
     def translate(self, core: int, address: int) -> tuple[int, int]:
         """``(bank, index)`` of a non-peripheral ``address`` of ``core``."""
-        dm, mmap = self.dm, self.mmap
         if not self.multicore:
-            if address >= dm.total_words:
+            if address >= DM_BANKS * DM_WORDS_PER_BANK:
                 raise MemoryFault(
                     f"address {address:#06x} beyond physical DM")
-            return address // dm.words_per_bank, address % dm.words_per_bank
-        if address < mmap.private_words:
+            return (address // DM_WORDS_PER_BANK,
+                    address % DM_WORDS_PER_BANK)
+        if address < PRIVATE_WORDS:
             return (core * self.banks_per_core
                     + address // self.private_slice,
                     address % self.private_slice)
-        if address < mmap.shared_limit:
-            offset = address - mmap.shared_base
-            return (offset % dm.banks,
-                    self.private_slice + offset // dm.banks)
+        if address < SHARED_LIMIT:
+            offset = address - SHARED_BASE
+            return (offset % DM_BANKS,
+                    self.private_slice + offset // DM_BANKS)
         raise MemoryFault(
             f"core {core}: logical address {address:#06x} is unmapped "
-            f"(shared section ends at {mmap.shared_limit:#06x})")
+            f"(shared section ends at {SHARED_LIMIT:#06x})")
 
 
 class ReferenceSyncPort:
@@ -549,13 +556,12 @@ class ReferenceSystem(System):
         super().__init__(*args, **kwargs)
         self.cores = [ReferenceCore(core.core_id) for core in self.cores]
         self.im_xbar = ReferenceCrossbar(
-            self.num_cores, self.geometry.im.banks,
+            self.num_cores, IM_BANKS,
             broadcast=self.im_xbar.broadcast, name="im_xbar")
         self.dm_xbar = ReferenceCrossbar(
-            self.num_cores, self.geometry.dm.banks,
+            self.num_cores, DM_BANKS,
             broadcast=self.dm_xbar.broadcast, name="dm_xbar")
-        self.atu = ReferenceAtu(self.geometry, self.num_cores,
-                                self.multicore_dm)
+        self.atu = ReferenceAtu(self.num_cores, self.multicore_dm)
         sync = self.synchronizer
         self.synchronizer = ReferenceSynchronizer(
             num_cores=sync.num_cores, num_points=sync.num_points,
@@ -567,7 +573,6 @@ class ReferenceSystem(System):
         self.cycle += 1
         mem_queue: list[tuple[RiscCore, Effect]] = []
         fetch_requests: list[MemRequest] = []
-        geom = self.geometry.im
 
         for core in self.cores:
             if core.halted:
@@ -586,15 +591,15 @@ class ReferenceSystem(System):
                 mem_queue.append((core, pending.effect))
                 continue
             fetch_requests.append(MemRequest(
-                port=core.core_id, bank=geom.bank_of(core.pc),
-                index=core.pc % geom.words_per_bank))
+                port=core.core_id, bank=core.pc // IM_WORDS_PER_BANK,
+                index=core.pc % IM_WORDS_PER_BANK))
 
         fetch_result = self.im_xbar.arbitrate(fetch_requests)
         for request in fetch_result.stalled:
             self.cores[request.port].stats.fetch_stalls += 1
         for group in fetch_result.granted:
             self.im.banks[group.bank].read(group.index)
-            address = group.bank * geom.words_per_bank + group.index
+            address = group.bank * IM_WORDS_PER_BANK + group.index
             instr = self._decoded.get(address)
             if instr is None:
                 raise SimulationError(

@@ -5,12 +5,16 @@ from hypothesis import given, strategies as st
 
 from repro.power import (
     ActivityVector,
-    DEFAULT_PROCESS,
     OperatingPoint,
     PowerReport,
-    ProcessModel,
     compute_power,
     plan_operating_point,
+)
+from repro.power.process import (
+    FMAX_TABLE,
+    dynamic_scale,
+    leakage_scale,
+    min_voltage,
 )
 
 
@@ -20,42 +24,37 @@ from repro.power import (
 
 def test_paper_operating_points_are_on_the_curve():
     # Multi-core rows of Table I: 1.0 MHz at 0.5 V.
-    assert DEFAULT_PROCESS.min_voltage(1.0) == 0.5
+    assert min_voltage(1.0) == 0.5
     # Single-core rows: 2.3 / 3.3 / 3.4 MHz all need 0.6 V.
     for frequency in (2.3, 3.3, 3.4):
-        assert DEFAULT_PROCESS.min_voltage(frequency) == 0.6
+        assert min_voltage(frequency) == 0.6
 
 
 def test_fmax_monotonic_and_grid_lookup():
-    assert DEFAULT_PROCESS.fmax(0.5) == 1.0
-    assert DEFAULT_PROCESS.fmax(0.6) > DEFAULT_PROCESS.fmax(0.5)
-    with pytest.raises(ValueError):
-        DEFAULT_PROCESS.fmax(0.52)
+    # The grid ascends strictly in voltage and in fmax, which is what
+    # lets ``min_voltage`` return the first grid point that reaches.
+    voltages = [voltage for voltage, _ in FMAX_TABLE]
+    frequencies = [frequency for _, frequency in FMAX_TABLE]
+    assert all(a < b for a, b in zip(voltages, voltages[1:]))
+    assert all(a < b for a, b in zip(frequencies, frequencies[1:]))
+    assert dict(FMAX_TABLE)[0.5] == 1.0
 
 
 def test_min_voltage_out_of_reach():
     with pytest.raises(ValueError):
-        DEFAULT_PROCESS.min_voltage(1e6)
+        min_voltage(1e6)
 
 
 def test_dynamic_and_leakage_scales_are_unity_at_reference():
-    assert DEFAULT_PROCESS.dynamic_scale(0.6) == pytest.approx(1.0)
-    assert DEFAULT_PROCESS.leakage_scale(0.6) == pytest.approx(1.0)
+    assert dynamic_scale(0.6) == pytest.approx(1.0)
+    assert leakage_scale(0.6) == pytest.approx(1.0)
 
 
 def test_scaling_decreases_with_voltage():
-    assert DEFAULT_PROCESS.dynamic_scale(0.5) < 1.0
-    assert DEFAULT_PROCESS.leakage_scale(0.5) < 1.0
+    assert dynamic_scale(0.5) < 1.0
+    assert leakage_scale(0.5) < 1.0
     # Leakage shrinks faster than dynamic in this model.
-    assert (DEFAULT_PROCESS.leakage_scale(0.5)
-            < DEFAULT_PROCESS.dynamic_scale(0.5))
-
-
-def test_bad_fmax_table_rejected():
-    with pytest.raises(ValueError):
-        ProcessModel(fmax_table=((0.5, 1.0), (0.5, 2.0)))
-    with pytest.raises(ValueError):
-        ProcessModel(fmax_table=((0.5, 2.0), (0.6, 1.0)))
+    assert leakage_scale(0.5) < dynamic_scale(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,23 @@ from __future__ import annotations
 
 from repro.apps.mapping import distinct_sections
 from repro.apps.phases import AppSpec
-from repro.isa.layout import ImGeometry
+from repro.isa.layout import IM_BANKS, IM_WORDS_PER_BANK
 from repro.search.space import Candidate, slot_phases
 
 
-def _bank_fill(app: AppSpec, banks: dict[str, int],
-               geometry: ImGeometry) -> list[int]:
+def _bank_fill(app: AppSpec, banks: dict[str, int]) -> list[int]:
     """Words per bank under a section->bank map (runtime in bank 0)."""
-    fill = [0] * geometry.banks
+    fill = [0] * IM_BANKS
     fill[0] = app.runtime_words
     for section in distinct_sections(app):
         bank = banks.get(section.name)
-        if bank is not None and 0 <= bank < geometry.banks:
+        if bank is not None and 0 <= bank < IM_BANKS:
             fill[bank] += section.words
     return fill
 
 
-def violations(app: AppSpec, candidate: Candidate, num_cores: int = 8,
-               geometry: ImGeometry | None = None) -> list[str]:
+def violations(app: AppSpec, candidate: Candidate,
+               num_cores: int = 8) -> list[str]:
     """Every constraint a candidate breaks.
 
     Checks slot count, core ranges, same-phase replicas on distinct
@@ -36,7 +35,6 @@ def violations(app: AppSpec, candidate: Candidate, num_cores: int = 8,
     Returns:
         Human-readable violation messages (empty when feasible).
     """
-    geom = geometry or ImGeometry()
     problems: list[str] = []
     phases = slot_phases(app)
     if len(candidate.cores) != len(phases):
@@ -60,15 +58,15 @@ def violations(app: AppSpec, candidate: Candidate, num_cores: int = 8,
             f"extra {sorted(got - wanted)}")
         return problems
     for name, bank in candidate.section_banks:
-        if not 0 <= bank < geom.banks:
+        if not 0 <= bank < IM_BANKS:
             problems.append(
                 f"section {name!r} on bank {bank} outside "
-                f"0..{geom.banks - 1}")
+                f"0..{IM_BANKS - 1}")
             return problems
-    fill = _bank_fill(app, candidate.bank_of(), geom)
+    fill = _bank_fill(app, candidate.bank_of())
     for bank, words in enumerate(fill):
-        if words > geom.words_per_bank:
+        if words > IM_WORDS_PER_BANK:
             problems.append(
                 f"bank {bank} holds {words} words "
-                f"(> {geom.words_per_bank})")
+                f"(> {IM_WORDS_PER_BANK})")
     return problems

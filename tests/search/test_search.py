@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.phases import AppSpec, PhaseSpec, SectionSpec
 from repro.gen import generate_app, get_policy
-from repro.isa.layout import ImGeometry
+from repro.isa.layout import IM_WORDS_PER_BANK
 from repro.search.anneal import (
     outcome_to_mapping,
     search_mapping,
@@ -46,10 +46,13 @@ def test_memoisation_caps_simulation_count():
 
 
 def test_rejected_when_nothing_fits():
-    app = generate_app("pipeline", seed=7, index=0)
-    outcome = search_mapping(
-        app, geometry=ImGeometry(banks=1, words_per_bank=64),
-        iterations=5, seed=0)
+    # one section a word larger than an IM bank fits no placement
+    huge = SectionSpec("h0", IM_WORDS_PER_BANK + 1)
+    phases = [PhaseSpec(name="huge", cycles_per_sample=100.0,
+                        dm_access_rate=0.3, sections=(huge,))]
+    app = AppSpec(name="HUGE", fs=250.0, phases=phases)
+    app.validate()
+    outcome = search_mapping(app, iterations=5, seed=0)
     assert outcome.status == "rejected"
     assert outcome.error
     assert outcome.best_plan is None

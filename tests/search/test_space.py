@@ -7,7 +7,7 @@ import pytest
 from repro.apps.mapping import map_multicore, plan_required_mhz
 from repro.apps.phases import AppSpec, PhaseSpec, SectionSpec
 from repro.gen import generate_app
-from repro.isa.layout import ImGeometry
+from repro.isa.layout import IM_WORDS_PER_BANK
 from repro.search.space import (
     candidate_from_plan,
     candidate_to_mapping,
@@ -27,14 +27,14 @@ def _app():
     return generate_app("random-dag", seed=21, index=3)
 
 
-def _two_phase_app():
+def _two_phase_app(words=500):
     phases = [
         PhaseSpec(name="a", cycles_per_sample=1000.0,
                   dm_access_rate=0.3,
-                  sections=(SectionSpec("a0", 500),)),
+                  sections=(SectionSpec("a0", words),)),
         PhaseSpec(name="b", cycles_per_sample=600.0,
                   dm_access_rate=0.3,
-                  sections=(SectionSpec("b0", 500),)),
+                  sections=(SectionSpec("b0", words),)),
     ]
     app = AppSpec(name="TWO", fs=250.0, phases=phases)
     app.validate()
@@ -74,11 +74,11 @@ def test_violations_catch_every_constraint():
     assert violations(app, make_candidate({"a0": 99, "b0": 1}, [0, 1]))
     # missing section
     assert violations(app, make_candidate({"a0": 0}, [0, 1]))
-    # bank overflow (tiny geometry)
-    tiny = ImGeometry(banks=2, words_per_bank=600)
+    # bank overflow: two 2,000-word sections beside the 300-word runtime
     packed = make_candidate({"a0": 0, "b0": 0}, [0, 1])
+    assert violations(app, packed) == []
     assert any("bank 0" in problem
-               for problem in violations(app, packed, geometry=tiny))
+               for problem in violations(_two_phase_app(2000), packed))
 
 
 def test_replica_collisions_are_detected_and_repaired():
@@ -98,17 +98,17 @@ def test_replica_collisions_are_detected_and_repaired():
 
 
 def test_repair_sheds_im_overflow_deterministically():
-    app = _two_phase_app()
-    tiny = ImGeometry(banks=3, words_per_bank=900)
-    # both 500-word sections on bank 0 next to the 300-word runtime
+    app = _two_phase_app(2000)
+    # both 2,000-word sections on bank 0 next to the 300-word runtime
     broken = make_candidate({"a0": 0, "b0": 0}, [0, 1])
-    fixed = repair(app, broken, geometry=tiny)
+    assert violations(app, broken)
+    fixed = repair(app, broken)
     assert fixed is not None
-    assert violations(app, fixed, geometry=tiny) == []
-    assert repair(app, broken, geometry=tiny) == fixed
-    # a genuinely oversized app is irreparable
-    impossible = ImGeometry(banks=1, words_per_bank=900)
-    assert repair(app, broken, geometry=impossible) is None
+    assert violations(app, fixed) == []
+    assert repair(app, broken) == fixed
+    # a section larger than a bank is irreparable
+    impossible = _two_phase_app(IM_WORDS_PER_BANK + 1)
+    assert repair(impossible, broken) is None
 
 
 def test_propose_only_yields_feasible_candidates():

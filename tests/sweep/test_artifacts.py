@@ -15,9 +15,9 @@ from repro.sweep import (
     run_bench,
     run_sweep,
     sweep_rows,
-    write_bench_json,
     write_csv,
 )
+from repro.store import write_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2]
                        / "benchmarks"))
@@ -94,7 +94,7 @@ def test_percentile_axes_skip_absent_and_non_numeric_metrics():
 
 
 def test_write_bench_json(tmp_path):
-    path = write_bench_json(_result(), tmp_path / "BENCH_tiny.json")
+    path = write_json(tmp_path / "BENCH_tiny.json", bench_payload(_result()))
     loaded = json.loads(path.read_text())
     assert loaded["schema"] == BENCH_SCHEMA
     assert loaded["results"][0]["cached"] is False

@@ -11,13 +11,12 @@ import random
 
 from repro.apps.mapping import MappingError
 from repro.gen.policies import get_policy
-from repro.isa.layout import ImGeometry
 from repro.search.anneal import START_POLICIES
 from repro.search.space import Candidate, candidate_from_plan, propose
 
 
-def sample_candidates(app, num_cores=8, samples=6, seed=0,
-                      geometry=None) -> list[Candidate]:
+def sample_candidates(app, num_cores=8, samples=6,
+                      seed=0) -> list[Candidate]:
     """Sampled placements of one (already repaired) application.
 
     The policy start points come first (deduplicated, policy order),
@@ -25,12 +24,11 @@ def sample_candidates(app, num_cores=8, samples=6, seed=0,
     distinct candidates exist (or the walk stalls).  Deterministic in
     ``(app identity, parameters, seed)``.
     """
-    geom = geometry or ImGeometry()
     found: list[Candidate] = []
     seen: set[Candidate] = set()
     for name in START_POLICIES:
         try:
-            plan = get_policy(name).map(app, num_cores, geom)
+            plan = get_policy(name).map(app, num_cores)
         except MappingError:
             continue
         candidate = candidate_from_plan(plan)
@@ -43,7 +41,7 @@ def sample_candidates(app, num_cores=8, samples=6, seed=0,
     current = found[0]
     stalls = 0
     while len(found) < samples and stalls < 64:
-        neighbour = propose(app, current, rng, num_cores, geom)
+        neighbour = propose(app, current, rng, num_cores)
         if neighbour is None:
             stalls += 1
             continue

@@ -1,9 +1,10 @@
 """repro.store: canonical atomic JSON writes and tolerant reads."""
 
+import hashlib
 import multiprocessing
 from pathlib import Path
 
-from repro.store import entry_path, read_json, write_json
+from repro.store import content_key, entry_path, read_json, write_json
 
 
 def _hammer(path: str, writer: int) -> None:
@@ -18,6 +19,14 @@ def test_write_json_is_canonical_and_leaves_no_temp_file(tmp_path):
         '{\n  "a": 0.1,\n  "b": [\n    1,\n    2\n  ]\n}\n')
     assert [entry.name for entry in path.parent.iterdir()] == ["doc.json"]
     assert read_json(path) == {"a": 0.1, "b": [1, 2]}
+
+
+def test_content_key_hashes_compact_canonical_json():
+    # Sorted keys, no whitespace: the bytes every key and the app
+    # fingerprint (a seed input of the search policies) hash.
+    text = b'{"a":0.1,"b":[1,"x"]}'
+    key = content_key({"b": [1, "x"], "a": 0.1})
+    assert key == hashlib.sha256(text).hexdigest()[:40]
 
 
 def test_read_json_treats_missing_and_corrupt_files_as_absent(tmp_path):
