@@ -31,13 +31,25 @@ def test_paper_operating_points_are_on_the_curve():
 
 
 def test_fmax_monotonic_and_grid_lookup():
-    # The grid ascends strictly in voltage and in fmax, which is what
-    # lets ``min_voltage`` return the first grid point that reaches.
-    voltages = [voltage for voltage, _ in FMAX_TABLE]
-    frequencies = [frequency for _, frequency in FMAX_TABLE]
-    assert all(a < b for a, b in zip(voltages, voltages[1:]))
-    assert all(a < b for a, b in zip(frequencies, frequencies[1:]))
-    assert dict(FMAX_TABLE)[0.5] == 1.0
+    fmax = dict(FMAX_TABLE)
+    assert fmax[0.5] == 1.0
+    assert fmax[0.6] > fmax[0.5]
+    assert 0.52 not in fmax
+
+
+def _strictly_ascending(table):
+    """The grid ascends strictly in voltage and in fmax, which is what
+    lets ``min_voltage`` return the first grid point that reaches."""
+    voltages = [voltage for voltage, _ in table]
+    frequencies = [frequency for _, frequency in table]
+    return (all(a < b for a, b in zip(voltages, voltages[1:]))
+            and all(a < b for a, b in zip(frequencies, frequencies[1:])))
+
+
+def test_bad_fmax_table_rejected():
+    assert not _strictly_ascending(((0.5, 1.0), (0.5, 2.0)))
+    assert not _strictly_ascending(((0.5, 2.0), (0.6, 1.0)))
+    assert _strictly_ascending(FMAX_TABLE)
 
 
 def test_min_voltage_out_of_reach():
