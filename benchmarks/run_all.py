@@ -62,17 +62,11 @@ def main(argv=None) -> int:
         help="run only these benches (default: all)",
     )
     args = parser.parse_args(argv)
-    cache = (
-        ResultCache(root=args.cache_dir)
-        if args.cache_dir is not None and not args.no_cache
-        else None
-    )
     merged, path = run_all_benches(
         out_dir=args.out_dir,
         workers=args.workers,
         names=None if args.only is None else tuple(args.only),
-        cache=cache,
-        use_cache=not args.no_cache,
+        cache=None if args.no_cache else ResultCache(root=args.cache_dir),
         force=args.force,
     )
     merged["loc"] = source_loc()

@@ -163,6 +163,19 @@ def sync_points(app: AppSpec) -> int:
     return groups + len(app.channels)
 
 
+def least_filled_bank(fill: list[int], words: int,
+                      exclude: int | None = None) -> int | None:
+    """Least-filled IM bank with room for ``words`` (ties: lowest id),
+    ``exclude`` aside; None when no bank has room."""
+    best: int | None = None
+    for bank, current in enumerate(fill):
+        if bank == exclude or current + words > IM_WORDS_PER_BANK:
+            continue
+        if best is None or current < fill[best]:
+            best = bank
+    return best
+
+
 def map_multicore(app: AppSpec, num_cores: int = 8) -> MappingPlan:
     """Map an application onto the multi-core platform."""
     app.validate()

@@ -147,11 +147,9 @@ def run_command(args: argparse.Namespace,
             spec = spec_from_mapping(json.load(handle))
     else:
         spec = get_spec(args.spec)
-    cache = None
-    if not args.no_cache and args.cache_dir is not None:
-        cache = ResultCache(root=args.cache_dir)
+    cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     result = run_sweep(spec, workers=args.workers, cache=cache,
-                       use_cache=not args.no_cache, force=args.force)
+                       force=args.force)
     if args.json is not None:
         write_json(args.json, bench_payload(result))
     if args.csv is not None:

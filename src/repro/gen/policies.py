@@ -39,6 +39,7 @@ from ..apps.mapping import (
     MappingPlan,
     distinct_sections,
     dm_footprint,
+    least_filled_bank,
     map_multicore,
     map_singlecore,
     sync_points,
@@ -105,17 +106,6 @@ def _replica_assignments(app: AppSpec, num_cores: int,
     return assignments
 
 
-def _best_fit_bank(bank_fill: list[int], words: int) -> int | None:
-    """Least-filled bank that still fits ``words`` (ties: lowest id)."""
-    best: int | None = None
-    for bank, fill in enumerate(bank_fill):
-        if fill + words > IM_WORDS_PER_BANK:
-            continue
-        if best is None or fill < bank_fill[best]:
-            best = bank
-    return best
-
-
 def map_balanced(app: AppSpec, num_cores: int = 8) -> MappingPlan:
     """Load-levelled IM packing with one core per replica."""
     app.validate()
@@ -125,7 +115,7 @@ def map_balanced(app: AppSpec, num_cores: int = 8) -> MappingPlan:
     ordered = sorted(distinct_sections(app),
                      key=lambda section: (-section.words, section.name))
     for section in ordered:
-        bank = _best_fit_bank(bank_fill, section.words)
+        bank = least_filled_bank(bank_fill, section.words)
         if bank is None:
             raise MappingError(
                 f"{app.name}: section {section.name!r} does not fit IM")
@@ -192,10 +182,10 @@ def map_critical_path(app: AppSpec, num_cores: int = 8) -> MappingPlan:
                 next_bank += 1
                 bank = next_bank
             else:  # dedicated banks exhausted: pack instead of failing
-                bank = _best_fit_bank(bank_fill, section.words)
+                bank = least_filled_bank(bank_fill, section.words)
             if bank is None or (bank_fill[bank] + section.words
                                 > IM_WORDS_PER_BANK):
-                bank = _best_fit_bank(bank_fill, section.words)
+                bank = least_filled_bank(bank_fill, section.words)
             if bank is None:
                 raise MappingError(
                     f"{app.name}: section {section.name!r} does not "

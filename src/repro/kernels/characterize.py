@@ -24,15 +24,23 @@ from .sources import RESULT_BASE, barrier_pipeline_kernel, window_min_kernel
 _MAX_CYCLES = 2_000_000
 
 
+def not_halted(system: System, kernel: str) -> str | None:
+    """What did not halt, as an error message naming the kernel, the
+    cycle and the cores still running; None when every core halted."""
+    running = [str(core.core_id) for core in system.cores if not core.halted]
+    if not running:
+        return None
+    return (f"{kernel} kernel did not halt by cycle {system.cycle}: "
+            f"cores {', '.join(running)} not halted")
+
+
 def _run_to_halt(system: System, kernel: str) -> None:
     """Run ``system``; raise naming the cores still running if it does
     not halt within :data:`_MAX_CYCLES`."""
     system.run(_MAX_CYCLES)
-    running = [str(core.core_id) for core in system.cores if not core.halted]
-    if running:
-        raise SimulationError(
-            f"{kernel} kernel did not halt by cycle {system.cycle}: "
-            f"cores {', '.join(running)} not halted")
+    message = not_halted(system, kernel)
+    if message is not None:
+        raise SimulationError(message)
 
 
 @dataclass(frozen=True)

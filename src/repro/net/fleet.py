@@ -25,11 +25,10 @@ from .. import obs
 from ..parallel import even_shard_size, pool_map, shard
 from ..power.energy import sum_left
 from .compute import (
-    ComputeResolver,
-    ComputeSettings,
     ComputeSummary,
-    compute_settings,
     record_compute_counters,
+    report_from_payload,
+    resolve,
     simulate_request,
 )
 from .node import (
@@ -62,15 +61,19 @@ class FleetConfig:
             allowed and yields an empty summary).
         duration_s: simulated seconds of ECG per node.
         seed: fleet seed; all per-node streams derive from it.
-        compute: app-compute resolution settings (None = simulate
-            inline per node, the legacy path).
+        compute: resolve app compute through
+            :func:`repro.net.compute.resolve` (False = simulate inline
+            per node, the legacy path).
+        compute_cache: the resolver's on-disk cache root (None = the
+            :data:`~repro.net.compute.COMPUTE_CACHE_ENV` root, if set).
     """
 
     scenario: Scenario
     n_nodes: int
     duration_s: float = DEFAULT_DURATION_S
     seed: int = DEFAULT_SEED
-    compute: ComputeSettings | None = None
+    compute: bool = False
+    compute_cache: str | None = None
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,13 @@ def _run_shard(payload: tuple) -> list[NodeResult]:
         ]
     with obs.span("net.compute.resolve"):
         requests = [node.compute_request() for node in nodes]
-        if config.compute is None:
-            computes = [(simulate_request(r), None) for r in requests]
+        if config.compute:
+            table = resolve(requests, config.compute_cache)
+            computes = [
+                (report_from_payload(table[r.key]), r.key) for r in requests
+            ]
         else:
-            table = ComputeResolver(config.compute).resolve(requests).table
-            entries = [table[r.key] for r in requests]
-            computes = [(entry.report(), entry) for entry in entries]
+            computes = [(simulate_request(r), "") for r in requests]
     results = NetworkNode._sync_errors(
         nodes, computes, beacons, sample_times, ref_readings
     )
@@ -188,7 +192,7 @@ class FleetRunner:
         # Shards are contiguous and merge in payload order: node order.
         results = [node for batch in batches for node in batch]
         compute = None
-        if config.compute is not None and results:
+        if config.compute and results:
             keys = {node.compute_key for node in results}
             compute = ComputeSummary(len(results), len(keys))
             record_compute_counters(compute)
@@ -273,7 +277,7 @@ def run_fleet(
     seed: int = DEFAULT_SEED,
     protocol: str | None = None,
     workers: int = 1,
-    compute: str | ComputeSettings | None = None,
+    compute: str | None = None,
     compute_cache: str | None = None,
 ) -> FleetResult:
     """Convenience wrapper: resolve a scenario and run it once.
@@ -288,10 +292,9 @@ def run_fleet(
         protocol: override the scenario's sync protocol (e.g.
             ``"none"`` for the unsynchronized baseline).
         workers: processes, the caller included (1 = serial).
-        compute: ``"exact"`` or a
-            :class:`~repro.net.compute.ComputeSettings` to resolve
-            app compute through the fleet fast path (None = inline
-            simulation per node; ``"exact"`` is byte-identical to it).
+        compute: ``"exact"`` to resolve app compute through the fleet
+            fast path (None = inline simulation per node; ``"exact"``
+            is byte-identical to it).
         compute_cache: on-disk compute-cache root (used when
             ``compute`` is ``"exact"``).
 
@@ -310,11 +313,14 @@ def run_fleet(
             f"{type(scenario).__name__!r}; names: {sorted(SCENARIOS)}"
         )
     scenario = with_protocol(scenario, protocol)
+    if compute not in (None, "exact"):
+        raise ValueError(f"unknown compute mode {compute!r}; use 'exact'")
     config = FleetConfig(
         scenario=scenario,
         n_nodes=scenario.default_nodes if n_nodes is None else n_nodes,
         duration_s=duration_s,
         seed=seed,
-        compute=compute_settings(compute, compute_cache),
+        compute=compute == "exact",
+        compute_cache=compute_cache,
     )
     return FleetRunner(config).run(workers=workers)

@@ -34,7 +34,7 @@ per-node exact application simulation is off the table.  Instead,
 node compute power is looked up (:func:`bindings_power_uw`) in a
 per-app profile table (:func:`profile_table`) that resolves every
 app the source can bind once, at the scenario's canonical heart rate,
-through :class:`repro.net.compute.ComputeResolver`.  Radio energy,
+through :func:`repro.net.compute.resolve`.  Radio energy,
 clocks, receptions and sync errors remain exact per node.
 """
 
@@ -52,7 +52,12 @@ from .. import obs
 from ..sysc.engine import uniform_signature
 from .appsource import AppBinding
 from .clock import LocalClock, read_clocks
-from .compute import build_request
+from .compute import (
+    ComputeSummary,
+    build_request,
+    report_from_payload,
+    resolve,
+)
 from .radio import Beacon, Reception
 from .scenarios import (
     DENSE_WARD,
@@ -524,17 +529,16 @@ def bindings_power_uw(
 
 
 def profile_table(
-    base: Scenario, duration_s: float, resolver
-) -> "tuple[dict[tuple, float], object]":
+    base: Scenario, duration_s: float, cache_dir: str | None = None
+) -> tuple[dict[tuple, float], ComputeSummary]:
     """Pre-resolve every profile the scenario's source can request.
 
     Enumerates the source's closed binding universe, resolves all
-    distinct compute work in one batched
-    :meth:`repro.net.compute.ComputeResolver.resolve` call, and
-    returns ``(profile-key -> power µW table, ComputeSummary)``.
-    In exact mode every value equals the ``simulate()`` total of its
-    binding bit for bit, because cached payloads rebuild their
-    reports in the exact category order.
+    distinct compute work in one :func:`repro.net.compute.resolve`
+    call (``cache_dir`` is its disk root), and returns
+    ``(profile-key -> power µW table, ComputeSummary)``.  Every value
+    equals the ``simulate()`` total of its binding bit for bit,
+    because payloads keep the report's category order.
     """
     bindings = base.apps.universe(base.abnormal_ratio)
     bpm = (base.bpm_range[0] + base.bpm_range[1]) / 2.0
@@ -544,19 +548,13 @@ def profile_table(
         signature = uniform_signature(
             bounded, binding.app.fs, bpm, base.abnormal_ratio
         )
-        requests.append(
-            build_request(binding, binding.mode, bounded, signature)
-        )
-    resolution = resolver.resolve(requests)
-    table = {
-        profile_key(binding, base, duration_s): resolution.table[
-            request.key
-        ]
-        .report()
-        .total_uw
-        for binding, request in zip(bindings, requests)
-    }
-    return table, resolution.summary
+        requests.append(build_request(binding, bounded, signature))
+    payloads = resolve(requests, cache_dir)
+    table = {}
+    for binding, request in zip(bindings, requests):
+        report = report_from_payload(payloads[request.key])
+        table[profile_key(binding, base, duration_s)] = report.total_uw
+    return table, ComputeSummary(len(requests), len(payloads))
 
 
 __all__ = [

@@ -31,7 +31,7 @@ from .. import obs
 from ..power.energy import PowerReport
 from ..sysc.engine import uniform_signature
 from .appsource import APPS, AppBinding
-from .compute import ComputeRequest, ResolvedCompute, build_request
+from .compute import ComputeRequest, build_request
 from .clock import LocalClock
 from .hierarchy import _stream, hop_error_samples
 from .radio import Beacon, RadioEnergy, receive_beacons
@@ -166,14 +166,12 @@ class NetworkNode:
             self.bpm,
             self.scenario.abnormal_ratio,
         )
-        return build_request(
-            self.binding, self.binding.mode, self.duration_s, signature
-        )
+        return build_request(self.binding, self.duration_s, signature)
 
     @staticmethod
     def _sync_errors(
         nodes: list["NetworkNode"],
-        computes: list[tuple[PowerReport, ResolvedCompute | None]],
+        computes: list[tuple[PowerReport, str]],
         beacons: list[Beacon],
         sample_times: list[float],
         ref_readings: list[float],
@@ -181,7 +179,7 @@ class NetworkNode:
         """Replay a shard's followers as the rows of one
         :func:`hop_error_samples` call, then fold each node's errors and
         its ``computes`` entry: compute report (the radio's power joins
-        it) and resolver entry (None = simulated inline)."""
+        it) and compute key ("" = simulated inline)."""
         scenario, duration_s = nodes[0].scenario, nodes[0].duration_s
         followers = [node for node in nodes if not node.is_reference]
         with obs.span("net.fleet.replay"):
@@ -208,7 +206,7 @@ class NetworkNode:
             ]
             folded = zip(heard, zip(*series))
             results = []
-            for node, (power, compute) in zip(nodes, computes):
+            for node, (power, key) in zip(nodes, computes):
                 energy, moments = RadioEnergy(), (Moments(),) * 4
                 protocol = scenario.protocol
                 if node.is_reference:
@@ -237,8 +235,8 @@ class NetworkNode:
                         policy=node.binding.policy,
                         floor_mhz=node.binding.floor_mhz,
                         repairs=node.binding.repairs,
-                        compute_key=compute.key if compute else "",
-                        compute_tier=compute.tier if compute else "",
+                        compute_key=key,
+                        compute_tier="exact" if key else "",
                     )
                 )
             return results

@@ -51,13 +51,7 @@ from .. import obs
 from ..parallel import even_shard_size, pool_map, shard, worker_pool
 from ..store import code_fingerprint, content_key, read_json, write_json
 from .clock import read_clocks
-from .compute import (
-    ComputeResolver,
-    ComputeSettings,
-    ComputeSummary,
-    compute_settings,
-    record_compute_counters,
-)
+from .compute import ComputeSummary, record_compute_counters
 from .fleet import DEFAULT_DURATION_S, DEFAULT_SEED
 from .hierarchy import (
     HierarchySpec,
@@ -182,9 +176,11 @@ class StreamingConfig:
             checkpointed only at the end).
         checkpoint_dir: directory of the content-addressed state
             file; ``None`` disables checkpointing.
-        compute: app-compute resolution settings: the source's
-            profile universe is resolved once in the main process
-            through them, and waves ship the resulting lookup table.
+        compute_cache: on-disk compute-cache root (None = the
+            :data:`~repro.net.compute.COMPUTE_CACHE_ENV` root, if
+            set): the source's profile universe is resolved once in
+            the main process through it, and waves ship the resulting
+            lookup table.
     """
 
     spec: HierarchySpec
@@ -192,15 +188,13 @@ class StreamingConfig:
     seed: int = DEFAULT_SEED
     wave_size: int | None = None
     checkpoint_dir: str | Path | None = None
-    compute: ComputeSettings = ComputeSettings()
+    compute_cache: str | None = None
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
         if self.wave_size is not None and self.wave_size < 1:
             raise ValueError("wave size must be >= 1")
-        if not isinstance(self.compute, ComputeSettings):
-            raise ValueError("compute must be 'exact' or a ComputeSettings")
 
 
 @dataclass(frozen=True)
@@ -510,7 +504,7 @@ class StreamingRunner:
         importlib.import_module("numpy.random")
         with obs.span("net.compute.resolve"):
             profiles, profile_summary = profile_table(
-                spec.base, duration_s, ComputeResolver(config.compute)
+                spec.base, duration_s, config.compute_cache
             )
         context = (grids, times, steady, profiles, root_refs, root_readings)
 
@@ -665,7 +659,7 @@ def run_streaming(
     wave_size: int | None = None,
     checkpoint_dir: str | Path | None = None,
     max_waves: int | None = None,
-    compute: str | ComputeSettings = "exact",
+    compute: str = "exact",
     compute_cache: str | None = None,
 ) -> HierarchyResult:
     """One-call streaming run of a hierarchy token, preset or spec.
@@ -675,18 +669,19 @@ def run_streaming(
     profiles always resolve through the shared compute cache.
 
     Raises:
-        ValueError: ``compute`` is neither ``"exact"`` nor a
-            :class:`ComputeSettings`.
+        ValueError: ``compute`` is not ``"exact"``.
     """
     spec = (
         tiers if isinstance(tiers, HierarchySpec) else parse_hierarchy(tiers)
     )
+    if compute != "exact":
+        raise ValueError(f"unknown compute mode {compute!r}; use 'exact'")
     config = StreamingConfig(
         spec=spec,
         duration_s=duration_s,
         seed=seed,
         wave_size=wave_size,
         checkpoint_dir=checkpoint_dir,
-        compute=compute_settings(compute, compute_cache),
+        compute_cache=compute_cache,
     )
     return StreamingRunner(config).run(workers=workers, max_waves=max_waves)

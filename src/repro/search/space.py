@@ -32,6 +32,7 @@ from ..apps.mapping import (
     MappingPlan,
     distinct_sections,
     dm_footprint,
+    least_filled_bank,
     sync_points,
 )
 from ..apps.phases import AppSpec
@@ -200,7 +201,7 @@ def repair(app: AppSpec, candidate: Candidate,
     for name in sorted(banks):
         if banks[name] >= 0:
             continue
-        bank = _least_filled_fit(fill, sizes[name])
+        bank = least_filled_bank(fill, sizes[name])
         if bank is None:
             return None
         banks[name] = bank
@@ -212,7 +213,7 @@ def repair(app: AppSpec, candidate: Candidate,
                 if where == bank)
             moved = False
             for words, name in movable:
-                target = _least_filled_fit(fill, words, exclude=bank)
+                target = least_filled_bank(fill, words, exclude=bank)
                 if target is not None:
                     banks[name] = target
                     fill[bank] -= words
@@ -222,18 +223,6 @@ def repair(app: AppSpec, candidate: Candidate,
             if not moved:
                 return None  # nothing sheds: the app does not fit
     return make_candidate(banks, cores)
-
-
-def _least_filled_fit(fill: list[int], words: int,
-                      exclude: int | None = None) -> int | None:
-    """Least-filled bank with room for ``words`` (ties: lowest id)."""
-    best: int | None = None
-    for bank, current in enumerate(fill):
-        if bank == exclude or current + words > IM_WORDS_PER_BANK:
-            continue
-        if best is None or current < fill[best]:
-            best = bank
-    return best
 
 
 def propose(app: AppSpec, candidate: Candidate, rng,

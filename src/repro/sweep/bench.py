@@ -26,10 +26,10 @@ def run_bench(
     out_dir: str | Path = ".",
     workers: int = 1,
     cache: ResultCache | None = None,
-    use_cache: bool = True,
     force: bool = False,
 ) -> tuple[dict, Path]:
-    """Replay one BENCH campaign and write its artifact.
+    """Replay one BENCH campaign and write its artifact (``cache``:
+    see :func:`~repro.sweep.engine.run_sweep`).
 
     Returns:
         ``(payload, path)`` — the BENCH document and where it landed.
@@ -43,9 +43,7 @@ def run_bench(
         raise ValueError(
             f"unknown bench {name!r}; choose from {sorted(BENCH_SPECS)}"
         ) from None
-    result = run_sweep(
-        spec, workers=workers, cache=cache, use_cache=use_cache, force=force
-    )
+    result = run_sweep(spec, workers=workers, cache=cache, force=force)
     payload = bench_payload(result)
     return payload, write_json(Path(out_dir) / f"BENCH_{name}.json", payload)
 
@@ -55,7 +53,6 @@ def run_all_benches(
     workers: int = 1,
     names: tuple[str, ...] | None = None,
     cache: ResultCache | None = None,
-    use_cache: bool = True,
     force: bool = False,
 ) -> tuple[dict, Path]:
     """Replay every BENCH campaign and write the merged artifact.
@@ -70,7 +67,6 @@ def run_all_benches(
             out_dir=out_dir,
             workers=workers,
             cache=cache,
-            use_cache=use_cache,
             force=force,
         )
         payloads[name] = payload
@@ -119,17 +115,11 @@ def bench_main(name: str, argv: list[str] | None = None) -> int:
         "--force", action="store_true", help="re-execute every point"
     )
     args = parser.parse_args(argv)
-    cache = (
-        ResultCache(root=args.cache_dir)
-        if args.cache_dir is not None and not args.no_cache
-        else None
-    )
     payload, path = run_bench(
         name,
         out_dir=args.out_dir,
         workers=args.workers,
-        cache=cache,
-        use_cache=not args.no_cache,
+        cache=None if args.no_cache else ResultCache(root=args.cache_dir),
         force=args.force,
     )
     print(_describe(payload))

@@ -140,7 +140,6 @@ def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
     cache: ResultCache | None = None,
-    use_cache: bool = True,
     force: bool = False,
 ) -> SweepResult:
     """Execute a sweep campaign.
@@ -149,9 +148,7 @@ def run_sweep(
         spec: the campaign to run.
         workers: processes for cache misses, the caller included;
             1 executes inline.
-        cache: result cache; a default-rooted one is created when
-            ``use_cache`` is true and none is given.
-        use_cache: disable all cache reads *and* writes when false.
+        cache: result cache; None means no cache reads or writes.
         force: ignore cached entries (results are still written back,
             refreshing the cache).
 
@@ -165,11 +162,6 @@ def run_sweep(
         raise ValueError("need at least one worker")
     get_runner(spec.runner)  # validate the family before any work
     run_span = obs.span("sweep.run").start()
-    if use_cache and cache is None:
-        cache = ResultCache()
-    elif not use_cache:
-        cache = None
-
     points = expand(spec)
     keys = [point_key(spec.runner, point) for point in points]
     slots: list[PointResult | None] = [None] * len(points)

@@ -76,6 +76,7 @@ from ..gen.explorer import EXPLORE_DURATION_S, evaluate_token
 from ..gen.generator import app_from_token
 from ..hw.system import System
 from ..isa.assembler import assemble
+from ..kernels.characterize import not_halted
 from ..kernels.sources import running_max_kernel
 from ..net.fleet import run_fleet
 from ..net.node import APPS
@@ -378,8 +379,9 @@ def run_platform_adc_point(point: dict[str, Value]) -> dict[str, Value]:
     system.load(assemble(running_max_kernel(record.num_samples)))
     system.attach_adc(streams, period)
     system.run(period * (record.num_samples + 4))
-    if not system.all_halted:
-        raise RunnerError("running-max kernel did not halt")
+    message = not_halted(system, "running-max")
+    if message is not None:
+        raise RunnerError(message)
     return _platform_metrics(system)
 
 

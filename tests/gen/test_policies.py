@@ -1,4 +1,18 @@
-"""Tests for the mapping policies of the explorer."""
+"""Tests for the mapping policies of the explorer.
+
+The ``search-greedy`` and ``search-anneal`` placements of the seed-7
+six-app suite at 8 cores are pinned in ``golden/`` (the ``gen``
+golden runs only the fixed policies).  Their search seeds derive from
+``app_fingerprint``, so a change to the fingerprint's bytes moves
+them.  Regenerate (only for a change that is meant to move a
+placement)::
+
+    PYTHONPATH=src:. python -c "from tests.gen.test_policies \
+import write_golden; write_golden()"
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +32,14 @@ from repro.gen import (
     map_balanced,
     map_critical_path,
 )
+from repro.gen.generator import app_from_token, suite_tokens
 from repro.isa.layout import IM_BANKS, IM_WORDS_PER_BANK
+from repro.search.space import candidate_from_plan, candidate_to_mapping
+
+GOLDEN = Path(__file__).parent / "golden" / "search_policies_seed7_n6.json"
+
+#: The searched policies the golden pins.
+SEARCH_POLICIES = ("search-greedy", "search-anneal")
 
 
 def _phase(name, cycles, sections, replicas=1):
@@ -138,3 +159,26 @@ def test_policies_are_deterministic_on_generated_apps():
         second = get_policy(name).map(app)
         assert first.section_banks == second.section_banks
         assert first.assignments == second.assignments
+
+
+def search_placements() -> dict:
+    """Each searched policy's placement of the seed-7 six-app suite at
+    8 cores, by app token, as JSON-ready mappings."""
+    return {
+        token: {
+            name: candidate_to_mapping(candidate_from_plan(
+                get_policy(name).map(app_from_token(token), 8)))
+            for name in SEARCH_POLICIES
+        }
+        for token in suite_tokens(7, 6)
+    }
+
+
+def write_golden() -> None:
+    GOLDEN.write_text(json.dumps(search_placements(), indent=2,
+                                 sort_keys=True) + "\n", encoding="utf-8")
+
+
+def test_search_policy_placements_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert search_placements() == golden

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from repro.net.clock import read_clocks
-from repro.net.compute import ComputeResolver
+from repro.net.compute import report_from_payload, resolve
 from repro.net.fleet import FleetConfig, FleetRunner
 from repro.net.node import (
     REFERENCE_NODE_ID,
@@ -70,9 +70,10 @@ def one_row_replay(protocol, receptions, clock, sample_times, readings):
     return errors[0].tolist(), baselines[0].tolist()
 
 
-def simulate_node(node, beacons, sample_times, readings, compute=None):
-    """One node's result: inline compute unless ``compute`` is given."""
-    if compute is None:
+def simulate_node(node, beacons, sample_times, readings, entry=None):
+    """One node's result: inline compute unless its resolved ``entry``,
+    a ``(key, payload)`` pair, is given."""
+    if entry is None:
         schedule = uniform_schedule(
             node.duration_s,
             node.binding.app.fs,
@@ -88,7 +89,7 @@ def simulate_node(node, beacons, sample_times, readings, compute=None):
             mapping=node.binding.plan,
         ).power
     else:
-        power = compute.report()
+        power = report_from_payload(entry[1])
     energy = RadioEnergy()
     errors: list[float] = []
     base: list[float] = []
@@ -125,8 +126,8 @@ def simulate_node(node, beacons, sample_times, readings, compute=None):
         policy=node.binding.policy,
         floor_mhz=node.binding.floor_mhz,
         repairs=node.binding.repairs,
-        compute_key=compute.key if compute is not None else "",
-        compute_tier=compute.tier if compute is not None else "",
+        compute_key=entry[0] if entry is not None else "",
+        compute_tier="exact" if entry is not None else "",
     )
 
 
@@ -193,17 +194,19 @@ def reference_fleet(
         )
 
     table = None
-    if config.compute is not None and config.n_nodes:
-        table = ComputeResolver(config.compute).resolve(
-            [node(i).compute_request() for i in range(config.n_nodes)]
-        ).table
+    if config.compute and config.n_nodes:
+        table = resolve(
+            [node(i).compute_request() for i in range(config.n_nodes)],
+            config.compute_cache,
+        )
     results = []
     for node_id in range(config.n_nodes):
         built = node(node_id)
-        compute = None
+        entry = None
         if table is not None:
-            compute = table[built.compute_request().key]
+            key = built.compute_request().key
+            entry = (key, table[key])
         results.append(
-            simulate_node(built, beacons, sample_times, readings, compute)
+            simulate_node(built, beacons, sample_times, readings, entry)
         )
     return tuple(results), summarise(config, results, beacons)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.net.clock import read_clocks
-from repro.net.compute import ComputeResolver, ComputeSettings
 from repro.net.hierarchy import (
     ROOT_PATH,
     HierarchySpec,
@@ -242,9 +241,7 @@ def reference_tiers(
     )
     sample_times, steady = error_grid(duration_s)
     root_readings = [root_clock.read(t) for t in sample_times]
-    profiles, _ = profile_table(
-        spec.base, duration_s, ComputeResolver(ComputeSettings())
-    )
+    profiles, _ = profile_table(spec.base, duration_s)
     parts = [TierState() for _ in spec.tiers]
     parts[0].beacons_sent = len(beacons)
     for index in range(spec.subtrees):

@@ -16,24 +16,23 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.net.compute import (
     COMPUTE_CACHE_ENV,
-    COMPUTE_ENTRY_SCHEMA,
-    ComputeCache,
-    ComputeResolver,
-    ComputeSettings,
     ComputeSummary,
     clear_process_caches,
-    compute_settings,
+    record_compute_counters,
     report_from_payload,
+    resolve,
     schedule_signature,
+    simulate_request,
 )
 from repro.net.fleet import run_fleet
 from repro.net.hierarchy import profile_key, profile_table
 from repro.net.node import build_node
 from repro.net.scenarios import get_scenario, parse_scenario
-from repro.power.energy import CATEGORIES, PowerReport
-from repro.power.vfs import OperatingPoint
+from repro.net.streaming import run_streaming
+from repro.store import code_fingerprint, entry_path
 from repro.sysc.engine import (
     BeatEvent,
     Mode,
@@ -73,6 +72,32 @@ def _eval_net(args, tmp_path, name, **env_overrides):
     return out
 
 
+def _requests(count):
+    """Compute requests of the first ``count`` generated-swarm nodes."""
+    scenario = get_scenario("generated-swarm")
+    return [build_node(scenario, node_id, 1, 2.0).compute_request()
+            for node_id in range(count)]
+
+
+def _entries(root):
+    """Every entry file under a cache root, relative to it."""
+    return sorted(path.relative_to(root) for path in root.rglob("*.json"))
+
+
+def _counting_rows(monkeypatch):
+    """Patch ``simulate_batch``; the list collects each call's rows."""
+    import repro.net.compute
+
+    rows = []
+
+    def counting(app, mode, signatures, *args, **kwargs):
+        rows.append(len(signatures))
+        return simulate_batch(app, mode, signatures, *args, **kwargs)
+
+    monkeypatch.setattr(repro.net.compute, "simulate_batch", counting)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Schedule signature
 # ---------------------------------------------------------------------------
@@ -103,7 +128,7 @@ def test_compute_request_key_is_content_addressed():
 
 
 # ---------------------------------------------------------------------------
-# Exact tier == legacy inline path
+# Resolver == legacy inline path
 # ---------------------------------------------------------------------------
 
 def _strip_provenance(nodes):
@@ -136,8 +161,7 @@ def test_profile_table_matches_simulate():
     for token in ("dense-ward", "gen:dense-ward:3:4:single-core"):
         base = parse_scenario(token)
         clear_process_caches()
-        table, summary = profile_table(
-            base, 2.0, ComputeResolver(ComputeSettings()))
+        table, summary = profile_table(base, 2.0)
         bindings = base.apps.universe(base.abnormal_ratio)
         assert summary.requests == len(bindings)
         bpm = (base.bpm_range[0] + base.bpm_range[1]) / 2.0
@@ -172,10 +196,13 @@ def test_exact_worker_count_determinism():
 # ---------------------------------------------------------------------------
 
 def test_summary_counters_are_logical():
-    summary = ComputeSummary(requests=24, distinct_keys=9)
-    assert summary.cache_hits == 15
-    assert summary.cache_misses == 9
-    assert summary.cache_stores == 9
+    """Only the requests and their distinct keys are counted."""
+    with obs.collecting() as registry:
+        record_compute_counters(ComputeSummary(requests=24,
+                                               distinct_keys=9))
+    counters = registry.deterministic()["counters"]
+    assert counters == {"net.compute.requests": 24,
+                        "net.compute.keys": 9}
 
 
 def test_resolver_summary_identical_cold_and_warm():
@@ -185,19 +212,15 @@ def test_resolver_summary_identical_cold_and_warm():
         for node_id in range(6)
     ]
     clear_process_caches()
-    resolver = ComputeResolver(ComputeSettings())
-    cold = resolver.resolve(requests)
-    warm = resolver.resolve(requests)  # memo now serves every key
-    assert warm.summary == cold.summary
-    for key, entry in cold.table.items():
-        assert warm.table[key].payload == entry.payload
+    cold = resolve(requests)
+    warm = resolve(requests)  # memo now serves every key
+    assert list(cold) == sorted({request.key for request in requests})
+    assert warm == cold
 
 
 def test_partly_warm_groups_resolve_like_a_cold_run(tmp_path, monkeypatch):
     """Each app group comes a third from disk, a third from the memo
     and a third from one engine call: the table equals a cold one."""
-    import repro.net.compute
-
     monkeypatch.delenv(COMPUTE_CACHE_ENV, raising=False)
     scenario = get_scenario("generated-swarm")
     requests = [
@@ -205,42 +228,30 @@ def test_partly_warm_groups_resolve_like_a_cold_run(tmp_path, monkeypatch):
         for node_id in range(64)
     ]
     clear_process_caches()
-    cold = ComputeResolver(ComputeSettings()).resolve(requests)
+    cold = resolve(requests)
     groups: dict[tuple, list[str]] = {}
     for request in {r.key: r for r in requests}.values():
-        group = (request.binding.app_key, request.mode)
+        group = (request.binding.app_key, request.binding.mode)
         groups.setdefault(group, []).append(request.key)
     assert max(map(len, groups.values())) >= 3
+    # A third of each group on disk, a third in the memo.
+    disk = {key for keys in groups.values() for key in sorted(keys)[::3]}
+    memo = {key for keys in groups.values() for key in sorted(keys)[1::3]}
     clear_process_caches()
-    disk, memo = ComputeCache(tmp_path), ComputeCache(None)
-    missing = 0
-    for keys in groups.values():
-        for index, key in enumerate(sorted(keys)):
-            if index % 3 == 0:
-                disk.put(key, cold.table[key].payload)
-            elif index % 3 == 1:
-                memo.put(key, cold.table[key].payload)
-            else:
-                missing += 1
-    for keys in groups.values():  # disk-only: drop the memo copies
-        for key in sorted(keys)[::3]:
-            repro.net.compute._MEMO.pop(key)
+    resolve([r for r in requests if r.key in disk], str(tmp_path))
+    clear_process_caches()
+    resolve([r for r in requests if r.key in memo])
+    missing = len(cold) - len(disk) - len(memo)
 
-    rows = []
-
-    def counting(app, mode, signatures, *args, **kwargs):
-        rows.append(len(signatures))
-        return simulate_batch(app, mode, signatures, *args, **kwargs)
-
-    monkeypatch.setattr(repro.net.compute, "simulate_batch", counting)
-    warm = ComputeResolver(ComputeSettings(str(tmp_path))).resolve(requests)
+    rows = _counting_rows(monkeypatch)
+    warm = resolve(requests, str(tmp_path))
     assert sum(rows) == missing
     assert len(rows) == sum(len(keys) >= 3 for keys in groups.values())
-    assert warm.summary == cold.summary
-    assert list(warm.table) == list(cold.table)
-    assert warm.table == cold.table
-    for key, entry in cold.table.items():
-        assert warm.table[key].report() == entry.report()
+    assert list(warm) == list(cold)
+    assert warm == cold
+    for key, payload in cold.items():
+        assert report_from_payload(warm[key]) == \
+            report_from_payload(payload)
 
 
 def test_disk_cache_cold_vs_warm_nodes_identical(tmp_path, monkeypatch):
@@ -256,64 +267,56 @@ def test_disk_cache_cold_vs_warm_nodes_identical(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ComputeCache mechanics
+# Disk layer mechanics
 # ---------------------------------------------------------------------------
 
-def _entry_payload():
-    report = PowerReport(
-        operating_point=OperatingPoint(frequency_mhz=12.0, voltage=1.0),
-        duration_s=2.0,
-        categories={"cores_logic": 10.0, "leakage": 1.5},
-    )
-    return {
-        "schema": COMPUTE_ENTRY_SCHEMA,
-        "tier": "exact",
-        "frequency_mhz": report.operating_point.frequency_mhz,
-        "voltage": report.operating_point.voltage,
-        "duration_s": report.duration_s,
-        "categories": dict(report.categories),
-    }
-
-
-def _complete_payload():
-    """An entry with every category a live run reports."""
-    payload = _entry_payload()
-    payload["categories"] = {
-        **dict.fromkeys(CATEGORIES, 0.25), **payload["categories"]
-    }
-    return payload
-
-
-def test_cache_roundtrip_and_corrupt_entries(tmp_path):
-    cache = ComputeCache(tmp_path)
-    key = "ab" + "0" * 38
-    cache.put(key, _complete_payload())
-    clear_process_caches()  # force the disk read
-    assert ComputeCache(tmp_path).get(key) == _complete_payload()
-    # Corrupt bytes and foreign schemas both read as misses.
-    path = cache._path(key)
-    path.write_text("{not json", encoding="utf-8")
+def test_cache_roundtrip_and_corrupt_entries(tmp_path, monkeypatch):
+    requests = _requests(4)
     clear_process_caches()
-    assert ComputeCache(tmp_path).get(key) is None
-    path.write_text(json.dumps({"schema": "other/1"}), encoding="utf-8")
+    cold = resolve(requests, str(tmp_path))
+    paths = [entry_path(tmp_path, code_fingerprint(), key) for key in cold]
+    assert _entries(tmp_path) == [p.relative_to(tmp_path) for p in paths]
+    for path, payload in zip(paths, cold.values()):
+        assert json.loads(path.read_text(encoding="utf-8")) == payload
+    rows = _counting_rows(monkeypatch)
+    clear_process_caches()  # force the disk reads
+    assert resolve(requests, str(tmp_path)) == cold
+    assert rows == []
+    # Corrupt bytes read as a miss: simulated again and rewritten.
+    good = paths[0].read_bytes()
+    paths[0].write_text("{not json", encoding="utf-8")
     clear_process_caches()
-    assert ComputeCache(tmp_path).get(key) is None
+    assert resolve(requests, str(tmp_path)) == cold
+    assert rows == [1]
+    assert paths[0].read_bytes() == good
+
+
+def _category(name, value):
+    """A doctor that sets one category's value."""
+    def doctor(payload):
+        for pair in payload["categories"]:
+            if pair[0] == name:
+                pair[1] = value
+    return doctor
 
 
 #: Doctored disk entries, each of which must read as a miss.
 _DOCTORED = {
-    "missing category": lambda p: p["categories"].pop("leakage"),
-    "NaN category": lambda p: p["categories"].update(leakage=math.nan),
-    "infinite category": lambda p: p["categories"].update(
-        cores_logic=math.inf),
-    "string category": lambda p: p["categories"].update(leakage="0"),
-    "bool category": lambda p: p["categories"].update(leakage=True),
-    "unknown category": lambda p: p["categories"].update(bogus=5.0),
+    "missing category": lambda p: p["categories"].pop(),
+    "repeated category": lambda p: p["categories"].append(
+        list(p["categories"][0])),
+    "unknown category": lambda p: p["categories"].append(["bogus", 5.0]),
+    "NaN category": _category("leakage", math.nan),
+    "infinite category": _category("cores_logic", math.inf),
+    "string category": _category("leakage", "0"),
+    "bool category": _category("leakage", True),
+    "categories as a mapping": lambda p: p.update(
+        categories=dict(p["categories"])),
+    "foreign schema": lambda p: p.update(schema="repro-compute-entry/1"),
     "no frequency": lambda p: p.pop("frequency_mhz"),
     "no voltage": lambda p: p.pop("voltage"),
     "no duration": lambda p: p.pop("duration_s"),
     "null voltage": lambda p: p.update(voltage=None),
-    "no tier": lambda p: p.pop("tier"),
 }
 
 
@@ -339,33 +342,55 @@ def test_doctored_cache_entry_is_resimulated(doctor, tmp_path):
 
 
 def test_cache_root_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv(COMPUTE_CACHE_ENV, str(tmp_path))
-    assert ComputeCache(None).root == tmp_path
+    """The disk root is ``cache_dir``, else the environment's, else
+    there is none."""
+    monkeypatch.chdir(tmp_path)
+    requests = _requests(4)
+    keys = {request.key for request in requests}
+    assert len(keys) > 1
+    monkeypatch.setenv(COMPUTE_CACHE_ENV, str(tmp_path / "env"))
+    clear_process_caches()
+    resolve(requests)
+    clear_process_caches()
+    resolve(requests, str(tmp_path / "explicit"))
+    assert _entries(tmp_path / "env") == _entries(tmp_path / "explicit")
+    assert len(_entries(tmp_path / "env")) == len(keys)
     monkeypatch.delenv(COMPUTE_CACHE_ENV)
-    assert ComputeCache(None).root is None
-    assert ComputeCache(tmp_path / "explicit").root == \
-        tmp_path / "explicit"
+    clear_process_caches()
+    resolve(requests)
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["env", "explicit"]
+    assert len(_entries(tmp_path)) == 2 * len(keys)
 
 
 def test_report_rebuilds_in_canonical_category_order():
-    payload = _entry_payload()
-    # A JSON round trip with sort_keys scrambles insertion order.
-    scrambled = json.loads(json.dumps(payload, sort_keys=True))
-    scrambled["categories"]["radio"] = 3.25  # unknown extra category
-    report = report_from_payload(scrambled)
-    assert list(report.categories) == ["cores_logic", "leakage",
-                                       "radio"]
-    assert report.total_uw == 10.0 + 1.5 + 3.25
+    """A payload keeps ``compute_power``'s category order through a
+    ``sort_keys`` JSON round trip, so ``total_uw`` keeps its bits."""
+    (request,) = _requests(1)
+    live = simulate_request(request)
+    assert list(live.categories) != sorted(live.categories)
+    clear_process_caches()
+    (payload,) = resolve([request]).values()
+    stored = json.loads(json.dumps(payload, sort_keys=True))
+    for report in (report_from_payload(payload),
+                   report_from_payload(stored)):
+        assert list(report.categories) == list(live.categories)
+        assert report == live
+        assert report.total_uw == live.total_uw
 
 
 def test_compute_settings_normalisation():
-    assert compute_settings(None) is None
-    settings = compute_settings("exact", "/tmp/x")
-    assert settings == ComputeSettings(cache_dir="/tmp/x")
-    assert compute_settings(settings) is settings
+    """``compute`` is None or ``"exact"`` (streaming: only
+    ``"exact"``); anything else is rejected up front."""
+    token = "tiers:rbs@1x3:dense-ward"
     for unknown in ("analytic", "fuzzy"):
         with pytest.raises(ValueError, match="unknown compute mode"):
-            compute_settings(unknown)
+            run_fleet("dense-ward", n_nodes=2, duration_s=1.0,
+                      compute=unknown)
+        with pytest.raises(ValueError, match="unknown compute mode"):
+            run_streaming(token, duration_s=1.0, compute=unknown)
+    with pytest.raises(ValueError, match="unknown compute mode"):
+        run_streaming(token, duration_s=1.0, compute=None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.net.compute import clear_process_caches, compute_settings
+from repro.net.compute import clear_process_caches
 from repro.net.fleet import FleetConfig, FleetRunner
 from repro.net.scenarios import get_scenario, with_protocol
 from repro.net.stats import Moments, SyncError
@@ -40,11 +40,10 @@ WORKERS = (1, 2, 3)
 @pytest.mark.parametrize("preset", PRESETS)
 def test_shard_pass_equals_the_per_node_path(preset, duration):
     for protocol in ("none", "rbs", "ftsp"):
-        for compute in ("exact", None):
+        for compute in (True, False):
             config = FleetConfig(
                 scenario=with_protocol(get_scenario(preset), protocol),
-                n_nodes=7, duration_s=duration, seed=11,
-                compute=compute_settings(compute))
+                n_nodes=7, duration_s=duration, seed=11, compute=compute)
             nodes, summary = reference_fleet(config)
             for workers in WORKERS:
                 result = check_invariants(FleetRunner(config).run(workers))

@@ -229,7 +229,7 @@ def test_config_validation():
         StreamingConfig(spec=spec, duration_s=0.0)
     with pytest.raises(ValueError):
         StreamingConfig(spec=spec, wave_size=0)
-    with pytest.raises(ValueError, match="ComputeSettings"):
+    with pytest.raises(ValueError, match="unknown compute mode"):
         run_streaming(TOKEN, compute=None)
 
 

@@ -32,7 +32,7 @@ TINY = SweepSpec(
 
 
 def _result():
-    return run_sweep(TINY, use_cache=False)
+    return run_sweep(TINY)
 
 
 def test_bench_payload_schema_fields():

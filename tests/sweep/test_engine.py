@@ -8,6 +8,8 @@ from repro.sweep import (
     SweepSpec,
     run_sweep,
 )
+from repro.sweep.cache import CACHE_ENV
+from repro.sweep.runners import run_platform_adc_point
 
 #: A small app-family grid (4 points, ~1 s of simulated ECG each).
 SMALL = SweepSpec(
@@ -66,8 +68,8 @@ def test_force_reexecutes_but_refreshes_cache(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
-    serial = run_sweep(SMALL, use_cache=False)
-    parallel = run_sweep(SMALL, use_cache=False, workers=2)
+    serial = run_sweep(SMALL)
+    parallel = run_sweep(SMALL, workers=2)
     assert parallel.mode == "parallel"
     assert parallel.workers == 2
     assert [p.point for p in parallel.results] == [
@@ -94,18 +96,22 @@ def test_incremental_sweep_only_runs_new_points(tmp_path):
     assert result.cache_misses == 2
 
 
-def test_no_cache_disables_reads_and_writes(tmp_path):
-    cache = ResultCache(root=tmp_path, fingerprint="f1")
-    run_sweep(SMALL, cache=cache, use_cache=False)
-    assert len(cache) == 0
+def test_no_cache_disables_reads_and_writes(tmp_path, monkeypatch):
+    """``cache=None`` reads and writes nothing, not even the default
+    root."""
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    result = run_sweep(SMALL)
+    assert not any(tmp_path.iterdir())
+    assert result.cache_misses == 4 and result.cache_stores == 0
+    assert result.fingerprint == ""
 
 
 def test_unknown_runner_and_bad_workers_raise():
     bad = SweepSpec(name="x", runner="nope")
     with pytest.raises(RunnerError):
-        run_sweep(bad, use_cache=False)
+        run_sweep(bad)
     with pytest.raises(ValueError):
-        run_sweep(SMALL, workers=0, use_cache=False)
+        run_sweep(SMALL, workers=0)
 
 
 def test_fleet_and_platform_and_ablation_points(tmp_path):
@@ -120,7 +126,7 @@ def test_fleet_and_platform_and_ablation_points(tmp_path):
             ("seed", 7),
         ),
     )
-    result = run_sweep(fleet, use_cache=False)
+    result = run_sweep(fleet)
     assert result.n_points == 2
     for point in result.results:
         assert point.metrics["n_nodes"] == 2
@@ -132,7 +138,7 @@ def test_fleet_and_platform_and_ablation_points(tmp_path):
         axes=(("cores", (1, 2)),),
         base=(("cycles", 2000),),
     )
-    result = run_sweep(platform, use_cache=False)
+    result = run_sweep(platform)
     assert [p.metrics["cycles"] for p in result.results] == [2000, 2000]
 
     adc = SweepSpec(
@@ -140,14 +146,14 @@ def test_fleet_and_platform_and_ablation_points(tmp_path):
         runner="platform-adc",
         axes=(("period_cycles", (1000,)),),
     )
-    (point,) = run_sweep(adc, use_cache=False).results
+    (point,) = run_sweep(adc).results
     # 1 s of ECG: 250 samples a lead, each its own 1,000-cycle gap; the
     # cores are clocked for a small share of the run.
     assert 250_000 < point.metrics["cycles"] < 251_000
     assert point.metrics["active_cycles"] < 0.05 * 3 * 250_000
     with pytest.raises(RunnerError):
         run_sweep(SweepSpec(name="pa0", runner="platform-adc",
-                            base=(("period_cycles", 0),)), use_cache=False)
+                            base=(("period_cycles", 0),)))
 
     ablation = SweepSpec(
         name="a",
@@ -155,5 +161,13 @@ def test_fleet_and_platform_and_ablation_points(tmp_path):
         axes=(("ablation", ("broadcast",)),),
         base=(("duration_s", 1.0),),
     )
-    result = run_sweep(ablation, use_cache=False)
+    result = run_sweep(ablation)
     assert result.results[0].metrics["penalty"] > 0
+
+
+def test_platform_adc_names_what_did_not_halt():
+    """A 1-cycle ADC period outruns the kernel: the error names the
+    cycle and the replicas still running."""
+    with pytest.raises(RunnerError, match=r"^running-max kernel did not "
+                       r"halt by cycle \d+: cores 0, 1, 2 not halted$"):
+        run_platform_adc_point({"period_cycles": 1})

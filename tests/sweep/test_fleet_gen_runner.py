@@ -64,7 +64,7 @@ def test_fleet_gen_campaign_is_registered_and_runs():
     assert HEADLINE_METRICS["fleet-gen"]
     spec = SPECS["fleet-gen"]
     assert len(expand(spec)) == 9  # 3 policies x 3 protocols
-    result = run_sweep(spec, use_cache=False)
+    result = run_sweep(spec)
     assert result.n_points == 9
     none_rows = [point for point in result.results
                  if point.point["protocol"] == "none"]

@@ -49,8 +49,8 @@ def test_gen_sweep_executes_and_caches(tmp_path):
 
 
 def test_gen_sweep_parallel_matches_serial():
-    serial = run_sweep(TINY, use_cache=False)
-    parallel = run_sweep(TINY, use_cache=False, workers=2)
+    serial = run_sweep(TINY)
+    parallel = run_sweep(TINY, workers=2)
     for a, b in zip(serial.results, parallel.results):
         assert a.metrics == b.metrics
 
